@@ -38,9 +38,11 @@ from .oracles import (
 )
 from .phases import (
     ComponentReport,
+    PhaseBatch,
     PhaseReport,
     PreparedProblem,
     component_report,
+    evaluate,
     evolution_operator,
     overlap_kernel,
     phase_report,
@@ -48,7 +50,6 @@ from .phases import (
     prepare_problem,
     sjoqvist_phase,
     total_geometric_phase,
-    total_overlap,
     uhlmann_trace_phase,
 )
 from .serialize import (

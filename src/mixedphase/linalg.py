@@ -66,9 +66,14 @@ def unitary_from_hamiltonian(h, t: float, tol: float = DEFAULT_TOL.hermiticity) 
     Built from the eigendecomposition, so the result is unitary to
     roundoff for any t; no scaling-and-squaring is involved.
     """
+    return unitary_from_eig(*hermitian_eig(h, tol), t)
+
+
+def unitary_from_eig(w, q, t: float) -> np.ndarray:
+    """exp(-i h t) from an eigendecomposition (w, q) of h, as returned by
+    hermitian_eig, so that one decomposition serves every t."""
     if not np.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
-    w, q = hermitian_eig(h, tol)
     return (q * np.exp(-1j * w * t)) @ dagger(q)
 
 

@@ -2,21 +2,40 @@
 
 Per-component geometric, dynamical, and total phases with visibilities;
 their weighted sum, the total geometric phase of the evolving ensemble;
-the purification trace phase (Uhlmann's phase, computed by an
-independent route through exp(-iKt)); and the interferometric
-eigenbasis phase (Sjoqvist's phase). The first two are equal for every
-instance, which the test suite exploits as a two-path cross-check.
+the purification trace phase (Uhlmann's phase); and the interferometric
+eigenbasis phase (Sjoqvist's phase).
+
+Every phase is a function of the component overlaps
+m_j(t) = <e_j| z* C U(t) C z^T |e_j>. prepare_from_spectrum diagonalizes
+h' = Q diag(eps) Q^dag once, after which
+
+    m_j(t) = sum_a P_aj e^{-i eps_a t},   P = |Q^dag C z^T|^2,
+
+so evaluate computes a whole time grid as one matrix product. The
+total phase and the Uhlmann phase share that one spectral
+decomposition and differ only in their contraction: the total phase
+sums over eps first (sum_j m_j e^{-i kappa_j t}), the Uhlmann trace
+Tr[C U C V^T] over kappa first. They are therefore not independent
+checks of each other; the independent checks are the discretized
+holonomy oracle (oracles.discrete_uhlmann_holonomy) and the
+benchmark's scipy reference (solve_sylvester for K, expm for U and V).
+
+Batch-of-one rule: evaluate is the only evaluation path. phase_report
+at one t is row 0 of evaluate at [t]; compute, sweep and compare all go
+through evaluate. The per-t functions below (overlap_kernel,
+component_report, total_geometric_phase, uhlmann_trace_phase,
+sjoqvist_phase) take an explicit evolution operator and are the literal
+definitions that verify and the tests check the engine against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IndexOutOfRange, VanishingVisibility
-from .linalg import unitary_from_hamiltonian
+from .linalg import dagger, hermitian_eig, unitary_from_eig, unitary_from_hamiltonian
 from .states import Problem, Spectrum, hamiltonian_in_eigenbasis, spectral_decompose
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
@@ -59,13 +78,62 @@ class PhaseReport:
 
 
 @dataclass(frozen=True)
+class PhaseBatch:
+    """Every phase of one instance on a grid of times.
+
+    Arrays are indexed [time] or [time, component], except q, which is
+    time-invariant and indexed [component]. overlaps holds the complex
+    m_j(t). The conventions are those of PhaseReport and
+    ComponentReport: nan for a headline phase at a nodal point, the
+    sentinel zeros for negligible components.
+    """
+
+    t: np.ndarray
+    gamma_total: np.ndarray
+    uhlmann: np.ndarray
+    sjoqvist: np.ndarray
+    overlap_magnitude: np.ndarray
+    overlaps: np.ndarray
+    q: np.ndarray
+    visibility: np.ndarray
+    gamma: np.ndarray
+    dyn_phase: np.ndarray
+    total_phase: np.ndarray
+    degenerate_spectrum_warning: bool
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def report(self, i: int) -> PhaseReport:
+        """Row i as a PhaseReport."""
+        components = tuple(
+            ComponentReport(j, q, nu, gamma, dyn, total)
+            for j, (q, nu, gamma, dyn, total) in enumerate(zip(
+                self.q.tolist(), self.visibility[i].tolist(), self.gamma[i].tolist(),
+                self.dyn_phase[i].tolist(), self.total_phase[i].tolist()))
+        )
+        return PhaseReport(
+            t=float(self.t[i]),
+            gamma_total=float(self.gamma_total[i]),
+            uhlmann=float(self.uhlmann[i]),
+            sjoqvist=float(self.sjoqvist[i]),
+            overlap_magnitude=float(self.overlap_magnitude[i]),
+            components=components,
+            degenerate_spectrum_warning=self.degenerate_spectrum_warning,
+        )
+
+
+@dataclass(frozen=True)
 class PreparedProblem:
     """A problem with its eigenbasis data and ancilla frame solved,
-    ready for phase evaluation at any time."""
+    ready for phase evaluation at any time. h_eigvals and h_eigvecs are
+    the eigendecomposition of h_prime (ascending, as from hermitian_eig)."""
 
     problem: Problem
     spectrum: Spectrum
     h_prime: np.ndarray
+    h_eigvals: np.ndarray
+    h_eigvecs: np.ndarray
     frame: AncillaFrame
     weights: np.ndarray
 
@@ -78,10 +146,12 @@ def prepare_from_spectrum(problem: Problem, spectrum: Spectrum) -> PreparedProbl
     """Build the ancilla frame and weights for a given spectral
     decomposition (callers can rephase or permute the eigenbasis)."""
     h_prime = hamiltonian_in_eigenbasis(problem, spectrum)
+    h_eigvals, h_eigvecs = hermitian_eig(h_prime)
     k = solve_ancilla_hamiltonian(spectrum.amps, h_prime)
     frame = diagonalizing_frame(k)
     weights = component_weights(spectrum.amps, frame.z)
-    return PreparedProblem(problem, spectrum, h_prime, frame, weights)
+    return PreparedProblem(problem, spectrum, h_prime, h_eigvals, h_eigvecs, frame,
+                           weights)
 
 
 def prepare_problem(problem: Problem) -> PreparedProblem:
@@ -90,7 +160,63 @@ def prepare_problem(problem: Problem) -> PreparedProblem:
 
 def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
     """exp(-i h' t) in the state eigenbasis."""
-    return unitary_from_hamiltonian(prep.h_prime, t)
+    return unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
+
+
+def _defined_angle(z: np.ndarray) -> np.ndarray:
+    """arg z, or nan where |z| is at or below the overlap tolerance."""
+    return np.where(np.abs(z) > DEFAULT_TOL.overlap, np.angle(z), np.nan)
+
+
+def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
+    """Every phase and per-component report at each of times (a scalar
+    or a 1-D sequence; repeats and negative times are allowed).
+
+    Costs one n x n by n x T product per quantity and no
+    eigendecomposition; nothing of size T x n x n is formed.
+    """
+    t = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(t).all():
+        raise ValueError(f"times must be finite, got {times}")
+    frame, q_h, weights = prep.frame, prep.h_eigvecs, prep.weights
+    e = np.exp(-1j * np.outer(t, prep.h_eigvals))  # e^{-i eps_a t}, [time, a]
+    d = np.exp(-1j * np.outer(t, frame.kappas))  # e^{-i kappa_b t}, [time, b]
+    # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
+    # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
+    p = np.abs(dagger(q_h) @ (frame.z * prep.spectrum.amps).T) ** 2
+    overlaps = e @ p
+    rotated = overlaps * d  # m_j e^{-i kappa_j t}
+    total = rotated.sum(axis=1)
+    trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
+    diag_u = e @ (np.abs(q_h) ** 2).T  # <e_j|U(t)|e_j>
+    interferometric = (diag_u * np.exp(1j * np.outer(t, np.diag(prep.h_prime).real))
+                       ) @ prep.spectrum.lambdas
+    live = weights > DEFAULT_TOL.weight
+    return PhaseBatch(
+        t=t,
+        gamma_total=_defined_angle(total),
+        uhlmann=_defined_angle(trace),
+        sjoqvist=_defined_angle(interferometric),
+        overlap_magnitude=np.abs(total),
+        overlaps=overlaps,
+        q=weights,
+        visibility=np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
+                             where=live),
+        gamma=np.where(live, np.angle(rotated), 0.0),
+        dyn_phase=np.outer(t, frame.kappas),
+        total_phase=np.where(live, np.angle(overlaps), 0.0),
+        degenerate_spectrum_warning=prep.spectrum.degenerate,
+    )
+
+
+def phase_report(prep: PreparedProblem, t: float) -> PhaseReport:
+    """Every phase and per-component report at time t: the batch of one,
+    evaluate(prep, [t]).report(0).
+
+    Nodal (undefined) phases come back as nan rather than the argument
+    of numerical noise; overlap_magnitude is always recorded.
+    """
+    return evaluate(prep, [t]).report(0)
 
 
 def overlap_kernel(j: int, u_t, amps, z) -> complex:
@@ -101,18 +227,6 @@ def overlap_kernel(j: int, u_t, amps, z) -> complex:
         raise IndexOutOfRange(f"component {j} outside 0..{amps.size - 1}")
     w = amps * np.asarray(z)[j, :]
     return complex(np.vdot(w, np.asarray(u_t) @ w))
-
-
-def _all_overlaps(u_t, amps, z) -> np.ndarray:
-    w = np.asarray(z) * np.asarray(amps, dtype=float)  # row j: component j at t=0
-    return np.einsum("jk,kl,jl->j", w.conj(), np.asarray(u_t), w)
-
-
-def total_overlap(t: float, frame: AncillaFrame, u_t, amps) -> complex:
-    """sum_j m_j(t) e^{-i kappa_j t} = q_j nu_j e^{i gamma_j} summed:
-    the complex number whose argument is the total geometric phase."""
-    m = _all_overlaps(u_t, amps, frame.z)
-    return complex((m * np.exp(-1j * frame.kappas * t)).sum())
 
 
 def component_report(j: int, t: float, frame: AncillaFrame, weights, u_t, amps,
@@ -133,7 +247,8 @@ def total_geometric_phase(t: float, frame: AncillaFrame, u_t, amps,
     """Total geometric phase arg sum_j q_j nu_j e^{i gamma_j}, evaluated
     as arg sum_j m_j(t) e^{-i kappa_j t} (identical, numerically
     stabler). Raises VanishingVisibility at nodal points."""
-    total = total_overlap(t, frame, u_t, amps)
+    total = sum(overlap_kernel(j, u_t, amps, frame.z) * np.exp(-1j * frame.kappas[j] * t)
+                for j in range(frame.dim))
     if abs(total) <= overlap_tol:
         raise VanishingVisibility(abs(total))
     return float(np.angle(total))
@@ -164,37 +279,3 @@ def sjoqvist_phase(t: float, spectrum: Spectrum, u_t, h_prime,
     if abs(total) <= overlap_tol:
         raise VanishingVisibility(abs(total))
     return float(np.angle(total))
-
-
-def phase_report(prep: PreparedProblem, t: float) -> PhaseReport:
-    """Evaluate every phase and per-component report at time t.
-
-    Nodal (undefined) phases come back as nan rather than the argument
-    of numerical noise; overlap_magnitude is always recorded.
-    """
-    u_t = evolution_operator(prep, t)
-    amps = prep.spectrum.amps
-    components = tuple(
-        component_report(j, t, prep.frame, prep.weights, u_t, amps)
-        for j in range(prep.dim)
-    )
-    total = total_overlap(t, prep.frame, u_t, amps)
-    magnitude = abs(total)
-    gamma_total = float(np.angle(total)) if magnitude > DEFAULT_TOL.overlap else math.nan
-    try:
-        uhlmann = uhlmann_trace_phase(t, u_t, amps, prep.frame.k)
-    except VanishingVisibility:
-        uhlmann = math.nan
-    try:
-        sjoqvist = sjoqvist_phase(t, prep.spectrum, u_t, prep.h_prime)
-    except VanishingVisibility:
-        sjoqvist = math.nan
-    return PhaseReport(
-        t=t,
-        gamma_total=gamma_total,
-        uhlmann=uhlmann,
-        sjoqvist=sjoqvist,
-        overlap_magnitude=magnitude,
-        components=components,
-        degenerate_spectrum_warning=prep.spectrum.degenerate,
-    )

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import GeometricPhaseError
-from .phases import PhaseReport
+from .phases import PhaseBatch, PhaseReport
 from .states import Problem, validate_density
 
 
@@ -36,12 +36,19 @@ def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
                 f"got {len(row) if isinstance(row, list) else type(row).__name__}"
             )
         for j, entry in enumerate(row):
+            # exact types: JSON true/false load as bool, an int subclass
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or type(entry[0]) not in (int, float)
+                    or type(entry[1]) not in (int, float)):
                 raise ProblemFileError(
                     f"{name}[{i}][{j}]: complex entries must be [re, im] pairs"
                 )
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise ProblemFileError(
+                    f"{name}[{i}][{j}]: entry is too large for a double"
+                ) from None
     if not np.isfinite(out).all():
         raise ProblemFileError(f"{name}: non-finite entries")
     return out
@@ -61,7 +68,7 @@ def problem_from_dict(data: dict) -> Problem:
         if key not in data:
             raise ProblemFileError(f"missing required key: {key}")
     n = data["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ProblemFileError(f"dimension must be a positive integer, got {n!r}")
     rho = _matrix_from_pairs(data["rho"], n, "rho")
     ham = _matrix_from_pairs(data["hamiltonian"], n, "hamiltonian")
@@ -141,19 +148,23 @@ def sweep_header(dim: int) -> str:
     return ",".join(cols)
 
 
-def sweep_row(report: PhaseReport) -> str:
-    vals = [report.t, report.gamma_total, report.uhlmann, report.sjoqvist,
-            report.overlap_magnitude]
-    for c in report.components:
-        vals += [c.q, c.visibility, c.gamma]
-    return ",".join(str(float(v)) for v in vals)
+def sweep_to_csv(batch: PhaseBatch) -> str:
+    """One row per time in the sweep_header column order, formatted
+    straight from the batch arrays."""
+    n = batch.q.size
+    table = np.empty((len(batch), 5 + 3 * n))
+    for col, values in enumerate((batch.t, batch.gamma_total, batch.uhlmann,
+                                  batch.sjoqvist, batch.overlap_magnitude)):
+        table[:, col] = values
+    table[:, 5::3] = batch.q
+    table[:, 6::3] = batch.visibility
+    table[:, 7::3] = batch.gamma
+    lines = [sweep_header(n)]
+    lines += [",".join(map(str, row.tolist())) for row in table]
+    lines.append("")  # the trailing newline, without copying the joined text
+    return "\n".join(lines)
 
 
-def sweep_to_csv(reports) -> str:
-    lines = [sweep_header(len(reports[0].components))]
-    lines += [sweep_row(r) for r in reports]
-    return "\n".join(lines) + "\n"
-
-
-def sweep_to_json(reports) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+def sweep_to_json(batch: PhaseBatch) -> str:
+    return json.dumps([report_to_dict(batch.report(i)) for i in range(len(batch))],
+                      indent=2) + "\n"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitTrace
-from .linalg import as_square, dagger, hermitian_defect, hermitian_eig
+from .linalg import as_square, dagger, hermitian_defect, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -61,13 +61,17 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class Problem:
-    """A state and the lab-frame Hamiltonian driving it (hbar = 1)."""
+    """A state and the lab-frame Hamiltonian driving it (hbar = 1).
+
+    The Hamiltonian is checked once here: square, finite, the state's
+    dimension, and Hermitian (NotHermitian otherwise).
+    """
 
     rho0: DensityMatrix
     hamiltonian_lab: np.ndarray
 
     def __post_init__(self):
-        h = as_square(self.hamiltonian_lab)
+        h = require_hermitian(self.hamiltonian_lab)
         object.__setattr__(self, "hamiltonian_lab", h)
         if h.shape[0] != self.rho0.dim:
             raise DimensionMismatch(

@@ -187,3 +187,40 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _problem_file(tmp_path, hamiltonian, rho=None):
+    rho = rho or [[[0.5, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.5, 0.0]]]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"dimension": 2, "rho": rho, "hamiltonian": hamiltonian}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "-t", "1.0"],
+    ["sweep", "--t-start", "0.0", "--t-end", "1.0", "--steps", "3"],
+    ["compare", "-t", "1.0", "--holonomy-steps", "256"],
+])
+def test_non_hermitian_hamiltonian_exits_2(tmp_path, capsys, argv):
+    path = _problem_file(tmp_path, [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    assert main(argv[:1] + ["--input", path] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not Hermitian" in captured.err
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_boolean_entry_exits_2(tmp_path, capsys):
+    path = _problem_file(tmp_path, [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    assert main(["compute", "--input", path, "-t", "1.0"]) == 2
+    assert "hamiltonian[0][0]" in capsys.readouterr().err
+
+
+def test_huge_integer_entry_exits_2(tmp_path, capsys):
+    huge = 10**400  # written out as 401 digits: an int too large for a double
+    path = _problem_file(tmp_path, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, huge]]])
+    assert main(["compute", "--input", path, "-t", "1.0"]) == 2
+    err = capsys.readouterr().err
+    assert "hamiltonian[1][1]" in err and "too large" in err
+    assert "Traceback" not in err

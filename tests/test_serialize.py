@@ -10,6 +10,7 @@ from mixedphase import (
     NotPSD,
     Problem,
     ProblemFileError,
+    evaluate,
     load_problem,
     phase_report,
     prepare_problem,
@@ -21,7 +22,7 @@ from mixedphase import (
     save_problem,
     validate_density,
 )
-from mixedphase.serialize import sweep_header, sweep_row
+from mixedphase.serialize import sweep_header, sweep_to_csv
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -95,7 +96,7 @@ def test_sweep_header_and_nan_rows():
                                "q_0,nu_0,gamma_0,q_1,nu_1,gamma_1")
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
     prep = prepare_problem(Problem(validate_density(rho), 0.5 * SZ))
-    row = sweep_row(phase_report(prep, 5 * np.pi))
+    row = sweep_to_csv(evaluate(prep, [5 * np.pi])).splitlines()[1]
     fields = row.split(",")
     assert len(fields) == 11
     assert fields[1] == "nan"  # undefined phase serializes as the literal nan
