@@ -18,8 +18,8 @@ import numpy as np
 from .angles import circular_distance
 from .errors import GeometricPhaseError, VanishingOverlap
 from .linalg import frobenius
-from .oracles import PathSampling, RandomInstanceSpec, discrete_uhlmann_holonomy, \
-    parallel_residual, random_instance
+from .oracles import MAX_STEPS, PathSampling, RandomInstanceSpec, \
+    discrete_uhlmann_holonomy, parallel_residual, random_instance
 from .phases import evaluate, evolution_operator, phase_report, prepare_from_spectrum, \
     prepare_problem, uhlmann_trace_phase
 from .serialize import load_problem, report_to_dict, sweep_to_csv, sweep_to_json
@@ -151,9 +151,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.holonomy_steps < 256:
+    if not 256 <= args.holonomy_steps <= MAX_STEPS:
         return _fail_input(
-            f"--holonomy-steps must be at least 256, got {args.holonomy_steps}"
+            f"--holonomy-steps must be in 256..2**52, got {args.holonomy_steps}"
         )
     if not (math.isfinite(args.time) and args.time > 0):
         return _fail_input(f"--time must be finite and positive, got {args.time}")
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--time", "-t", type=float, required=True)
     p.add_argument("--holonomy-steps", type=int, default=4096,
-                   help="discretization steps (>= 256)")
+                   help="discretization steps (256 to 2**52)")
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(handler=cmd_compare)
 

@@ -26,6 +26,7 @@ from mixedphase import (
     parallel_residual,
     prepare_from_spectrum,
     prepare_problem,
+    principal_angle,
     random_instance,
     save_problem,
     sjoqvist_phase,
@@ -110,30 +111,38 @@ def test_criterion_4_holonomy_oracle_convergence():
     t_end = 1.7
     specs = [RandomInstanceSpec(2, 2, 8100 + i) for i in range(10)]
     specs += [RandomInstanceSpec(3, 3, 8200 + i) for i in range(10)]
-    worst_final = 0.0
-    ladder_ok = True
-    ladder_detail = []
-    for idx, spec in enumerate(specs):
+    specs += [RandomInstanceSpec(n, r, 8300 + 10 * n + r)
+              for n in range(2, 7) for r in range(1, n)]
+    worst_final = worst_ratio = worst_richardson = 0.0
+    shrinks = True
+    for spec in specs:
         problem = random_instance(spec)
         prep = prepare_problem(problem)
         gamma = total_geometric_phase(t_end, prep.frame,
                                       evolution_operator(prep, t_end),
                                       prep.spectrum.amps)
-        err_4096 = circular_distance(
-            discrete_uhlmann_holonomy(problem, PathSampling(t_end, 4096)), gamma)
-        worst_final = max(worst_final, err_4096)
-        if idx % 5 == 0:  # doubling ladder on a subset
-            errs = [circular_distance(
-                discrete_uhlmann_holonomy(problem, PathSampling(t_end, n)), gamma)
-                for n in (256, 512, 1024, 2048, 4096)]
-            ladder_detail.append(errs[0])
-            shrinks = all(b <= a * 1.05 + 1e-12 for a, b in zip(errs, errs[1:]))
-            ladder_ok = ladder_ok and shrinks and errs[-1] <= max(errs[0] / 4, 1e-12)
-    ok = worst_final <= 2e-3 and ladder_ok
+        hols = {n: discrete_uhlmann_holonomy(problem, PathSampling(t_end, n))
+                for n in (256, 512, 1024, 2048, 4096)}
+        errs = [circular_distance(h, gamma) for h in hols.values()]
+        worst_final = max(worst_final, errs[-1])
+        for a, b in zip(errs, errs[1:]):
+            shrinks = shrinks and b <= a * 1.05 + 1e-12
+            # second order: each doubling divides the error by 4, until
+            # it nears the roundoff floor (about 1e-13 at these sizes)
+            if b >= 1e-10:
+                worst_ratio = max(worst_ratio, abs(a / b - 4.0))
+        shrinks = shrinks and errs[-1] <= max(errs[0] / 4, 1e-12)
+        # one Richardson step cancels the second-order term
+        richardson = hols[2048] + principal_angle(hols[2048] - hols[1024]) / 3
+        worst_richardson = max(worst_richardson, circular_distance(richardson, gamma))
+    ok = (worst_final <= 1e-7 and shrinks and worst_ratio <= 0.05
+          and worst_richardson <= 1e-11)
     _criterion(4, ok,
-               f"holonomy at 4096 steps: max error {worst_final:.2e} over 20 "
-               f"instances (tol 2e-3); error shrinks under doubling from 256 "
-               f"(start errors {', '.join(f'{e:.1e}' for e in ladder_detail)})")
+               f"holonomy over {len(specs)} instances of ranks 1 to n: error at "
+               f"4096 steps max {worst_final:.2e} (tol 1e-7); doubling ratio off 4 "
+               f"by {worst_ratio:.1e} (tol 0.05), shrinking: {shrinks}; Richardson "
+               f"(4 h(2048) - h(1024))/3 off the engine by {worst_richardson:.1e} "
+               f"(tol 1e-11)")
 
 
 def test_criterion_5_pure_state_limit():
@@ -176,15 +185,15 @@ def test_criterion_6_definitions_diverge_for_mixed_states():
     hol = discrete_uhlmann_holonomy(problem, PathSampling(t, 4096))
     closed = float(np.angle(-np.cos(np.pi * np.sqrt(1 - r**2))))
     split = circular_distance(gamma, sjo)
-    ok = (circular_distance(gamma, 0.0) <= 1e-9
-          and circular_distance(sjo, np.pi) <= 1e-9
-          and abs(split - np.pi) <= 1e-6
-          and circular_distance(hol, gamma) <= 2e-3
-          and circular_distance(gamma, closed) <= 1e-9)
+    ok = (circular_distance(gamma, 0.0) <= 1e-12
+          and circular_distance(sjo, np.pi) <= 1e-12
+          and abs(split - np.pi) <= 1e-12
+          and circular_distance(hol, gamma) <= 1e-12
+          and circular_distance(gamma, closed) <= 1e-12)
     _criterion(6, ok,
                f"r=0.6 cyclic point: total phase {gamma:+.2e}, interferometric "
-               f"{sjo:+.6f}, split {split:.6f} (pi within 1e-6), holonomy "
-               f"{hol:+.2e} (confirms within 2e-3)")
+               f"{sjo:+.6f}, split {split:.6f} (pi within 1e-12), holonomy "
+               f"{hol:+.2e} (confirms within 1e-12)")
 
 
 def test_criterion_7_structural_invariants():

@@ -152,22 +152,43 @@ def test_compare_pure_state_all_four_agree(pure_file, capsys):
     data = json.loads(capsys.readouterr().out)
     for key in ("gamma_total_vs_uhlmann", "gamma_total_vs_sjoqvist",
                 "gamma_total_vs_holonomy"):
-        assert data["pairwise_distances"][key] <= 2e-3
+        assert data["pairwise_distances"][key] <= 1e-12
 
 
 def test_compare_mixed_cyclic_point(mixed_file, capsys):
     assert main(["compare", "--input", mixed_file, "-t", str(CYCLIC_T),
                  "--holonomy-steps", "1024"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert circular_distance(data["gamma_total"], 0.0) <= 1e-9
-    assert circular_distance(data["holonomy"], 0.0) <= 2e-3
-    assert circular_distance(data["sjoqvist"], np.pi) <= 1e-9
-    assert abs(data["pairwise_distances"]["gamma_total_vs_sjoqvist"] - np.pi) <= 1e-6
+    assert circular_distance(data["gamma_total"], 0.0) <= 1e-12
+    assert circular_distance(data["holonomy"], 0.0) <= 1e-12
+    assert circular_distance(data["sjoqvist"], np.pi) <= 1e-12
+    assert abs(data["pairwise_distances"]["gamma_total_vs_sjoqvist"] - np.pi) <= 1e-12
 
 
 def test_compare_too_few_steps_exits_2(mixed_file):
     assert main(["compare", "--input", mixed_file, "-t", "1.0",
                  "--holonomy-steps", "10"]) == 2
+
+
+def test_compare_huge_step_count_is_cheap(mixed_file, capsys):
+    # the closed form costs O(log N): 1e12 steps is a matrix power, not a grid
+    assert main(["compare", "--input", mixed_file, "-t", str(CYCLIC_T),
+                 "--holonomy-steps", str(10**12)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["holonomy_steps"] == 10**12
+    # roundoff grows like steps * machine epsilon (about 2e-4 here)
+    assert circular_distance(data["holonomy"], 0.0) <= 1e-3
+
+
+@pytest.mark.parametrize("steps", [2**52 + 1, 10**400])
+def test_compare_steps_beyond_roundoff_cap_exits_2(mixed_file, capsys, steps):
+    assert main(["compare", "--input", mixed_file, "-t", "1.0",
+                 "--holonomy-steps", str(steps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--holonomy-steps" in captured.err and "Traceback" not in captured.err
 
 
 def test_compare_orthogonal_endpoint_exits_3(pure_file, capsys):

@@ -3,6 +3,7 @@ reference, parallel-transport residuals, and the instance generator."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mixedphase import (
     PathSampling,
@@ -23,6 +24,7 @@ from mixedphase import (
     total_geometric_phase,
     validate_density,
 )
+from mixedphase.oracles import MAX_STEPS
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -38,26 +40,65 @@ def test_path_sampling_validation():
     np.testing.assert_allclose(times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+def test_path_sampling_rejects_steps_beyond_the_roundoff_cap():
+    assert PathSampling(1.0, MAX_STEPS).steps == MAX_STEPS
+    with pytest.raises(ValueError):
+        PathSampling(1.0, MAX_STEPS + 1)
+    with pytest.raises(ValueError):
+        PathSampling(1.0, 10**400)
+
+
+def chain_phase_and_magnitude(problem, sampling):
+    """arg and |.| of Tr[w_0^dag w_N] from the literal sequential chain."""
+    chain = amplitude_chain(problem, sampling)
+    tr = complex(np.trace(dagger(chain[0]) @ chain[-1]))
+    return float(np.angle(tr)), abs(tr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(2, 512), t_end=st.floats(0.05, 6.0))
+def test_closed_form_matches_the_literal_chain(dim, data, seed, steps, t_end):
+    rank = data.draw(st.integers(1, dim), label="rank")
+    prob = random_instance(RandomInstanceSpec(dim, rank, seed))
+    sampling = PathSampling(t_end, steps)
+    want, magnitude = chain_phase_and_magnitude(prob, sampling)
+    # away from a nodal endpoint, where the angle itself is ill-conditioned
+    assume(magnitude >= 1e-2)
+    got = discrete_uhlmann_holonomy(prob, sampling)
+    assert circular_distance(got, want) <= 1e-11, (dim, rank, steps, got, want)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 255, 256])
+def test_closed_form_and_chain_both_vanish_at_orthogonal_endpoint(steps):
+    # |+> reaches the orthogonal |-> at t = pi on any grid
+    prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
+    sampling = PathSampling(np.pi, steps)
+    assert chain_phase_and_magnitude(prob, sampling)[1] <= 1e-12
+    with pytest.raises(VanishingOverlap):
+        discrete_uhlmann_holonomy(prob, sampling)
+
+
 def test_holonomy_constant_path_is_zero():
     # commuting full-rank instance: the state never moves
     prob = Problem(validate_density(np.diag([0.7, 0.3])),
                    np.diag([0.4, -0.9]).astype(complex))
     hol = discrete_uhlmann_holonomy(prob, PathSampling(3.0, 512))
-    assert abs(hol) <= 1e-9
+    assert abs(hol) <= 1e-12
 
 
 def test_holonomy_pure_great_circle():
     prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
     hol = discrete_uhlmann_holonomy(prob, PathSampling(2 * np.pi, 4096))
-    assert circular_distance(hol, np.pi) <= 2e-3
-    assert circular_distance(hol, pancharatnam_phase(PLUS, 0.5 * SZ, 2 * np.pi)) <= 2e-3
+    assert circular_distance(hol, np.pi) <= 1e-12
+    assert circular_distance(hol, pancharatnam_phase(PLUS, 0.5 * SZ, 2 * np.pi)) <= 1e-12
 
 
 def test_holonomy_mixed_great_circle_confirms_zero():
     rho = (np.eye(2) + 0.6 * SX) / 2
     prob = Problem(validate_density(rho), 0.5 * SZ)
     hol = discrete_uhlmann_holonomy(prob, PathSampling(2 * np.pi, 4096))
-    assert circular_distance(hol, 0.0) <= 2e-3
+    assert circular_distance(hol, 0.0) <= 1e-12
 
 
 def test_holonomy_matches_engine_on_random_instance():
@@ -67,7 +108,7 @@ def test_holonomy_matches_engine_on_random_instance():
     gamma = total_geometric_phase(t_end, prep.frame, evolution_operator(prep, t_end),
                                   prep.spectrum.amps)
     hol = discrete_uhlmann_holonomy(prob, PathSampling(t_end, 4096))
-    assert circular_distance(hol, gamma) <= 2e-3
+    assert circular_distance(hol, gamma) <= 2e-9
 
 
 def test_chain_links_are_hermitian_psd():
