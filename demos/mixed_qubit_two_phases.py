@@ -29,25 +29,25 @@ def main():
 
     print(f"{'t':>7} {'total':>9} {'trace':>9} {'interfer':>9} "
           f"{'|overlap|':>9} {'nu_0':>7} {'nu_1':>7}")
-    for t in np.linspace(0.0, period, 9):
-        rep = mp.phase_report(prep, t)
-        print(f"{t:7.3f} {rep.gamma_total:9.4f} {rep.uhlmann:9.4f} "
-              f"{rep.sjoqvist:9.4f} {rep.overlap_magnitude:9.4f} "
-              f"{rep.components[0].visibility:7.4f} "
-              f"{rep.components[1].visibility:7.4f}")
+    b = mp.evaluate(prep, np.linspace(0.0, period, 9))
+    for i, t in enumerate(b.t):
+        print(f"{t:7.3f} {b.gamma_total[i]:9.4f} {b.uhlmann[i]:9.4f} "
+              f"{b.sjoqvist[i]:9.4f} {b.overlap_magnitude[i]:9.4f} "
+              f"{b.visibility[i, 0]:7.4f} {b.visibility[i, 1]:7.4f}")
 
-    rep = mp.phase_report(prep, period)
+    cyclic = mp.evaluate(prep, period)
+    gamma, trace, sjo = cyclic.gamma_total[0], cyclic.uhlmann[0], cyclic.sjoqvist[0]
     hol = mp.discrete_uhlmann_holonomy(problem, mp.PathSampling(period, 4096))
     print(f"\nat the cyclic point t = {period:.4f}:")
-    print(f"  total geometric phase   {rep.gamma_total:+.6f}"
+    print(f"  total geometric phase   {gamma:+.6f}"
           f"   (closed form: arg(-cos(pi sqrt(1-r^2))) = "
           f"{np.angle(-np.cos(np.pi * np.sqrt(1 - r**2))):+.6f})")
-    print(f"  trace-formula phase     {rep.uhlmann:+.6f}   (same construction, "
+    print(f"  trace-formula phase     {trace:+.6f}   (same construction, "
           f"independent route)")
-    print(f"  interferometric phase   {rep.sjoqvist:+.6f}")
+    print(f"  interferometric phase   {sjo:+.6f}")
     print(f"  discretized holonomy    {hol:+.6f}   (4096 steps)")
     print(f"\nthe definitions split by "
-          f"{mp.circular_distance(rep.gamma_total, rep.sjoqvist):.6f} rad here; "
+          f"{mp.circular_distance(gamma, sjo):.6f} rad here; "
           f"for a pure state (r = 1) they would coincide.")
 
 

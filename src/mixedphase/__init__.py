@@ -17,7 +17,6 @@ from .errors import (
     NotPSD,
     NotUnitTrace,
     VanishingOverlap,
-    VanishingVisibility,
 )
 from .linalg import (
     dagger,
@@ -39,13 +38,11 @@ from .oracles import (
 from .phases import (
     ComponentReport,
     PhaseBatch,
-    PhaseReport,
     PreparedProblem,
     component_report,
     evaluate,
     evolution_operator,
     overlap_kernel,
-    phase_report,
     prepare_from_spectrum,
     prepare_problem,
     sjoqvist_phase,

@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+from .tolerances import DEFAULT_TOL
+
 
 class GeometricPhaseError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -8,31 +10,33 @@ class GeometricPhaseError(Exception):
 class NotHermitian(GeometricPhaseError):
     """Matrix failed the Hermitian symmetry check."""
 
-    def __init__(self, residual: float, tol: float):
+    def __init__(self, residual: float):
         self.residual = residual
         super().__init__(
-            f"not Hermitian: ||a - a^dag||_F = {residual:.3e} exceeds {tol:.1e}"
+            f"not Hermitian: ||a - a^dag||_F = {residual:.3e} exceeds "
+            f"{DEFAULT_TOL.hermiticity:.1e}"
         )
 
 
 class NotPSD(GeometricPhaseError):
     """Matrix has an eigenvalue below the positive-semidefinite floor."""
 
-    def __init__(self, min_eigenvalue: float, tol: float):
+    def __init__(self, min_eigenvalue: float):
         self.min_eigenvalue = min_eigenvalue
         super().__init__(
             f"not positive semidefinite: smallest eigenvalue {min_eigenvalue:.3e} "
-            f"is below -{tol:.1e}"
+            f"is below -{DEFAULT_TOL.psd:.1e}"
         )
 
 
 class NotUnitTrace(GeometricPhaseError):
     """Density matrix trace deviates from one."""
 
-    def __init__(self, trace: complex, tol: float):
+    def __init__(self, trace: complex):
         self.trace = trace
         super().__init__(
-            f"trace is not one: |Tr - 1| = {abs(trace - 1.0):.3e} exceeds {tol:.1e}"
+            f"trace is not one: |Tr - 1| = {abs(trace - 1.0):.3e} exceeds "
+            f"{DEFAULT_TOL.unit_trace:.1e}"
         )
 
 
@@ -44,18 +48,9 @@ class IndexOutOfRange(GeometricPhaseError):
     """Component index outside 0..n-1."""
 
 
-class VanishingVisibility(GeometricPhaseError):
-    """Total overlap magnitude too small for the phase to be defined."""
-
-    def __init__(self, magnitude: float):
-        self.magnitude = magnitude
-        super().__init__(
-            f"phase undefined: overlap magnitude {magnitude:.3e} is at a nodal point"
-        )
-
-
 class VanishingOverlap(GeometricPhaseError):
-    """Endpoint overlap too small for a phase to be extracted."""
+    """Overlap magnitude at or below the overlap tolerance: a nodal point,
+    where the phase, the argument of that overlap, is undefined."""
 
     def __init__(self, magnitude: float):
         self.magnitude = magnitude

@@ -8,6 +8,8 @@ functions are pure and never mutate their inputs; sizes are small
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotHermitian, NotPSD
@@ -37,17 +39,35 @@ def as_square(a) -> np.ndarray:
     return a
 
 
-def require_hermitian(a, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Return a as a complex array, raising NotHermitian if it is not
-    symmetric within tol (relative to max(1, ||a||_F))."""
+    symmetric within the hermiticity tolerance, relative to
+    max(1, ||a||_F).
+
+    Above ||a||_F = 1e300, where ||a - a^dag||_F <= 2 ||a||_F could
+    overflow (or ||a||_F already has), the norms are taken of a / s
+    instead, with s the power of two at or just below max |Re a_ij|,
+    |Im a_ij|. That division is exact and the scaled norms cannot
+    overflow, so the test holds at every finite magnitude.
+    """
     a = as_square(a)
-    defect = hermitian_defect(a)
-    if defect > tol * max(1.0, frobenius(a)):
-        raise NotHermitian(defect, tol)
+    tol = DEFAULT_TOL.hermiticity
+    b, scale = a, 1.0
+    with np.errstate(over="ignore"):
+        norm = frobenius(a)
+    if norm > 1e300:
+        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+        b = a / scale
+        norm = frobenius(b)
+    defect = hermitian_defect(b)
+    # defect * scale > tol * max(1, norm * scale)
+    if defect > tol * norm and defect * scale > tol:
+        raise NotHermitian(defect * scale)
     return a
 
 
-def hermitian_eig(a, tol: float = DEFAULT_TOL.hermiticity):
+def hermitian_eig(a):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, q): eigenvalues w ascending, eigenvector columns q
@@ -55,18 +75,18 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL.hermiticity):
     symmetrized before the solve so tiny anti-Hermitian noise cannot
     leak into complex eigenvalues.
     """
-    a = require_hermitian(a, tol)
+    a = require_hermitian(a)
     w, q = np.linalg.eigh((a + dagger(a)) / 2.0)
     return w, q
 
 
-def unitary_from_hamiltonian(h, t: float, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
+def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """Evolution operator exp(-i h t) for Hermitian h (hbar = 1).
 
     Built from the eigendecomposition, so the result is unitary to
     roundoff for any t; no scaling-and-squaring is involved.
     """
-    return unitary_from_eig(*hermitian_eig(h, tol), t)
+    return unitary_from_eig(*hermitian_eig(h), t)
 
 
 def unitary_from_eig(w, q, t: float) -> np.ndarray:
@@ -88,15 +108,14 @@ def polar_unitary(a) -> np.ndarray:
     return x @ yh
 
 
-def psd_sqrt(a, tol: float = DEFAULT_TOL.hermiticity,
-             psd_tol: float = DEFAULT_TOL.psd) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Hermitian PSD square root of a PSD matrix.
 
-    Eigenvalues in [-psd_tol, 0) are clamped to zero; anything below
-    -psd_tol raises NotPSD.
+    Eigenvalues in [-psd, 0) are clamped to zero; anything below -psd
+    raises NotPSD.
     """
-    w, q = hermitian_eig(a, tol)
-    if w.size and w[0] < -psd_tol:
-        raise NotPSD(float(w[0]), psd_tol)
+    w, q = hermitian_eig(a)
+    if w.size and w[0] < -DEFAULT_TOL.psd:
+        raise NotPSD(float(w[0]))
     w = np.clip(w, 0.0, None)
     return (q * np.sqrt(w)) @ dagger(q)

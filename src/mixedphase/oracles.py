@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import principal_angle
-from .errors import VanishingOverlap
+from .angles import angle_or_raise, principal_angle
 from .linalg import dagger, frobenius, hermitian_eig, polar_unitary, psd_sqrt, \
     unitary_from_eig, unitary_from_hamiltonian
 from .states import Problem, validate_density
@@ -83,8 +82,7 @@ def amplitude_chain(problem: Problem, sampling: PathSampling) -> list[np.ndarray
     return chain
 
 
-def discrete_uhlmann_holonomy(problem: Problem, sampling: PathSampling,
-                              overlap_tol: float = DEFAULT_TOL.overlap) -> float:
+def discrete_uhlmann_holonomy(problem: Problem, sampling: PathSampling) -> float:
     """Holonomy phase arg Tr[w_0^dag w_N] of the parallel amplitude chain
     (amplitude_chain) on the uniform grid of sampling, in closed form.
 
@@ -115,14 +113,10 @@ def discrete_uhlmann_holonomy(problem: Problem, sampling: PathSampling,
     link = polar_unitary(sqrt0 @ unitary_from_eig(w_h, q_h, dt) @ sqrt0)
     transport = np.linalg.matrix_power(dagger(link), sampling.steps)
     endpoint = sqrt0 @ unitary_from_eig(w_h, q_h, sampling.t_end) @ sqrt0
-    tr = complex(np.trace(endpoint @ transport))
-    if abs(tr) <= overlap_tol:
-        raise VanishingOverlap(abs(tr))
-    return float(np.angle(tr))
+    return angle_or_raise(complex(np.trace(endpoint @ transport)))
 
 
-def pancharatnam_phase(psi0, h_lab, t: float,
-                       overlap_tol: float = DEFAULT_TOL.overlap) -> float:
+def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     """Pure-state geometric phase: total phase arg <psi0|U(t)|psi0> minus
     the dynamical phase -<psi0|H|psi0> t (constant integrand for a
     time-independent Hamiltonian). Reduced to (-pi, pi]."""
@@ -131,11 +125,9 @@ def pancharatnam_phase(psi0, h_lab, t: float,
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state norm {norm} is not 1 within 1e-12")
     u = unitary_from_hamiltonian(h_lab, t)
-    ov = complex(np.vdot(psi0, u @ psi0))
-    if abs(ov) <= overlap_tol:
-        raise VanishingOverlap(abs(ov))
+    total = angle_or_raise(complex(np.vdot(psi0, u @ psi0)))
     energy = float(np.vdot(psi0, np.asarray(h_lab) @ psi0).real)
-    return principal_angle(float(np.angle(ov)) + energy * t)
+    return principal_angle(total + energy * t)
 
 
 def parallel_residual(j: int, t: float, delta: float, frame: AncillaFrame,

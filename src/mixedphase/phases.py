@@ -20,12 +20,14 @@ checks of each other; the independent checks are the discretized
 holonomy oracle (oracles.discrete_uhlmann_holonomy) and the
 benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 
-Batch-of-one rule: evaluate is the only evaluation path. phase_report
-at one t is row 0 of evaluate at [t]; compute, sweep and compare all go
-through evaluate. The per-t functions below (overlap_kernel,
-component_report, total_geometric_phase, uhlmann_trace_phase,
-sjoqvist_phase) take an explicit evolution operator and are the literal
-definitions that verify and the tests check the engine against.
+Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
+the only result type. A single t is row 0 of evaluate(prep, t); compute,
+sweep and compare all go through evaluate. The per-t functions below
+(overlap_kernel, component_report, total_geometric_phase,
+uhlmann_trace_phase, sjoqvist_phase) take an explicit evolution operator
+and are the literal definitions that verify and the tests check the
+engine against. At a nodal point (angles.angle_or_nan), evaluate stores
+nan where the literal phases raise VanishingOverlap.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, VanishingVisibility
+from .angles import angle_or_nan, angle_or_raise
+from .errors import IndexOutOfRange
 from .linalg import dagger, hermitian_eig, unitary_from_eig, unitary_from_hamiltonian
 from .states import Problem, Spectrum, hamiltonian_in_eigenbasis, spectral_decompose
 from .tolerances import DEFAULT_TOL
@@ -44,7 +47,8 @@ from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Phases of one pure component of the ensemble.
+    """Phases of one pure component of the ensemble, as the literal
+    component_report computes them.
 
     gamma and total_phase are reduced to (-pi, pi]; dyn_phase = kappa_j*t
     is reported unwrapped. Components with weight below the weight
@@ -61,31 +65,15 @@ class ComponentReport:
 
 
 @dataclass(frozen=True)
-class PhaseReport:
-    """All phases of one instance at one time.
-
-    Undefined phases (overlap magnitude at a nodal point) are stored as
-    nan with overlap_magnitude still recorded.
-    """
-
-    t: float
-    gamma_total: float
-    uhlmann: float
-    sjoqvist: float
-    overlap_magnitude: float
-    components: tuple[ComponentReport, ...]
-    degenerate_spectrum_warning: bool
-
-
-@dataclass(frozen=True)
 class PhaseBatch:
     """Every phase of one instance on a grid of times.
 
     Arrays are indexed [time] or [time, component], except q, which is
     time-invariant and indexed [component]. overlaps holds the complex
-    m_j(t). The conventions are those of PhaseReport and
-    ComponentReport: nan for a headline phase at a nodal point, the
-    sentinel zeros for negligible components.
+    m_j(t). A headline phase at a nodal point (overlap magnitude at or
+    below the overlap tolerance) is nan, with overlap_magnitude still
+    recorded; negligible components carry the sentinel zeros of
+    ComponentReport.
     """
 
     t: np.ndarray
@@ -103,24 +91,6 @@ class PhaseBatch:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def report(self, i: int) -> PhaseReport:
-        """Row i as a PhaseReport."""
-        components = tuple(
-            ComponentReport(j, q, nu, gamma, dyn, total)
-            for j, (q, nu, gamma, dyn, total) in enumerate(zip(
-                self.q.tolist(), self.visibility[i].tolist(), self.gamma[i].tolist(),
-                self.dyn_phase[i].tolist(), self.total_phase[i].tolist()))
-        )
-        return PhaseReport(
-            t=float(self.t[i]),
-            gamma_total=float(self.gamma_total[i]),
-            uhlmann=float(self.uhlmann[i]),
-            sjoqvist=float(self.sjoqvist[i]),
-            overlap_magnitude=float(self.overlap_magnitude[i]),
-            components=components,
-            degenerate_spectrum_warning=self.degenerate_spectrum_warning,
-        )
 
 
 @dataclass(frozen=True)
@@ -163,11 +133,6 @@ def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
     return unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
 
 
-def _defined_angle(z: np.ndarray) -> np.ndarray:
-    """arg z, or nan where |z| is at or below the overlap tolerance."""
-    return np.where(np.abs(z) > DEFAULT_TOL.overlap, np.angle(z), np.nan)
-
-
 def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     """Every phase and per-component report at each of times (a scalar
     or a 1-D sequence; repeats and negative times are allowed).
@@ -194,9 +159,9 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     live = weights > DEFAULT_TOL.weight
     return PhaseBatch(
         t=t,
-        gamma_total=_defined_angle(total),
-        uhlmann=_defined_angle(trace),
-        sjoqvist=_defined_angle(interferometric),
+        gamma_total=angle_or_nan(total),
+        uhlmann=angle_or_nan(trace),
+        sjoqvist=angle_or_nan(interferometric),
         overlap_magnitude=np.abs(total),
         overlaps=overlaps,
         q=weights,
@@ -209,16 +174,6 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     )
 
 
-def phase_report(prep: PreparedProblem, t: float) -> PhaseReport:
-    """Every phase and per-component report at time t: the batch of one,
-    evaluate(prep, [t]).report(0).
-
-    Nodal (undefined) phases come back as nan rather than the argument
-    of numerical noise; overlap_magnitude is always recorded.
-    """
-    return evaluate(prep, [t]).report(0)
-
-
 def overlap_kernel(j: int, u_t, amps, z) -> complex:
     """m_j(t) = <e_j| z* C u_t C z^T |e_j>, the unnormalized overlap of
     component j between times 0 and t. m_j(0) = q_j and |m_j| <= q_j."""
@@ -229,53 +184,42 @@ def overlap_kernel(j: int, u_t, amps, z) -> complex:
     return complex(np.vdot(w, np.asarray(u_t) @ w))
 
 
-def component_report(j: int, t: float, frame: AncillaFrame, weights, u_t, amps,
-                     weight_tol: float = DEFAULT_TOL.weight) -> ComponentReport:
+def component_report(j: int, t: float, frame: AncillaFrame, weights, u_t,
+                     amps) -> ComponentReport:
     """Weight, visibility, and geometric/dynamical/total phase of one
     component. gamma == total_phase - dyn_phase modulo 2*pi."""
     q_j = float(np.asarray(weights)[j])
     dyn = float(frame.kappas[j]) * t
-    if q_j <= weight_tol:
+    if q_j <= DEFAULT_TOL.weight:
         return ComponentReport(j, q_j, 0.0, 0.0, dyn, 0.0)
     m = overlap_kernel(j, u_t, amps, frame.z)
     gamma = float(np.angle(m * np.exp(-1j * dyn)))
     return ComponentReport(j, q_j, abs(m) / q_j, gamma, dyn, float(np.angle(m)))
 
 
-def total_geometric_phase(t: float, frame: AncillaFrame, u_t, amps,
-                          overlap_tol: float = DEFAULT_TOL.overlap) -> float:
+def total_geometric_phase(t: float, frame: AncillaFrame, u_t, amps) -> float:
     """Total geometric phase arg sum_j q_j nu_j e^{i gamma_j}, evaluated
     as arg sum_j m_j(t) e^{-i kappa_j t} (identical, numerically
-    stabler). Raises VanishingVisibility at nodal points."""
-    total = sum(overlap_kernel(j, u_t, amps, frame.z) * np.exp(-1j * frame.kappas[j] * t)
-                for j in range(frame.dim))
-    if abs(total) <= overlap_tol:
-        raise VanishingVisibility(abs(total))
-    return float(np.angle(total))
+    stabler). Raises VanishingOverlap at nodal points."""
+    return angle_or_raise(sum(
+        overlap_kernel(j, u_t, amps, frame.z) * np.exp(-1j * frame.kappas[j] * t)
+        for j in range(frame.dim)))
 
 
-def uhlmann_trace_phase(t: float, u_t, amps, ancilla_h,
-                        overlap_tol: float = DEFAULT_TOL.overlap) -> float:
+def uhlmann_trace_phase(t: float, u_t, amps, ancilla_h) -> float:
     """arg Tr[C u_t C v_t^T] with v_t = exp(-i k t): the holonomy phase
     of the parallel purification path. Equals total_geometric_phase but
     is computed without the diagonalizing frame."""
     v_t = unitary_from_hamiltonian(ancilla_h, t)
     c = np.diag(np.asarray(amps, dtype=float))
-    tr = complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T))
-    if abs(tr) <= overlap_tol:
-        raise VanishingVisibility(abs(tr))
-    return float(np.angle(tr))
+    return angle_or_raise(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
 
 
-def sjoqvist_phase(t: float, spectrum: Spectrum, u_t, h_prime,
-                   overlap_tol: float = DEFAULT_TOL.overlap) -> float:
+def sjoqvist_phase(t: float, spectrum: Spectrum, u_t, h_prime) -> float:
     """Interferometric phase arg sum_j lambda_j <e_j|u_t|e_j> e^{i h'_jj t}:
     the ancilla keeps the original eigenbasis and only cancels the
     diagonal dynamical phases. Agrees with the total geometric phase for
     pure states only."""
     u_t = np.asarray(u_t)
     phases = np.exp(1j * np.diag(np.asarray(h_prime)).real * t)
-    total = complex((spectrum.lambdas * np.diag(u_t) * phases).sum())
-    if abs(total) <= overlap_tol:
-        raise VanishingVisibility(abs(total))
-    return float(np.angle(total))
+    return angle_or_raise(complex((spectrum.lambdas * np.diag(u_t) * phases).sum()))

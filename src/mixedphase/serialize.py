@@ -8,13 +8,14 @@ CSV sweep tables (undefined phases as the literal nan).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 
 import numpy as np
 
 from .errors import GeometricPhaseError
-from .phases import PhaseBatch, PhaseReport
+from .phases import PhaseBatch
 from .states import Problem, validate_density
 
 
@@ -85,10 +86,21 @@ def problem_to_dict(problem: Problem) -> dict:
 
 def load_problem(path) -> Problem:
     with open(path, "r", encoding="utf-8") as fh:
+        # json.load builds a list per matrix entry (8,000 at n = 64), all
+        # alive until it returns: a collection during the parse finds no
+        # garbage, yet about ten run per such file and push the lists
+        # toward full collections.
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFileError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ProblemFileError("invalid JSON: nested too deeply") from None
+        finally:
+            if enabled:
+                gc.enable()
     return problem_from_dict(data)
 
 
@@ -103,41 +115,46 @@ def _nullable(x: float):
     return None if math.isnan(x) else float(x)
 
 
-def report_warnings(report: PhaseReport) -> list[str]:
+def report_warnings(batch: PhaseBatch, i: int) -> list[str]:
+    """The warnings of row i of batch."""
     warnings = []
-    if report.degenerate_spectrum_warning:
+    if batch.degenerate_spectrum_warning:
         warnings.append(
             "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
             "are not unique within degenerate blocks"
         )
     for name in ("gamma_total", "uhlmann", "sjoqvist"):
-        if math.isnan(getattr(report, name)):
+        if math.isnan(getattr(batch, name)[i]):
             warnings.append(
                 f"{name} undefined at a nodal point "
-                f"(overlap magnitude {report.overlap_magnitude:.3e})"
+                f"(overlap magnitude {batch.overlap_magnitude[i]:.3e})"
             )
     return warnings
 
 
-def report_to_dict(report: PhaseReport) -> dict:
+def report_to_dict(batch: PhaseBatch, i: int) -> dict:
+    """Row i of batch as the JSON report object."""
+    columns = zip(batch.q.tolist(), batch.visibility[i].tolist(),
+                  batch.gamma[i].tolist(), batch.dyn_phase[i].tolist(),
+                  batch.total_phase[i].tolist())
     return {
-        "t": float(report.t),
-        "gamma_total": _nullable(report.gamma_total),
-        "uhlmann": _nullable(report.uhlmann),
-        "sjoqvist": _nullable(report.sjoqvist),
-        "overlap_magnitude": float(report.overlap_magnitude),
+        "t": float(batch.t[i]),
+        "gamma_total": _nullable(batch.gamma_total[i]),
+        "uhlmann": _nullable(batch.uhlmann[i]),
+        "sjoqvist": _nullable(batch.sjoqvist[i]),
+        "overlap_magnitude": float(batch.overlap_magnitude[i]),
         "components": [
             {
-                "j": c.j,
-                "q": c.q,
-                "visibility": c.visibility,
-                "gamma": c.gamma,
-                "dyn_phase": c.dyn_phase,
-                "total_phase": c.total_phase,
+                "j": j,
+                "q": q,
+                "visibility": nu,
+                "gamma": gamma,
+                "dyn_phase": dyn,
+                "total_phase": total,
             }
-            for c in report.components
+            for j, (q, nu, gamma, dyn, total) in enumerate(columns)
         ],
-        "warnings": report_warnings(report),
+        "warnings": report_warnings(batch, i),
     }
 
 
@@ -166,5 +183,5 @@ def sweep_to_csv(batch: PhaseBatch) -> str:
 
 
 def sweep_to_json(batch: PhaseBatch) -> str:
-    return json.dumps([report_to_dict(batch.report(i)) for i in range(len(batch))],
+    return json.dumps([report_to_dict(batch, i) for i in range(len(batch))],
                       indent=2) + "\n"

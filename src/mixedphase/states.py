@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitTrace
 from .linalg import as_square, dagger, hermitian_defect, hermitian_eig, require_hermitian
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Problem:
         return self.rho0.dim
 
 
-def validate_density(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def validate_density(mat) -> DensityMatrix:
     """Check the density-matrix invariants and wrap the matrix.
 
     Raises NotHermitian, NotUnitTrace, or NotPSD naming the violated
@@ -93,25 +93,25 @@ def validate_density(mat, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
     """
     mat = np.array(as_square(mat))  # private copy
     defect = hermitian_defect(mat)
-    if defect > tol.hermiticity:
-        raise NotHermitian(defect, tol.hermiticity)
+    if defect > DEFAULT_TOL.hermiticity:
+        raise NotHermitian(defect)
     trace = complex(np.trace(mat))
-    if abs(trace - 1.0) > tol.unit_trace:
-        raise NotUnitTrace(trace, tol.unit_trace)
+    if abs(trace - 1.0) > DEFAULT_TOL.unit_trace:
+        raise NotUnitTrace(trace)
     evals = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
-    if evals[0] < -tol.psd:
-        raise NotPSD(float(evals[0]), tol.psd)
+    if evals[0] < -DEFAULT_TOL.psd:
+        raise NotPSD(float(evals[0]))
     return DensityMatrix(mat)
 
 
-def spectral_decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+def spectral_decompose(rho: DensityMatrix) -> Spectrum:
     """Eigenvalues (descending, clamped to [0, 1]), eigenbasis, and
     amplitudes sqrt(lambda) of a validated density matrix."""
-    w, q = hermitian_eig(rho.mat, tol.hermiticity)
+    w, q = hermitian_eig(rho.mat)
     lambdas = np.clip(w[::-1], 0.0, 1.0)
     basis_e = q[:, ::-1]
     gaps = lambdas[:-1] - lambdas[1:]
-    degenerate = bool(gaps.size and np.min(gaps) < tol.degeneracy_gap)
+    degenerate = bool(gaps.size and np.min(gaps) < DEFAULT_TOL.degeneracy_gap)
     return Spectrum(lambdas, basis_e, np.sqrt(lambdas), degenerate)
 
 

@@ -36,14 +36,13 @@ class AncillaFrame:
         return self.kappas.size
 
 
-def solve_ancilla_hamiltonian(amps, h_prime,
-                              support_tol: float = DEFAULT_TOL.support) -> np.ndarray:
+def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     """Closed-form solution K of C^2 K^T + K^T C^2 = -2 C H C.
 
     amps is the 1-D vector of amplitudes c_j = sqrt(lambda_j) >= 0;
     h_prime is the Hamiltonian in the state eigenbasis. Entrywise,
     (K^T)_kl = -2 c_k c_l H'_kl / (c_k^2 + c_l^2) wherever the
-    denominator exceeds support_tol, else 0: the equation puts no
+    denominator exceeds the support tolerance, else 0: the equation puts no
     constraint on K inside the kernel of the state, and zero is the
     minimal-norm completion.
     """
@@ -57,20 +56,20 @@ def solve_ancilla_hamiltonian(amps, h_prime,
     lam = amps**2
     denom = lam[:, None] + lam[None, :]
     num = -2.0 * np.outer(amps, amps)
-    factor = np.divide(num, denom, out=np.zeros_like(denom), where=denom > support_tol)
+    factor = np.divide(num, denom, out=np.zeros_like(denom),
+                       where=denom > DEFAULT_TOL.support)
     return (factor * hp).T
 
 
-def ancilla_equation_residual(amps, h_prime, ancilla_h,
-                              support_tol: float = DEFAULT_TOL.support) -> float:
+def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
     """Frobenius norm of C^2 K^T + K^T C^2 + 2 C H C restricted to the
-    support (index pairs with c_k^2 + c_l^2 > support_tol)."""
+    support (index pairs with c_k^2 + c_l^2 above the support tolerance)."""
     amps = np.asarray(amps, dtype=float)
     c = np.diag(amps)
     kt = np.asarray(ancilla_h).T
     resid = c @ c @ kt + kt @ c @ c + 2.0 * (c @ np.asarray(h_prime) @ c)
     lam = amps**2
-    mask = (lam[:, None] + lam[None, :]) > support_tol
+    mask = (lam[:, None] + lam[None, :]) > DEFAULT_TOL.support
     return frobenius(resid * mask)
 
 

@@ -146,6 +146,17 @@ def test_verify_usage_error(capsys):
     assert main(["verify", "--dim", "2", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("option", [
+    ["--seed", "-1"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
+])
+def test_verify_bad_seed_or_tolerance_exits_2(capsys, option):
+    assert main(["verify", "--dim", "2", "--trials", "1"] + option) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option[0] in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_compare_pure_state_all_four_agree(pure_file, capsys):
     assert main(["compare", "--input", pure_file, "-t", str(CYCLIC_T),
                  "--holonomy-steps", "1024"]) == 0
@@ -223,13 +234,16 @@ def _problem_file(tmp_path, hamiltonian, rho=None):
     ["compare", "-t", "1.0", "--holonomy-steps", "256"],
 ])
 def test_non_hermitian_hamiltonian_exits_2(tmp_path, capsys, argv):
-    path = _problem_file(tmp_path, [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
-    assert main(argv[:1] + ["--input", path] + argv[1:]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not Hermitian" in captured.err
-    assert "Traceback" not in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+    # at 1e200 both Frobenius norms of the check overflow a double
+    for entry in (1.0, 1e200):
+        path = _problem_file(tmp_path,
+                             [[[0.0, 0.0], [entry, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+        assert main(argv[:1] + ["--input", path] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not Hermitian" in captured.err
+        assert "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_boolean_entry_exits_2(tmp_path, capsys):

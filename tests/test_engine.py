@@ -17,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 from mixedphase import (
     Problem,
     RandomInstanceSpec,
-    VanishingVisibility,
+    VanishingOverlap,
     circular_distance,
     component_report,
     evaluate,
     overlap_kernel,
-    phase_report,
     prepare_problem,
     random_instance,
     sjoqvist_phase,
@@ -45,7 +44,7 @@ def bloch_x_prep(r):
 def literal_or_nan(fn, *args):
     try:
         return fn(*args)
-    except VanishingVisibility:
+    except VanishingOverlap:
         return math.nan
 
 
@@ -120,14 +119,6 @@ def test_nodal_point_gives_nan_in_the_literal_columns():
         assert not math.isnan(column[0]) and math.isnan(column[1]), name
     assert batch.overlap_magnitude[1] <= 1e-12
     assert not np.isnan(batch.gamma).any() and not np.isnan(batch.visibility).any()
-
-
-def test_phase_report_is_the_batch_of_one():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(4, 2, 402)))
-    for t in (0.0, -2.5, 3.7):
-        assert phase_report(prep, t) == evaluate(prep, [t]).report(0)
-    nodal = phase_report(bloch_x_prep(0.6), 5 * np.pi)
-    assert math.isnan(nodal.gamma_total) and math.isnan(nodal.uhlmann)
 
 
 def test_evaluate_rejects_non_finite_times():

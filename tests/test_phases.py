@@ -10,19 +10,20 @@ from mixedphase import (
     RandomInstanceSpec,
     Problem,
     Spectrum,
-    VanishingVisibility,
+    VanishingOverlap,
     circular_distance,
     component_report,
     component_state,
     dagger,
     diagonalizing_frame,
+    evaluate,
     evolution_operator,
     overlap_kernel,
     pancharatnam_phase,
-    phase_report,
     prepare_from_spectrum,
     prepare_problem,
     random_instance,
+    report_to_dict,
     sjoqvist_phase,
     total_geometric_phase,
     uhlmann_trace_phase,
@@ -213,15 +214,15 @@ def test_nodal_point_raises_vanishing_visibility():
     prep = prepare_problem(bloch_x_problem(0.6))
     t = 5 * np.pi
     u = evolution_operator(prep, t)
-    with pytest.raises(VanishingVisibility):
+    with pytest.raises(VanishingOverlap):
         total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-    with pytest.raises(VanishingVisibility):
+    with pytest.raises(VanishingOverlap):
         uhlmann_trace_phase(t, u, prep.spectrum.amps, prep.frame.k)
-    with pytest.raises(VanishingVisibility):
+    with pytest.raises(VanishingOverlap):
         sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
-    report = phase_report(prep, t)
-    assert np.isnan(report.gamma_total) and np.isnan(report.sjoqvist)
-    assert report.overlap_magnitude <= 1e-12
+    batch = evaluate(prep, t)
+    assert np.isnan(batch.gamma_total[0]) and np.isnan(batch.sjoqvist[0])
+    assert batch.overlap_magnitude[0] <= 1e-12
 
 
 def test_uhlmann_trace_phase_zero_at_t0():
@@ -305,12 +306,12 @@ def test_total_phase_ignores_ancilla_kernel_freedom():
 
 def test_phase_report_structure():
     prep = prepare_problem(bloch_x_problem(0.6))
-    report = phase_report(prep, 1.0)
-    assert report.t == 1.0
-    assert len(report.components) == 2
-    assert [c.j for c in report.components] == [0, 1]
-    assert not report.degenerate_spectrum_warning
-    assert abs(report.gamma_total - report.uhlmann) <= 1e-9
-    degenerate = phase_report(prepare_problem(
+    batch = evaluate(prep, 1.0)
+    assert batch.t[0] == 1.0
+    assert batch.visibility[0].shape == (2,)
+    assert [c["j"] for c in report_to_dict(batch, 0)["components"]] == [0, 1]
+    assert not batch.degenerate_spectrum_warning
+    assert abs(batch.gamma_total[0] - batch.uhlmann[0]) <= 1e-9
+    degenerate = evaluate(prepare_problem(
         Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)), 1.0)
     assert degenerate.degenerate_spectrum_warning

@@ -1,5 +1,6 @@
 """Problem-file and report serialization tests."""
 
+import gc
 import json
 import math
 
@@ -12,7 +13,6 @@ from mixedphase import (
     ProblemFileError,
     evaluate,
     load_problem,
-    phase_report,
     prepare_problem,
     problem_from_dict,
     problem_to_dict,
@@ -65,21 +65,39 @@ def test_validation_errors_propagate():
 
 def test_invalid_json_reported(tmp_path):
     path = tmp_path / "broken.json"
+    # the second file nests deeper than the parser's recursion limit
+    for text in ("{not json", "[" * 200_000):
+        path.write_text(text)
+        with pytest.raises(ProblemFileError, match="invalid JSON"):
+            load_problem(path)
+
+
+def test_load_problem_restores_the_collector_state(tmp_path):
+    # load_problem pauses garbage collection during the parse only
+    path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ProblemFileError, match="invalid JSON"):
+    with pytest.raises(ProblemFileError):
         load_problem(path)
+    assert gc.isenabled()
+    save_problem(random_instance(RandomInstanceSpec(2, 2, 1)), path)
+    gc.disable()
+    try:
+        load_problem(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_report_dict_keys_and_null_for_undefined():
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
     prep = prepare_problem(Problem(validate_density(rho), 0.5 * SZ))
-    data = report_to_dict(phase_report(prep, 1.0))
+    data = report_to_dict(evaluate(prep, 1.0), 0)
     assert list(data) == ["t", "gamma_total", "uhlmann", "sjoqvist",
                           "overlap_magnitude", "components", "warnings"]
     assert data["warnings"] == []
     assert list(data["components"][0]) == ["j", "q", "visibility", "gamma",
                                            "dyn_phase", "total_phase"]
-    nodal = report_to_dict(phase_report(prep, 5 * np.pi))
+    nodal = report_to_dict(evaluate(prep, 5 * np.pi), 0)
     assert nodal["gamma_total"] is None and nodal["sjoqvist"] is None
     assert any("nodal" in w for w in nodal["warnings"])
     json.dumps(nodal)  # undefined phases must serialize cleanly
@@ -87,7 +105,7 @@ def test_report_dict_keys_and_null_for_undefined():
 
 def test_degenerate_spectrum_warning_surfaces():
     prep = prepare_problem(Problem(validate_density(np.eye(2) / 2), 0.5 * SZ))
-    data = report_to_dict(phase_report(prep, 0.7))
+    data = report_to_dict(evaluate(prep, 0.7), 0)
     assert any("degenerate" in w for w in data["warnings"])
 
 
