@@ -19,9 +19,7 @@ def main():
     for spec in (mp.RandomInstanceSpec(2, 2, 123), mp.RandomInstanceSpec(3, 3, 456)):
         problem = mp.random_instance(spec)
         prep = mp.prepare_problem(problem)
-        gamma = mp.total_geometric_phase(
-            t_end, prep.frame, mp.evolution_operator(prep, t_end),
-            prep.spectrum.amps)
+        gamma = mp.total_geometric_phase(prep, t_end, mp.evolution_operator(prep, t_end))
         print(f"random dim-{spec.dim} instance (seed {spec.seed}), "
               f"t_end = {t_end}")
         print(f"engine total geometric phase: {gamma:+.10f}\n")

@@ -27,8 +27,8 @@ def main():
         problem = mp.Problem(mp.validate_density(np.outer(psi, psi.conj())), h)
         prep = mp.prepare_problem(problem)
         u = mp.evolution_operator(prep, t)
-        gamma = mp.total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-        sjo = mp.sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
+        gamma = mp.total_geometric_phase(prep, t, u)
+        sjo = mp.sjoqvist_phase(prep, t, u)
         ref = mp.pancharatnam_phase(psi, h, t)
         spread = max(mp.circular_distance(gamma, sjo),
                      mp.circular_distance(gamma, ref),

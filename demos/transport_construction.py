@@ -7,6 +7,8 @@ component weights, the vanishing transport residuals (with a negative
 control), and the reassembly of the evolved state from its components.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 import mixedphase as mp
@@ -37,11 +39,10 @@ def main():
 
     print("4. parallel transport holds component by component")
     for j in range(3):
-        r = mp.parallel_residual(j, 0.9, 1e-6, prep.frame, amps, prep.h_prime)
+        r = mp.parallel_residual(prep, j, 0.9, 1e-6)
         print(f"   component {j}: residual {r:.2e}")
-    wrong = mp.diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    control = max(mp.parallel_residual(j, 0.9, 1e-6, wrong, amps, prep.h_prime)
-                  for j in range(3))
+    wrong = replace(prep, frame=mp.diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
+    control = max(mp.parallel_residual(wrong, j, 0.9, 1e-6) for j in range(3))
     print(f"   negative control (ancilla Hamiltonian zeroed): {control:.2e}\n")
 
     print("5. components reassemble the evolved state")
@@ -54,8 +55,8 @@ def main():
           f"{np.linalg.norm(total - rho_t, 'fro'):.2e}\n")
 
     print("6. the two phase routes agree")
-    gamma = mp.total_geometric_phase(t, prep.frame, u, amps)
-    trace_phase = mp.uhlmann_trace_phase(t, u, amps, prep.frame.k)
+    gamma = mp.total_geometric_phase(prep, t, u)
+    trace_phase = mp.uhlmann_trace_phase(prep, t, u)
     print(f"   component sum:  {gamma:+.12f}")
     print(f"   trace formula:  {trace_phase:+.12f}")
     print(f"   difference:     {mp.circular_distance(gamma, trace_phase):.2e}")

@@ -23,7 +23,8 @@ from .oracles import MAX_STEPS, PathSampling, RandomInstanceSpec, \
     discrete_uhlmann_holonomy, parallel_residual, random_instance
 from .phases import evaluate, evolution_operator, prepare_from_spectrum, \
     prepare_problem, uhlmann_trace_phase
-from .serialize import load_problem, report_to_dict, sweep_to_csv, sweep_to_json
+from .serialize import ProblemFileError, load_problem, report_to_dict, sweep_to_csv, \
+    sweep_to_json
 from .states import Problem, Spectrum, spectral_decompose
 from .tolerances import DEFAULT_TOL
 from .transport import ancilla_equation_residual
@@ -49,21 +50,18 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> Problem | None:
+def _load(path: str) -> Problem:
+    """load_problem, with the path prefixed to any error it raises."""
     try:
         return load_problem(path)
     except (GeometricPhaseError, ValueError, OSError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
+        raise ProblemFileError(f"{path}: {exc}") from exc
 
 
 def cmd_compute(args) -> int:
     if not math.isfinite(args.time):
         return _fail_input(f"--time must be finite, got {args.time}")
-    problem = _load(args.input)
-    if problem is None:
-        return EXIT_INPUT_ERROR
-    report = report_to_dict(evaluate(prepare_problem(problem), args.time), 0)
+    report = report_to_dict(evaluate(prepare_problem(_load(args.input)), args.time), 0)
     _emit(json.dumps(report, indent=2) + "\n", args.output)
     undefined = None in (report["gamma_total"], report["uhlmann"], report["sjoqvist"])
     return EXIT_UNDEFINED_PHASE if undefined else EXIT_OK
@@ -78,10 +76,7 @@ def cmd_sweep(args) -> int:
         return _fail_input(
             f"--t-start must be below --t-end, got {args.t_start} >= {args.t_end}"
         )
-    problem = _load(args.input)
-    if problem is None:
-        return EXIT_INPUT_ERROR
-    batch = evaluate(prepare_problem(problem),
+    batch = evaluate(prepare_problem(_load(args.input)),
                      np.linspace(args.t_start, args.t_end, args.steps))
     text = sweep_to_csv(batch) if args.format == "csv" else sweep_to_json(batch)
     _emit(text, args.output)
@@ -100,16 +95,14 @@ def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
     gamma_rephased = float(evaluate(prepare_from_spectrum(problem, rephased),
                                     VERIFY_TIMES[1]).gamma_total[0])
     prep = prepare_from_spectrum(problem, spectrum)
-    amps = spectrum.amps
-    resid = ancilla_equation_residual(amps, prep.h_prime, prep.frame.k)
+    resid = ancilla_equation_residual(spectrum.amps, prep.h_prime, prep.frame.k)
     bound = tol * max(1.0, frobenius(prep.h_prime))
     if resid > bound:
         return f"ancilla-equation residual {resid:.3e} > {bound:.3e}"
     # the engine's total phase against the literal trace formula through exp(-iKt)
     gammas = evaluate(prep, VERIFY_TIMES).gamma_total.tolist()
     for t, gamma in zip(VERIFY_TIMES, gammas):
-        trace_phase = uhlmann_trace_phase(t, evolution_operator(prep, t), amps,
-                                          prep.frame.k)
+        trace_phase = uhlmann_trace_phase(prep, t, evolution_operator(prep, t))
         dist = circular_distance(gamma, trace_phase)
         if not dist <= tol:  # also catches a nan (nodal) engine phase
             return (f"total phase vs purification trace phase differ by "
@@ -117,8 +110,7 @@ def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
     for j in range(prep.dim):
         if prep.weights[j] <= DEFAULT_TOL.weight:
             continue
-        resid = parallel_residual(j, VERIFY_TIMES[0], 1e-6, prep.frame, amps,
-                                  prep.h_prime)
+        resid = parallel_residual(prep, j, VERIFY_TIMES[0], 1e-6)
         if resid > 1e-6:
             return f"parallel-transport residual {resid:.3e} > 1e-6 for component {j}"
     dist = circular_distance(gammas[1], gamma_rephased)
@@ -162,8 +154,6 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.time) and args.time > 0):
         return _fail_input(f"--time must be finite and positive, got {args.time}")
     problem = _load(args.input)
-    if problem is None:
-        return EXIT_INPUT_ERROR
     batch = evaluate(prepare_problem(problem), args.time)
     try:
         holonomy = discrete_uhlmann_holonomy(
@@ -242,8 +232,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Bad input, including a problem whose numbers
+    overflow a double and an output path that cannot be written, exits 2
+    with one error line and no traceback."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
+    except FloatingPointError as exc:
+        return _fail_input(f"input magnitudes exceed the range of a double ({exc})")
+    except (GeometricPhaseError, ValueError, OSError) as exc:
+        return _fail_input(str(exc))
 
 
 if __name__ == "__main__":

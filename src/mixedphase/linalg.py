@@ -25,11 +25,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """||a - a^dag||_F, zero iff a is exactly Hermitian."""
-    return frobenius(a - dagger(a))
-
-
 def as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,7 +55,7 @@ def require_hermitian(a) -> np.ndarray:
         scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
         b = a / scale
         norm = frobenius(b)
-    defect = hermitian_defect(b)
+    defect = frobenius(b - dagger(b))
     # defect * scale > tol * max(1, norm * scale)
     if defect > tol * norm and defect * scale > tol:
         raise NotHermitian(defect * scale)

@@ -16,9 +16,10 @@ import numpy as np
 from .angles import angle_or_raise, principal_angle
 from .linalg import dagger, frobenius, hermitian_eig, polar_unitary, psd_sqrt, \
     unitary_from_eig, unitary_from_hamiltonian
+from .phases import PreparedProblem, evolution_operator
 from .states import Problem, validate_density
 from .tolerances import DEFAULT_TOL
-from .transport import AncillaFrame, component_state
+from .transport import component_state
 
 
 # Roundoff in the closed-form holonomy grows like steps * machine
@@ -130,20 +131,20 @@ def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     return principal_angle(total + energy * t)
 
 
-def parallel_residual(j: int, t: float, delta: float, frame: AncillaFrame,
-                      amps, h_prime) -> float:
+def parallel_residual(prep: PreparedProblem, j: int, t: float, delta: float) -> float:
     """Forward-difference bound on the parallel-transport violation of
     component j: |<chi_j(t)|chi_j(t+delta)> e^{-i kappa_j delta} - 1| / delta.
 
     The component states accrue the dynamical phase kappa_j per unit
     time; removing it over delta leaves the derivative overlap, which
-    vanishes for a correctly solved ancilla Hamiltonian.
+    vanishes for a correctly solved ancilla Hamiltonian. The states
+    evolve with evolution_operator, so no decomposition is repeated.
     """
     if not 1e-8 <= delta <= 1e-4:
         raise ValueError(f"delta {delta} outside [1e-8, 1e-4]")
-    chi_t = component_state(j, unitary_from_hamiltonian(h_prime, t), amps, frame.z)
-    chi_dt = component_state(j, unitary_from_hamiltonian(h_prime, t + delta), amps,
-                             frame.z)
+    amps, frame = prep.spectrum.amps, prep.frame
+    chi_t = component_state(j, evolution_operator(prep, t), amps, frame.z)
+    chi_dt = component_state(j, evolution_operator(prep, t + delta), amps, frame.z)
     q_j = float(np.vdot(chi_t, chi_t).real)
     if q_j <= DEFAULT_TOL.weight:
         raise ValueError(f"component {j} has negligible weight {q_j:.3e}")

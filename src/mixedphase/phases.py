@@ -24,10 +24,12 @@ Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
 the only result type. A single t is row 0 of evaluate(prep, t); compute,
 sweep and compare all go through evaluate. The per-t functions below
 (overlap_kernel, component_report, total_geometric_phase,
-uhlmann_trace_phase, sjoqvist_phase) take an explicit evolution operator
-and are the literal definitions that verify and the tests check the
-engine against. At a nodal point (angles.angle_or_nan), evaluate stores
-nan where the literal phases raise VanishingOverlap.
+uhlmann_trace_phase, sjoqvist_phase) take the prepared problem and an
+explicit evolution operator u_t, so a caller can pass one built
+independently of the cached eigendecomposition; they are the literal
+definitions that verify and the tests check the engine against. At a
+nodal point (angles.angle_or_nan), evaluate stores nan where the
+literal phases raise VanishingOverlap.
 """
 
 from __future__ import annotations
@@ -174,52 +176,51 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     )
 
 
-def overlap_kernel(j: int, u_t, amps, z) -> complex:
+def overlap_kernel(prep: PreparedProblem, j: int, u_t) -> complex:
     """m_j(t) = <e_j| z* C u_t C z^T |e_j>, the unnormalized overlap of
     component j between times 0 and t. m_j(0) = q_j and |m_j| <= q_j."""
-    amps = np.asarray(amps, dtype=float)
-    if not 0 <= j < amps.size:
-        raise IndexOutOfRange(f"component {j} outside 0..{amps.size - 1}")
-    w = amps * np.asarray(z)[j, :]
+    if not 0 <= j < prep.dim:
+        raise IndexOutOfRange(f"component {j} outside 0..{prep.dim - 1}")
+    w = prep.spectrum.amps * prep.frame.z[j, :]
     return complex(np.vdot(w, np.asarray(u_t) @ w))
 
 
-def component_report(j: int, t: float, frame: AncillaFrame, weights, u_t,
-                     amps) -> ComponentReport:
+def component_report(prep: PreparedProblem, j: int, t: float, u_t) -> ComponentReport:
     """Weight, visibility, and geometric/dynamical/total phase of one
     component. gamma == total_phase - dyn_phase modulo 2*pi."""
-    q_j = float(np.asarray(weights)[j])
-    dyn = float(frame.kappas[j]) * t
+    q_j = float(prep.weights[j])
+    dyn = float(prep.frame.kappas[j]) * t
     if q_j <= DEFAULT_TOL.weight:
         return ComponentReport(j, q_j, 0.0, 0.0, dyn, 0.0)
-    m = overlap_kernel(j, u_t, amps, frame.z)
+    m = overlap_kernel(prep, j, u_t)
     gamma = float(np.angle(m * np.exp(-1j * dyn)))
     return ComponentReport(j, q_j, abs(m) / q_j, gamma, dyn, float(np.angle(m)))
 
 
-def total_geometric_phase(t: float, frame: AncillaFrame, u_t, amps) -> float:
+def total_geometric_phase(prep: PreparedProblem, t: float, u_t) -> float:
     """Total geometric phase arg sum_j q_j nu_j e^{i gamma_j}, evaluated
     as arg sum_j m_j(t) e^{-i kappa_j t} (identical, numerically
     stabler). Raises VanishingOverlap at nodal points."""
-    return angle_or_raise(sum(
-        overlap_kernel(j, u_t, amps, frame.z) * np.exp(-1j * frame.kappas[j] * t)
-        for j in range(frame.dim)))
+    kappas = prep.frame.kappas
+    return angle_or_raise(sum(overlap_kernel(prep, j, u_t) * np.exp(-1j * kappas[j] * t)
+                              for j in range(prep.dim)))
 
 
-def uhlmann_trace_phase(t: float, u_t, amps, ancilla_h) -> float:
+def uhlmann_trace_phase(prep: PreparedProblem, t: float, u_t) -> float:
     """arg Tr[C u_t C v_t^T] with v_t = exp(-i k t): the holonomy phase
     of the parallel purification path. Equals total_geometric_phase but
-    is computed without the diagonalizing frame."""
-    v_t = unitary_from_hamiltonian(ancilla_h, t)
-    c = np.diag(np.asarray(amps, dtype=float))
+    is computed without the diagonalizing frame: v_t comes from its own
+    eigendecomposition of k."""
+    v_t = unitary_from_hamiltonian(prep.frame.k, t)
+    c = np.diag(prep.spectrum.amps)
     return angle_or_raise(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
 
 
-def sjoqvist_phase(t: float, spectrum: Spectrum, u_t, h_prime) -> float:
+def sjoqvist_phase(prep: PreparedProblem, t: float, u_t) -> float:
     """Interferometric phase arg sum_j lambda_j <e_j|u_t|e_j> e^{i h'_jj t}:
     the ancilla keeps the original eigenbasis and only cancels the
     diagonal dynamical phases. Agrees with the total geometric phase for
     pure states only."""
-    u_t = np.asarray(u_t)
-    phases = np.exp(1j * np.diag(np.asarray(h_prime)).real * t)
-    return angle_or_raise(complex((spectrum.lambdas * np.diag(u_t) * phases).sum()))
+    phases = np.exp(1j * np.diag(prep.h_prime).real * t)
+    return angle_or_raise(complex(
+        (prep.spectrum.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))

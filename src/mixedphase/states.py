@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitTrace
-from .linalg import as_square, dagger, hermitian_defect, hermitian_eig, require_hermitian
+from .errors import DimensionMismatch, NotPSD, NotUnitTrace
+from .linalg import dagger, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
 
 
@@ -50,11 +50,6 @@ class Spectrum:
     degenerate: bool
 
     @property
-    def amp_c(self) -> np.ndarray:
-        """The diagonal amplitude matrix diag(amps)."""
-        return np.diag(self.amps)
-
-    @property
     def dim(self) -> int:
         return self.lambdas.size
 
@@ -87,14 +82,12 @@ class Problem:
 def validate_density(mat) -> DensityMatrix:
     """Check the density-matrix invariants and wrap the matrix.
 
-    Raises NotHermitian, NotUnitTrace, or NotPSD naming the violated
+    Raises NotHermitian (require_hermitian's test, which holds at any
+    finite magnitude), NotUnitTrace, or NotPSD naming the violated
     invariant with the measured residual. Eigenvalues in [-psd, 0) are
     tolerated but not mutated.
     """
-    mat = np.array(as_square(mat))  # private copy
-    defect = hermitian_defect(mat)
-    if defect > DEFAULT_TOL.hermiticity:
-        raise NotHermitian(defect)
+    mat = np.array(require_hermitian(mat))  # private copy
     trace = complex(np.trace(mat))
     if abs(trace - 1.0) > DEFAULT_TOL.unit_trace:
         raise NotUnitTrace(trace)

@@ -7,15 +7,12 @@ from dataclasses import dataclass
 class Tolerances:
     """Tolerance constants used across validation and phase computations.
 
-    hermiticity and reconstruction are relative to max(1, ||.||_F); the
-    rest are absolute.
+    hermiticity is relative to max(1, ||.||_F); the rest are absolute.
     """
 
     hermiticity: float = 1e-10
-    unitarity: float = 1e-12
     unit_trace: float = 1e-10
     psd: float = 1e-12            # eigenvalues >= -psd accepted
-    reconstruction: float = 1e-10
     support: float = 1e-14        # c_k^2 + c_l^2 at or below this is kernel
     weight: float = 1e-10         # component weights below this get sentinel reports
     overlap: float = 1e-12        # phase undefined when overlap magnitude <= this

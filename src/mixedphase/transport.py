@@ -75,10 +75,11 @@ def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
 
 def diagonalizing_frame(ancilla_h) -> AncillaFrame:
     """Diagonalize the ancilla Hamiltonian: z = q^dag for k = q diag(kappa) q^dag,
-    so z k z^dag = diag(kappa) with kappas ascending."""
-    ancilla_h = require_hermitian(ancilla_h)
+    so z k z^dag = diag(kappa) with kappas ascending. hermitian_eig
+    checks that k is Hermitian."""
     kappas, q = hermitian_eig(ancilla_h)
-    return AncillaFrame(k=ancilla_h, z=dagger(q), kappas=kappas)
+    return AncillaFrame(k=np.asarray(ancilla_h, dtype=complex), z=dagger(q),
+                        kappas=kappas)
 
 
 def component_weights(amps, z) -> np.ndarray:

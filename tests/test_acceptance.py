@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,8 +66,8 @@ def test_criterion_1_total_phase_equals_trace_phase():
     for prep in _instances():
         for t in TIMES:
             u = evolution_operator(prep, t)
-            gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-            trace_phase = uhlmann_trace_phase(t, u, prep.spectrum.amps, prep.frame.k)
+            gamma = total_geometric_phase(prep, t, u)
+            trace_phase = uhlmann_trace_phase(prep, t, u)
             worst = max(worst, circular_distance(gamma, trace_phase))
     _criterion(1, worst <= 1e-9,
                f"component-sum vs trace-formula phase: max circular distance "
@@ -93,14 +94,12 @@ def test_criterion_3_parallel_transport():
         for t in (0.3, 1.7):
             for j in range(prep.dim):
                 if prep.weights[j] > 1e-10:
-                    worst = max(worst, parallel_residual(
-                        j, t, 1e-6, prep.frame, prep.spectrum.amps, prep.h_prime))
+                    worst = max(worst, parallel_residual(prep, j, t, 1e-6))
     # negative control: zeroed ancilla Hamiltonian on a noncommuting
     # full-rank mixed instance
     prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 11)))
-    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    control = max(parallel_residual(j, 0.3, 1e-6, wrong, prep.spectrum.amps,
-                                    prep.h_prime) for j in range(3))
+    wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
+    control = max(parallel_residual(wrong, j, 0.3, 1e-6) for j in range(3))
     ok = worst <= 1e-6 and control > 1e-3
     _criterion(3, ok,
                f"transport residual max {worst:.2e} (tol 1e-6, delta 1e-6); "
@@ -118,9 +117,7 @@ def test_criterion_4_holonomy_oracle_convergence():
     for spec in specs:
         problem = random_instance(spec)
         prep = prepare_problem(problem)
-        gamma = total_geometric_phase(t_end, prep.frame,
-                                      evolution_operator(prep, t_end),
-                                      prep.spectrum.amps)
+        gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
         hols = {n: discrete_uhlmann_holonomy(problem, PathSampling(t_end, n))
                 for n in (256, 512, 1024, 2048, 4096)}
         errs = [circular_distance(h, gamma) for h in hols.values()]
@@ -153,8 +150,8 @@ def test_criterion_5_pure_state_limit():
         problem = random_instance(RandomInstanceSpec(n, 1, 8500 + i))
         prep = prepare_problem(problem)
         u = evolution_operator(prep, t)
-        gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-        sjo = sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
+        gamma = total_geometric_phase(prep, t, u)
+        sjo = sjoqvist_phase(prep, t, u)
         psi = prep.spectrum.basis_e[:, 0]
         panch = pancharatnam_phase(psi, problem.hamiltonian_lab, t)
         worst = max(worst, circular_distance(gamma, sjo),
@@ -163,9 +160,7 @@ def test_criterion_5_pure_state_limit():
     prep = prepare_problem(
         Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ))
     t_cyc = 2 * np.pi
-    gamma_plus = total_geometric_phase(t_cyc, prep.frame,
-                                       evolution_operator(prep, t_cyc),
-                                       prep.spectrum.amps)
+    gamma_plus = total_geometric_phase(prep, t_cyc, evolution_operator(prep, t_cyc))
     plus_err = circular_distance(gamma_plus, np.pi)
     ok = worst <= 1e-8 and plus_err <= 1e-9
     _criterion(5, ok,
@@ -180,8 +175,8 @@ def test_criterion_6_definitions_diverge_for_mixed_states():
     prep = prepare_problem(problem)
     t = 2 * np.pi
     u = evolution_operator(prep, t)
-    gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-    sjo = sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
+    gamma = total_geometric_phase(prep, t, u)
+    sjo = sjoqvist_phase(prep, t, u)
     hol = discrete_uhlmann_holonomy(problem, PathSampling(t, 4096))
     closed = float(np.angle(-np.cos(np.pi * np.sqrt(1 - r**2))))
     split = circular_distance(gamma, sjo)
@@ -206,7 +201,7 @@ def test_criterion_7_structural_invariants():
                                        (a + dagger(a)) / 2))
         for t in np.linspace(0.2, 6.0, 7):
             u = evolution_operator(prep, t)
-            g = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
+            g = total_geometric_phase(prep, t, u)
             if circular_distance(g, 0.0) > 1e-9:
                 failures.append(f"maximally mixed phase {g:.2e} at t={t:.2f}")
     # commuting state and Hamiltonian: both phases vanish
@@ -217,24 +212,22 @@ def test_criterion_7_structural_invariants():
     prep = prepare_problem(Problem(validate_density(rho), h))
     for t in TIMES:
         u = evolution_operator(prep, t)
-        g = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-        s = sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
+        g = total_geometric_phase(prep, t, u)
+        s = sjoqvist_phase(prep, t, u)
         if circular_distance(g, 0.0) > 1e-9 or circular_distance(s, 0.0) > 1e-9:
             failures.append(f"commuting instance phases {g:.2e}/{s:.2e} at t={t}")
     # gauge invariance under eigenvector rephasing
     worst_gauge = 0.0
     for prep in _instances()[::10]:
         t = 1.7
-        gamma = total_geometric_phase(t, prep.frame, evolution_operator(prep, t),
-                                      prep.spectrum.amps)
+        gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
         spec = prep.spectrum
         rephased = Spectrum(spec.lambdas,
                             spec.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi,
                                                                    prep.dim)),
                             spec.amps, spec.degenerate)
         prep2 = prepare_from_spectrum(prep.problem, rephased)
-        gamma2 = total_geometric_phase(t, prep2.frame, evolution_operator(prep2, t),
-                                       prep2.spectrum.amps)
+        gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
         worst_gauge = max(worst_gauge, circular_distance(gamma, gamma2))
     if worst_gauge > 1e-9:
         failures.append(f"gauge shift {worst_gauge:.2e}")
@@ -245,8 +238,7 @@ def test_criterion_7_structural_invariants():
         for t in TIMES:
             u = evolution_operator(prep, t)
             for j in range(prep.dim):
-                rep = component_report(j, t, prep.frame, prep.weights, u,
-                                       prep.spectrum.amps)
+                rep = component_report(prep, j, t, u)
                 worst_nu = max(worst_nu, rep.visibility - (1.0 + 1e-10))
             total = sum(np.outer(chi, chi.conj()) for chi in
                         (component_state(j, u, prep.spectrum.amps, prep.frame.z)

@@ -259,3 +259,34 @@ def test_huge_integer_entry_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "hamiltonian[1][1]" in err and "too large" in err
     assert "Traceback" not in err
+
+
+
+@pytest.mark.parametrize("case", ["huge_hamiltonian", "huge_rho",
+                                  "output_in_missing_directory", "output_is_a_directory"])
+@pytest.mark.parametrize("argv", [
+    ["compute", "-t", "1.0"],
+    ["sweep", "--t-start", "0.0", "--t-end", "1.0", "--steps", "3"],
+    ["compare", "-t", "1.0", "--holonomy-steps", "256"],
+])
+def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    # finite, but on the default rho h' carries it off the diagonal, and
+    # h' + h'^dag overflows
+    huge = 1.7e308
+    hamiltonian, rho, output, message = {
+        "huge_hamiltonian": ([[[huge, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-huge, 0.0]]],
+                             None, None, "range of a double"),
+        "huge_rho": (zero, [[[0.5, 0.0], [1e200, 0.0]], [[0.3, 0.0], [0.5, 0.0]]], None,
+                     "not Hermitian"),
+        "output_in_missing_directory": (zero, None, tmp_path / "missing" / "out.txt",
+                                        "No such file"),
+        "output_is_a_directory": (zero, None, tmp_path, "directory"),
+    }[case]
+    extra = ["--output", str(output)] if output else []
+    path = _problem_file(tmp_path, hamiltonian, rho)
+    assert main(argv[:1] + ["--input", path] + argv[1:] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

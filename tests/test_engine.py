@@ -71,15 +71,14 @@ def test_batch_matches_literal_definitions(case):
     problem, times = case
     prep = prepare_problem(problem)
     batch = evaluate(prep, times)
-    amps, frame, weights = prep.spectrum.amps, prep.frame, prep.weights
     assert len(batch) == len(times)
-    assert np.array_equal(batch.q, weights)
+    assert np.array_equal(batch.q, prep.weights)
     for i, t in enumerate(times):
         u = unitary_from_hamiltonian(prep.h_prime, t)
         for j in range(prep.dim):
-            m = overlap_kernel(j, u, amps, frame.z)
+            m = overlap_kernel(prep, j, u)
             assert abs(batch.overlaps[i, j] - m) <= TOL
-            rep = component_report(j, t, frame, weights, u, amps)
+            rep = component_report(prep, j, t, u)
             assert abs(batch.visibility[i, j] - rep.visibility) * rep.q <= TOL
             assert batch.dyn_phase[i, j] == rep.dyn_phase
             assert_phase_close(batch.gamma[i, j], rep.gamma, abs(m), f"gamma_{j}")
@@ -87,17 +86,16 @@ def test_batch_matches_literal_definitions(case):
                                f"total_phase_{j}")
         magnitude = batch.overlap_magnitude[i]
         assert_phase_close(batch.gamma_total[i],
-                           literal_or_nan(total_geometric_phase, t, frame, u, amps),
+                           literal_or_nan(total_geometric_phase, prep, t, u),
                            magnitude, "gamma_total")
         # the literal trace phase builds exp(-iKt) from K itself
         assert_phase_close(batch.uhlmann[i],
-                           literal_or_nan(uhlmann_trace_phase, t, u, amps, frame.k),
+                           literal_or_nan(uhlmann_trace_phase, prep, t, u),
                            magnitude, "uhlmann")
         sjo_magnitude = abs(np.sum(prep.spectrum.lambdas * np.diag(u)
                                    * np.exp(1j * np.diag(prep.h_prime).real * t)))
         assert_phase_close(batch.sjoqvist[i],
-                           literal_or_nan(sjoqvist_phase, t, prep.spectrum, u,
-                                          prep.h_prime),
+                           literal_or_nan(sjoqvist_phase, prep, t, u),
                            sjo_magnitude, "sjoqvist")
 
 
@@ -107,11 +105,10 @@ def test_nodal_point_gives_nan_in_the_literal_columns():
     t = 5 * np.pi
     batch = evaluate(prep, [1.0, t])
     u = unitary_from_hamiltonian(prep.h_prime, t)
-    amps = prep.spectrum.amps
     literal = {
-        "gamma_total": literal_or_nan(total_geometric_phase, t, prep.frame, u, amps),
-        "uhlmann": literal_or_nan(uhlmann_trace_phase, t, u, amps, prep.frame.k),
-        "sjoqvist": literal_or_nan(sjoqvist_phase, t, prep.spectrum, u, prep.h_prime),
+        "gamma_total": literal_or_nan(total_geometric_phase, prep, t, u),
+        "uhlmann": literal_or_nan(uhlmann_trace_phase, prep, t, u),
+        "sjoqvist": literal_or_nan(sjoqvist_phase, prep, t, u),
     }
     assert all(math.isnan(v) for v in literal.values())
     for name in literal:

@@ -1,6 +1,8 @@
 """Oracle tests: the discretized holonomy chain, the pure-state phase
 reference, parallel-transport residuals, and the instance generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -105,8 +107,7 @@ def test_holonomy_matches_engine_on_random_instance():
     prob = random_instance(RandomInstanceSpec(3, 3, 90))
     prep = prepare_problem(prob)
     t_end = 1.7
-    gamma = total_geometric_phase(t_end, prep.frame, evolution_operator(prep, t_end),
-                                  prep.spectrum.amps)
+    gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
     hol = discrete_uhlmann_holonomy(prob, PathSampling(t_end, 4096))
     assert circular_distance(hol, gamma) <= 2e-9
 
@@ -147,8 +148,7 @@ def test_pancharatnam_matches_engine_for_pure_qutrit():
     prob = Problem(validate_density(np.outer(psi, psi.conj())), h)
     prep = prepare_problem(prob)
     t = 1.3
-    gamma = total_geometric_phase(t, prep.frame, evolution_operator(prep, t),
-                                  prep.spectrum.amps)
+    gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
     assert circular_distance(gamma, pancharatnam_phase(psi, h, t)) <= 1e-8
 
 
@@ -179,36 +179,32 @@ def test_parallel_residual_small_for_solved_frame():
         prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, seed)))
         for t in (0.0, 0.3, 1.7):
             for j in range(4):
-                resid = parallel_residual(j, t, 1e-6, prep.frame,
-                                          prep.spectrum.amps, prep.h_prime)
+                resid = parallel_residual(prep, j, t, 1e-6)
                 assert resid <= 1e-6
 
 
 def test_parallel_residual_negative_control():
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
     prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 11)))
-    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    worst = max(parallel_residual(j, 0.3, 1e-6, wrong, prep.spectrum.amps,
-                                  prep.h_prime) for j in range(3))
+    wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
+    worst = max(parallel_residual(wrong, j, 0.3, 1e-6) for j in range(3))
     assert worst > 1e-3
 
 
 def test_parallel_residual_zero_hamiltonian():
-    amps = np.sqrt([0.7, 0.3])
-    frame = diagonalizing_frame(np.zeros((2, 2), dtype=complex))
-    h0 = np.zeros((2, 2), dtype=complex)
+    prep = prepare_problem(Problem(validate_density(np.diag([0.7, 0.3])),
+                                   np.zeros((2, 2), dtype=complex)))
     for j in range(2):
-        assert parallel_residual(j, 0.5, 1e-6, frame, amps, h0) <= 1e-9
+        assert parallel_residual(prep, j, 0.5, 1e-6) <= 1e-9
 
 
 def test_parallel_residual_argument_validation():
     prep = prepare_problem(random_instance(RandomInstanceSpec(3, 1, 96)))
     with pytest.raises(ValueError):
-        parallel_residual(0, 0.3, 1e-2, prep.frame, prep.spectrum.amps, prep.h_prime)
+        parallel_residual(prep, 0, 0.3, 1e-2)
     negligible = int(np.argmin(prep.weights))
     with pytest.raises(ValueError):
-        parallel_residual(negligible, 0.3, 1e-6, prep.frame, prep.spectrum.amps,
-                          prep.h_prime)
+        parallel_residual(prep, negligible, 0.3, 1e-6)
 
 
 def test_random_instance_deterministic():

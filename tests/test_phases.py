@@ -2,6 +2,8 @@
 purification trace phase, the interferometric phase, and the identities
 connecting them."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ def random_pure_problem(rng, n):
 def test_overlap_at_zero_is_the_weight():
     prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, 70)))
     for j in range(4):
-        m0 = overlap_kernel(j, np.eye(4), prep.spectrum.amps, prep.frame.z)
+        m0 = overlap_kernel(prep, j, np.eye(4))
         assert abs(m0.imag) <= 1e-14
         assert abs(m0.real - prep.weights[j]) <= 1e-12
 
@@ -67,7 +69,7 @@ def test_overlap_magnitude_bounded_by_weight():
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(prep, t)
         for j in range(5):
-            m = overlap_kernel(j, u, prep.spectrum.amps, prep.frame.z)
+            m = overlap_kernel(prep, j, u)
             assert abs(m) <= prep.weights[j] + 1e-12
 
 
@@ -79,7 +81,7 @@ def test_overlap_equals_direct_component_inner_product():
     for t in (0.4, 1.3, 2.9):
         u = evolution_operator(prep, t)
         for j in range(2):
-            m = overlap_kernel(j, u, amps, z)
+            m = overlap_kernel(prep, j, u)
             direct = np.vdot(component_state(j, np.eye(2), amps, z),
                              component_state(j, u, amps, z))
             assert abs(m - direct) <= 1e-13
@@ -90,8 +92,7 @@ def test_overlap_pure_state_is_survival_amplitude():
     prep = prepare_problem(prob)
     j_star = int(np.argmax(prep.weights))
     for t in (0.6, 2.2):
-        m = overlap_kernel(j_star, evolution_operator(prep, t), prep.spectrum.amps,
-                           prep.frame.z)
+        m = overlap_kernel(prep, j_star, evolution_operator(prep, t))
         direct = np.vdot(psi, unitary_from_hamiltonian(prob.hamiltonian_lab, t) @ psi)
         assert abs(m - direct) <= 1e-12
 
@@ -99,7 +100,7 @@ def test_overlap_pure_state_is_survival_amplitude():
 def test_overlap_index_bounds():
     prep = prepare_problem(bloch_x_problem(0.6))
     with pytest.raises(IndexOutOfRange):
-        overlap_kernel(2, np.eye(2), prep.spectrum.amps, prep.frame.z)
+        overlap_kernel(prep, 2, np.eye(2))
 
 
 def test_commuting_instance_components_have_zero_phase():
@@ -109,8 +110,7 @@ def test_commuting_instance_components_have_zero_phase():
     for t in (0.5, 1.7, 4.0):
         u = evolution_operator(prep, t)
         for j in range(2):
-            rep = component_report(j, t, prep.frame, prep.weights, u,
-                                   prep.spectrum.amps)
+            rep = component_report(prep, j, t, u)
             assert abs(rep.gamma) <= 1e-12
             assert abs(rep.visibility - 1.0) <= 1e-12
 
@@ -120,8 +120,7 @@ def test_pure_plus_component_phase_is_pi_with_zero_dynamics():
     t = 2 * np.pi
     u = evolution_operator(prep, t)
     j_star = int(np.argmax(prep.weights))
-    rep = component_report(j_star, t, prep.frame, prep.weights, u,
-                           prep.spectrum.amps)
+    rep = component_report(prep, j_star, t, u)
     assert circular_distance(rep.gamma, np.pi) <= 1e-9
     assert abs(rep.dyn_phase) <= 1e-9
 
@@ -131,8 +130,7 @@ def test_gamma_is_total_minus_dynamical_mod_2pi():
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(prep, t)
         for j in range(3):
-            rep = component_report(j, t, prep.frame, prep.weights, u,
-                                   prep.spectrum.amps)
+            rep = component_report(prep, j, t, u)
             assert circular_distance(rep.gamma, rep.total_phase - rep.dyn_phase) <= 1e-10
 
 
@@ -142,8 +140,7 @@ def test_zero_weight_components_use_sentinel_convention():
     small = [j for j in range(3) if prep.weights[j] <= 1e-10]
     assert small  # rank-1 state must have negligible components
     for j in small:
-        rep = component_report(j, 1.0, prep.frame, prep.weights, u,
-                               prep.spectrum.amps)
+        rep = component_report(prep, j, 1.0, u)
         assert rep.visibility == 0.0 and rep.gamma == 0.0 and rep.total_phase == 0.0
 
 
@@ -152,14 +149,12 @@ def test_visibility_bounds_and_unity_at_zero():
         prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, seed)))
         u0 = evolution_operator(prep, 0.0)
         for j in range(4):
-            rep0 = component_report(j, 0.0, prep.frame, prep.weights, u0,
-                                    prep.spectrum.amps)
+            rep0 = component_report(prep, j, 0.0, u0)
             assert abs(rep0.visibility - 1.0) <= 1e-10
         for t in (0.3, 1.7, 5.0):
             u = evolution_operator(prep, t)
             for j in range(4):
-                rep = component_report(j, t, prep.frame, prep.weights, u,
-                                       prep.spectrum.amps)
+                rep = component_report(prep, j, t, u)
                 assert 0.0 <= rep.visibility <= 1.0 + 1e-10
 
 
@@ -171,7 +166,7 @@ def test_maximally_mixed_total_phase_vanishes():
         prep = prepare_problem(prob)
         for t in (0.3, 1.7, 5.0):
             u = evolution_operator(prep, t)
-            gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
+            gamma = total_geometric_phase(prep, t, u)
             assert circular_distance(gamma, 0.0) <= 1e-12
 
 
@@ -179,8 +174,7 @@ def test_pure_plus_total_phase_is_pi():
     # half the solid angle of the equatorial great circle
     prep = prepare_problem(pure_plus_problem())
     t = 2 * np.pi
-    gamma = total_geometric_phase(t, prep.frame, evolution_operator(prep, t),
-                                  prep.spectrum.amps)
+    gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
     assert circular_distance(gamma, np.pi) <= 1e-9
     assert circular_distance(gamma, pancharatnam_phase(PLUS, 0.5 * SZ, t)) <= 1e-9
 
@@ -192,8 +186,7 @@ def test_mixed_qubit_matches_closed_form_trace():
     for t in (0.7, 1.9, 3.3, 5.1, 2 * np.pi):
         a, b = t / 2, t / 2 * s
         closed = np.angle(np.cos(a) * np.cos(b) + s * np.sin(a) * np.sin(b))
-        gamma = total_geometric_phase(t, prep.frame, evolution_operator(prep, t),
-                                      prep.spectrum.amps)
+        gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
         assert circular_distance(gamma, closed) <= 1e-10
 
 
@@ -201,8 +194,8 @@ def test_cyclic_point_gamma_zero_but_interferometric_pi():
     prep = prepare_problem(bloch_x_problem(0.6))
     t = 2 * np.pi
     u = evolution_operator(prep, t)
-    gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-    sjo = sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
+    gamma = total_geometric_phase(prep, t, u)
+    sjo = sjoqvist_phase(prep, t, u)
     assert circular_distance(gamma, 0.0) <= 1e-9
     assert circular_distance(sjo, np.pi) <= 1e-9
     # the two definitions genuinely diverge for mixed states
@@ -215,11 +208,11 @@ def test_nodal_point_raises_vanishing_visibility():
     t = 5 * np.pi
     u = evolution_operator(prep, t)
     with pytest.raises(VanishingOverlap):
-        total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
+        total_geometric_phase(prep, t, u)
     with pytest.raises(VanishingOverlap):
-        uhlmann_trace_phase(t, u, prep.spectrum.amps, prep.frame.k)
+        uhlmann_trace_phase(prep, t, u)
     with pytest.raises(VanishingOverlap):
-        sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
+        sjoqvist_phase(prep, t, u)
     batch = evaluate(prep, t)
     assert np.isnan(batch.gamma_total[0]) and np.isnan(batch.sjoqvist[0])
     assert batch.overlap_magnitude[0] <= 1e-12
@@ -227,8 +220,7 @@ def test_nodal_point_raises_vanishing_visibility():
 
 def test_uhlmann_trace_phase_zero_at_t0():
     prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, 78)))
-    assert abs(uhlmann_trace_phase(0.0, np.eye(4), prep.spectrum.amps,
-                                   prep.frame.k)) <= 1e-14
+    assert abs(uhlmann_trace_phase(prep, 0.0, np.eye(4))) <= 1e-14
 
 
 def test_total_phase_equals_trace_phase_random():
@@ -239,8 +231,8 @@ def test_total_phase_equals_trace_phase_random():
         prep = prepare_problem(random_instance(RandomInstanceSpec(n, n, 200 + seed)))
         for t in (0.3, 1.7, 5.0):
             u = evolution_operator(prep, t)
-            gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-            trace_phase = uhlmann_trace_phase(t, u, prep.spectrum.amps, prep.frame.k)
+            gamma = total_geometric_phase(prep, t, u)
+            trace_phase = uhlmann_trace_phase(prep, t, u)
             assert circular_distance(gamma, trace_phase) <= 1e-9
 
 
@@ -250,7 +242,7 @@ def test_interferometric_phase_commuting_is_zero():
     prep = prepare_problem(prob)
     for t in (0.5, 2.1, 6.0):
         u = evolution_operator(prep, t)
-        assert abs(sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)) <= 1e-12
+        assert abs(sjoqvist_phase(prep, t, u)) <= 1e-12
 
 
 def test_interferometric_equals_total_for_pure_states():
@@ -261,8 +253,8 @@ def test_interferometric_equals_total_for_pure_states():
             prep = prepare_problem(prob)
             t = 1.1
             u = evolution_operator(prep, t)
-            gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-            sjo = sjoqvist_phase(t, prep.spectrum, u, prep.h_prime)
+            gamma = total_geometric_phase(prep, t, u)
+            sjo = sjoqvist_phase(prep, t, u)
             assert circular_distance(gamma, sjo) <= 1e-8
 
 
@@ -272,14 +264,12 @@ def test_gauge_invariance_under_eigenvector_rephasing():
         problem = random_instance(RandomInstanceSpec(4, 4, seed))
         prep = prepare_problem(problem)
         t = 1.7
-        gamma = total_geometric_phase(t, prep.frame, evolution_operator(prep, t),
-                                      prep.spectrum.amps)
+        gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
         spec = prep.spectrum
         rephased = Spectrum(spec.lambdas, spec.basis_e * np.exp(1j * rng.uniform(
             0, 2 * np.pi, 4)), spec.amps, spec.degenerate)
         prep2 = prepare_from_spectrum(problem, rephased)
-        gamma2 = total_geometric_phase(t, prep2.frame, evolution_operator(prep2, t),
-                                       prep2.spectrum.amps)
+        gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
         assert circular_distance(gamma, gamma2) <= 1e-9
 
 
@@ -294,12 +284,12 @@ def test_total_phase_ignores_ancilla_kernel_freedom():
     x = np.zeros((4, 4), dtype=complex)
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x[np.ix_(kernel, kernel)] = (block + dagger(block)) / 2
-    frame2 = diagonalizing_frame(prep.frame.k + x)
+    prep2 = replace(prep, frame=diagonalizing_frame(prep.frame.k + x))
     for t in (0.3, 1.7):
         u = evolution_operator(prep, t)
-        gamma = total_geometric_phase(t, prep.frame, u, prep.spectrum.amps)
-        gamma2 = total_geometric_phase(t, frame2, u, prep.spectrum.amps)
-        trace2 = uhlmann_trace_phase(t, u, prep.spectrum.amps, frame2.k)
+        gamma = total_geometric_phase(prep, t, u)
+        gamma2 = total_geometric_phase(prep2, t, u)
+        trace2 = uhlmann_trace_phase(prep2, t, u)
         assert circular_distance(gamma, gamma2) <= 1e-9
         assert circular_distance(gamma, trace2) <= 1e-9
 

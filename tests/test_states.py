@@ -77,7 +77,8 @@ def test_spectral_decompose_diagonal():
     spec = spectral_decompose(validate_density(np.diag([0.75, 0.25])))
     np.testing.assert_allclose(spec.lambdas, [0.75, 0.25])
     np.testing.assert_allclose(np.abs(spec.basis_e), np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(spec.amp_c, np.diag(np.sqrt([0.75, 0.25])), atol=1e-15)
+    np.testing.assert_allclose(np.diag(spec.amps), np.diag(np.sqrt([0.75, 0.25])),
+                               atol=1e-15)
 
 
 def test_spectral_decompose_pure_projector():
@@ -93,7 +94,8 @@ def test_spectral_reconstruction_random():
     rebuilt = (spec.basis_e * spec.lambdas) @ dagger(spec.basis_e)
     assert frobenius(rebuilt - rho) <= 1e-10
     # C C^dag reproduces the state in its own eigenbasis
-    assert frobenius(spec.amp_c @ spec.amp_c - np.diag(spec.lambdas)) <= 1e-15
+    c = np.diag(spec.amps)
+    assert frobenius(c @ c - np.diag(spec.lambdas)) <= 1e-15
 
 
 def test_spectrum_sums_and_clamping():
