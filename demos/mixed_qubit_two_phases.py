@@ -42,8 +42,8 @@ def main():
     print(f"  total geometric phase   {gamma:+.6f}"
           f"   (closed form: arg(-cos(pi sqrt(1-r^2))) = "
           f"{np.angle(-np.cos(np.pi * np.sqrt(1 - r**2))):+.6f})")
-    print(f"  trace-formula phase     {trace:+.6f}   (same construction, "
-          f"independent route)")
+    print(f"  trace-formula phase     {trace:+.6f}   (the total phase, "
+          f"contracted in the other order)")
     print(f"  interferometric phase   {sjo:+.6f}")
     print(f"  discretized holonomy    {hol:+.6f}   (4096 steps)")
     print(f"\nthe definitions split by "

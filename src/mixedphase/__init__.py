@@ -1,11 +1,11 @@
 """Geometric phases of mixed quantum states under unitary evolution.
 
-One construction, evaluated three ways: the weighted sum of
-parallel-transported component phases (the total geometric phase), the
-purification-holonomy trace phase it provably equals, and the
-interferometric eigenbasis phase that agrees only for pure states.
-Brute-force oracles (a discretized holonomy chain and the pure-state
-limit) cross-check every result.
+One construction, Phi(z, t) = arg sum_j m_j(z, t) e^{i t E_j(z)}, in two
+representations z of the ancilla: the frame where every component is
+parallel-transported (E_j = -kappa_j) gives the total geometric phase,
+which the purification trace phase equals, and z = I gives the
+interferometric phase that agrees only for pure states. Brute-force
+oracles (a discretized holonomy chain, the pure-state limit) cross-check.
 """
 
 from .angles import circular_distance, principal_angle

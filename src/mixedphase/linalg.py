@@ -34,27 +34,30 @@ def as_square(a) -> np.ndarray:
     return a
 
 
+def scaled(a) -> tuple[np.ndarray, float, float]:
+    """(b, s, ||b||_F) with a = s b. s is 1 up to ||a||_F = 1e300 and
+    above it the power of two at or just below max |Re a_ij|, |Im a_ij|,
+    so the division is exact and ||a||_F = s ||b||_F holds without
+    overflow at every finite magnitude."""
+    with np.errstate(over="ignore"):
+        norm = frobenius(a)
+    if norm <= 1e300:
+        return a, 1.0, norm
+    peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    b = a / scale
+    return b, scale, frobenius(b)
+
+
 def require_hermitian(a) -> np.ndarray:
     """Return a as a complex array, raising NotHermitian if it is not
     symmetric within the hermiticity tolerance, relative to
-    max(1, ||a||_F).
-
-    Above ||a||_F = 1e300, where ||a - a^dag||_F <= 2 ||a||_F could
-    overflow (or ||a||_F already has), the norms are taken of a / s
-    instead, with s the power of two at or just below max |Re a_ij|,
-    |Im a_ij|. That division is exact and the scaled norms cannot
-    overflow, so the test holds at every finite magnitude.
+    max(1, ||a||_F). The norms are taken of scaled(a), so the test
+    holds at every finite magnitude.
     """
     a = as_square(a)
+    b, scale, norm = scaled(a)
     tol = DEFAULT_TOL.hermiticity
-    b, scale = a, 1.0
-    with np.errstate(over="ignore"):
-        norm = frobenius(a)
-    if norm > 1e300:
-        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
-        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-        b = a / scale
-        norm = frobenius(b)
     defect = frobenius(b - dagger(b))
     # defect * scale > tol * max(1, norm * scale)
     if defect > tol * norm and defect * scale > tol:

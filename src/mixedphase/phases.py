@@ -1,35 +1,33 @@
 """Phase engine.
 
-Per-component geometric, dynamical, and total phases with visibilities;
-their weighted sum, the total geometric phase of the evolving ensemble;
-the purification trace phase (Uhlmann's phase); and the interferometric
-eigenbasis phase (Sjoqvist's phase).
+The mixed-state phases are one construction in different
+representations z (unitary frames) of the ancilla's Hilbert space:
 
-Every phase is a function of the component overlaps
-m_j(t) = <e_j| z* C U(t) C z^T |e_j>. prepare_from_spectrum diagonalizes
-h' = Q diag(eps) Q^dag once, after which
+    Phi(z, t) = arg sum_j m_j(z, t) e^{-i kappa_j(z) t},
+    m_j(z, t) = <e_j| z* C U(t) C z^T |e_j> = sum_a P_aj e^{-i eps_a t},
 
-    m_j(t) = sum_a P_aj e^{-i eps_a t},   P = |Q^dag C z^T|^2,
-
-so evaluate computes a whole time grid as one matrix product. The
-total phase and the Uhlmann phase share that one spectral
-decomposition and differ only in their contraction: the total phase
-sums over eps first (sum_j m_j e^{-i kappa_j t}), the Uhlmann trace
-Tr[C U C V^T] over kappa first. They are therefore not independent
-checks of each other; the independent checks are the discretized
-holonomy oracle (oracles.discrete_uhlmann_holonomy) and the
+with P = |Q^dag C z^T|^2 for h' = Q diag(eps) Q^dag (diagonalized once,
+by prepare_from_spectrum) and kappa_j(z) = -<psi_j|h'|psi_j> / q_j, the
+negated energy of component psi_j = C z^T |e_j> of weight q_j. The frame
+that diagonalizes the ancilla Hamiltonian K (kappa_j its eigenvalues;
+E_j = -kappa_j is the parallel-transport condition) gives the total
+geometric phase; z = I (kappa_j = -h'_jj) gives Sjoqvist's
+interferometric phase, which agrees with it only for pure states.
+evaluate computes both on a whole time grid by matrix products. Its
+uhlmann column, arg Tr[C U C V^T], contracts the frame's kernel over
+kappa first: the total phase again, not an independent check. The
+independent checks are the discretized holonomy oracle and the
 benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 
 Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
-the only result type. A single t is row 0 of evaluate(prep, t); compute,
-sweep and compare all go through evaluate. The per-t functions below
-(overlap_kernel, component_report, total_geometric_phase,
-uhlmann_trace_phase, sjoqvist_phase) take the prepared problem and an
-explicit evolution operator u_t, so a caller can pass one built
-independently of the cached eigendecomposition; they are the literal
-definitions that verify and the tests check the engine against. At a
-nodal point (angles.angle_or_nan), evaluate stores nan where the
-literal phases raise VanishingOverlap.
+the only result type; a single t is row 0 of evaluate(prep, t). The
+per-t functions below (overlap_kernel, component_report,
+total_geometric_phase, uhlmann_trace_phase, sjoqvist_phase) take the
+prepared problem and an explicit evolution operator u_t, so a caller
+can pass one built independently of the cached eigendecomposition; they
+are the literal definitions that verify and the tests check the engine
+against. At a nodal point (angles.angle_or_nan), evaluate stores nan
+where the literal phases raise VanishingOverlap.
 """
 
 from __future__ import annotations
@@ -155,9 +153,10 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     rotated = overlaps * d  # m_j e^{-i kappa_j t}
     total = rotated.sum(axis=1)
     trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
-    diag_u = e @ (np.abs(q_h) ** 2).T  # <e_j|U(t)|e_j>
-    interferometric = (diag_u * np.exp(1j * np.outer(t, np.diag(prep.h_prime).real))
-                       ) @ prep.spectrum.lambdas
+    # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
+    p_i = (np.abs(q_h) ** 2).T * prep.spectrum.lambdas
+    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.h_prime).real))
+    interferometric = ((e @ p_i) * d_i).sum(axis=1)
     live = weights > DEFAULT_TOL.weight
     return PhaseBatch(
         t=t,

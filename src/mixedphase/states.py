@@ -10,11 +10,12 @@ diag(sqrt(lambdas)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, NotUnitTrace
-from .linalg import dagger, hermitian_eig, require_hermitian
+from .linalg import dagger, hermitian_eig, require_hermitian, scaled
 from .tolerances import DEFAULT_TOL
 
 
@@ -59,7 +60,8 @@ class Problem:
     """A state and the lab-frame Hamiltonian driving it (hbar = 1).
 
     The Hamiltonian is checked once here: square, finite, the state's
-    dimension, and Hermitian (NotHermitian otherwise).
+    dimension, Hermitian (NotHermitian otherwise), and of Frobenius norm
+    at most half the largest double, so that h' + h'^dag cannot overflow.
     """
 
     rho0: DensityMatrix
@@ -67,6 +69,10 @@ class Problem:
 
     def __post_init__(self):
         h = require_hermitian(self.hamiltonian_lab)
+        _, scale, norm = scaled(h)
+        if norm > np.finfo(float).max / 2 / scale:
+            raise ValueError(f"Hamiltonian norm ||H||_F = {Decimal(norm) * Decimal(scale):.3e}"
+                             " exceeds half the range of a double")
         object.__setattr__(self, "hamiltonian_lab", h)
         if h.shape[0] != self.rho0.dim:
             raise DimensionMismatch(

@@ -73,6 +73,14 @@ def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
     return frobenius(resid * mask)
 
 
+def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:
+    """max_j |<psi_j|h'|psi_j> + kappa_j q_j| for psi_j = C z^T |e_j>: zero when every
+    component's energy is -kappa_j, its parallel-transport condition (weighted by q_j)."""
+    psi = np.asarray(frame.z) * np.asarray(amps, dtype=float)  # row j is psi_j
+    energies = ((psi.conj() @ np.asarray(h_prime)) * psi).sum(axis=1).real
+    return float(np.max(np.abs(energies + frame.kappas * component_weights(amps, frame.z))))
+
+
 def diagonalizing_frame(ancilla_h) -> AncillaFrame:
     """Diagonalize the ancilla Hamiltonian: z = q^dag for k = q diag(kappa) q^dag,
     so z k z^dag = diag(kappa) with kappas ascending. hermitian_eig

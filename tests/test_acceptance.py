@@ -36,6 +36,7 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase import Spectrum, ancilla_equation_residual
+from mixedphase.transport import transport_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -89,8 +90,10 @@ def test_criterion_2_ancilla_equation_solver():
 
 
 def test_criterion_3_parallel_transport():
-    worst = 0.0
+    worst = worst_exact = 0.0
     for prep in _instances():
+        exact = transport_residual(prep.spectrum.amps, prep.h_prime, prep.frame)
+        worst_exact = max(worst_exact, exact / max(1.0, frobenius(prep.h_prime)))
         for t in (0.3, 1.7):
             for j in range(prep.dim):
                 if prep.weights[j] > 1e-10:
@@ -100,9 +103,10 @@ def test_criterion_3_parallel_transport():
     prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 11)))
     wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
     control = max(parallel_residual(wrong, j, 0.3, 1e-6) for j in range(3))
-    ok = worst <= 1e-6 and control > 1e-3
+    ok = worst <= 1e-6 and worst_exact <= 1e-13 and control > 1e-3
     _criterion(3, ok,
                f"transport residual max {worst:.2e} (tol 1e-6, delta 1e-6); "
+               f"energy condition max {worst_exact:.2e} (tol 1e-13); "
                f"zeroed-ancilla control {control:.2e} (must exceed 1e-3)")
 
 

@@ -271,12 +271,12 @@ def test_huge_integer_entry_exits_2(tmp_path, capsys):
 ])
 def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
     zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    # finite, but on the default rho h' carries it off the diagonal, and
-    # h' + h'^dag overflows
+    # finite, but ||H||_F = 2.4e308: h' + h'^dag would overflow
     huge = 1.7e308
     hamiltonian, rho, output, message = {
         "huge_hamiltonian": ([[[huge, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-huge, 0.0]]],
-                             None, None, "range of a double"),
+                             None, None, "Hamiltonian norm ||H||_F = 2.404e+308 exceeds "
+                                         "half the range of a double"),
         "huge_rho": (zero, [[[0.5, 0.0], [1e200, 0.0]], [[0.3, 0.0], [0.5, 0.0]]], None,
                      "not Hermitian"),
         "output_in_missing_directory": (zero, None, tmp_path / "missing" / "out.txt",

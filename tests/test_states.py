@@ -1,6 +1,8 @@
 """State-layer tests: density validation, spectral decomposition, and
 the eigenbasis rotation of the Hamiltonian."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mixedphase import (
     dagger,
     frobenius,
     hamiltonian_in_eigenbasis,
+    prepare_problem,
     spectral_decompose,
     unitary_from_hamiltonian,
     validate_density,
@@ -145,6 +148,24 @@ def test_hamiltonian_rotation_preserves_spectrum():
 def test_problem_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Problem(validate_density(np.eye(2) / 2), np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("h, norm", [
+    (np.diag([1e308, -1e308]), "1.414e+308"),
+    (np.diag([1.7e308, -1.7e308]), "2.404e+308"),
+    (np.array([[0, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0]]), "3.400e+308"),
+])
+def test_problem_rejects_hamiltonian_beyond_half_the_largest_double(h, norm):
+    rho = validate_density(np.array([[0.5, 0.3], [0.3, 0.5]]))
+    with pytest.raises(ValueError, match=re.escape(f"Hamiltonian norm ||H||_F = {norm} ")):
+        Problem(rho, h.astype(complex))
+
+
+def test_hamiltonian_just_inside_half_the_largest_double_prepares():
+    # a RuntimeWarning is an error in this suite (pyproject.toml)
+    rho = validate_density(np.array([[0.5, 0.3], [0.3, 0.5]]))
+    prep = prepare_problem(Problem(rho, np.diag([6e307, -6e307]).astype(complex)))
+    np.testing.assert_allclose(prep.h_eigvals, [-6e307, 6e307], rtol=1e-12)
 
 
 def test_evolved_state_stays_physical():

@@ -1,8 +1,11 @@
 """Parallel-transport construction tests: the ancilla-Hamiltonian solve,
 its diagonalizing frame, invariant weights, and component states."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedphase import (
     DimensionMismatch,
@@ -15,11 +18,13 @@ from mixedphase import (
     diagonalizing_frame,
     frobenius,
     hermitian_eig,
+    parallel_residual,
     prepare_problem,
     random_instance,
     solve_ancilla_hamiltonian,
     unitary_from_hamiltonian,
 )
+from mixedphase.transport import transport_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -54,6 +59,33 @@ def test_solver_residual_random_instances():
                                           prep.frame.k)
         assert resid <= 1e-10 * max(1.0, frobenius(prep.h_prime))
         assert frobenius(prep.frame.k - dagger(prep.frame.k)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       h_scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]))
+def test_transport_residual_vanishes_for_the_solved_frame(dim, data, seed, h_scale):
+    # E_j = -kappa_j holds in closed form; measured floor about 3.6e-16
+    rank = data.draw(st.integers(1, dim), label="rank")
+    prep = prepare_problem(random_instance(RandomInstanceSpec(dim, rank, seed, h_scale)))
+    resid = transport_residual(prep.spectrum.amps, prep.h_prime, prep.frame)
+    assert resid <= 1e-13 * max(1.0, frobenius(prep.h_prime))
+
+
+def test_transport_residual_negative_controls():
+    # K off by 1e-7 in one entry: verify's default bound (1e-9 here) catches
+    # it, where the finite-difference oracle stays below its 1e-6 bound
+    prep = prepare_problem(random_instance(RandomInstanceSpec(8, 8, 3)))
+    k = prep.frame.k.copy()
+    k[0, 0] += 1e-7
+    perturbed = replace(prep, frame=diagonalizing_frame(k))
+    assert frobenius(prep.h_prime) <= 1.0 + 1e-12
+    assert transport_residual(prep.spectrum.amps, prep.h_prime, perturbed.frame) > 1e-9
+    assert max(parallel_residual(perturbed, j, 0.3, 1e-6) for j in range(8)) < 1e-6
+    # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
+    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 11)))
+    zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    assert transport_residual(prep.spectrum.amps, prep.h_prime, zeroed) > 1e-3
 
 
 def test_frame_of_pauli_x_multiple():
