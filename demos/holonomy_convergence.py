@@ -12,21 +12,21 @@ the closed form costs O(log steps), so the whole ladder runs at once.
 """
 
 import mixedphase as mp
+from mixedphase.literal import total_geometric_phase
+from mixedphase.phases import evolution_operator
 
 
 def main():
     t_end = 1.7
-    for spec in (mp.RandomInstanceSpec(2, 2, 123), mp.RandomInstanceSpec(3, 3, 456)):
-        problem = mp.random_instance(spec)
+    for dim, seed in ((2, 123), (3, 456)):
+        problem = mp.random_instance(dim, dim, seed)
         prep = mp.prepare_problem(problem)
-        gamma = mp.total_geometric_phase(prep, t_end, mp.evolution_operator(prep, t_end))
-        print(f"random dim-{spec.dim} instance (seed {spec.seed}), "
-              f"t_end = {t_end}")
+        gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
+        print(f"random dim-{dim} instance (seed {seed}), t_end = {t_end}")
         print(f"engine total geometric phase: {gamma:+.10f}\n")
         print(f"{'steps':>10} {'holonomy':>14} {'error':>10}")
         for steps in (64, 256, 1024, 4096, 2**14, 2**16, 2**20, 2**24, 2**28):
-            hol = mp.discrete_uhlmann_holonomy(problem,
-                                               mp.PathSampling(t_end, steps))
+            hol = mp.discrete_uhlmann_holonomy(problem, t_end, steps)
             print(f"{steps:>10} {hol:+14.10f} "
                   f"{mp.circular_distance(hol, gamma):10.2e}")
         print()

@@ -37,7 +37,7 @@ def main():
 
     cyclic = mp.evaluate(prep, period)
     gamma, trace, sjo = cyclic.gamma_total[0], cyclic.uhlmann[0], cyclic.sjoqvist[0]
-    hol = mp.discrete_uhlmann_holonomy(problem, mp.PathSampling(period, 4096))
+    hol = mp.discrete_uhlmann_holonomy(problem, period, 4096)
     print(f"\nat the cyclic point t = {period:.4f}:")
     print(f"  total geometric phase   {gamma:+.6f}"
           f"   (closed form: arg(-cos(pi sqrt(1-r^2))) = "

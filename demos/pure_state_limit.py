@@ -10,6 +10,8 @@ their spread.
 import numpy as np
 
 import mixedphase as mp
+from mixedphase.literal import sjoqvist_phase, total_geometric_phase
+from mixedphase.phases import evolution_operator
 
 
 def main():
@@ -26,9 +28,9 @@ def main():
         h = (a + a.conj().T) / 2
         problem = mp.Problem(mp.validate_density(np.outer(psi, psi.conj())), h)
         prep = mp.prepare_problem(problem)
-        u = mp.evolution_operator(prep, t)
-        gamma = mp.total_geometric_phase(prep, t, u)
-        sjo = mp.sjoqvist_phase(prep, t, u)
+        u = evolution_operator(prep, t)
+        gamma = total_geometric_phase(prep, t, u)
+        sjo = sjoqvist_phase(prep, t, u)
         ref = mp.pancharatnam_phase(psi, h, t)
         spread = max(mp.circular_distance(gamma, sjo),
                      mp.circular_distance(gamma, ref),

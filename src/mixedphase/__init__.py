@@ -6,9 +6,15 @@ parallel-transported (E_j = -kappa_j) gives the total geometric phase,
 which the purification trace phase equals, and z = I gives the
 interferometric phase that agrees only for pure states. Brute-force
 oracles (a discretized holonomy chain, the pure-state limit) cross-check.
+
+The package exports the pipeline: a Problem, prepare_problem, and
+evaluate, which returns every phase on a time grid as a PhaseBatch; the
+oracles; and the errors. The literal per-time definitions the engine is
+tested against are in mixedphase.literal; the stages of the construction
+are in the modules states, transport, linalg and serialize.
 """
 
-from .angles import circular_distance, principal_angle
+from .angles import circular_distance
 from .errors import (
     DimensionMismatch,
     GeometricPhaseError,
@@ -18,61 +24,10 @@ from .errors import (
     NotUnitTrace,
     VanishingOverlap,
 )
-from .linalg import (
-    dagger,
-    frobenius,
-    hermitian_eig,
-    polar_unitary,
-    psd_sqrt,
-    unitary_from_hamiltonian,
-)
-from .oracles import (
-    PathSampling,
-    RandomInstanceSpec,
-    amplitude_chain,
-    discrete_uhlmann_holonomy,
-    pancharatnam_phase,
-    parallel_residual,
-    random_instance,
-)
-from .phases import (
-    ComponentReport,
-    PhaseBatch,
-    PreparedProblem,
-    component_report,
-    evaluate,
-    evolution_operator,
-    overlap_kernel,
-    prepare_from_spectrum,
-    prepare_problem,
-    sjoqvist_phase,
-    total_geometric_phase,
-    uhlmann_trace_phase,
-)
-from .serialize import (
-    ProblemFileError,
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
-    report_to_dict,
-    save_problem,
-)
-from .states import (
-    DensityMatrix,
-    Problem,
-    Spectrum,
-    hamiltonian_in_eigenbasis,
-    spectral_decompose,
-    validate_density,
-)
-from .tolerances import DEFAULT_TOL, Tolerances
-from .transport import (
-    AncillaFrame,
-    ancilla_equation_residual,
-    component_state,
-    component_weights,
-    diagonalizing_frame,
-    solve_ancilla_hamiltonian,
-)
+from .oracles import discrete_uhlmann_holonomy, pancharatnam_phase, random_instance
+from .phases import PhaseBatch, PreparedProblem, evaluate, prepare_problem
+from .serialize import ProblemFileError, load_problem, save_problem
+from .states import Problem, validate_density
+from .tolerances import DEFAULT_TOL
 
 __version__ = "0.1.0"

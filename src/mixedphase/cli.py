@@ -19,10 +19,9 @@ import numpy as np
 from .angles import circular_distance
 from .errors import GeometricPhaseError, VanishingOverlap
 from .linalg import frobenius
-from .oracles import MAX_STEPS, PathSampling, RandomInstanceSpec, \
-    discrete_uhlmann_holonomy, random_instance
-from .phases import evaluate, evolution_operator, prepare_from_spectrum, \
-    prepare_problem, uhlmann_trace_phase
+from .literal import uhlmann_trace_phase
+from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
+from .phases import evaluate, evolution_operator, prepare_from_spectrum, prepare_problem
 from .serialize import ProblemFileError, load_problem, report_to_dict, sweep_to_csv, \
     sweep_to_json
 from .states import Problem, Spectrum, spectral_decompose
@@ -127,7 +126,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     for _ in range(args.trials):
         inst_seed = int(rng.integers(0, 2**62))
-        problem = random_instance(RandomInstanceSpec(args.dim, args.dim, inst_seed))
+        problem = random_instance(args.dim, args.dim, inst_seed)
         try:
             failure = _verify_trial(problem, rng, args.tol)
         except GeometricPhaseError as exc:
@@ -152,8 +151,7 @@ def cmd_compare(args) -> int:
     problem = _load(args.input)
     batch = evaluate(prepare_problem(problem), args.time)
     try:
-        holonomy = discrete_uhlmann_holonomy(
-            problem, PathSampling(args.time, args.holonomy_steps))
+        holonomy = discrete_uhlmann_holonomy(problem, args.time, args.holonomy_steps)
     except VanishingOverlap:
         holonomy = math.nan
     values = {
@@ -229,15 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. Bad input, including a problem whose numbers
-    overflow a double and an output path that cannot be written, exits 2
-    with one error line and no traceback."""
+    overflow a double, a size whose arrays cannot be allocated and an
+    output path that cannot be written, exits 2 with one error line and
+    no traceback."""
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise"):
             return args.handler(args)
     except FloatingPointError as exc:
         return _fail_input(f"input magnitudes exceed the range of a double ({exc})")
-    except (GeometricPhaseError, ValueError, OSError) as exc:
+    except (GeometricPhaseError, ValueError, OSError, MemoryError) as exc:
         return _fail_input(str(exc))
 
 

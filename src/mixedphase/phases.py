@@ -20,14 +20,9 @@ independent checks are the discretized holonomy oracle and the
 benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 
 Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
-the only result type; a single t is row 0 of evaluate(prep, t). The
-per-t functions below (overlap_kernel, component_report,
-total_geometric_phase, uhlmann_trace_phase, sjoqvist_phase) take the
-prepared problem and an explicit evolution operator u_t, so a caller
-can pass one built independently of the cached eigendecomposition; they
-are the literal definitions that verify and the tests check the engine
-against. At a nodal point (angles.angle_or_nan), evaluate stores nan
-where the literal phases raise VanishingOverlap.
+the only result type; a single t is row 0 of evaluate(prep, t). At a
+nodal point (angles.angle_or_nan), evaluate stores nan. The literal
+per-t definitions it is checked against live in the literal module.
 """
 
 from __future__ import annotations
@@ -36,32 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import angle_or_nan, angle_or_raise
-from .errors import IndexOutOfRange
-from .linalg import dagger, hermitian_eig, unitary_from_eig, unitary_from_hamiltonian
+from .angles import angle_or_nan
+from .linalg import dagger, hermitian_eig, unitary_from_eig
 from .states import Problem, Spectrum, hamiltonian_in_eigenbasis, spectral_decompose
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
     solve_ancilla_hamiltonian
-
-
-@dataclass(frozen=True)
-class ComponentReport:
-    """Phases of one pure component of the ensemble, as the literal
-    component_report computes them.
-
-    gamma and total_phase are reduced to (-pi, pi]; dyn_phase = kappa_j*t
-    is reported unwrapped. Components with weight below the weight
-    tolerance carry the sentinel convention visibility = gamma =
-    total_phase = 0.
-    """
-
-    j: int
-    q: float
-    visibility: float
-    gamma: float
-    dyn_phase: float
-    total_phase: float
 
 
 @dataclass(frozen=True)
@@ -72,8 +47,8 @@ class PhaseBatch:
     time-invariant and indexed [component]. overlaps holds the complex
     m_j(t). A headline phase at a nodal point (overlap magnitude at or
     below the overlap tolerance) is nan, with overlap_magnitude still
-    recorded; negligible components carry the sentinel zeros of
-    ComponentReport.
+    recorded; negligible components carry the sentinel convention
+    visibility = gamma = total_phase = 0.
     """
 
     t: np.ndarray
@@ -173,53 +148,3 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
         total_phase=np.where(live, np.angle(overlaps), 0.0),
         degenerate_spectrum_warning=prep.spectrum.degenerate,
     )
-
-
-def overlap_kernel(prep: PreparedProblem, j: int, u_t) -> complex:
-    """m_j(t) = <e_j| z* C u_t C z^T |e_j>, the unnormalized overlap of
-    component j between times 0 and t. m_j(0) = q_j and |m_j| <= q_j."""
-    if not 0 <= j < prep.dim:
-        raise IndexOutOfRange(f"component {j} outside 0..{prep.dim - 1}")
-    w = prep.spectrum.amps * prep.frame.z[j, :]
-    return complex(np.vdot(w, np.asarray(u_t) @ w))
-
-
-def component_report(prep: PreparedProblem, j: int, t: float, u_t) -> ComponentReport:
-    """Weight, visibility, and geometric/dynamical/total phase of one
-    component. gamma == total_phase - dyn_phase modulo 2*pi."""
-    q_j = float(prep.weights[j])
-    dyn = float(prep.frame.kappas[j]) * t
-    if q_j <= DEFAULT_TOL.weight:
-        return ComponentReport(j, q_j, 0.0, 0.0, dyn, 0.0)
-    m = overlap_kernel(prep, j, u_t)
-    gamma = float(np.angle(m * np.exp(-1j * dyn)))
-    return ComponentReport(j, q_j, abs(m) / q_j, gamma, dyn, float(np.angle(m)))
-
-
-def total_geometric_phase(prep: PreparedProblem, t: float, u_t) -> float:
-    """Total geometric phase arg sum_j q_j nu_j e^{i gamma_j}, evaluated
-    as arg sum_j m_j(t) e^{-i kappa_j t} (identical, numerically
-    stabler). Raises VanishingOverlap at nodal points."""
-    kappas = prep.frame.kappas
-    return angle_or_raise(sum(overlap_kernel(prep, j, u_t) * np.exp(-1j * kappas[j] * t)
-                              for j in range(prep.dim)))
-
-
-def uhlmann_trace_phase(prep: PreparedProblem, t: float, u_t) -> float:
-    """arg Tr[C u_t C v_t^T] with v_t = exp(-i k t): the holonomy phase
-    of the parallel purification path. Equals total_geometric_phase but
-    is computed without the diagonalizing frame: v_t comes from its own
-    eigendecomposition of k."""
-    v_t = unitary_from_hamiltonian(prep.frame.k, t)
-    c = np.diag(prep.spectrum.amps)
-    return angle_or_raise(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
-
-
-def sjoqvist_phase(prep: PreparedProblem, t: float, u_t) -> float:
-    """Interferometric phase arg sum_j lambda_j <e_j|u_t|e_j> e^{i h'_jj t}:
-    the ancilla keeps the original eigenbasis and only cancels the
-    diagonal dynamical phases. Agrees with the total geometric phase for
-    pure states only."""
-    phases = np.exp(1j * np.diag(prep.h_prime).real * t)
-    return angle_or_raise(complex(
-        (prep.spectrum.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))

@@ -2,9 +2,9 @@
 
 Solves the ancilla Hamiltonian that makes every pure component of the
 evolving ensemble parallel-transported, builds the unitary frame that
-diagonalizes it, and produces the time-invariant component weights and
-component states. All of it lives in the initial-state eigenbasis, so
-the amplitude matrix is diagonal and the defining equation
+diagonalizes it, and produces the time-invariant component weights. All
+of it lives in the initial-state eigenbasis, so the amplitude matrix is
+diagonal and the defining equation
 
     C^2 K^T + K^T C^2 = -2 C H C
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange
+from .errors import DimensionMismatch
 from .linalg import dagger, frobenius, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
 
@@ -103,15 +103,3 @@ def component_weights(amps, z) -> np.ndarray:
             f"frame is {z.shape} but there are {amps.size} amplitudes"
         )
     return np.abs(z) ** 2 @ amps**2
-
-
-def component_state(j: int, u_t, amps, z) -> np.ndarray:
-    """Unnormalized component j at the time of u_t: u_t @ C @ z^T |e_j>.
-
-    Entry k of the time-zero state is c_k z_jk; its squared norm is the
-    invariant weight q_j for every t.
-    """
-    amps = np.asarray(amps, dtype=float)
-    if not 0 <= j < amps.size:
-        raise IndexOutOfRange(f"component {j} outside 0..{amps.size - 1}")
-    return np.asarray(u_t) @ (amps * np.asarray(z)[j, :])

@@ -11,32 +11,33 @@ from dataclasses import replace
 import numpy as np
 
 from mixedphase import (
-    PathSampling,
     Problem,
-    RandomInstanceSpec,
     circular_distance,
-    component_report,
-    component_state,
-    dagger,
-    diagonalizing_frame,
     discrete_uhlmann_holonomy,
-    evolution_operator,
-    frobenius,
     load_problem,
     pancharatnam_phase,
-    parallel_residual,
-    prepare_from_spectrum,
     prepare_problem,
-    principal_angle,
     random_instance,
     save_problem,
+    validate_density,
+)
+from mixedphase.angles import principal_angle
+from mixedphase.linalg import dagger, frobenius
+from mixedphase.literal import (
+    component_report,
+    component_state,
+    parallel_residual,
     sjoqvist_phase,
     total_geometric_phase,
     uhlmann_trace_phase,
-    validate_density,
 )
-from mixedphase import Spectrum, ancilla_equation_residual
-from mixedphase.transport import transport_residual
+from mixedphase.phases import evolution_operator, prepare_from_spectrum
+from mixedphase.states import Spectrum
+from mixedphase.transport import (
+    ancilla_equation_residual,
+    diagonalizing_frame,
+    transport_residual,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -57,7 +58,7 @@ def _instances():
     out = []
     for n in DIMS:
         for i in range(PER_DIM):
-            problem = random_instance(RandomInstanceSpec(n, n, 1000 * n + i))
+            problem = random_instance(n, n, 1000 * n + i)
             out.append(prepare_problem(problem))
     return out
 
@@ -100,7 +101,7 @@ def test_criterion_3_parallel_transport():
                     worst = max(worst, parallel_residual(prep, j, t, 1e-6))
     # negative control: zeroed ancilla Hamiltonian on a noncommuting
     # full-rank mixed instance
-    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 11)))
+    prep = prepare_problem(random_instance(3, 3, 11))
     wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
     control = max(parallel_residual(wrong, j, 0.3, 1e-6) for j in range(3))
     ok = worst <= 1e-6 and worst_exact <= 1e-13 and control > 1e-3
@@ -112,17 +113,16 @@ def test_criterion_3_parallel_transport():
 
 def test_criterion_4_holonomy_oracle_convergence():
     t_end = 1.7
-    specs = [RandomInstanceSpec(2, 2, 8100 + i) for i in range(10)]
-    specs += [RandomInstanceSpec(3, 3, 8200 + i) for i in range(10)]
-    specs += [RandomInstanceSpec(n, r, 8300 + 10 * n + r)
-              for n in range(2, 7) for r in range(1, n)]
+    specs = [(2, 2, 8100 + i) for i in range(10)]
+    specs += [(3, 3, 8200 + i) for i in range(10)]
+    specs += [(n, r, 8300 + 10 * n + r) for n in range(2, 7) for r in range(1, n)]
     worst_final = worst_ratio = worst_richardson = 0.0
     shrinks = True
     for spec in specs:
-        problem = random_instance(spec)
+        problem = random_instance(*spec)
         prep = prepare_problem(problem)
         gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
-        hols = {n: discrete_uhlmann_holonomy(problem, PathSampling(t_end, n))
+        hols = {n: discrete_uhlmann_holonomy(problem, t_end, n)
                 for n in (256, 512, 1024, 2048, 4096)}
         errs = [circular_distance(h, gamma) for h in hols.values()]
         worst_final = max(worst_final, errs[-1])
@@ -151,7 +151,7 @@ def test_criterion_5_pure_state_limit():
     worst = 0.0
     for i in range(50):
         n = 2 if i % 2 == 0 else 3
-        problem = random_instance(RandomInstanceSpec(n, 1, 8500 + i))
+        problem = random_instance(n, 1, 8500 + i)
         prep = prepare_problem(problem)
         u = evolution_operator(prep, t)
         gamma = total_geometric_phase(prep, t, u)
@@ -181,7 +181,7 @@ def test_criterion_6_definitions_diverge_for_mixed_states():
     u = evolution_operator(prep, t)
     gamma = total_geometric_phase(prep, t, u)
     sjo = sjoqvist_phase(prep, t, u)
-    hol = discrete_uhlmann_holonomy(problem, PathSampling(t, 4096))
+    hol = discrete_uhlmann_holonomy(problem, t, 4096)
     closed = float(np.angle(-np.cos(np.pi * np.sqrt(1 - r**2))))
     split = circular_distance(gamma, sjo)
     ok = (circular_distance(gamma, 0.0) <= 1e-12
@@ -276,7 +276,7 @@ def test_criterion_8_cli_contract(tmp_path):
     malformed = subprocess.run(
         [sys.executable, "-m", "mixedphase", "compute", "--input", str(bad),
          "-t", "1.0"], capture_output=True, text=True, env=env)
-    problem = random_instance(RandomInstanceSpec(4, 4, 99))
+    problem = random_instance(4, 4, 99)
     path = tmp_path / "roundtrip.json"
     save_problem(problem, path)
     back = load_problem(path)

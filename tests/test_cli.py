@@ -290,3 +290,19 @@ def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
     assert captured.out == ""
     assert message in captured.err and "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--t-start", "0", "--t-end", "1", "--steps", str(10**15)],
+    ["verify", "--dim", str(10**8), "--trials", "1"],
+])
+def test_unallocatable_size_exits_2(mixed_file, capsys, argv):
+    # PiB-scale arrays, past a 47-bit address space: the allocation fails
+    # at once, before any memory is touched
+    if argv[0] == "sweep":
+        argv = argv[:1] + ["--input", mixed_file] + argv[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

@@ -16,19 +16,20 @@ from hypothesis import given, settings, strategies as st
 
 from mixedphase import (
     Problem,
-    RandomInstanceSpec,
     VanishingOverlap,
     circular_distance,
-    component_report,
     evaluate,
-    overlap_kernel,
     prepare_problem,
     random_instance,
+    validate_density,
+)
+from mixedphase.linalg import unitary_from_hamiltonian
+from mixedphase.literal import (
+    component_report,
+    overlap_kernel,
     sjoqvist_phase,
     total_geometric_phase,
     uhlmann_trace_phase,
-    unitary_from_hamiltonian,
-    validate_density,
 )
 from mixedphase.serialize import sweep_header, sweep_to_csv
 
@@ -62,7 +63,7 @@ def instances(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     times = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=5))
     # t = 0 and a repeated time in every batch
-    return random_instance(RandomInstanceSpec(n, rank, seed)), times + [0.0, times[0]]
+    return random_instance(n, rank, seed), times + [0.0, times[0]]
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixedphase import (
-    NotHermitian,
-    NotPSD,
+from mixedphase import NotHermitian, NotPSD
+from mixedphase.linalg import (
     dagger,
     frobenius,
     hermitian_eig,

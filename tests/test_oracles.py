@@ -1,6 +1,9 @@
 """Oracle tests: the discretized holonomy chain, the pure-state phase
 reference, parallel-transport residuals, and the instance generator."""
 
+import collections
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,52 +11,53 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mixedphase import (
-    PathSampling,
     Problem,
-    RandomInstanceSpec,
     VanishingOverlap,
-    amplitude_chain,
     circular_distance,
-    dagger,
-    diagonalizing_frame,
     discrete_uhlmann_holonomy,
-    evolution_operator,
-    frobenius,
     pancharatnam_phase,
-    parallel_residual,
     prepare_problem,
     random_instance,
-    total_geometric_phase,
     validate_density,
 )
+from mixedphase.linalg import dagger, frobenius
+from mixedphase.literal import amplitude_chain, parallel_residual, total_geometric_phase
 from mixedphase.oracles import MAX_STEPS
+from mixedphase.phases import evolution_operator
+from mixedphase.transport import diagonalizing_frame
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
+COMMUTING = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
+
+
 def test_path_sampling_validation():
     with pytest.raises(ValueError):
-        PathSampling(1.0, 1)
+        discrete_uhlmann_holonomy(COMMUTING, 1.0, 1)
     with pytest.raises(ValueError):
-        PathSampling(0.0, 16)
-    times = PathSampling(2.0, 4).times
-    np.testing.assert_allclose(times, [0.0, 0.5, 1.0, 1.5, 2.0])
+        discrete_uhlmann_holonomy(COMMUTING, 0.0, 16)
+    with pytest.raises(ValueError):
+        next(amplitude_chain(COMMUTING, 0.0, 16))
 
 
 def test_path_sampling_rejects_steps_beyond_the_roundoff_cap():
-    assert PathSampling(1.0, MAX_STEPS).steps == MAX_STEPS
+    assert math.isfinite(discrete_uhlmann_holonomy(COMMUTING, 1.0, MAX_STEPS))
     with pytest.raises(ValueError):
-        PathSampling(1.0, MAX_STEPS + 1)
+        discrete_uhlmann_holonomy(COMMUTING, 1.0, MAX_STEPS + 1)
     with pytest.raises(ValueError):
-        PathSampling(1.0, 10**400)
+        discrete_uhlmann_holonomy(COMMUTING, 1.0, 10**400)
 
 
-def chain_phase_and_magnitude(problem, sampling):
-    """arg and |.| of Tr[w_0^dag w_N] from the literal sequential chain."""
-    chain = amplitude_chain(problem, sampling)
-    tr = complex(np.trace(dagger(chain[0]) @ chain[-1]))
+def chain_phase_and_magnitude(problem, t_end, steps):
+    """arg and |.| of Tr[w_0^dag w_N] from the literal sequential chain,
+    holding only w_0 and the latest amplitude."""
+    chain = amplitude_chain(problem, t_end, steps)
+    w_0 = next(chain)
+    w_n = collections.deque(chain, maxlen=1)[0]
+    tr = complex(np.trace(dagger(w_0) @ w_n))
     return float(np.angle(tr)), abs(tr)
 
 
@@ -62,12 +66,11 @@ def chain_phase_and_magnitude(problem, sampling):
        steps=st.integers(2, 512), t_end=st.floats(0.05, 6.0))
 def test_closed_form_matches_the_literal_chain(dim, data, seed, steps, t_end):
     rank = data.draw(st.integers(1, dim), label="rank")
-    prob = random_instance(RandomInstanceSpec(dim, rank, seed))
-    sampling = PathSampling(t_end, steps)
-    want, magnitude = chain_phase_and_magnitude(prob, sampling)
+    prob = random_instance(dim, rank, seed)
+    want, magnitude = chain_phase_and_magnitude(prob, t_end, steps)
     # away from a nodal endpoint, where the angle itself is ill-conditioned
     assume(magnitude >= 1e-2)
-    got = discrete_uhlmann_holonomy(prob, sampling)
+    got = discrete_uhlmann_holonomy(prob, t_end, steps)
     assert circular_distance(got, want) <= 1e-11, (dim, rank, steps, got, want)
 
 
@@ -75,23 +78,22 @@ def test_closed_form_matches_the_literal_chain(dim, data, seed, steps, t_end):
 def test_closed_form_and_chain_both_vanish_at_orthogonal_endpoint(steps):
     # |+> reaches the orthogonal |-> at t = pi on any grid
     prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
-    sampling = PathSampling(np.pi, steps)
-    assert chain_phase_and_magnitude(prob, sampling)[1] <= 1e-12
+    assert chain_phase_and_magnitude(prob, np.pi, steps)[1] <= 1e-12
     with pytest.raises(VanishingOverlap):
-        discrete_uhlmann_holonomy(prob, sampling)
+        discrete_uhlmann_holonomy(prob, np.pi, steps)
 
 
 def test_holonomy_constant_path_is_zero():
     # commuting full-rank instance: the state never moves
     prob = Problem(validate_density(np.diag([0.7, 0.3])),
                    np.diag([0.4, -0.9]).astype(complex))
-    hol = discrete_uhlmann_holonomy(prob, PathSampling(3.0, 512))
+    hol = discrete_uhlmann_holonomy(prob, 3.0, 512)
     assert abs(hol) <= 1e-12
 
 
 def test_holonomy_pure_great_circle():
     prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
-    hol = discrete_uhlmann_holonomy(prob, PathSampling(2 * np.pi, 4096))
+    hol = discrete_uhlmann_holonomy(prob, 2 * np.pi, 4096)
     assert circular_distance(hol, np.pi) <= 1e-12
     assert circular_distance(hol, pancharatnam_phase(PLUS, 0.5 * SZ, 2 * np.pi)) <= 1e-12
 
@@ -99,34 +101,35 @@ def test_holonomy_pure_great_circle():
 def test_holonomy_mixed_great_circle_confirms_zero():
     rho = (np.eye(2) + 0.6 * SX) / 2
     prob = Problem(validate_density(rho), 0.5 * SZ)
-    hol = discrete_uhlmann_holonomy(prob, PathSampling(2 * np.pi, 4096))
+    hol = discrete_uhlmann_holonomy(prob, 2 * np.pi, 4096)
     assert circular_distance(hol, 0.0) <= 1e-12
 
 
 def test_holonomy_matches_engine_on_random_instance():
-    prob = random_instance(RandomInstanceSpec(3, 3, 90))
+    prob = random_instance(3, 3, 90)
     prep = prepare_problem(prob)
     t_end = 1.7
     gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
-    hol = discrete_uhlmann_holonomy(prob, PathSampling(t_end, 4096))
+    hol = discrete_uhlmann_holonomy(prob, t_end, 4096)
     assert circular_distance(hol, gamma) <= 2e-9
 
 
 def test_chain_links_are_hermitian_psd():
-    prob = random_instance(RandomInstanceSpec(3, 3, 91))
-    chain = amplitude_chain(prob, PathSampling(1.5, 64))
-    assert len(chain) == 65
-    for w_i, w_next in zip(chain, chain[1:]):
+    prob = random_instance(3, 3, 91)
+    count = 1
+    for w_i, w_next in itertools.pairwise(amplitude_chain(prob, 1.5, 64)):
+        count += 1
         link = dagger(w_i) @ w_next
         assert frobenius(link - dagger(link)) <= 1e-10
         assert np.linalg.eigvalsh((link + dagger(link)) / 2).min() >= -1e-10
+    assert count == 65
 
 
 def test_holonomy_raises_at_orthogonal_endpoint():
     # half a great circle takes |+> to the orthogonal |->
     prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
     with pytest.raises(VanishingOverlap):
-        discrete_uhlmann_holonomy(prob, PathSampling(np.pi, 256))
+        discrete_uhlmann_holonomy(prob, np.pi, 256)
 
 
 def test_pancharatnam_eigenstate_gives_zero():
@@ -176,7 +179,7 @@ def test_pancharatnam_raises_at_orthogonal_endpoint():
 
 def test_parallel_residual_small_for_solved_frame():
     for seed in (94, 95):
-        prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, seed)))
+        prep = prepare_problem(random_instance(4, 4, seed))
         for t in (0.0, 0.3, 1.7):
             for j in range(4):
                 resid = parallel_residual(prep, j, t, 1e-6)
@@ -185,7 +188,7 @@ def test_parallel_residual_small_for_solved_frame():
 
 def test_parallel_residual_negative_control():
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
-    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 11)))
+    prep = prepare_problem(random_instance(3, 3, 11))
     wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
     worst = max(parallel_residual(wrong, j, 0.3, 1e-6) for j in range(3))
     assert worst > 1e-3
@@ -199,7 +202,7 @@ def test_parallel_residual_zero_hamiltonian():
 
 
 def test_parallel_residual_argument_validation():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 1, 96)))
+    prep = prepare_problem(random_instance(3, 1, 96))
     with pytest.raises(ValueError):
         parallel_residual(prep, 0, 0.3, 1e-2)
     negligible = int(np.argmin(prep.weights))
@@ -208,26 +211,26 @@ def test_parallel_residual_argument_validation():
 
 
 def test_random_instance_deterministic():
-    a = random_instance(RandomInstanceSpec(2, 2, 1))
-    b = random_instance(RandomInstanceSpec(2, 2, 1))
+    a = random_instance(2, 2, 1)
+    b = random_instance(2, 2, 1)
     assert np.array_equal(a.rho0.mat, b.rho0.mat)
     assert np.array_equal(a.hamiltonian_lab, b.hamiltonian_lab)
 
 
 def test_random_instance_rank():
-    prob = random_instance(RandomInstanceSpec(4, 2, 7))
+    prob = random_instance(4, 2, 7)
     evals = np.linalg.eigvalsh(prob.rho0.mat)
     assert int(np.sum(evals > 1e-6)) == 2
 
 
 def test_random_instance_validates_and_scales():
-    prob = random_instance(RandomInstanceSpec(3, 3, 42, h_scale=2.5))
+    prob = random_instance(3, 3, 42, h_scale=2.5)
     validate_density(prob.rho0.mat)  # revalidation accepts
     assert abs(frobenius(prob.hamiltonian_lab) - 2.5) <= 1e-12
 
 
 def test_random_instance_spec_validation():
     with pytest.raises(ValueError):
-        RandomInstanceSpec(3, 4, 0)
+        random_instance(3, 4, 0)
     with pytest.raises(ValueError):
-        RandomInstanceSpec(3, 0, 0)
+        random_instance(3, 0, 0)

@@ -9,29 +9,28 @@ import pytest
 
 from mixedphase import (
     IndexOutOfRange,
-    RandomInstanceSpec,
     Problem,
-    Spectrum,
     VanishingOverlap,
     circular_distance,
-    component_report,
-    component_state,
-    dagger,
-    diagonalizing_frame,
     evaluate,
-    evolution_operator,
-    overlap_kernel,
     pancharatnam_phase,
-    prepare_from_spectrum,
     prepare_problem,
     random_instance,
-    report_to_dict,
+    validate_density,
+)
+from mixedphase.linalg import dagger, unitary_from_hamiltonian
+from mixedphase.literal import (
+    component_report,
+    component_state,
+    overlap_kernel,
     sjoqvist_phase,
     total_geometric_phase,
     uhlmann_trace_phase,
-    unitary_from_hamiltonian,
-    validate_density,
 )
+from mixedphase.phases import evolution_operator, prepare_from_spectrum
+from mixedphase.serialize import report_to_dict
+from mixedphase.states import Spectrum
+from mixedphase.transport import diagonalizing_frame
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -57,7 +56,7 @@ def random_pure_problem(rng, n):
 
 
 def test_overlap_at_zero_is_the_weight():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, 70)))
+    prep = prepare_problem(random_instance(4, 4, 70))
     for j in range(4):
         m0 = overlap_kernel(prep, j, np.eye(4))
         assert abs(m0.imag) <= 1e-14
@@ -65,7 +64,7 @@ def test_overlap_at_zero_is_the_weight():
 
 
 def test_overlap_magnitude_bounded_by_weight():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(5, 3, 71)))
+    prep = prepare_problem(random_instance(5, 3, 71))
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(prep, t)
         for j in range(5):
@@ -126,7 +125,7 @@ def test_pure_plus_component_phase_is_pi_with_zero_dynamics():
 
 
 def test_gamma_is_total_minus_dynamical_mod_2pi():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 73)))
+    prep = prepare_problem(random_instance(3, 3, 73))
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(prep, t)
         for j in range(3):
@@ -135,7 +134,7 @@ def test_gamma_is_total_minus_dynamical_mod_2pi():
 
 
 def test_zero_weight_components_use_sentinel_convention():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 1, 74)))
+    prep = prepare_problem(random_instance(3, 1, 74))
     u = evolution_operator(prep, 1.0)
     small = [j for j in range(3) if prep.weights[j] <= 1e-10]
     assert small  # rank-1 state must have negligible components
@@ -146,7 +145,7 @@ def test_zero_weight_components_use_sentinel_convention():
 
 def test_visibility_bounds_and_unity_at_zero():
     for seed in (75, 76):
-        prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, seed)))
+        prep = prepare_problem(random_instance(4, 4, seed))
         u0 = evolution_operator(prep, 0.0)
         for j in range(4):
             rep0 = component_report(prep, j, 0.0, u0)
@@ -219,7 +218,7 @@ def test_nodal_point_raises_vanishing_visibility():
 
 
 def test_uhlmann_trace_phase_zero_at_t0():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, 78)))
+    prep = prepare_problem(random_instance(4, 4, 78))
     assert abs(uhlmann_trace_phase(prep, 0.0, np.eye(4))) <= 1e-14
 
 
@@ -228,7 +227,7 @@ def test_total_phase_equals_trace_phase_random():
     # acceptance suite
     for seed in range(20):
         n = (2, 3, 4, 6)[seed % 4]
-        prep = prepare_problem(random_instance(RandomInstanceSpec(n, n, 200 + seed)))
+        prep = prepare_problem(random_instance(n, n, 200 + seed))
         for t in (0.3, 1.7, 5.0):
             u = evolution_operator(prep, t)
             gamma = total_geometric_phase(prep, t, u)
@@ -261,7 +260,7 @@ def test_interferometric_equals_total_for_pure_states():
 def test_gauge_invariance_under_eigenvector_rephasing():
     rng = np.random.default_rng(80)
     for seed in (300, 301, 302):
-        problem = random_instance(RandomInstanceSpec(4, 4, seed))
+        problem = random_instance(4, 4, seed)
         prep = prepare_problem(problem)
         t = 1.7
         gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
@@ -277,7 +276,7 @@ def test_total_phase_ignores_ancilla_kernel_freedom():
     # for singular states the ancilla Hamiltonian is free on the kernel;
     # the phase must not see it (checked empirically)
     rng = np.random.default_rng(81)
-    problem = random_instance(RandomInstanceSpec(4, 2, 82))
+    problem = random_instance(4, 2, 82)
     prep = prepare_problem(problem)
     kernel = np.where(prep.spectrum.lambdas < 1e-12)[0]
     assert kernel.size == 2

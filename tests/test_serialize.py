@@ -14,21 +14,23 @@ from mixedphase import (
     evaluate,
     load_problem,
     prepare_problem,
-    problem_from_dict,
-    problem_to_dict,
     random_instance,
-    RandomInstanceSpec,
-    report_to_dict,
     save_problem,
     validate_density,
 )
-from mixedphase.serialize import sweep_header, sweep_to_csv
+from mixedphase.serialize import (
+    problem_from_dict,
+    problem_to_dict,
+    report_to_dict,
+    sweep_header,
+    sweep_to_csv,
+)
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
-    prob = random_instance(RandomInstanceSpec(3, 3, 5))
+    prob = random_instance(3, 3, 5)
     path = tmp_path / "instance.json"
     save_problem(prob, path)
     back = load_problem(path)
@@ -37,7 +39,7 @@ def test_round_trip_is_bitwise_exact(tmp_path):
 
 
 def test_shape_mismatch_names_the_field():
-    data = problem_to_dict(random_instance(RandomInstanceSpec(3, 3, 6)))
+    data = problem_to_dict(random_instance(3, 3, 6))
     data["dimension"] = 2
     with pytest.raises(ProblemFileError, match="rho.*2 rows"):
         problem_from_dict(data)
@@ -79,7 +81,7 @@ def test_load_problem_restores_the_collector_state(tmp_path):
     with pytest.raises(ProblemFileError):
         load_problem(path)
     assert gc.isenabled()
-    save_problem(random_instance(RandomInstanceSpec(2, 2, 1)), path)
+    save_problem(random_instance(2, 2, 1), path)
     gc.disable()
     try:
         load_problem(path)

@@ -12,15 +12,11 @@ from mixedphase import (
     NotPSD,
     NotUnitTrace,
     Problem,
-    Spectrum,
-    dagger,
-    frobenius,
-    hamiltonian_in_eigenbasis,
     prepare_problem,
-    spectral_decompose,
-    unitary_from_hamiltonian,
     validate_density,
 )
+from mixedphase.linalg import dagger, frobenius, unitary_from_hamiltonian
+from mixedphase.states import Spectrum, hamiltonian_in_eigenbasis, spectral_decompose
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -10,21 +10,18 @@ from hypothesis import given, settings, strategies as st
 from mixedphase import (
     DimensionMismatch,
     IndexOutOfRange,
-    RandomInstanceSpec,
-    ancilla_equation_residual,
-    component_state,
-    component_weights,
-    dagger,
-    diagonalizing_frame,
-    frobenius,
-    hermitian_eig,
-    parallel_residual,
     prepare_problem,
     random_instance,
-    solve_ancilla_hamiltonian,
-    unitary_from_hamiltonian,
 )
-from mixedphase.transport import transport_residual
+from mixedphase.linalg import dagger, frobenius, hermitian_eig, unitary_from_hamiltonian
+from mixedphase.literal import component_state, parallel_residual
+from mixedphase.transport import (
+    ancilla_equation_residual,
+    component_weights,
+    diagonalizing_frame,
+    solve_ancilla_hamiltonian,
+    transport_residual,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -54,7 +51,7 @@ def test_solver_residual_random_instances():
     # includes rank-deficient states, where the residual is restricted
     # to the support
     for n, rank, seed in ((2, 2, 0), (3, 3, 1), (4, 2, 2), (6, 6, 3), (6, 3, 4)):
-        prep = prepare_problem(random_instance(RandomInstanceSpec(n, rank, seed)))
+        prep = prepare_problem(random_instance(n, rank, seed))
         resid = ancilla_equation_residual(prep.spectrum.amps, prep.h_prime,
                                           prep.frame.k)
         assert resid <= 1e-10 * max(1.0, frobenius(prep.h_prime))
@@ -67,7 +64,7 @@ def test_solver_residual_random_instances():
 def test_transport_residual_vanishes_for_the_solved_frame(dim, data, seed, h_scale):
     # E_j = -kappa_j holds in closed form; measured floor about 3.6e-16
     rank = data.draw(st.integers(1, dim), label="rank")
-    prep = prepare_problem(random_instance(RandomInstanceSpec(dim, rank, seed, h_scale)))
+    prep = prepare_problem(random_instance(dim, rank, seed, h_scale))
     resid = transport_residual(prep.spectrum.amps, prep.h_prime, prep.frame)
     assert resid <= 1e-13 * max(1.0, frobenius(prep.h_prime))
 
@@ -75,7 +72,7 @@ def test_transport_residual_vanishes_for_the_solved_frame(dim, data, seed, h_sca
 def test_transport_residual_negative_controls():
     # K off by 1e-7 in one entry: verify's default bound (1e-9 here) catches
     # it, where the finite-difference oracle stays below its 1e-6 bound
-    prep = prepare_problem(random_instance(RandomInstanceSpec(8, 8, 3)))
+    prep = prepare_problem(random_instance(8, 8, 3))
     k = prep.frame.k.copy()
     k[0, 0] += 1e-7
     perturbed = replace(prep, frame=diagonalizing_frame(k))
@@ -83,7 +80,7 @@ def test_transport_residual_negative_controls():
     assert transport_residual(prep.spectrum.amps, prep.h_prime, perturbed.frame) > 1e-9
     assert max(parallel_residual(perturbed, j, 0.3, 1e-6) for j in range(8)) < 1e-6
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
-    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 11)))
+    prep = prepare_problem(random_instance(3, 3, 11))
     zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
     assert transport_residual(prep.spectrum.amps, prep.h_prime, zeroed) > 1e-3
 
@@ -137,7 +134,7 @@ def test_weights_for_balanced_frame():
 
 def test_weights_sum_and_range_random():
     for seed in range(6):
-        prep = prepare_problem(random_instance(RandomInstanceSpec(5, 4, seed + 50)))
+        prep = prepare_problem(random_instance(5, 4, seed + 50))
         assert abs(prep.weights.sum() - 1.0) <= 1e-10
         assert np.all(prep.weights >= 0.0) and np.all(prep.weights <= 1.0 + 1e-12)
 
@@ -155,7 +152,7 @@ def test_component_state_at_zero_with_identity_frame():
 
 
 def test_component_norm_invariant_under_evolution():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(4, 4, 60)))
+    prep = prepare_problem(random_instance(4, 4, 60))
     amps, z = prep.spectrum.amps, prep.frame.z
     for j in range(4):
         n0 = np.vdot(component_state(j, np.eye(4), amps, z),
@@ -169,7 +166,7 @@ def test_component_norm_invariant_under_evolution():
 
 
 def test_components_reassemble_evolved_state():
-    prep = prepare_problem(random_instance(RandomInstanceSpec(3, 3, 61)))
+    prep = prepare_problem(random_instance(3, 3, 61))
     amps, z = prep.spectrum.amps, prep.frame.z
     for t in (0.0, 0.8, 3.0):
         u = unitary_from_hamiltonian(prep.h_prime, t)
