@@ -24,7 +24,7 @@ def main():
 
     period = 2 * np.pi / omega
     print(f"Bloch vector r = {r} along x, precessing about z, period {period:.4f}")
-    print(f"state eigenvalues: {prep.spectrum.lambdas}")
+    print(f"state eigenvalues: {prep.problem.rho0.lambdas}")
     print(f"component weights: {prep.weights}  (equal, and time-invariant)\n")
 
     print(f"{'t':>7} {'total':>9} {'trace':>9} {'interfer':>9} "

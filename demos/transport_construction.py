@@ -21,10 +21,10 @@ from mixedphase.transport import ancilla_equation_residual, diagonalizing_frame
 def main():
     problem = mp.random_instance(3, 3, 2024)
     prep = mp.prepare_problem(problem)
-    amps = prep.spectrum.amps
+    amps = prep.problem.rho0.amps
 
     print("1. spectral decomposition")
-    print(f"   eigenvalues of the state: {np.round(prep.spectrum.lambdas, 6)}")
+    print(f"   eigenvalues of the state: {np.round(prep.problem.rho0.lambdas, 6)}")
     print(f"   amplitudes sqrt(lambda):  {np.round(amps, 6)}\n")
 
     print("2. ancilla Hamiltonian from the closed form")
@@ -54,7 +54,7 @@ def main():
     u = evolution_operator(prep, t)
     total = sum(np.outer(chi, chi.conj()) for chi in
                 (component_state(j, u, amps, prep.frame.z) for j in range(3)))
-    rho_t = u @ np.diag(prep.spectrum.lambdas) @ u.conj().T
+    rho_t = u @ np.diag(prep.problem.rho0.lambdas) @ u.conj().T
     print(f"   rebuild residual at t={t}: "
           f"{np.linalg.norm(total - rho_t, 'fro'):.2e}\n")
 

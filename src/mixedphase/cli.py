@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -21,10 +22,10 @@ from .errors import GeometricPhaseError, VanishingOverlap
 from .linalg import frobenius
 from .literal import uhlmann_trace_phase
 from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
-from .phases import evaluate, evolution_operator, prepare_from_spectrum, prepare_problem
+from .phases import evaluate, evolution_operator, prepare_problem
 from .serialize import ProblemFileError, load_problem, report_to_dict, sweep_to_csv, \
     sweep_to_json
-from .states import Problem, Spectrum, spectral_decompose
+from .states import DensityMatrix, Problem
 from .transport import ancilla_equation_residual, transport_residual
 
 EXIT_OK = 0
@@ -84,20 +85,19 @@ def cmd_sweep(args) -> int:
 def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
     """Run the invariant checks on one instance; return the violated
     invariant's description or None."""
-    spectrum = spectral_decompose(problem.rho0)
+    rho = problem.rho0
     # The gauge-rephased instance is evaluated first, so that it and the
     # instance itself are never held at once.
     theta = rng.uniform(0.0, 2.0 * np.pi, size=problem.dim)
-    rephased = Spectrum(spectrum.lambdas, spectrum.basis_e * np.exp(1j * theta),
-                        spectrum.amps, spectrum.degenerate)
-    gamma_rephased = float(evaluate(prepare_from_spectrum(problem, rephased),
-                                    VERIFY_TIMES[1]).gamma_total[0])
-    prep = prepare_from_spectrum(problem, spectrum)
-    resid = ancilla_equation_residual(spectrum.amps, prep.h_prime, prep.frame.k)
+    rephased = Problem(DensityMatrix(rho.mat, rho.lambdas, rho.basis_e * np.exp(1j * theta),
+                                     rho.amps, rho.degenerate), problem.hamiltonian_lab)
+    gamma_rephased = float(evaluate(prepare_problem(rephased), VERIFY_TIMES[1]).gamma_total[0])
+    prep = prepare_problem(problem)
+    resid = ancilla_equation_residual(rho.amps, prep.h_prime, prep.frame.k)
     bound = tol * max(1.0, frobenius(prep.h_prime))
     if resid > bound:
         return f"ancilla-equation residual {resid:.3e} > {bound:.3e}"
-    resid = transport_residual(spectrum.amps, prep.h_prime, prep.frame)
+    resid = transport_residual(rho.amps, prep.h_prime, prep.frame)
     if resid > bound:
         return f"parallel-transport residual {resid:.3e} > {bound:.3e}"
     # the engine's total phase against the literal trace formula through exp(-iKt)
@@ -160,15 +160,10 @@ def cmd_compare(args) -> int:
         "sjoqvist": float(batch.sjoqvist[0]),
         "holonomy": holonomy,
     }
-    names = list(values)
-    distances = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            key = f"{a}_vs_{b}"
-            if math.isnan(values[a]) or math.isnan(values[b]):
-                distances[key] = None
-            else:
-                distances[key] = circular_distance(values[a], values[b])
+    distances = {
+        f"{a}_vs_{b}": None if math.isnan(x) or math.isnan(y) else circular_distance(x, y)
+        for (a, x), (b, y) in itertools.combinations(values.items(), 2)
+    }
     out = {
         "t": args.time,
         **{k: (None if math.isnan(v) else v) for k, v in values.items()},

@@ -22,7 +22,7 @@ import numpy as np
 
 from .angles import angle_or_raise
 from .errors import IndexOutOfRange
-from .linalg import dagger, hermitian_eig, polar_unitary, psd_sqrt, \
+from .linalg import dagger, hermitian_eig, polar_unitary, psd_sqrt, unitary_from_eig, \
     unitary_from_hamiltonian
 from .oracles import _check_grid
 from .phases import PreparedProblem, evolution_operator
@@ -54,7 +54,7 @@ def overlap_kernel(prep: PreparedProblem, j: int, u_t) -> complex:
     component j between times 0 and t. m_j(0) = q_j and |m_j| <= q_j."""
     if not 0 <= j < prep.dim:
         raise IndexOutOfRange(f"component {j} outside 0..{prep.dim - 1}")
-    w = prep.spectrum.amps * prep.frame.z[j, :]
+    w = prep.problem.rho0.amps * prep.frame.z[j, :]
     return complex(np.vdot(w, np.asarray(u_t) @ w))
 
 
@@ -85,7 +85,7 @@ def uhlmann_trace_phase(prep: PreparedProblem, t: float, u_t) -> float:
     is computed without the diagonalizing frame: v_t comes from its own
     eigendecomposition of k."""
     v_t = unitary_from_hamiltonian(prep.frame.k, t)
-    c = np.diag(prep.spectrum.amps)
+    c = np.diag(prep.problem.rho0.amps)
     return angle_or_raise(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
 
 
@@ -96,7 +96,7 @@ def sjoqvist_phase(prep: PreparedProblem, t: float, u_t) -> float:
     pure states only."""
     phases = np.exp(1j * np.diag(prep.h_prime).real * t)
     return angle_or_raise(complex(
-        (prep.spectrum.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
+        (prep.problem.rho0.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
 
 
 def component_state(j: int, u_t, amps, z) -> np.ndarray:
@@ -122,7 +122,7 @@ def parallel_residual(prep: PreparedProblem, j: int, t: float, delta: float) -> 
     """
     if not 1e-8 <= delta <= 1e-4:
         raise ValueError(f"delta {delta} outside [1e-8, 1e-4]")
-    amps, frame = prep.spectrum.amps, prep.frame
+    amps, frame = prep.problem.rho0.amps, prep.frame
     chi_t = component_state(j, evolution_operator(prep, t), amps, frame.z)
     chi_dt = component_state(j, evolution_operator(prep, t + delta), amps, frame.z)
     q_j = float(np.vdot(chi_t, chi_t).real)
@@ -151,7 +151,7 @@ def amplitude_chain(problem: Problem, t_end: float, steps: int) -> Iterator[np.n
     dt = t_end / steps
     for i in range(1, steps + 1):
         t = t_end if i == steps else i * dt  # the grid of np.linspace
-        u = (q_h * np.exp(-1j * w_h * t)) @ dagger(q_h)
+        u = unitary_from_eig(w_h, q_h, t)
         # sqrt(u rho0 u^dag) = u sqrt(rho0) u^dag: conjugation commutes
         # with the PSD root
         s = u @ sqrt0 @ dagger(u)

@@ -95,12 +95,12 @@ def random_instance(dim: int, rank: int, seed: int, h_scale: float = 1.0) -> Pro
         b = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         rho = b @ dagger(b)
         rho /= np.trace(rho).real
-        evals = np.linalg.eigvalsh(rho)
-        if evals[dim - rank] > 1e-6:
+        state = validate_density(rho)
+        if state.lambdas[rank - 1] > 1e-6:
             break
     else:  # pragma: no cover - probability is negligible
         raise RuntimeError(f"could not draw a clearly rank-{rank} state for seed {seed}")
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + dagger(a)) / 2.0
     h *= h_scale / frobenius(h)
-    return Problem(validate_density(rho), h)
+    return Problem(state, h)

@@ -7,7 +7,7 @@ representations z (unitary frames) of the ancilla's Hilbert space:
     m_j(z, t) = <e_j| z* C U(t) C z^T |e_j> = sum_a P_aj e^{-i eps_a t},
 
 with P = |Q^dag C z^T|^2 for h' = Q diag(eps) Q^dag (diagonalized once,
-by prepare_from_spectrum) and kappa_j(z) = -<psi_j|h'|psi_j> / q_j, the
+by prepare_problem) and kappa_j(z) = -<psi_j|h'|psi_j> / q_j, the
 negated energy of component psi_j = C z^T |e_j> of weight q_j. The frame
 that diagonalizes the ancilla Hamiltonian K (kappa_j its eigenvalues;
 E_j = -kappa_j is the parallel-transport condition) gives the total
@@ -33,7 +33,7 @@ import numpy as np
 
 from .angles import angle_or_nan
 from .linalg import dagger, hermitian_eig, unitary_from_eig
-from .states import Problem, Spectrum, hamiltonian_in_eigenbasis, spectral_decompose
+from .states import Problem, hamiltonian_in_eigenbasis
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
     solve_ancilla_hamiltonian
@@ -70,12 +70,12 @@ class PhaseBatch:
 
 @dataclass(frozen=True)
 class PreparedProblem:
-    """A problem with its eigenbasis data and ancilla frame solved,
-    ready for phase evaluation at any time. h_eigvals and h_eigvecs are
-    the eigendecomposition of h_prime (ascending, as from hermitian_eig)."""
+    """A problem with its ancilla frame solved in the eigenbasis
+    problem.rho0 carries, ready for phase evaluation at any time.
+    h_eigvals and h_eigvecs are the eigendecomposition of h_prime
+    (ascending, as from hermitian_eig)."""
 
     problem: Problem
-    spectrum: Spectrum
     h_prime: np.ndarray
     h_eigvals: np.ndarray
     h_eigvecs: np.ndarray
@@ -87,20 +87,16 @@ class PreparedProblem:
         return self.problem.dim
 
 
-def prepare_from_spectrum(problem: Problem, spectrum: Spectrum) -> PreparedProblem:
-    """Build the ancilla frame and weights for a given spectral
-    decomposition (callers can rephase or permute the eigenbasis)."""
-    h_prime = hamiltonian_in_eigenbasis(problem, spectrum)
-    h_eigvals, h_eigvecs = hermitian_eig(h_prime)
-    k = solve_ancilla_hamiltonian(spectrum.amps, h_prime)
-    frame = diagonalizing_frame(k)
-    weights = component_weights(spectrum.amps, frame.z)
-    return PreparedProblem(problem, spectrum, h_prime, h_eigvals, h_eigvecs, frame,
-                           weights)
-
-
 def prepare_problem(problem: Problem) -> PreparedProblem:
-    return prepare_from_spectrum(problem, spectral_decompose(problem.rho0))
+    """Build the ancilla frame and weights in the state eigenbasis.
+    A check in another gauge passes a Problem whose state has a
+    rephased basis_e."""
+    amps = problem.rho0.amps
+    h_prime = hamiltonian_in_eigenbasis(problem)
+    h_eigvals, h_eigvecs = hermitian_eig(h_prime)
+    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_prime))
+    weights = component_weights(amps, frame.z)
+    return PreparedProblem(problem, h_prime, h_eigvals, h_eigvecs, frame, weights)
 
 
 def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
@@ -113,23 +109,30 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     or a 1-D sequence; repeats and negative times are allowed).
 
     Costs one n x n by n x T product per quantity and no
-    eigendecomposition; nothing of size T x n x n is formed.
+    eigendecomposition; nothing of size T x n x n is formed. Raises
+    ValueError past |t| E = 2**52, E the largest |eps_a| or |kappa_j|,
+    where doubles at the phase arguments t E are 1 rad or more apart.
     """
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
-    frame, q_h, weights = prep.frame, prep.h_eigvecs, prep.weights
+    rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.h_eigvecs, prep.weights
+    energy = float(max(np.abs(prep.h_eigvals).max(), np.abs(frame.kappas).max()))
+    late = t[np.abs(t) > 2.0**52 / energy] if energy else t[:0]  # t E itself may overflow
+    if late.size:
+        raise ValueError(f"time {float(late[0]):g} is past the resolvable range: |t| times "
+                         f"the largest energy {energy:.3e} exceeds 2**52")
     e = np.exp(-1j * np.outer(t, prep.h_eigvals))  # e^{-i eps_a t}, [time, a]
     d = np.exp(-1j * np.outer(t, frame.kappas))  # e^{-i kappa_b t}, [time, b]
     # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
-    p = np.abs(dagger(q_h) @ (frame.z * prep.spectrum.amps).T) ** 2
+    p = np.abs(dagger(q_h) @ (frame.z * rho.amps).T) ** 2
     overlaps = e @ p
     rotated = overlaps * d  # m_j e^{-i kappa_j t}
     total = rotated.sum(axis=1)
     trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
     # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
-    p_i = (np.abs(q_h) ** 2).T * prep.spectrum.lambdas
+    p_i = (np.abs(q_h) ** 2).T * rho.lambdas
     d_i = np.exp(-1j * np.outer(t, -np.diag(prep.h_prime).real))
     interferometric = ((e @ p_i) * d_i).sum(axis=1)
     live = weights > DEFAULT_TOL.weight
@@ -146,5 +149,5 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
         gamma=np.where(live, np.angle(rotated), 0.0),
         dyn_phase=np.outer(t, frame.kappas),
         total_phase=np.where(live, np.angle(overlaps), 0.0),
-        degenerate_spectrum_warning=prep.spectrum.degenerate,
+        degenerate_spectrum_warning=rho.degenerate,
     )

@@ -59,10 +59,9 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
 
 
-def problem_from_dict(data: dict) -> Problem:
-    """Parse and validate a problem-file dictionary. Shape errors raise
-    ProblemFileError; density-matrix invariant violations propagate from
-    validation with the violated invariant named."""
+def _matrices_from_dict(data) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, hamiltonian) of a problem-file dictionary; shape errors raise
+    ProblemFileError."""
     if not isinstance(data, dict):
         raise ProblemFileError("problem file must be a JSON object")
     for key in ("dimension", "rho", "hamiltonian"):
@@ -71,8 +70,15 @@ def problem_from_dict(data: dict) -> Problem:
     n = data["dimension"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ProblemFileError(f"dimension must be a positive integer, got {n!r}")
-    rho = _matrix_from_pairs(data["rho"], n, "rho")
-    ham = _matrix_from_pairs(data["hamiltonian"], n, "hamiltonian")
+    return (_matrix_from_pairs(data["rho"], n, "rho"),
+            _matrix_from_pairs(data["hamiltonian"], n, "hamiltonian"))
+
+
+def problem_from_dict(data: dict) -> Problem:
+    """Parse and validate a problem-file dictionary. Shape errors raise
+    ProblemFileError; density-matrix invariant violations propagate from
+    validation with the violated invariant named."""
+    rho, ham = _matrices_from_dict(data)
     return Problem(validate_density(rho), ham)
 
 
@@ -101,7 +107,9 @@ def load_problem(path) -> Problem:
         finally:
             if enabled:
                 gc.enable()
-    return problem_from_dict(data)
+    rho, ham = _matrices_from_dict(data)
+    del data  # free the parsed tree before validation decomposes rho
+    return Problem(validate_density(rho), ham)
 
 
 def save_problem(problem: Problem, path) -> None:

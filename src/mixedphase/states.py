@@ -1,10 +1,9 @@
 """Typed quantum-state layer.
 
-Density-matrix validation, spectral decomposition into eigenvalues and
-an eigenbasis, and the rotation of a lab-frame Hamiltonian into that
-eigenbasis. Everything downstream works in the initial-state eigenbasis,
-where the state is diag(lambdas) and the amplitude matrix is
-diag(sqrt(lambdas)).
+Density-matrix validation, which makes the one eigendecomposition of the
+state, and the rotation of a lab-frame Hamiltonian into that eigenbasis.
+Everything downstream works in the initial-state eigenbasis, where the
+state is diag(lambdas) and the amplitude matrix is diag(sqrt(lambdas)).
 """
 
 from __future__ import annotations
@@ -21,30 +20,20 @@ from .tolerances import DEFAULT_TOL
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density operator: Hermitian, PSD, unit trace.
-
-    Construct through validate_density; the stored matrix is a private
-    copy and is never mutated (tiny negative eigenvalues within the PSD
-    floor are tolerated, not repaired).
-    """
-
-    mat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Spectral data of a density matrix.
+    """Validated density operator (Hermitian, PSD, unit trace) with its
+    eigendecomposition.
 
     lambdas are descending and clamped to [0, 1]; column j of basis_e is
     the eigenvector for lambdas[j]; amps = sqrt(lambdas). degenerate is
     set when two consecutive eigenvalues are closer than the degeneracy
     gap, in which case eigenbasis-dependent quantities are not unique.
+    Construct through validate_density, or from a validated state with
+    basis_e rephased column by column (a gauge change). mat is a private
+    copy and is never mutated (tiny negative eigenvalues within the PSD
+    floor are tolerated, not repaired).
     """
 
+    mat: np.ndarray
     lambdas: np.ndarray
     basis_e: np.ndarray
     amps: np.ndarray
@@ -52,7 +41,7 @@ class Spectrum:
 
     @property
     def dim(self) -> int:
-        return self.lambdas.size
+        return self.mat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -86,40 +75,31 @@ class Problem:
 
 
 def validate_density(mat) -> DensityMatrix:
-    """Check the density-matrix invariants and wrap the matrix.
+    """Check the density-matrix invariants and decompose the matrix.
 
     Raises NotHermitian (require_hermitian's test, which holds at any
     finite magnitude), NotUnitTrace, or NotPSD naming the violated
-    invariant with the measured residual. Eigenvalues in [-psd, 0) are
-    tolerated but not mutated.
+    invariant with the measured residual. The eigenvalues come from
+    scaled(mat), so the PSD test holds at any finite magnitude too; below
+    ||rho||_F = 1e300 that is mat itself, and no unit-trace PSD matrix
+    lies above it. Eigenvalues in [-psd, 0) are tolerated but not mutated.
     """
     mat = np.array(require_hermitian(mat))  # private copy
     trace = complex(np.trace(mat))
     if abs(trace - 1.0) > DEFAULT_TOL.unit_trace:
         raise NotUnitTrace(trace)
-    evals = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
-    if evals[0] < -DEFAULT_TOL.psd:
-        raise NotPSD(float(evals[0]))
-    return DensityMatrix(mat)
-
-
-def spectral_decompose(rho: DensityMatrix) -> Spectrum:
-    """Eigenvalues (descending, clamped to [0, 1]), eigenbasis, and
-    amplitudes sqrt(lambda) of a validated density matrix."""
-    w, q = hermitian_eig(rho.mat)
+    b, scale, _ = scaled(mat)
+    w, q = hermitian_eig(b)
+    if float(w[0]) * scale < -DEFAULT_TOL.psd:
+        raise NotPSD(float(w[0]) * scale)
     lambdas = np.clip(w[::-1], 0.0, 1.0)
-    basis_e = q[:, ::-1]
     gaps = lambdas[:-1] - lambdas[1:]
     degenerate = bool(gaps.size and np.min(gaps) < DEFAULT_TOL.degeneracy_gap)
-    return Spectrum(lambdas, basis_e, np.sqrt(lambdas), degenerate)
+    return DensityMatrix(mat, lambdas, q[:, ::-1], np.sqrt(lambdas), degenerate)
 
 
-def hamiltonian_in_eigenbasis(problem: Problem, spectrum: Spectrum) -> np.ndarray:
+def hamiltonian_in_eigenbasis(problem: Problem) -> np.ndarray:
     """Rotate the lab-frame Hamiltonian into the state eigenbasis,
-    h' = e^dag h e. Spectrum-preserving; Hermitian up to roundoff."""
-    if spectrum.dim != problem.dim:
-        raise DimensionMismatch(
-            f"spectrum has dimension {spectrum.dim}, problem has {problem.dim}"
-        )
-    e = spectrum.basis_e
+    h' = e^dag h e. Preserves the spectrum; Hermitian up to roundoff."""
+    e = problem.rho0.basis_e
     return dagger(e) @ problem.hamiltonian_lab @ e

@@ -31,8 +31,8 @@ from mixedphase.literal import (
     total_geometric_phase,
     uhlmann_trace_phase,
 )
-from mixedphase.phases import evolution_operator, prepare_from_spectrum
-from mixedphase.states import Spectrum
+from mixedphase.phases import evolution_operator
+from mixedphase.states import DensityMatrix
 from mixedphase.transport import (
     ancilla_equation_residual,
     diagonalizing_frame,
@@ -79,7 +79,7 @@ def test_criterion_1_total_phase_equals_trace_phase():
 def test_criterion_2_ancilla_equation_solver():
     worst_resid = worst_herm = 0.0
     for prep in _instances():
-        resid = ancilla_equation_residual(prep.spectrum.amps, prep.h_prime,
+        resid = ancilla_equation_residual(prep.problem.rho0.amps, prep.h_prime,
                                           prep.frame.k)
         worst_resid = max(worst_resid,
                           resid / max(1.0, frobenius(prep.h_prime)))
@@ -93,7 +93,7 @@ def test_criterion_2_ancilla_equation_solver():
 def test_criterion_3_parallel_transport():
     worst = worst_exact = 0.0
     for prep in _instances():
-        exact = transport_residual(prep.spectrum.amps, prep.h_prime, prep.frame)
+        exact = transport_residual(prep.problem.rho0.amps, prep.h_prime, prep.frame)
         worst_exact = max(worst_exact, exact / max(1.0, frobenius(prep.h_prime)))
         for t in (0.3, 1.7):
             for j in range(prep.dim):
@@ -156,7 +156,7 @@ def test_criterion_5_pure_state_limit():
         u = evolution_operator(prep, t)
         gamma = total_geometric_phase(prep, t, u)
         sjo = sjoqvist_phase(prep, t, u)
-        psi = prep.spectrum.basis_e[:, 0]
+        psi = prep.problem.rho0.basis_e[:, 0]
         panch = pancharatnam_phase(psi, problem.hamiltonian_lab, t)
         worst = max(worst, circular_distance(gamma, sjo),
                     circular_distance(gamma, panch), circular_distance(sjo, panch))
@@ -225,12 +225,12 @@ def test_criterion_7_structural_invariants():
     for prep in _instances()[::10]:
         t = 1.7
         gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
-        spec = prep.spectrum
-        rephased = Spectrum(spec.lambdas,
-                            spec.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi,
-                                                                   prep.dim)),
-                            spec.amps, spec.degenerate)
-        prep2 = prepare_from_spectrum(prep.problem, rephased)
+        rho = prep.problem.rho0
+        rephased = DensityMatrix(rho.mat, rho.lambdas,
+                                 rho.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi,
+                                                                       prep.dim)),
+                                 rho.amps, rho.degenerate)
+        prep2 = prepare_problem(Problem(rephased, prep.problem.hamiltonian_lab))
         gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
         worst_gauge = max(worst_gauge, circular_distance(gamma, gamma2))
     if worst_gauge > 1e-9:
@@ -245,9 +245,9 @@ def test_criterion_7_structural_invariants():
                 rep = component_report(prep, j, t, u)
                 worst_nu = max(worst_nu, rep.visibility - (1.0 + 1e-10))
             total = sum(np.outer(chi, chi.conj()) for chi in
-                        (component_state(j, u, prep.spectrum.amps, prep.frame.z)
+                        (component_state(j, u, prep.problem.rho0.amps, prep.frame.z)
                          for j in range(prep.dim)))
-            rho_t = u @ np.diag(prep.spectrum.lambdas) @ dagger(u)
+            rho_t = u @ np.diag(prep.problem.rho0.lambdas) @ dagger(u)
             worst_rebuild = max(worst_rebuild, frobenius(total - rho_t))
     if worst_q > 1e-10:
         failures.append(f"weight sum off by {worst_q:.2e}")

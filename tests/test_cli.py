@@ -306,3 +306,36 @@ def test_unallocatable_size_exits_2(mixed_file, capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
+    # rho + rho^dag overflows; validation decomposes the scaled matrix
+    rho = [[[0.5, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.5, 0.0]]]
+    path = _problem_file(tmp_path, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], rho)
+    assert main(["compute", "--input", path, "-t", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not positive semidefinite: smallest eigenvalue -1.000e+308" in captured.err
+    assert "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("scale, t, code", [
+    (6e307, "0", 0),
+    (6e307, "1", 2),    # |t| E = 6e307: the phase arguments are unresolved
+    (6e307, "3", 2),    # t E itself overflows a double
+    (0.5, "1e17", 2),   # |t| E = 5e16 > 2**52 on a unit-norm qubit
+    (0.5, "-1e17", 2),
+    (0.5, "9e15", 0),   # |t| E = 4.5e15, just inside 2**52
+])
+def test_time_past_the_resolvable_range_exits_2(tmp_path, capsys, scale, t, code):
+    path = _problem_file(tmp_path, [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-scale, 0.0]]])
+    assert main(["compute", "--input", path, f"--time={t}"]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert f"time {float(t):g} is past the resolvable range" in captured.err
+        assert "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+    else:
+        assert captured.err == ""

@@ -93,7 +93,7 @@ def test_batch_matches_literal_definitions(case):
         assert_phase_close(batch.uhlmann[i],
                            literal_or_nan(uhlmann_trace_phase, prep, t, u),
                            magnitude, "uhlmann")
-        sjo_magnitude = abs(np.sum(prep.spectrum.lambdas * np.diag(u)
+        sjo_magnitude = abs(np.sum(prep.problem.rho0.lambdas * np.diag(u)
                                    * np.exp(1j * np.diag(prep.h_prime).real * t)))
         assert_phase_close(batch.sjoqvist[i],
                            literal_or_nan(sjoqvist_phase, prep, t, u),

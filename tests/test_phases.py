@@ -27,9 +27,9 @@ from mixedphase.literal import (
     total_geometric_phase,
     uhlmann_trace_phase,
 )
-from mixedphase.phases import evolution_operator, prepare_from_spectrum
+from mixedphase.phases import evolution_operator
 from mixedphase.serialize import report_to_dict
-from mixedphase.states import Spectrum
+from mixedphase.states import DensityMatrix
 from mixedphase.transport import diagonalizing_frame
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -76,7 +76,7 @@ def test_overlap_equals_direct_component_inner_product():
     # maximally mixed qubit driven along x: kernel vs explicit states
     prob = Problem(validate_density(np.eye(2) / 2), 0.5 * SX)
     prep = prepare_problem(prob)
-    amps, z = prep.spectrum.amps, prep.frame.z
+    amps, z = prep.problem.rho0.amps, prep.frame.z
     for t in (0.4, 1.3, 2.9):
         u = evolution_operator(prep, t)
         for j in range(2):
@@ -264,10 +264,10 @@ def test_gauge_invariance_under_eigenvector_rephasing():
         prep = prepare_problem(problem)
         t = 1.7
         gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
-        spec = prep.spectrum
-        rephased = Spectrum(spec.lambdas, spec.basis_e * np.exp(1j * rng.uniform(
-            0, 2 * np.pi, 4)), spec.amps, spec.degenerate)
-        prep2 = prepare_from_spectrum(problem, rephased)
+        rho = problem.rho0
+        rephased = DensityMatrix(rho.mat, rho.lambdas, rho.basis_e * np.exp(1j * rng.uniform(
+            0, 2 * np.pi, 4)), rho.amps, rho.degenerate)
+        prep2 = prepare_problem(Problem(rephased, problem.hamiltonian_lab))
         gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
         assert circular_distance(gamma, gamma2) <= 1e-9
 
@@ -278,7 +278,7 @@ def test_total_phase_ignores_ancilla_kernel_freedom():
     rng = np.random.default_rng(81)
     problem = random_instance(4, 2, 82)
     prep = prepare_problem(problem)
-    kernel = np.where(prep.spectrum.lambdas < 1e-12)[0]
+    kernel = np.where(prep.problem.rho0.lambdas < 1e-12)[0]
     assert kernel.size == 2
     x = np.zeros((4, 4), dtype=complex)
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -1,6 +1,7 @@
-"""State-layer tests: density validation, spectral decomposition, and
-the eigenbasis rotation of the Hamiltonian."""
+"""State-layer tests: density validation and the eigendecomposition it
+makes, and the eigenbasis rotation of the Hamiltonian."""
 
+import collections
 import re
 
 import numpy as np
@@ -12,11 +13,14 @@ from mixedphase import (
     NotPSD,
     NotUnitTrace,
     Problem,
+    load_problem,
     prepare_problem,
+    random_instance,
+    save_problem,
     validate_density,
 )
 from mixedphase.linalg import dagger, frobenius, unitary_from_hamiltonian
-from mixedphase.states import Spectrum, hamiltonian_in_eigenbasis, spectral_decompose
+from mixedphase.states import DensityMatrix, hamiltonian_in_eigenbasis
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -31,15 +35,13 @@ def random_density(rng, n, rank=None):
 
 
 def test_maximally_mixed_qubit_is_valid():
-    dm = validate_density(np.eye(2) / 2)
-    spec = spectral_decompose(dm)
+    spec = validate_density(np.eye(2) / 2)
     np.testing.assert_allclose(spec.lambdas, [0.5, 0.5])
 
 
 def test_valid_correlated_qubit():
     # eigenvalues (1 +- sqrt(0.4))/2, both positive
-    dm = validate_density(np.array([[0.6, 0.3], [0.3, 0.4]]))
-    spec = spectral_decompose(dm)
+    spec = validate_density(np.array([[0.6, 0.3], [0.3, 0.4]]))
     expected = np.array([(1 + np.sqrt(0.4)) / 2, (1 - np.sqrt(0.4)) / 2])
     np.testing.assert_allclose(spec.lambdas, expected, atol=1e-12)
 
@@ -47,6 +49,13 @@ def test_valid_correlated_qubit():
 def test_negative_determinant_rejected_as_not_psd():
     with pytest.raises(NotPSD):
         validate_density(np.array([[0.6, 0.6], [0.6, 0.4]]))
+
+
+def test_non_psd_beyond_the_symmetrization_range_rejected():
+    # rho + rho^dag would overflow; the eigenvalues come from the scaled
+    # matrix (a RuntimeWarning is an error in this suite)
+    with pytest.raises(NotPSD, match=re.escape("smallest eigenvalue -1.000e+308 ")):
+        validate_density(np.array([[0.5, 1e308], [1e308, 0.5]]))
 
 
 def test_wrong_trace_rejected():
@@ -72,16 +81,16 @@ def test_error_messages_name_residual():
         validate_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
-def test_spectral_decompose_diagonal():
-    spec = spectral_decompose(validate_density(np.diag([0.75, 0.25])))
+def test_validate_density_decomposes_diagonal():
+    spec = validate_density(np.diag([0.75, 0.25]))
     np.testing.assert_allclose(spec.lambdas, [0.75, 0.25])
     np.testing.assert_allclose(np.abs(spec.basis_e), np.eye(2), atol=1e-14)
     np.testing.assert_allclose(np.diag(spec.amps), np.diag(np.sqrt([0.75, 0.25])),
                                atol=1e-15)
 
 
-def test_spectral_decompose_pure_projector():
-    spec = spectral_decompose(validate_density(np.outer(PLUS, PLUS.conj())))
+def test_validate_density_decomposes_pure_projector():
+    spec = validate_density(np.outer(PLUS, PLUS.conj()))
     np.testing.assert_allclose(spec.lambdas, [1.0, 0.0], atol=1e-14)
     assert abs(abs(np.vdot(spec.basis_e[:, 0], PLUS)) - 1) < 1e-12
 
@@ -89,7 +98,7 @@ def test_spectral_decompose_pure_projector():
 def test_spectral_reconstruction_random():
     rng = np.random.default_rng(21)
     rho = random_density(rng, 4)
-    spec = spectral_decompose(validate_density(rho))
+    spec = validate_density(rho)
     rebuilt = (spec.basis_e * spec.lambdas) @ dagger(spec.basis_e)
     assert frobenius(rebuilt - rho) <= 1e-10
     # C C^dag reproduces the state in its own eigenbasis
@@ -100,7 +109,7 @@ def test_spectral_reconstruction_random():
 def test_spectrum_sums_and_clamping():
     rng = np.random.default_rng(22)
     for n, rank in ((2, 2), (4, 2), (6, 6)):
-        spec = spectral_decompose(validate_density(random_density(rng, n, rank)))
+        spec = validate_density(random_density(rng, n, rank))
         assert abs(spec.lambdas.sum() - 1.0) <= 1e-10
         assert abs((spec.amps**2).sum() - 1.0) <= 1e-10
         assert np.all(spec.lambdas >= 0.0) and np.all(spec.lambdas <= 1.0)
@@ -108,23 +117,38 @@ def test_spectrum_sums_and_clamping():
 
 
 def test_degenerate_flag():
-    assert spectral_decompose(validate_density(np.eye(2) / 2)).degenerate
-    assert not spectral_decompose(validate_density(np.diag([0.7, 0.3]))).degenerate
+    assert validate_density(np.eye(2) / 2).degenerate
+    assert not validate_density(np.diag([0.7, 0.3])).degenerate
+
+
+def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
+    path = tmp_path / "problem.json"
+    save_problem(random_instance(5, 3, 11), path)
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    prepare_problem(load_problem(path))
+    assert calls == {"eigh": 3}  # rho (in validation), h' and K
+    calls.clear()
+    random_instance(8, 8, 3)
+    assert calls == {"eigh": 1}
 
 
 def test_hamiltonian_rotation_identity_for_diagonal_state():
     problem = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
-    spec = spectral_decompose(problem.rho0)
-    np.testing.assert_allclose(hamiltonian_in_eigenbasis(problem, spec), 0.5 * SZ,
+    np.testing.assert_allclose(hamiltonian_in_eigenbasis(problem), 0.5 * SZ,
                                atol=1e-14)
 
 
 def test_hamiltonian_rotation_hadamard_swap():
     # basis along |+>/|->: sigma_z becomes sigma_x
     rho = 0.8 * np.outer(PLUS, PLUS.conj()) + 0.2 * (np.eye(2) - np.outer(PLUS, PLUS.conj()))
-    problem = Problem(validate_density(rho), 0.5 * SZ)
-    spec = Spectrum(np.array([0.8, 0.2]), HADAMARD, np.sqrt([0.8, 0.2]), False)
-    h_prime = hamiltonian_in_eigenbasis(problem, spec)
+    rho0 = validate_density(rho)
+    state = DensityMatrix(rho0.mat, rho0.lambdas, HADAMARD, rho0.amps, rho0.degenerate)
+    h_prime = hamiltonian_in_eigenbasis(Problem(state, 0.5 * SZ))
     np.testing.assert_allclose(h_prime, 0.5 * np.array([[0, 1], [1, 0]]), atol=1e-14)
 
 
@@ -134,8 +158,7 @@ def test_hamiltonian_rotation_preserves_spectrum():
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = (a + dagger(a)) / 2
     problem = Problem(validate_density(rho), h)
-    spec = spectral_decompose(problem.rho0)
-    h_prime = hamiltonian_in_eigenbasis(problem, spec)
+    h_prime = hamiltonian_in_eigenbasis(problem)
     assert frobenius(h_prime - dagger(h_prime)) <= 1e-10
     np.testing.assert_allclose(np.linalg.eigvalsh(h_prime), np.linalg.eigvalsh(h),
                                atol=1e-10)
