@@ -1,5 +1,8 @@
 """Exception types raised across the package."""
 
+import math
+from decimal import Decimal
+
 from .tolerances import DEFAULT_TOL
 
 
@@ -21,10 +24,16 @@ class NotHermitian(GeometricPhaseError):
 class NotPSD(GeometricPhaseError):
     """Matrix has an eigenvalue below the positive-semidefinite floor."""
 
-    def __init__(self, min_eigenvalue: float):
-        self.min_eigenvalue = min_eigenvalue
+    def __init__(self, eigenvalue: float, scale: float = 1.0):
+        """The smallest eigenvalue is eigenvalue * scale, with scale the
+        power of two a matrix past the double range was divided by. Where
+        that product overflows, the message formats it through Decimal;
+        elsewhere as a float, whose exponent has at least two digits."""
+        self.min_eigenvalue = eigenvalue * scale
+        shown = (Decimal(eigenvalue) * Decimal(scale)
+                 if math.isinf(self.min_eigenvalue) else self.min_eigenvalue)
         super().__init__(
-            f"not positive semidefinite: smallest eigenvalue {min_eigenvalue:.3e} "
+            f"not positive semidefinite: smallest eigenvalue {shown:.3e} "
             f"is below -{DEFAULT_TOL.psd:.1e}"
         )
 

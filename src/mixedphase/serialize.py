@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -24,6 +25,28 @@ class ProblemFileError(GeometricPhaseError):
 
 
 def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
+    # C-level scans of the rows, entries and values, then one conversion.
+    # Exact types: JSON true/false load as bool, an int subclass.
+    if (type(obj) is list and len(obj) == n and set(map(type, obj)) == {list}
+            and set(map(len, obj)) == {n}):
+        entries = list(chain.from_iterable(obj))
+        if (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}
+                and set(map(type, chain.from_iterable(entries))) <= {int, float}):
+            try:
+                # .view keeps the sign of a -0.0 real part; re + 1j*im would not
+                out = np.array(entries, dtype=float).view(complex).reshape(n, n)
+            except OverflowError:  # an integer too large for a double
+                pass
+            else:
+                if not np.isfinite(out).all():
+                    raise ProblemFileError(f"{name}: non-finite entries")
+                return out
+    return _matrix_from_pairs_walk(obj, n, name)
+
+
+def _matrix_from_pairs_walk(obj, n: int, name: str) -> np.ndarray:
+    """Entry-by-entry parse, which names the first malformed entry; the
+    scans in _matrix_from_pairs send every such matrix here."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ProblemFileError(
             f"{name}: expected {n} rows to match dimension {n}, "
@@ -37,7 +60,6 @@ def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
                 f"got {len(row) if isinstance(row, list) else type(row).__name__}"
             )
         for j, entry in enumerate(row):
-            # exact types: JSON true/false load as bool, an int subclass
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
                     or type(entry[0]) not in (int, float)
                     or type(entry[1]) not in (int, float)):
@@ -56,7 +78,8 @@ def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+    m = np.asarray(m, complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _matrices_from_dict(data) -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +198,22 @@ def sweep_header(dim: int) -> str:
 
 def sweep_to_csv(batch: PhaseBatch) -> str:
     """One row per time in the sweep_header column order, formatted
-    straight from the batch arrays."""
+    straight from the batch arrays.
+
+    q_j does not depend on t, so it is formatted once, into a %-template
+    for the row; each row fills in only t, the four headline columns and
+    the nu_j, gamma_j pairs. repr and str of a float are the same text.
+    """
     n = batch.q.size
-    table = np.empty((len(batch), 5 + 3 * n))
+    table = np.empty((len(batch), 5 + 2 * n))
     for col, values in enumerate((batch.t, batch.gamma_total, batch.uhlmann,
                                   batch.sjoqvist, batch.overlap_magnitude)):
         table[:, col] = values
-    table[:, 5::3] = batch.q
-    table[:, 6::3] = batch.visibility
-    table[:, 7::3] = batch.gamma
+    table[:, 5::2] = batch.visibility
+    table[:, 6::2] = batch.gamma
+    template = ",".join(["%r"] * 5 + [f"{q!r},%r,%r" for q in batch.q.tolist()])
     lines = [sweep_header(n)]
-    lines += [",".join(map(str, row.tolist())) for row in table]
+    lines += [template % tuple(row.tolist()) for row in table]
     lines.append("")  # the trailing newline, without copying the joined text
     return "\n".join(lines)
 

@@ -91,7 +91,7 @@ def validate_density(mat) -> DensityMatrix:
     b, scale, _ = scaled(mat)
     w, q = hermitian_eig(b)
     if float(w[0]) * scale < -DEFAULT_TOL.psd:
-        raise NotPSD(float(w[0]) * scale)
+        raise NotPSD(float(w[0]), scale)
     lambdas = np.clip(w[::-1], 0.0, 1.0)
     gaps = lambdas[:-1] - lambdas[1:]
     degenerate = bool(gaps.size and np.min(gaps) < DEFAULT_TOL.degeneracy_gap)

@@ -224,7 +224,8 @@ def test_unknown_command_exits_2():
 def _problem_file(tmp_path, hamiltonian, rho=None):
     rho = rho or [[[0.5, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.5, 0.0]]]
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"dimension": 2, "rho": rho, "hamiltonian": hamiltonian}))
+    path.write_text(json.dumps({"dimension": len(hamiltonian), "rho": rho,
+                                "hamiltonian": hamiltonian}))
     return str(path)
 
 
@@ -309,15 +310,22 @@ def test_unallocatable_size_exits_2(mixed_file, capsys, argv):
 
 
 def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
-    # rho + rho^dag overflows; validation decomposes the scaled matrix
-    rho = [[[0.5, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.5, 0.0]]]
-    path = _problem_file(tmp_path, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], rho)
-    assert main(["compute", "--input", path, "-t", "1.0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "not positive semidefinite: smallest eigenvalue -1.000e+308" in captured.err
-    assert "Traceback" not in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+    # rho + rho^dag overflows; validation decomposes the scaled matrix. In
+    # the 3x3 case the smallest eigenvalue itself lies past the double range.
+    x = 1.7e308
+    for rho, eigenvalue in [
+        ([[0.5, 1e308], [1e308, 0.5]], "-1.000e+308"),
+        ([[0.5, x, x], [x, 0.25, -x], [x, -x, 0.25]], "-3.400e+308"),
+    ]:
+        zero = [[[0.0, 0.0]] * len(rho)] * len(rho)
+        path = _problem_file(tmp_path, zero, [[[v, 0.0] for v in row] for row in rho])
+        assert main(["compute", "--input", path, "-t", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"not positive semidefinite: smallest eigenvalue {eigenvalue} "
+                in captured.err)
+        assert "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("scale, t, code", [

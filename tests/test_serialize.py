@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mixedphase import (
     NotPSD,
@@ -19,6 +20,7 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase.serialize import (
+    _matrix_from_pairs_walk,
     problem_from_dict,
     problem_to_dict,
     report_to_dict,
@@ -121,3 +123,87 @@ def test_sweep_header_and_nan_rows():
     assert len(fields) == 11
     assert fields[1] == "nan"  # undefined phase serializes as the literal nan
     assert not math.isnan(float(fields[4]))
+
+
+def csv_reference(batch):
+    """The CSV of batch formatted cell by cell: every float, q_j in every
+    row included, through str."""
+    n = batch.q.size
+    table = np.empty((len(batch), 5 + 3 * n))
+    for col, values in enumerate((batch.t, batch.gamma_total, batch.uhlmann,
+                                  batch.sjoqvist, batch.overlap_magnitude)):
+        table[:, col] = values
+    table[:, 5::3] = batch.q
+    table[:, 6::3] = batch.visibility
+    table[:, 7::3] = batch.gamma
+    rows = [",".join(map(str, row.tolist())) for row in table]
+    return "\n".join([sweep_header(n)] + rows + [""])
+
+
+def nodal_qubit():
+    """The r = 0.6 qubit under sz/2: its headline phases are nan at 5 pi."""
+    rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
+    return Problem(validate_density(rho), 0.5 * SZ)
+
+
+@st.composite
+def sweeps(draw):
+    times = draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8))
+    times += [times[0]]  # a repeated time in every batch
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, 10 * np.pi, draw(st.sampled_from([3, 5, 11])))
+        return nodal_qubit(), times + grid.tolist()
+    n = draw(st.integers(1, 16))
+    rank = draw(st.sampled_from(sorted({n, max(1, n // 2), 1})))
+    return random_instance(n, rank, draw(st.integers(0, 2**32 - 1))), times
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+@example((nodal_qubit(), np.linspace(-10 * np.pi, 10 * np.pi, 5).tolist()))
+def test_sweep_csv_matches_cell_by_cell_formatting(case):
+    problem, times = case
+    batch = evaluate(prepare_problem(problem), times)
+    assert sweep_to_csv(batch) == csv_reference(batch)
+
+
+def _entries_problem(hamiltonian, rho=None):
+    rho = rho or [[[0.5, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.5, 0.0]]]
+    return {"dimension": len(hamiltonian), "rho": rho, "hamiltonian": hamiltonian}
+
+
+def test_matrix_parse_keeps_ints_tuples_and_signed_zeros_exact():
+    hamiltonian = [[(2**70, -0.0), [1, 2.5]], [[1, -2.5], [-0.0, 0]]]
+    rho = [[[1, 0], (0.0, -0.0)], [(-0.0, 0), [0, 0.0]]]
+    problem = problem_from_dict(_entries_problem(hamiltonian, rho))
+    for got, pairs in ((problem.hamiltonian_lab, hamiltonian), (problem.rho0.mat, rho)):
+        want = np.array([[complex(re, im) for re, im in row] for row in pairs])
+        assert got.tobytes() == want.tobytes()  # bitwise, signs of zero included
+        assert got.tobytes() == _matrix_from_pairs_walk(pairs, 2, "m").tobytes()
+    assert np.signbit(problem.hamiltonian_lab.imag[0, 0])
+    assert np.signbit(problem.hamiltonian_lab.real[1, 1])
+
+
+ZERO = [0.0, 0.0]
+
+
+@pytest.mark.parametrize("hamiltonian, message", [
+    ([[[True, 0.0], ZERO], [ZERO, ZERO]],
+     "hamiltonian[0][0]: complex entries must be [re, im] pairs"),
+    ([[ZERO, ["1.0", 0.0]], [ZERO, ZERO]],
+     "hamiltonian[0][1]: complex entries must be [re, im] pairs"),
+    ([[ZERO, ZERO], [[0.0, 0.0, 0.0], ZERO]],
+     "hamiltonian[1][0]: complex entries must be [re, im] pairs"),
+    ([[ZERO, ZERO], [ZERO, 0.0]],
+     "hamiltonian[1][1]: complex entries must be [re, im] pairs"),
+    ([[ZERO, ZERO], [ZERO]], "hamiltonian: row 1 must have 2 entries, got 1"),
+    ([{"re": 0.0, "im": 0.0}, [ZERO, ZERO]],
+     "hamiltonian: row 0 must have 2 entries, got dict"),
+    ([[ZERO, ZERO], [ZERO, [0.0, 10**400]]],
+     "hamiltonian[1][1]: entry is too large for a double"),
+    ([[ZERO, [float("nan"), 0.0]], [ZERO, ZERO]], "hamiltonian: non-finite entries"),
+])
+def test_matrix_parse_rejections_name_the_entry(hamiltonian, message):
+    with pytest.raises(ProblemFileError) as exc:
+        problem_from_dict(_entries_problem(hamiltonian))
+    assert str(exc.value) == message

@@ -58,6 +58,17 @@ def test_non_psd_beyond_the_symmetrization_range_rejected():
         validate_density(np.array([[0.5, 1e308], [1e308, 0.5]]))
 
 
+def test_non_psd_eigenvalue_past_the_double_range_named_finitely():
+    # every entry is finite, but the smallest eigenvalue, -3.78 times the
+    # scale 2**1022, is not: the message still prints its magnitude
+    x = 1.7e308
+    with pytest.raises(NotPSD) as exc:
+        validate_density(np.array([[0.5, x, x], [x, 0.25, -x], [x, -x, 0.25]]))
+    assert str(exc.value) == ("not positive semidefinite: smallest eigenvalue "
+                              "-3.400e+308 is below -1.0e-12")
+    assert exc.value.min_eigenvalue == -np.inf
+
+
 def test_wrong_trace_rejected():
     with pytest.raises(NotUnitTrace):
         validate_density(np.eye(2))
