@@ -22,7 +22,6 @@ from .errors import (
     NotHermitian,
     NotPSD,
     NotUnitTrace,
-    VanishingOverlap,
 )
 from .oracles import discrete_uhlmann_holonomy, pancharatnam_phase, random_instance
 from .phases import PhaseBatch, PreparedProblem, evaluate, prepare_problem

@@ -1,12 +1,12 @@
 """Phase arithmetic on the circle, and the one nodal-point convention:
 a phase is the argument of an overlap, undefined where the overlap
-magnitude is at or below the overlap tolerance."""
+magnitude is at or below the overlap tolerance, and every phase the
+package returns is nan there (angle_or_nan)."""
 
 import math
 
 import numpy as np
 
-from .errors import VanishingOverlap
 from .tolerances import DEFAULT_TOL
 
 
@@ -22,13 +22,8 @@ def circular_distance(a: float, b: float) -> float:
     return abs(math.remainder(a - b, math.tau))
 
 
-def angle_or_nan(z: np.ndarray) -> np.ndarray:
-    """arg z, or nan at nodal points."""
-    return np.where(np.abs(z) > DEFAULT_TOL.overlap, np.angle(z), np.nan)
-
-
-def angle_or_raise(z: complex) -> float:
-    """arg z, raising VanishingOverlap at nodal points."""
-    if abs(z) <= DEFAULT_TOL.overlap:
-        raise VanishingOverlap(abs(z))
-    return float(np.angle(z))
+def angle_or_nan(z):
+    """arg z, or nan at nodal points, elementwise: an array for an array
+    z, a float for a scalar."""
+    out = np.where(np.abs(z) > DEFAULT_TOL.overlap, np.angle(z), np.nan)
+    return out if out.ndim else float(out)

@@ -56,13 +56,3 @@ class DimensionMismatch(GeometricPhaseError):
 class IndexOutOfRange(GeometricPhaseError):
     """Component index outside 0..n-1."""
 
-
-class VanishingOverlap(GeometricPhaseError):
-    """Overlap magnitude at or below the overlap tolerance: a nodal point,
-    where the phase, the argument of that overlap, is undefined."""
-
-    def __init__(self, magnitude: float):
-        self.magnitude = magnitude
-        super().__init__(
-            f"overlap magnitude {magnitude:.3e} too small; endpoints nearly orthogonal"
-        )

@@ -70,10 +70,13 @@ def hermitian_eig(a):
 
     Returns (w, q): eigenvalues w ascending, eigenvector columns q
     orthonormal, with a @ q = q @ diag(w) up to roundoff. The input is
-    symmetrized before the solve so tiny anti-Hermitian noise cannot
-    leak into complex eigenvalues.
+    not checked: a matrix from outside passes require_hermitian where it
+    enters (Problem, validate_density, pancharatnam_phase), and every
+    other caller builds a Hermitian one. It is symmetrized before the
+    solve so tiny anti-Hermitian noise cannot leak into complex
+    eigenvalues.
     """
-    a = require_hermitian(a)
+    a = np.asarray(a, dtype=complex)
     w, q = np.linalg.eigh((a + dagger(a)) / 2.0)
     return w, q
 

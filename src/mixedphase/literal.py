@@ -9,8 +9,7 @@ functions take the prepared problem and an explicit evolution operator
 u_t, so a caller can pass one built independently of the cached
 eigendecomposition. verify and the tests compare phases.evaluate and
 oracles.discrete_uhlmann_holonomy against them. At a nodal point
-(angles.angle_or_raise) the literal phases raise VanishingOverlap where
-evaluate stores nan.
+the literal phases are nan, as evaluate's are (angles.angle_or_nan).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import angle_or_raise
+from .angles import angle_or_nan
 from .errors import IndexOutOfRange
 from .linalg import dagger, hermitian_eig, polar_unitary, psd_sqrt, unitary_from_eig, \
     unitary_from_hamiltonian
@@ -73,10 +72,10 @@ def component_report(prep: PreparedProblem, j: int, t: float, u_t) -> ComponentR
 def total_geometric_phase(prep: PreparedProblem, t: float, u_t) -> float:
     """Total geometric phase arg sum_j q_j nu_j e^{i gamma_j}, evaluated
     as arg sum_j m_j(t) e^{-i kappa_j t} (identical, numerically
-    stabler). Raises VanishingOverlap at nodal points."""
+    stabler). nan at nodal points."""
     kappas = prep.frame.kappas
-    return angle_or_raise(sum(overlap_kernel(prep, j, u_t) * np.exp(-1j * kappas[j] * t)
-                              for j in range(prep.dim)))
+    return angle_or_nan(sum(overlap_kernel(prep, j, u_t) * np.exp(-1j * kappas[j] * t)
+                            for j in range(prep.dim)))
 
 
 def uhlmann_trace_phase(prep: PreparedProblem, t: float, u_t) -> float:
@@ -86,7 +85,7 @@ def uhlmann_trace_phase(prep: PreparedProblem, t: float, u_t) -> float:
     eigendecomposition of k."""
     v_t = unitary_from_hamiltonian(prep.frame.k, t)
     c = np.diag(prep.problem.rho0.amps)
-    return angle_or_raise(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
+    return angle_or_nan(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
 
 
 def sjoqvist_phase(prep: PreparedProblem, t: float, u_t) -> float:
@@ -95,7 +94,7 @@ def sjoqvist_phase(prep: PreparedProblem, t: float, u_t) -> float:
     diagonal dynamical phases. Agrees with the total geometric phase for
     pure states only."""
     phases = np.exp(1j * np.diag(prep.h_prime).real * t)
-    return angle_or_raise(complex(
+    return angle_or_nan(complex(
         (prep.problem.rho0.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
 
 

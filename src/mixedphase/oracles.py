@@ -3,16 +3,18 @@
 A discretized purification holonomy built only from the density-matrix
 path (never from the ancilla construction), the pure-state geometric
 phase as total minus dynamical, and a deterministic random-instance
-generator. These are the oracles the engine is tested against.
+generator. These are the oracles the engine is tested against. Like the
+engine, they return nan where the overlap whose argument is the phase
+vanishes (angles.angle_or_nan).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .angles import angle_or_raise, principal_angle
+from .angles import angle_or_nan, principal_angle
 from .linalg import dagger, frobenius, hermitian_eig, polar_unitary, psd_sqrt, \
-    unitary_from_eig, unitary_from_hamiltonian
+    require_hermitian, unitary_from_eig, unitary_from_hamiltonian
 from .states import Problem, validate_density
 
 
@@ -62,20 +64,23 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
     link = polar_unitary(sqrt0 @ unitary_from_eig(w_h, q_h, t_end / steps) @ sqrt0)
     transport = np.linalg.matrix_power(dagger(link), steps)
     endpoint = sqrt0 @ unitary_from_eig(w_h, q_h, t_end) @ sqrt0
-    return angle_or_raise(complex(np.trace(endpoint @ transport)))
+    return angle_or_nan(complex(np.trace(endpoint @ transport)))
 
 
 def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     """Pure-state geometric phase: total phase arg <psi0|U(t)|psi0> minus
     the dynamical phase -<psi0|H|psi0> t (constant integrand for a
-    time-independent Hamiltonian). Reduced to (-pi, pi]."""
+    time-independent Hamiltonian). Reduced to (-pi, pi]; nan where
+    <psi0|U(t)|psi0> vanishes. Raises NotHermitian for a non-Hermitian
+    h_lab."""
     psi0 = np.asarray(psi0, dtype=complex)
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state norm {norm} is not 1 within 1e-12")
+    h_lab = require_hermitian(h_lab)
     u = unitary_from_hamiltonian(h_lab, t)
-    total = angle_or_raise(complex(np.vdot(psi0, u @ psi0)))
-    energy = float(np.vdot(psi0, np.asarray(h_lab) @ psi0).real)
+    total = angle_or_nan(complex(np.vdot(psi0, u @ psi0)))
+    energy = float(np.vdot(psi0, h_lab @ psi0).real)
     return principal_angle(total + energy * t)
 
 

@@ -21,8 +21,9 @@ benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 
 Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
 the only result type; a single t is row 0 of evaluate(prep, t). At a
-nodal point (angles.angle_or_nan), evaluate stores nan. The literal
-per-t definitions it is checked against live in the literal module.
+nodal point evaluate stores nan, and the literal per-t definitions it
+is checked against (in the literal module) and the oracles return nan
+there too: one convention, angles.angle_or_nan, and nothing raises.
 """
 
 from __future__ import annotations

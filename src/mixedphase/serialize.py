@@ -12,6 +12,7 @@ import gc
 import json
 import math
 from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -41,40 +42,36 @@ def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
                 if not np.isfinite(out).all():
                     raise ProblemFileError(f"{name}: non-finite entries")
                 return out
-    return _matrix_from_pairs_walk(obj, n, name)
+    _raise_first_malformed(obj, n, name)
 
 
-def _matrix_from_pairs_walk(obj, n: int, name: str) -> np.ndarray:
-    """Entry-by-entry parse, which names the first malformed entry; the
-    scans in _matrix_from_pairs send every such matrix here."""
-    if not isinstance(obj, list) or len(obj) != n:
+def _raise_first_malformed(obj, n: int, name: str) -> NoReturn:
+    """Raise ProblemFileError naming the first row or entry, in row-major
+    order, that fails the scans of _matrix_from_pairs or holds an
+    integer too large for a double."""
+    if type(obj) is not list or len(obj) != n:
         raise ProblemFileError(
             f"{name}: expected {n} rows to match dimension {n}, "
-            f"got {len(obj) if isinstance(obj, list) else type(obj).__name__}"
+            f"got {len(obj) if type(obj) is list else type(obj).__name__}"
         )
-    out = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != n:
+        if type(row) is not list or len(row) != n:
             raise ProblemFileError(
                 f"{name}: row {i} must have {n} entries, "
-                f"got {len(row) if isinstance(row, list) else type(row).__name__}"
+                f"got {len(row) if type(row) is list else type(row).__name__}"
             )
         for j, entry in enumerate(row):
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or type(entry[0]) not in (int, float)
-                    or type(entry[1]) not in (int, float)):
+            if (type(entry) not in (list, tuple) or len(entry) != 2
+                    or not set(map(type, entry)) <= {int, float}):
                 raise ProblemFileError(
                     f"{name}[{i}][{j}]: complex entries must be [re, im] pairs"
                 )
             try:
-                out[i, j] = complex(entry[0], entry[1])
+                float(entry[0]), float(entry[1])
             except OverflowError:
                 raise ProblemFileError(
                     f"{name}[{i}][{j}]: entry is too large for a double"
                 ) from None
-    if not np.isfinite(out).all():
-        raise ProblemFileError(f"{name}: non-finite entries")
-    return out
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:

@@ -78,11 +78,12 @@ def validate_density(mat) -> DensityMatrix:
     """Check the density-matrix invariants and decompose the matrix.
 
     Raises NotHermitian (require_hermitian's test, which holds at any
-    finite magnitude), NotUnitTrace, or NotPSD naming the violated
-    invariant with the measured residual. The eigenvalues come from
-    scaled(mat), so the PSD test holds at any finite magnitude too; below
-    ||rho||_F = 1e300 that is mat itself, and no unit-trace PSD matrix
-    lies above it. Eigenvalues in [-psd, 0) are tolerated but not mutated.
+    finite magnitude, made here once: hermitian_eig does not check its
+    input), NotUnitTrace, or NotPSD naming the violated invariant with
+    the measured residual. The eigenvalues come from scaled(mat), so the
+    PSD test holds at any finite magnitude too; below ||rho||_F = 1e300
+    that is mat itself, and no unit-trace PSD matrix lies above it.
+    Eigenvalues in [-psd, 0) are tolerated but not mutated.
     """
     mat = np.array(require_hermitian(mat))  # private copy
     trace = complex(np.trace(mat))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import dagger, frobenius, hermitian_eig, require_hermitian
+from .linalg import dagger, frobenius, hermitian_eig
 from .tolerances import DEFAULT_TOL
 
 
@@ -47,7 +47,7 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     minimal-norm completion.
     """
     amps = np.asarray(amps, dtype=float)
-    hp = require_hermitian(h_prime)
+    hp = np.asarray(h_prime, dtype=complex)
     if amps.size != hp.shape[0]:
         raise DimensionMismatch(
             f"{amps.size} amplitudes for a {hp.shape[0]}x{hp.shape[0]} Hamiltonian"
@@ -63,14 +63,15 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
 
 def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
     """Frobenius norm of C^2 K^T + K^T C^2 + 2 C H C restricted to the
-    support (index pairs with c_k^2 + c_l^2 above the support tolerance)."""
+    support (index pairs with c_k^2 + c_l^2 above the support tolerance).
+    C is diagonal, so entry kl is (lambda_k + lambda_l) K^T_kl
+    + 2 c_k c_l H_kl, formed entry by entry in O(n^2)."""
     amps = np.asarray(amps, dtype=float)
-    c = np.diag(amps)
-    kt = np.asarray(ancilla_h).T
-    resid = c @ c @ kt + kt @ c @ c + 2.0 * (c @ np.asarray(h_prime) @ c)
     lam = amps**2
-    mask = (lam[:, None] + lam[None, :]) > DEFAULT_TOL.support
-    return frobenius(resid * mask)
+    lam_sum = lam[:, None] + lam[None, :]
+    resid = (lam_sum * np.asarray(ancilla_h).T
+             + 2.0 * np.outer(amps, amps) * np.asarray(h_prime))
+    return frobenius(resid * (lam_sum > DEFAULT_TOL.support))
 
 
 def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:
@@ -83,8 +84,8 @@ def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:
 
 def diagonalizing_frame(ancilla_h) -> AncillaFrame:
     """Diagonalize the ancilla Hamiltonian: z = q^dag for k = q diag(kappa) q^dag,
-    so z k z^dag = diag(kappa) with kappas ascending. hermitian_eig
-    checks that k is Hermitian."""
+    so z k z^dag = diag(kappa) with kappas ascending. k is taken to be
+    Hermitian, as solve_ancilla_hamiltonian makes it, and is not checked."""
     kappas, q = hermitian_eig(ancilla_h)
     return AncillaFrame(k=np.asarray(ancilla_h, dtype=complex), z=dagger(q),
                         kappas=kappas)

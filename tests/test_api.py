@@ -11,7 +11,7 @@ PUBLIC = {
     "prepare_problem", "evaluate", "PhaseBatch", "PreparedProblem",
     "discrete_uhlmann_holonomy", "pancharatnam_phase", "circular_distance", "DEFAULT_TOL",
     "GeometricPhaseError", "NotHermitian", "NotPSD", "NotUnitTrace", "DimensionMismatch",
-    "IndexOutOfRange", "VanishingOverlap", "ProblemFileError",
+    "IndexOutOfRange", "ProblemFileError",
 }
 
 LITERAL = (
@@ -25,10 +25,10 @@ def test_package_exports_exactly_the_pipeline():
     exported = {name for name, value in vars(mixedphase).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 21
+    assert len(PUBLIC) == 20
     errors = [name for name in PUBLIC if isinstance(getattr(mixedphase, name), type)
               and issubclass(getattr(mixedphase, name), mixedphase.GeometricPhaseError)]
-    assert len(errors) == 8
+    assert len(errors) == 7
 
 
 def test_literal_definitions_live_in_one_module():

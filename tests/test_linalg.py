@@ -13,6 +13,7 @@ from mixedphase.linalg import (
     hermitian_eig,
     polar_unitary,
     psd_sqrt,
+    require_hermitian,
     unitary_from_hamiltonian,
 )
 
@@ -63,15 +64,16 @@ def test_eig_reconstruction_many_sizes():
 
 
 def test_eig_rejects_non_hermitian():
+    # hermitian_eig takes its input as checked; the check is require_hermitian
     with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_eig_rejects_non_finite():
     bad = np.eye(2, dtype=complex)
     bad[0, 1] = np.nan
     with pytest.raises(ValueError):
-        hermitian_eig(bad)
+        require_hermitian(bad)
 
 
 def test_unitary_at_zero_time_is_identity():

@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mixedphase import (
     Problem,
-    VanishingOverlap,
     circular_distance,
     discrete_uhlmann_holonomy,
     pancharatnam_phase,
@@ -79,8 +78,7 @@ def test_closed_form_and_chain_both_vanish_at_orthogonal_endpoint(steps):
     # |+> reaches the orthogonal |-> at t = pi on any grid
     prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
     assert chain_phase_and_magnitude(prob, np.pi, steps)[1] <= 1e-12
-    with pytest.raises(VanishingOverlap):
-        discrete_uhlmann_holonomy(prob, np.pi, steps)
+    assert math.isnan(discrete_uhlmann_holonomy(prob, np.pi, steps))
 
 
 def test_holonomy_constant_path_is_zero():
@@ -125,13 +123,6 @@ def test_chain_links_are_hermitian_psd():
     assert count == 65
 
 
-def test_holonomy_raises_at_orthogonal_endpoint():
-    # half a great circle takes |+> to the orthogonal |->
-    prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
-    with pytest.raises(VanishingOverlap):
-        discrete_uhlmann_holonomy(prob, np.pi, 256)
-
-
 def test_pancharatnam_eigenstate_gives_zero():
     psi = np.array([1.0, 0.0], dtype=complex)
     assert abs(pancharatnam_phase(psi, 0.5 * SZ, 3.7)) <= 1e-12
@@ -169,12 +160,6 @@ def test_pancharatnam_invariant_under_global_phase():
 def test_pancharatnam_rejects_unnormalized_state():
     with pytest.raises(ValueError):
         pancharatnam_phase(np.array([1.0, 1.0]), 0.5 * SZ, 1.0)
-
-
-def test_pancharatnam_raises_at_orthogonal_endpoint():
-    psi = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(VanishingOverlap):
-        pancharatnam_phase(psi, 0.5 * SX, np.pi)
 
 
 def test_parallel_residual_small_for_solved_frame():

@@ -10,8 +10,8 @@ import pytest
 from mixedphase import (
     IndexOutOfRange,
     Problem,
-    VanishingOverlap,
     circular_distance,
+    discrete_uhlmann_holonomy,
     evaluate,
     pancharatnam_phase,
     prepare_problem,
@@ -201,20 +201,25 @@ def test_cyclic_point_gamma_zero_but_interferometric_pi():
     assert circular_distance(gamma, sjo) > 0.5
 
 
-def test_nodal_point_raises_vanishing_visibility():
-    # r = 0.6 along x about z: the overlap crosses zero at t = 5 pi
-    prep = prepare_problem(bloch_x_problem(0.6))
-    t = 5 * np.pi
-    u = evolution_operator(prep, t)
-    with pytest.raises(VanishingOverlap):
-        total_geometric_phase(prep, t, u)
-    with pytest.raises(VanishingOverlap):
-        uhlmann_trace_phase(prep, t, u)
-    with pytest.raises(VanishingOverlap):
-        sjoqvist_phase(prep, t, u)
+@pytest.mark.parametrize("r, t", [(1.0, np.pi), (0.6, 5 * np.pi)],
+                         ids=["pure_plus_at_pi", "mixed_r06_at_5pi"])
+def test_every_phase_is_nan_at_a_nodal_point(r, t):
+    # |+> (r = 1) reaches the orthogonal |-> at t = pi; for r = 0.6 the
+    # overlap crosses zero at t = 5 pi
+    problem = bloch_x_problem(r)
+    prep = prepare_problem(problem)
     batch = evaluate(prep, t)
-    assert np.isnan(batch.gamma_total[0]) and np.isnan(batch.sjoqvist[0])
     assert batch.overlap_magnitude[0] <= 1e-12
+    u = evolution_operator(prep, t)
+    phases = {name: getattr(batch, name)[0] for name in ("gamma_total", "uhlmann", "sjoqvist")}
+    phases |= {fn.__name__: fn(prep, t, u)
+               for fn in (total_geometric_phase, uhlmann_trace_phase, sjoqvist_phase)}
+    if r == 1.0:
+        # the endpoint is orthogonal on every grid; for r = 0.6 the holonomy
+        # reaches the nodal point only as the grid is refined
+        phases["holonomy"] = discrete_uhlmann_holonomy(problem, t, 256)
+        phases["pancharatnam"] = pancharatnam_phase(PLUS, 0.5 * SZ, t)
+    assert all(np.isnan(v) for v in phases.values()), phases
 
 
 def test_uhlmann_trace_phase_zero_at_t0():

@@ -20,7 +20,6 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase.serialize import (
-    _matrix_from_pairs_walk,
     problem_from_dict,
     problem_to_dict,
     report_to_dict,
@@ -179,7 +178,6 @@ def test_matrix_parse_keeps_ints_tuples_and_signed_zeros_exact():
     for got, pairs in ((problem.hamiltonian_lab, hamiltonian), (problem.rho0.mat, rho)):
         want = np.array([[complex(re, im) for re, im in row] for row in pairs])
         assert got.tobytes() == want.tobytes()  # bitwise, signs of zero included
-        assert got.tobytes() == _matrix_from_pairs_walk(pairs, 2, "m").tobytes()
     assert np.signbit(problem.hamiltonian_lab.imag[0, 0])
     assert np.signbit(problem.hamiltonian_lab.real[1, 1])
 

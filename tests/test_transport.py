@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedphase import (
+    DEFAULT_TOL,
     DimensionMismatch,
     IndexOutOfRange,
     prepare_problem,
@@ -56,6 +57,24 @@ def test_solver_residual_random_instances():
                                           prep.frame.k)
         assert resid <= 1e-10 * max(1.0, frobenius(prep.h_prime))
         assert frobenius(prep.frame.k - dagger(prep.frame.k)) <= 1e-12
+
+
+def test_equation_residual_is_the_masked_dense_expression():
+    # K is not a solution, and is large between the near-zero amplitudes,
+    # where c_k^2 + c_l^2 is below the support tolerance and the mask must
+    # drop its entries
+    rng = np.random.default_rng(96)
+    for n in (1, 2, 5):
+        kernel = np.arange(n) % 3 == 1
+        amps = np.where(kernel, 1e-9, np.sqrt(rng.dirichlet(np.ones(n))))
+        h, k = (dagger(a) + a for a in (rng.standard_normal((2, n, n))
+                                        + 1j * rng.standard_normal((2, n, n))))
+        k[np.ix_(kernel, kernel)] *= 1e16
+        c = np.diag(amps)
+        dense = c @ c @ k.T + k.T @ c @ c + 2.0 * c @ h @ c
+        mask = (amps[:, None] ** 2 + amps[None, :] ** 2) > DEFAULT_TOL.support
+        want = frobenius(dense * mask)
+        assert abs(ancilla_equation_residual(amps, h, k) - want) <= 1e-13 * want
 
 
 @settings(max_examples=80, deadline=None)
