@@ -123,6 +123,13 @@ def test_chain_links_are_hermitian_psd():
     assert count == 65
 
 
+def test_holonomy_raises_at_orthogonal_endpoint():
+    # half a great circle takes |+> to the orthogonal |->; a nodal point
+    # gives nan, not an exception
+    prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
+    assert math.isnan(discrete_uhlmann_holonomy(prob, np.pi, 256))
+
+
 def test_pancharatnam_eigenstate_gives_zero():
     psi = np.array([1.0, 0.0], dtype=complex)
     assert abs(pancharatnam_phase(psi, 0.5 * SZ, 3.7)) <= 1e-12
@@ -160,6 +167,13 @@ def test_pancharatnam_invariant_under_global_phase():
 def test_pancharatnam_rejects_unnormalized_state():
     with pytest.raises(ValueError):
         pancharatnam_phase(np.array([1.0, 1.0]), 0.5 * SZ, 1.0)
+
+
+def test_pancharatnam_raises_at_orthogonal_endpoint():
+    # sigma_x / 2 for t = pi takes |0> to the orthogonal |1>; a nodal point
+    # gives nan, not an exception
+    psi = np.array([1.0, 0.0], dtype=complex)
+    assert math.isnan(pancharatnam_phase(psi, 0.5 * SX, np.pi))
 
 
 def test_parallel_residual_small_for_solved_frame():
