@@ -23,7 +23,7 @@ from .linalg import frobenius
 from .literal import uhlmann_trace_phase
 from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
 from .phases import evaluate, evolution_operator, prepare_problem
-from .serialize import ProblemFileError, load_problem, report_to_dict, sweep_to_csv, \
+from .serialize import ProblemFileError, load_problem, reports_to_json, sweep_to_csv, \
     sweep_to_json
 from .states import DensityMatrix, Problem
 from .transport import ancilla_equation_residual, transport_residual
@@ -60,9 +60,9 @@ def _load(path: str) -> Problem:
 def cmd_compute(args) -> int:
     if not math.isfinite(args.time):
         return _fail_input(f"--time must be finite, got {args.time}")
-    report = report_to_dict(evaluate(prepare_problem(_load(args.input)), args.time), 0)
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
-    undefined = None in (report["gamma_total"], report["uhlmann"], report["sjoqvist"])
+    batch = evaluate(prepare_problem(_load(args.input)), args.time)
+    _emit(reports_to_json(batch, "")[0] + "\n", args.output)
+    undefined = np.isnan([batch.gamma_total, batch.uhlmann, batch.sjoqvist]).any()
     return EXIT_UNDEFINED_PHASE if undefined else EXIT_OK
 
 

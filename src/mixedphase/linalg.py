@@ -72,9 +72,9 @@ def hermitian_eig(a):
     orthonormal, with a @ q = q @ diag(w) up to roundoff. The input is
     not checked: a matrix from outside passes require_hermitian where it
     enters (Problem, validate_density, pancharatnam_phase), and every
-    other caller builds a Hermitian one. It is symmetrized before the
-    solve so tiny anti-Hermitian noise cannot leak into complex
-    eigenvalues.
+    other caller builds a Hermitian one. np.linalg.eigh reads only the
+    lower triangle; the matrix is symmetrized before the solve so that
+    both triangles enter.
     """
     a = np.asarray(a, dtype=complex)
     w, q = np.linalg.eigh((a + dagger(a)) / 2.0)

@@ -2,8 +2,11 @@
 
 Problem files are JSON with keys dimension, rho, hamiltonian; matrices
 are row-major nested arrays and every complex number is a two-element
-[re, im] array. Reports serialize to JSON (undefined phases as null) or
-CSV sweep tables (undefined phases as the literal nan).
+[re, im] array.
+
+Every report, CSV or JSON, fills a %-template per problem, holding j
+and q_j, with each time's row of numbers (_rows). An undefined (nan)
+phase is nan in CSV and null in JSON.
 """
 
 from __future__ import annotations
@@ -139,51 +142,21 @@ def save_problem(problem: Problem, path) -> None:
         fh.write("\n")
 
 
-def _nullable(x: float):
-    return None if math.isnan(x) else float(x)
+_PHASES = ("gamma_total", "uhlmann", "sjoqvist")
 
 
-def report_warnings(batch: PhaseBatch, i: int) -> list[str]:
-    """The warnings of row i of batch."""
-    warnings = []
-    if batch.degenerate_spectrum_warning:
-        warnings.append(
-            "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
-            "are not unique within degenerate blocks"
-        )
-    for name in ("gamma_total", "uhlmann", "sjoqvist"):
-        if math.isnan(getattr(batch, name)[i]):
-            warnings.append(
-                f"{name} undefined at a nodal point "
-                f"(overlap magnitude {batch.overlap_magnitude[i]:.3e})"
-            )
-    return warnings
-
-
-def report_to_dict(batch: PhaseBatch, i: int) -> dict:
-    """Row i of batch as the JSON report object."""
-    columns = zip(batch.q.tolist(), batch.visibility[i].tolist(),
-                  batch.gamma[i].tolist(), batch.dyn_phase[i].tolist(),
-                  batch.total_phase[i].tolist())
-    return {
-        "t": float(batch.t[i]),
-        "gamma_total": _nullable(batch.gamma_total[i]),
-        "uhlmann": _nullable(batch.uhlmann[i]),
-        "sjoqvist": _nullable(batch.sjoqvist[i]),
-        "overlap_magnitude": float(batch.overlap_magnitude[i]),
-        "components": [
-            {
-                "j": j,
-                "q": q,
-                "visibility": nu,
-                "gamma": gamma,
-                "dyn_phase": dyn,
-                "total_phase": total,
-            }
-            for j, (q, nu, gamma, dyn, total) in enumerate(columns)
-        ],
-        "warnings": report_warnings(batch, i),
-    }
+def _rows(batch: PhaseBatch, *per_component):
+    """Each time's row as a list of floats: t, the four headline values,
+    then the given [time, component] arrays interleaved component by
+    component."""
+    k = len(per_component)
+    table = np.empty((len(batch), 5 + k * batch.q.size))
+    table[:, :5] = np.transpose((batch.t, batch.gamma_total, batch.uhlmann,
+                                 batch.sjoqvist, batch.overlap_magnitude))
+    for col, values in enumerate(per_component, 5):
+        table[:, col::k] = values
+    for row in table:
+        yield row.tolist()
 
 
 def sweep_header(dim: int) -> str:
@@ -194,27 +167,51 @@ def sweep_header(dim: int) -> str:
 
 
 def sweep_to_csv(batch: PhaseBatch) -> str:
-    """One row per time in the sweep_header column order, formatted
-    straight from the batch arrays.
-
-    q_j does not depend on t, so it is formatted once, into a %-template
-    for the row; each row fills in only t, the four headline columns and
-    the nu_j, gamma_j pairs. repr and str of a float are the same text.
-    """
-    n = batch.q.size
-    table = np.empty((len(batch), 5 + 2 * n))
-    for col, values in enumerate((batch.t, batch.gamma_total, batch.uhlmann,
-                                  batch.sjoqvist, batch.overlap_magnitude)):
-        table[:, col] = values
-    table[:, 5::2] = batch.visibility
-    table[:, 6::2] = batch.gamma
+    """One row per time in the sweep_header column order."""
     template = ",".join(["%r"] * 5 + [f"{q!r},%r,%r" for q in batch.q.tolist()])
-    lines = [sweep_header(n)]
-    lines += [template % tuple(row.tolist()) for row in table]
+    lines = [sweep_header(batch.q.size)]
+    lines += [template % tuple(row) for row in _rows(batch, batch.visibility, batch.gamma)]
     lines.append("")  # the trailing newline, without copying the joined text
     return "\n".join(lines)
 
 
+def reports_to_json(batch: PhaseBatch, indent: str) -> list[str]:
+    """Each row's report object as json.dumps(report, indent=2) writes
+    it, every line prefixed with indent: t, the three headline phases
+    (null where nan), overlap_magnitude, then per component j, q,
+    visibility, gamma, dyn_phase, total_phase, then the warnings."""
+    i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
+    # j and q_j formatted once; a float's str is its repr, as in json
+    slots = ",\n".join(f'{i3}"{key}": %s'
+                       for key in ("visibility", "gamma", "dyn_phase", "total_phase"))
+    components = ",\n".join(f'{i2}{{\n{i3}"j": {j},\n{i3}"q": {q!r},\n{slots}\n{i2}}}'
+                            for j, q in enumerate(batch.q.tolist()))
+    head = ",\n".join(f'{i1}"{key}": %s' for key in ("t", *_PHASES, "overlap_magnitude"))
+    template = (f'{indent}{{\n{head},\n{i1}"components": [\n{components}\n{i1}],\n'
+                f'{i1}"warnings": %s\n{indent}}}')
+    degenerate = [] if not batch.degenerate_spectrum_warning else [
+        "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
+        "are not unique within degenerate blocks"]
+    reports = []
+    for row in _rows(batch, batch.visibility, batch.gamma, batch.dyn_phase,
+                     batch.total_phase):
+        warnings = degenerate + [
+            f"{name} undefined at a nodal point (overlap magnitude {row[4]:.3e})"
+            for name, phase in zip(_PHASES, row[1:4]) if math.isnan(phase)]
+        row[1:4] = ["null" if math.isnan(x) else x for x in row[1:4]]
+        row.append("[\n" + ",\n".join(i2 + json.dumps(w) for w in warnings)
+                   + f"\n{i1}]" if warnings else "[]")
+        reports.append(template % tuple(row))
+    return reports
+
+
 def sweep_to_json(batch: PhaseBatch) -> str:
-    return json.dumps([report_to_dict(batch, i) for i in range(len(batch))],
-                      indent=2) + "\n"
+    """The list of every row's report object, as json.dumps(reports,
+    indent=2) writes it."""
+    reports = reports_to_json(batch, "  ")
+    if not reports:
+        return "[]\n"
+    # the brackets join the first and last rows, so the text is copied once
+    reports[0] = "[\n" + reports[0]
+    reports[-1] += "\n]\n"
+    return ",\n".join(reports)

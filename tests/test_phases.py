@@ -2,6 +2,7 @@
 purification trace phase, the interferometric phase, and the identities
 connecting them."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from mixedphase.literal import (
     uhlmann_trace_phase,
 )
 from mixedphase.phases import evolution_operator
-from mixedphase.serialize import report_to_dict
+from mixedphase.serialize import reports_to_json
 from mixedphase.states import DensityMatrix
 from mixedphase.transport import diagonalizing_frame
 
@@ -303,7 +304,8 @@ def test_phase_report_structure():
     batch = evaluate(prep, 1.0)
     assert batch.t[0] == 1.0
     assert batch.visibility[0].shape == (2,)
-    assert [c["j"] for c in report_to_dict(batch, 0)["components"]] == [0, 1]
+    report = json.loads(reports_to_json(batch, "")[0])
+    assert [c["j"] for c in report["components"]] == [0, 1]
     assert not batch.degenerate_spectrum_warning
     assert abs(batch.gamma_total[0] - batch.uhlmann[0]) <= 1e-9
     degenerate = evaluate(prepare_problem(

@@ -22,9 +22,10 @@ from mixedphase import (
 from mixedphase.serialize import (
     problem_from_dict,
     problem_to_dict,
-    report_to_dict,
+    reports_to_json,
     sweep_header,
     sweep_to_csv,
+    sweep_to_json,
 )
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -94,13 +95,13 @@ def test_load_problem_restores_the_collector_state(tmp_path):
 def test_report_dict_keys_and_null_for_undefined():
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
     prep = prepare_problem(Problem(validate_density(rho), 0.5 * SZ))
-    data = report_to_dict(evaluate(prep, 1.0), 0)
+    data = json.loads(reports_to_json(evaluate(prep, 1.0), "")[0])
     assert list(data) == ["t", "gamma_total", "uhlmann", "sjoqvist",
                           "overlap_magnitude", "components", "warnings"]
     assert data["warnings"] == []
     assert list(data["components"][0]) == ["j", "q", "visibility", "gamma",
                                            "dyn_phase", "total_phase"]
-    nodal = report_to_dict(evaluate(prep, 5 * np.pi), 0)
+    nodal = json.loads(reports_to_json(evaluate(prep, 5 * np.pi), "")[0])
     assert nodal["gamma_total"] is None and nodal["sjoqvist"] is None
     assert any("nodal" in w for w in nodal["warnings"])
     json.dumps(nodal)  # undefined phases must serialize cleanly
@@ -108,7 +109,7 @@ def test_report_dict_keys_and_null_for_undefined():
 
 def test_degenerate_spectrum_warning_surfaces():
     prep = prepare_problem(Problem(validate_density(np.eye(2) / 2), 0.5 * SZ))
-    data = report_to_dict(evaluate(prep, 0.7), 0)
+    data = json.loads(reports_to_json(evaluate(prep, 0.7), "")[0])
     assert any("degenerate" in w for w in data["warnings"])
 
 
@@ -139,19 +140,66 @@ def csv_reference(batch):
     return "\n".join([sweep_header(n)] + rows + [""])
 
 
+def reference_report(batch, i):
+    """Row i of batch as the JSON report object, built as a dict."""
+    def nullable(x):
+        return None if math.isnan(x) else float(x)
+
+    warnings = []
+    if batch.degenerate_spectrum_warning:
+        warnings.append(
+            "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
+            "are not unique within degenerate blocks"
+        )
+    for name in ("gamma_total", "uhlmann", "sjoqvist"):
+        if math.isnan(getattr(batch, name)[i]):
+            warnings.append(
+                f"{name} undefined at a nodal point "
+                f"(overlap magnitude {batch.overlap_magnitude[i]:.3e})"
+            )
+    columns = zip(batch.q.tolist(), batch.visibility[i].tolist(),
+                  batch.gamma[i].tolist(), batch.dyn_phase[i].tolist(),
+                  batch.total_phase[i].tolist())
+    return {
+        "t": float(batch.t[i]),
+        "gamma_total": nullable(batch.gamma_total[i]),
+        "uhlmann": nullable(batch.uhlmann[i]),
+        "sjoqvist": nullable(batch.sjoqvist[i]),
+        "overlap_magnitude": float(batch.overlap_magnitude[i]),
+        "components": [
+            {
+                "j": j,
+                "q": q,
+                "visibility": nu,
+                "gamma": gamma,
+                "dyn_phase": dyn,
+                "total_phase": total,
+            }
+            for j, (q, nu, gamma, dyn, total) in enumerate(columns)
+        ],
+        "warnings": warnings,
+    }
+
+
 def nodal_qubit():
     """The r = 0.6 qubit under sz/2: its headline phases are nan at 5 pi."""
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
     return Problem(validate_density(rho), 0.5 * SZ)
 
 
+def degenerate_qubit():
+    """rho = I/2 under sz/2: every report warns of the degenerate spectrum."""
+    return Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
+
+
 @st.composite
 def sweeps(draw):
     times = draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8))
     times += [times[0]]  # a repeated time in every batch
-    if draw(st.booleans()):
+    qubit = draw(st.sampled_from([None, nodal_qubit, degenerate_qubit]))
+    if qubit is not None:
         grid = np.linspace(0.0, 10 * np.pi, draw(st.sampled_from([3, 5, 11])))
-        return nodal_qubit(), times + grid.tolist()
+        return qubit(), times + grid.tolist()
     n = draw(st.integers(1, 16))
     rank = draw(st.sampled_from(sorted({n, max(1, n // 2), 1})))
     return random_instance(n, rank, draw(st.integers(0, 2**32 - 1))), times
@@ -164,6 +212,11 @@ def test_sweep_csv_matches_cell_by_cell_formatting(case):
     problem, times = case
     batch = evaluate(prepare_problem(problem), times)
     assert sweep_to_csv(batch) == csv_reference(batch)
+    # the JSON writers against json.dumps of the report objects
+    references = [reference_report(batch, i) for i in range(len(batch))]
+    assert sweep_to_json(batch) == json.dumps(references, indent=2) + "\n"
+    reports = reports_to_json(batch, "")
+    assert reports == [json.dumps(reference, indent=2) for reference in references]
 
 
 def _entries_problem(hamiltonian, rho=None):
