@@ -12,16 +12,13 @@ the closed form costs O(log steps), so the whole ladder runs at once.
 """
 
 import mixedphase as mp
-from mixedphase.literal import total_geometric_phase
-from mixedphase.phases import evolution_operator
 
 
 def main():
     t_end = 1.7
     for dim, seed in ((2, 123), (3, 456)):
         problem = mp.random_instance(dim, dim, seed)
-        prep = mp.prepare_problem(problem)
-        gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
+        gamma = float(mp.evaluate(mp.prepare_problem(problem), t_end).gamma_total[0])
         print(f"random dim-{dim} instance (seed {seed}), t_end = {t_end}")
         print(f"engine total geometric phase: {gamma:+.10f}\n")
         print(f"{'steps':>10} {'holonomy':>14} {'error':>10}")

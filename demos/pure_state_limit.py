@@ -10,8 +10,6 @@ their spread.
 import numpy as np
 
 import mixedphase as mp
-from mixedphase.literal import sjoqvist_phase, total_geometric_phase
-from mixedphase.phases import evolution_operator
 
 
 def main():
@@ -27,10 +25,9 @@ def main():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (a + a.conj().T) / 2
         problem = mp.Problem(mp.validate_density(np.outer(psi, psi.conj())), h)
-        prep = mp.prepare_problem(problem)
-        u = evolution_operator(prep, t)
-        gamma = total_geometric_phase(prep, t, u)
-        sjo = sjoqvist_phase(prep, t, u)
+        batch = mp.evaluate(mp.prepare_problem(problem), t)
+        gamma = float(batch.gamma_total[0])
+        sjo = float(batch.sjoqvist[0])
         ref = mp.pancharatnam_phase(psi, h, t)
         spread = max(mp.circular_distance(gamma, sjo),
                      mp.circular_distance(gamma, ref),

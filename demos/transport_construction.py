@@ -3,19 +3,23 @@
 Starting from a random mixed qutrit and Hamiltonian, this walks through
 every stage the phase engine uses: the eigenbasis rotation, the
 closed-form ancilla Hamiltonian, its diagonalizing frame, the invariant
-component weights, the vanishing transport residuals (with a negative
-control), and the reassembly of the evolved state from its components.
+component weights, the parallel-transport condition (with a negative
+control), the reassembly of the evolved state from its components, and
+the phase routes that agree on the result.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
 import mixedphase as mp
-from mixedphase.literal import component_state, parallel_residual, \
-    total_geometric_phase, uhlmann_trace_phase
-from mixedphase.phases import evolution_operator
-from mixedphase.transport import ancilla_equation_residual, diagonalizing_frame
+from mixedphase.linalg import unitary_from_eig
+from mixedphase.transport import ancilla_equation_residual, diagonalizing_frame, \
+    transport_residual
+
+
+def evolved_components(prep, t):
+    """U(t) and the unnormalized components U(t) C z^T |e_j>, one per column."""
+    u = unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
+    return u, u @ (prep.frame.z * prep.problem.rho0.amps).T
 
 
 def main():
@@ -35,35 +39,38 @@ def main():
     print("3. invariant component weights")
     print(f"   q = {np.round(prep.weights, 6)}   (sum = {prep.weights.sum():.12f})")
     for t in (0.0, 0.9, 2.7):
-        u = evolution_operator(prep, t)
-        norms = [np.vdot(chi, chi).real for chi in
-                 (component_state(j, u, amps, prep.frame.z) for j in range(3))]
+        norms = (np.abs(evolved_components(prep, t)[1]) ** 2).sum(axis=0)
         print(f"   |component|^2 at t={t}: {np.round(norms, 6)}")
     print()
 
-    print("4. parallel transport holds component by component")
+    print("4. parallel transport holds component by component: energy -kappa_j q_j")
+    chis = evolved_components(prep, 0.9)[1]
+    energies = ((chis.conj().T @ prep.h_prime) * chis.T).sum(axis=1).real
     for j in range(3):
-        r = parallel_residual(prep, j, 0.9, 1e-6)
-        print(f"   component {j}: residual {r:.2e}")
-    wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
-    control = max(parallel_residual(wrong, j, 0.9, 1e-6) for j in range(3))
+        print(f"   component {j}: <chi_j|h'|chi_j> = {energies[j]:+.9f}, "
+              f"-kappa_j q_j = {-prep.frame.kappas[j] * prep.weights[j]:+.9f}")
+    print(f"   largest violation: {transport_residual(amps, prep.h_prime, prep.frame):.2e}")
+    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    control = transport_residual(amps, prep.h_prime, wrong)
     print(f"   negative control (ancilla Hamiltonian zeroed): {control:.2e}\n")
 
     print("5. components reassemble the evolved state")
     t = 1.8
-    u = evolution_operator(prep, t)
-    total = sum(np.outer(chi, chi.conj()) for chi in
-                (component_state(j, u, amps, prep.frame.z) for j in range(3)))
+    u, chis = evolved_components(prep, t)
     rho_t = u @ np.diag(prep.problem.rho0.lambdas) @ u.conj().T
     print(f"   rebuild residual at t={t}: "
-          f"{np.linalg.norm(total - rho_t, 'fro'):.2e}\n")
+          f"{np.linalg.norm(chis @ chis.conj().T - rho_t, 'fro'):.2e}\n")
 
-    print("6. the two phase routes agree")
-    gamma = total_geometric_phase(prep, t, u)
-    trace_phase = uhlmann_trace_phase(prep, t, u)
-    print(f"   component sum:  {gamma:+.12f}")
-    print(f"   trace formula:  {trace_phase:+.12f}")
-    print(f"   difference:     {mp.circular_distance(gamma, trace_phase):.2e}")
+    print("6. the phase routes agree")
+    batch = mp.evaluate(prep, t)
+    gamma, trace_phase = float(batch.gamma_total[0]), float(batch.uhlmann[0])
+    holonomy = mp.discrete_uhlmann_holonomy(problem, t, 2**16)
+    print(f"   component sum:          {gamma:+.12f}")
+    print(f"   trace formula:          {trace_phase:+.12f}")
+    worst = max(mp.circular_distance(gamma, trace_phase),
+                mp.circular_distance(gamma, holonomy))
+    print(f"   holonomy, 2^16 steps:   {holonomy:+.12f}")
+    print(f"   largest difference:     {worst:.2e}")
 
 
 if __name__ == "__main__":

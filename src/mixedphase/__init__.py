@@ -9,16 +9,16 @@ oracles (a discretized holonomy chain, the pure-state limit) cross-check.
 
 The package exports the pipeline: a Problem, prepare_problem, and
 evaluate, which returns every phase on a time grid as a PhaseBatch; the
-oracles; and the errors. The literal per-time definitions the engine is
-tested against are in mixedphase.literal; the stages of the construction
-are in the modules states, transport, linalg and serialize.
+oracles; and the errors. The stages of the construction are in the
+modules states, transport, linalg and serialize. The literal per-time
+definitions the engine is tested against are not part of the package:
+they live with the tests, in tests/literal.py.
 """
 
 from .angles import circular_distance
 from .errors import (
     DimensionMismatch,
     GeometricPhaseError,
-    IndexOutOfRange,
     NotHermitian,
     NotPSD,
     NotUnitTrace,

@@ -51,8 +51,3 @@ class NotUnitTrace(GeometricPhaseError):
 
 class DimensionMismatch(GeometricPhaseError):
     """Operands do not share the required dimension."""
-
-
-class IndexOutOfRange(GeometricPhaseError):
-    """Component index outside 0..n-1."""
-

@@ -34,8 +34,8 @@ def _check_grid(t_end: float, steps: int) -> None:
 
 def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> float:
     """Holonomy phase arg Tr[w_0^dag w_N] of the parallel amplitude chain
-    (literal.amplitude_chain) on the uniform grid of N = steps intervals
-    of [0, t_end], in closed form.
+    (amplitude_chain in tests/literal.py) on the uniform grid of N = steps
+    intervals of [0, t_end], in closed form.
 
     For the time-independent Hamiltonian a Problem carries, every link
     of the chain is the same link conjugated by U(t_i), so the chain

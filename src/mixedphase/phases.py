@@ -22,8 +22,8 @@ benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
 the only result type; a single t is row 0 of evaluate(prep, t). At a
 nodal point evaluate stores nan, and the literal per-t definitions it
-is checked against (in the literal module) and the oracles return nan
-there too: one convention, angles.angle_or_nan, and nothing raises.
+is checked against (tests/literal.py) and the oracles return nan there
+too: one convention, angles.angle_or_nan, and nothing raises.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
-from .linalg import dagger, hermitian_eig, unitary_from_eig
+from .linalg import dagger, hermitian_eig
 from .states import Problem, hamiltonian_in_eigenbasis
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
@@ -98,11 +98,6 @@ def prepare_problem(problem: Problem) -> PreparedProblem:
     frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_prime))
     weights = component_weights(amps, frame.z)
     return PreparedProblem(problem, h_prime, h_eigvals, h_eigvecs, frame, weights)
-
-
-def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
-    """exp(-i h' t) in the state eigenbasis."""
-    return unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
 
 
 def evaluate(prep: PreparedProblem, times) -> PhaseBatch:

@@ -1,5 +1,8 @@
 """Literal per-time definitions the engine is checked against.
 
+The tests import this module as `literal` (pytest puts tests/ on the
+path); the package itself uses none of it.
+
 Each function here computes one quantity straight from its definition,
 for one time and one component at a time: the overlap kernel, the
 per-component report, the total, Uhlmann-trace and interferometric
@@ -7,7 +10,8 @@ phases, the component states, the finite-difference parallel-transport
 residual, and the discretized parallel amplitude chain. The per-t
 functions take the prepared problem and an explicit evolution operator
 u_t, so a caller can pass one built independently of the cached
-eigendecomposition. verify and the tests compare phases.evaluate and
+eigendecomposition (evolution_operator builds it from that
+decomposition). The tests compare phases.evaluate and
 oracles.discrete_uhlmann_holonomy against them. At a nodal point
 the literal phases are nan, as evaluate's are (angles.angle_or_nan).
 """
@@ -19,14 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import angle_or_nan
-from .errors import IndexOutOfRange
-from .linalg import dagger, hermitian_eig, polar_unitary, psd_sqrt, unitary_from_eig, \
-    unitary_from_hamiltonian
-from .oracles import _check_grid
-from .phases import PreparedProblem, evolution_operator
-from .states import Problem
-from .tolerances import DEFAULT_TOL
+from mixedphase.angles import angle_or_nan
+from mixedphase.linalg import dagger, hermitian_eig, polar_unitary, psd_sqrt, \
+    unitary_from_eig, unitary_from_hamiltonian
+from mixedphase.oracles import _check_grid
+from mixedphase.phases import PreparedProblem
+from mixedphase.states import Problem
+from mixedphase.tolerances import DEFAULT_TOL
+
+
+def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
+    """exp(-i h' t) in the state eigenbasis, from prep's eigendecomposition of h'."""
+    return unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ def overlap_kernel(prep: PreparedProblem, j: int, u_t) -> complex:
     """m_j(t) = <e_j| z* C u_t C z^T |e_j>, the unnormalized overlap of
     component j between times 0 and t. m_j(0) = q_j and |m_j| <= q_j."""
     if not 0 <= j < prep.dim:
-        raise IndexOutOfRange(f"component {j} outside 0..{prep.dim - 1}")
+        raise IndexError(f"component {j} outside 0..{prep.dim - 1}")
     w = prep.problem.rho0.amps * prep.frame.z[j, :]
     return complex(np.vdot(w, np.asarray(u_t) @ w))
 
@@ -106,7 +114,7 @@ def component_state(j: int, u_t, amps, z) -> np.ndarray:
     """
     amps = np.asarray(amps, dtype=float)
     if not 0 <= j < amps.size:
-        raise IndexOutOfRange(f"component {j} outside 0..{amps.size - 1}")
+        raise IndexError(f"component {j} outside 0..{amps.size - 1}")
     return np.asarray(u_t) @ (amps * np.asarray(z)[j, :])
 
 

@@ -23,20 +23,21 @@ from mixedphase import (
 )
 from mixedphase.angles import principal_angle
 from mixedphase.linalg import dagger, frobenius
-from mixedphase.literal import (
-    component_report,
-    component_state,
-    parallel_residual,
-    sjoqvist_phase,
-    total_geometric_phase,
-    uhlmann_trace_phase,
-)
-from mixedphase.phases import evolution_operator
 from mixedphase.states import DensityMatrix
 from mixedphase.transport import (
     ancilla_equation_residual,
     diagonalizing_frame,
     transport_residual,
+)
+
+from literal import (
+    component_report,
+    component_state,
+    evolution_operator,
+    parallel_residual,
+    sjoqvist_phase,
+    total_geometric_phase,
+    uhlmann_trace_phase,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

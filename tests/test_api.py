@@ -1,23 +1,27 @@
-"""The public surface: the pipeline in mixedphase, the literal references
-in mixedphase.literal."""
+"""The public surface: the pipeline in mixedphase; the literal references
+live with the tests, in tests/literal.py, and not in the package."""
 
+import importlib
+import importlib.util
+import pkgutil
 import types
 
 import mixedphase
-import mixedphase.literal
+
+import literal
 
 PUBLIC = {
     "Problem", "validate_density", "load_problem", "save_problem", "random_instance",
     "prepare_problem", "evaluate", "PhaseBatch", "PreparedProblem",
     "discrete_uhlmann_holonomy", "pancharatnam_phase", "circular_distance", "DEFAULT_TOL",
     "GeometricPhaseError", "NotHermitian", "NotPSD", "NotUnitTrace", "DimensionMismatch",
-    "IndexOutOfRange", "ProblemFileError",
+    "ProblemFileError",
 }
 
 LITERAL = (
     "ComponentReport", "overlap_kernel", "component_report", "total_geometric_phase",
     "uhlmann_trace_phase", "sjoqvist_phase", "amplitude_chain", "parallel_residual",
-    "component_state",
+    "component_state", "evolution_operator",
 )
 
 
@@ -25,13 +29,16 @@ def test_package_exports_exactly_the_pipeline():
     exported = {name for name, value in vars(mixedphase).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 20
+    assert len(PUBLIC) == 19
     errors = [name for name in PUBLIC if isinstance(getattr(mixedphase, name), type)
               and issubclass(getattr(mixedphase, name), mixedphase.GeometricPhaseError)]
-    assert len(errors) == 7
+    assert len(errors) == 6
 
 
 def test_literal_definitions_live_in_one_module():
+    assert importlib.util.find_spec("mixedphase.literal") is None
+    modules = [mixedphase] + [importlib.import_module(f"mixedphase.{info.name}")
+                              for info in pkgutil.iter_modules(mixedphase.__path__)]
     for name in LITERAL:
-        assert getattr(mixedphase.literal, name).__module__ == "mixedphase.literal"
-        assert not hasattr(mixedphase, name)
+        assert getattr(literal, name).__module__ == "literal"
+        assert not any(hasattr(module, name) for module in modules)

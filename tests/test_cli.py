@@ -1,12 +1,14 @@
 """CLI contract tests: subcommands, file handling, and exit codes
 (0 success, 1 verification failure, 2 input error, 3 undefined phase)."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from mixedphase import Problem, circular_distance, save_problem, validate_density
+from mixedphase import cli
 from mixedphase.cli import main
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -140,6 +142,36 @@ def test_verify_zero_tolerance_fails(capsys):
                  "--tol", "0"]) == 1
     out = capsys.readouterr().out
     assert "seed" in out
+
+
+def test_verify_failure_counts_the_instances_that_passed(monkeypatch, capsys):
+    calls = itertools.count(1)
+    original = cli._verify_trial
+
+    def fail_third(problem, rng, tol):
+        return "injected failure" if next(calls) == 3 else original(problem, rng, tol)
+
+    monkeypatch.setattr(cli, "_verify_trial", fail_third)
+    assert main(["verify", "--dim", "2", "--trials", "5", "--seed", "7"]) == 1
+    out = capsys.readouterr().out
+    assert "injected failure" in out
+    assert "passed 2 of 5 instances before first failure" in out
+
+
+def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch, capsys):
+    """Negative control: the engine evolves under H (1 + 1e-6) while the
+    holonomy oracle sees H. The ancilla, transport and gauge checks all
+    use the engine's own preparation, so only the holonomy can fail."""
+    prepare = cli.prepare_problem
+
+    def perturbed(problem):
+        return prepare(Problem(problem.rho0, problem.hamiltonian_lab * (1 + 1e-6)))
+
+    monkeypatch.setattr(cli, "prepare_problem", perturbed)
+    assert main(["verify", "--dim", "4", "--trials", "5", "--seed", "7",
+                 "--tol", "1e-9"]) == 1
+    out = capsys.readouterr().out
+    assert "total phase vs holonomy" in out
 
 
 def test_verify_usage_error(capsys):

@@ -23,14 +23,15 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase.linalg import unitary_from_hamiltonian
-from mixedphase.literal import (
+from mixedphase.serialize import sweep_header, sweep_to_csv
+
+from literal import (
     component_report,
     overlap_kernel,
     sjoqvist_phase,
     total_geometric_phase,
     uhlmann_trace_phase,
 )
-from mixedphase.serialize import sweep_header, sweep_to_csv
 
 TOL = 1e-12
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -14,16 +14,19 @@ from mixedphase import (
     Problem,
     circular_distance,
     discrete_uhlmann_holonomy,
+    evaluate,
     pancharatnam_phase,
     prepare_problem,
     random_instance,
     validate_density,
 )
+from mixedphase.cli import VERIFY_HOLONOMY_STEPS, VERIFY_TIME
 from mixedphase.linalg import dagger, frobenius
-from mixedphase.literal import amplitude_chain, parallel_residual, total_geometric_phase
 from mixedphase.oracles import MAX_STEPS
-from mixedphase.phases import evolution_operator
 from mixedphase.transport import diagonalizing_frame
+
+from literal import amplitude_chain, evolution_operator, parallel_residual, \
+    total_geometric_phase
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -110,6 +113,12 @@ def test_holonomy_matches_engine_on_random_instance():
     gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
     hol = discrete_uhlmann_holonomy(prob, t_end, 4096)
     assert circular_distance(hol, gamma) <= 2e-9
+    # verify's operating point: one holonomy call against evaluate
+    for dim, seed in itertools.product((1, 2, 8, 16), range(100, 108)):
+        prob = random_instance(dim, dim, seed)
+        gamma = float(evaluate(prepare_problem(prob), VERIFY_TIME).gamma_total[0])
+        hol = discrete_uhlmann_holonomy(prob, VERIFY_TIME, VERIFY_HOLONOMY_STEPS)
+        assert circular_distance(hol, gamma) <= 1e-10, (dim, seed)
 
 
 def test_chain_links_are_hermitian_psd():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from mixedphase import (
-    IndexOutOfRange,
     Problem,
     circular_distance,
     discrete_uhlmann_holonomy,
@@ -20,18 +19,19 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
-from mixedphase.literal import (
+from mixedphase.serialize import reports_to_json
+from mixedphase.states import DensityMatrix
+from mixedphase.transport import diagonalizing_frame
+
+from literal import (
     component_report,
     component_state,
+    evolution_operator,
     overlap_kernel,
     sjoqvist_phase,
     total_geometric_phase,
     uhlmann_trace_phase,
 )
-from mixedphase.phases import evolution_operator
-from mixedphase.serialize import reports_to_json
-from mixedphase.states import DensityMatrix
-from mixedphase.transport import diagonalizing_frame
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -99,7 +99,7 @@ def test_overlap_pure_state_is_survival_amplitude():
 
 def test_overlap_index_bounds():
     prep = prepare_problem(bloch_x_problem(0.6))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexError):
         overlap_kernel(prep, 2, np.eye(2))
 
 
