@@ -24,7 +24,7 @@ from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
 from .phases import evaluate, prepare_problem
 from .serialize import ProblemFileError, load_problem, reports_to_json, sweep_to_csv, \
     sweep_to_json
-from .states import DensityMatrix, Problem
+from .states import Problem
 from .transport import ancilla_equation_residual, transport_residual
 
 EXIT_OK = 0
@@ -92,9 +92,7 @@ def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
     rho = problem.rho0
     # The gauge-rephased instance is evaluated first, so that it and the
     # instance itself are never held at once.
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=problem.dim)
-    rephased = Problem(DensityMatrix(rho.mat, rho.lambdas, rho.basis_e * np.exp(1j * theta),
-                                     rho.amps, rho.degenerate), problem.hamiltonian_lab)
+    rephased = problem.rephased(rng.uniform(0.0, 2.0 * np.pi, size=problem.dim))
     gamma_rephased = float(evaluate(prepare_problem(rephased), VERIFY_TIME).gamma_total[0])
     prep = prepare_problem(problem)
     resid = ancilla_equation_residual(rho.amps, prep.h_prime, prep.frame.k)

@@ -24,11 +24,17 @@ the only result type; a single t is row 0 of evaluate(prep, t). At a
 nodal point evaluate stores nan, and the literal per-t definitions it
 is checked against (tests/literal.py) and the oracles return nan there
 too: one convention, angles.angle_or_nan, and nothing raises.
+
+Two tiers: evaluate computes the overlaps m_j and the total phase, the
+one phase verify checks; the other six columns (uhlmann, sjoqvist and
+the four per-component ones) are computed together on the first read of
+any of them, from the exponential tables evaluate kept, which are then
+dropped. A caller that reads every column pays for each table once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +44,10 @@ from .states import Problem, hamiltonian_in_eigenbasis
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
     solve_ancilla_hamiltonian
+
+
+def _column(name: str, doc: str) -> property:
+    return property(lambda batch: batch._tier_two_column(name), doc=doc)
 
 
 @dataclass(frozen=True)
@@ -50,23 +60,43 @@ class PhaseBatch:
     below the overlap tolerance) is nan, with overlap_magnitude still
     recorded; negligible components carry the sentinel convention
     visibility = gamma = total_phase = 0.
+
+    t, gamma_total, overlap_magnitude, overlaps, q and the warning flag
+    are computed by evaluate. The other six columns are computed
+    together on the first read of any of them, under the numpy error
+    state in force at that read; their values do not depend on when
+    they are read. Reads from several threads are safe.
     """
 
     t: np.ndarray
     gamma_total: np.ndarray
-    uhlmann: np.ndarray
-    sjoqvist: np.ndarray
     overlap_magnitude: np.ndarray
     overlaps: np.ndarray
     q: np.ndarray
-    visibility: np.ndarray
-    gamma: np.ndarray
-    dyn_phase: np.ndarray
-    total_phase: np.ndarray
     degenerate_spectrum_warning: bool
+    _pending: tuple | None = field(repr=False, compare=False)
+    _columns: dict | None = field(default=None, repr=False, compare=False)
+
+    uhlmann = _column("uhlmann", "arg Tr[C U C V^T], [time]")
+    sjoqvist = _column("sjoqvist", "the interferometric phase, Phi(I, t), [time]")
+    visibility = _column("visibility", "|m_j| / q_j, [time, component]")
+    gamma = _column("gamma", "arg(m_j e^{-i kappa_j t}), [time, component]")
+    dyn_phase = _column("dyn_phase", "kappa_j t, [time, component]")
+    total_phase = _column("total_phase", "arg m_j, [time, component]")
 
     def __len__(self) -> int:
         return self.t.size
+
+    def _tier_two_column(self, name: str) -> np.ndarray:
+        # _pending is read first and cleared last: once it reads None,
+        # _columns is set, and a thread that read it earlier still holds
+        # every array it needs
+        pending = self._pending
+        if pending is not None:
+            object.__setattr__(self, "_columns",
+                               _tier_two(self.t, self.overlaps, self.q, *pending))
+            object.__setattr__(self, "_pending", None)
+        return self._columns[name]
 
 
 @dataclass(frozen=True)
@@ -104,15 +134,22 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     """Every phase and per-component report at each of times (a scalar
     or a 1-D sequence; repeats and negative times are allowed).
 
-    Costs one n x n by n x T product per quantity and no
-    eigendecomposition; nothing of size T x n x n is formed. Raises
-    ValueError past |t| E = 2**52, E the largest |eps_a| or |kappa_j|,
-    where doubles at the phase arguments t E are 1 rad or more apart.
+    No eigendecomposition, and nothing of size T x n x n is formed.
+    evaluate itself forms the tables e^{-i eps_a t} and e^{-i kappa_j t}
+    (two T x n exponentials) and one T x n by n x n product, the
+    overlaps, which give gamma_total; the returned batch keeps the
+    tables. The first read of any other column costs two more products
+    and one more table, e^{i h'_jj t}, for uhlmann and sjoqvist, and
+    then drops the tables. Raises ValueError past |t| E = 2**52, E the
+    largest |eps_a| or |kappa_j|, where doubles at the phase arguments
+    t E are 1 rad or more apart. The degenerate-spectrum flag is set
+    when two eigenvalues of the state or of K are closer than the
+    degeneracy gap.
     """
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
-    rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.h_eigvecs, prep.weights
+    rho, frame, q_h = prep.problem.rho0, prep.frame, prep.h_eigvecs
     energy = float(max(np.abs(prep.h_eigvals).max(), np.abs(frame.kappas).max()))
     late = t[np.abs(t) > 2.0**52 / energy] if energy else t[:0]  # t E itself may overflow
     if late.size:
@@ -124,26 +161,34 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
     p = np.abs(dagger(q_h) @ (frame.z * rho.amps).T) ** 2
     overlaps = e @ p
-    rotated = overlaps * d  # m_j e^{-i kappa_j t}
-    total = rotated.sum(axis=1)
-    trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
-    # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
-    p_i = (np.abs(q_h) ** 2).T * rho.lambdas
-    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.h_prime).real))
-    interferometric = ((e @ p_i) * d_i).sum(axis=1)
-    live = weights > DEFAULT_TOL.weight
+    total = (overlaps * d).sum(axis=1)  # sum_j m_j e^{-i kappa_j t}
+    # kappa_j(I) = -h'_jj, copied out so that the batch does not hold h'
+    kappas_i = -np.diag(prep.h_prime).real
     return PhaseBatch(
         t=t,
         gamma_total=angle_or_nan(total),
-        uhlmann=angle_or_nan(trace),
-        sjoqvist=angle_or_nan(interferometric),
         overlap_magnitude=np.abs(total),
         overlaps=overlaps,
-        q=weights,
-        visibility=np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
-                             where=live),
-        gamma=np.where(live, np.angle(rotated), 0.0),
-        dyn_phase=np.outer(t, frame.kappas),
-        total_phase=np.where(live, np.angle(overlaps), 0.0),
-        degenerate_spectrum_warning=rho.degenerate,
+        q=prep.weights,
+        degenerate_spectrum_warning=rho.degenerate or frame.degenerate,
+        _pending=(e, d, p, q_h, rho.lambdas, frame.kappas, kappas_i),
     )
+
+
+def _tier_two(t, overlaps, weights, e, d, p, q_h, lambdas, kappas, kappas_i) -> dict:
+    """PhaseBatch's six tier-two columns from what evaluate kept."""
+    trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
+    # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
+    p_i = (np.abs(q_h) ** 2).T * lambdas
+    d_i = np.exp(-1j * np.outer(t, kappas_i))
+    interferometric = ((e @ p_i) * d_i).sum(axis=1)
+    live = weights > DEFAULT_TOL.weight
+    return {
+        "uhlmann": angle_or_nan(trace),
+        "sjoqvist": angle_or_nan(interferometric),
+        "visibility": np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
+                                where=live),
+        "gamma": np.where(live, np.angle(overlaps * d), 0.0),  # m_j e^{-i kappa_j t}
+        "dyn_phase": np.outer(t, kappas),
+        "total_phase": np.where(live, np.angle(overlaps), 0.0),
+    }

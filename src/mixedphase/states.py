@@ -8,7 +8,8 @@ state is diag(lambdas) and the amplitude matrix is diag(sqrt(lambdas)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 from decimal import Decimal
 
 import numpy as np
@@ -72,6 +73,19 @@ class Problem:
     @property
     def dim(self) -> int:
         return self.rho0.dim
+
+    def rephased(self, theta) -> Problem:
+        """The same problem in another gauge: column j of the state's
+        eigenbasis times e^{i theta_j}. Only those eigenvectors change,
+        so the Hamiltonian, checked when this problem was built, is not
+        checked again."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.dim,) or not np.isfinite(theta).all():
+            raise ValueError(f"expected {self.dim} finite angles, got {theta}")
+        rho = self.rho0
+        out = copy.copy(self)  # no __post_init__
+        object.__setattr__(out, "rho0", replace(rho, basis_e=rho.basis_e * np.exp(1j * theta)))
+        return out
 
 
 def validate_density(mat) -> DensityMatrix:

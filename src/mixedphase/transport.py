@@ -35,6 +35,14 @@ class AncillaFrame:
     def dim(self) -> int:
         return self.kappas.size
 
+    @property
+    def degenerate(self) -> bool:
+        """True when two kappas are closer than the degeneracy gap: z,
+        and every per-component quantity, is then not unique within the
+        degenerate block."""
+        gaps = np.diff(self.kappas)
+        return bool(gaps.size and gaps.min() < DEFAULT_TOL.degeneracy_gap)
+
 
 def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     """Closed-form solution K of C^2 K^T + K^T C^2 = -2 C H C.

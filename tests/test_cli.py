@@ -174,6 +174,25 @@ def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch, cap
     assert "total phase vs holonomy" in out
 
 
+def test_verify_checks_each_hamiltonian_once(monkeypatch, capsys):
+    """Per trial: the random state in validate_density and its Hamiltonian
+    in Problem. The gauge-rephased copy changes only the eigenvectors and
+    is not checked again."""
+    from mixedphase import linalg, oracles, states
+
+    calls = []
+    check = linalg.require_hermitian
+
+    def counted(a):
+        calls.append(a)
+        return check(a)
+
+    for module in (linalg, oracles, states):
+        monkeypatch.setattr(module, "require_hermitian", counted)
+    assert main(["verify", "--dim", "8", "--trials", "20", "--seed", "3"]) == 0
+    assert len(calls) == 40
+
+
 def test_verify_usage_error(capsys):
     assert main(["verify", "--dim", "2", "--trials", "0"]) == 2
 

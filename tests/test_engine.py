@@ -22,7 +22,10 @@ from mixedphase import (
     random_instance,
     validate_density,
 )
-from mixedphase.linalg import unitary_from_hamiltonian
+from mixedphase import phases
+from mixedphase.angles import angle_or_nan
+from mixedphase.linalg import dagger, unitary_from_hamiltonian
+from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.serialize import sweep_header, sweep_to_csv
 
 from literal import (
@@ -131,3 +134,85 @@ def test_sweep_csv_header_and_column_order():
             want += [batch.q[j], batch.visibility[i, j], batch.gamma[i, j]]
         got = [float(x) for x in line.split(",")]
         np.testing.assert_array_equal(got, want)  # repr round-trips; nan == nan here
+
+
+def eager_columns(prep, times):
+    """Every PhaseBatch column by the expressions evaluate used when it
+    computed them all at once: the reference for the lazy second tier."""
+    t = np.asarray(times, dtype=float).reshape(-1)
+    rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.h_eigvecs, prep.weights
+    e = np.exp(-1j * np.outer(t, prep.h_eigvals))
+    d = np.exp(-1j * np.outer(t, frame.kappas))
+    p = np.abs(dagger(q_h) @ (frame.z * rho.amps).T) ** 2
+    overlaps = e @ p
+    rotated = overlaps * d
+    total = rotated.sum(axis=1)
+    trace = np.einsum("ta,ta->t", e, d @ p.T)
+    p_i = (np.abs(q_h) ** 2).T * rho.lambdas
+    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.h_prime).real))
+    interferometric = ((e @ p_i) * d_i).sum(axis=1)
+    live = weights > DEFAULT_TOL.weight
+    return {
+        "t": t,
+        "gamma_total": angle_or_nan(total),
+        "uhlmann": angle_or_nan(trace),
+        "sjoqvist": angle_or_nan(interferometric),
+        "overlap_magnitude": np.abs(total),
+        "overlaps": overlaps,
+        "q": weights,
+        "visibility": np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
+                                where=live),
+        "gamma": np.where(live, np.angle(rotated), 0.0),
+        "dyn_phase": np.outer(t, frame.kappas),
+        "total_phase": np.where(live, np.angle(overlaps), 0.0),
+    }
+
+
+SPLIT_CASES = {
+    # nodal at 5 pi, where every headline phase is nan
+    "nodal qubit": (bloch_x_prep(0.6), [5 * np.pi, -5 * np.pi, 1.0, 5 * np.pi, 0.0]),
+    # rank 2 of 5: three zero-weight components carry the sentinels
+    "rank-deficient": (prepare_problem(random_instance(5, 2, 31)),
+                       [-3.5, 2.0, -3.5, 0.0, 11.25]),
+    "full rank": (prepare_problem(random_instance(6, 6, 32)), [-0.25, -0.25, 7.0]),
+}
+COLUMNS = list(eager_columns(*SPLIT_CASES["nodal qubit"]))
+
+
+@pytest.mark.parametrize("first", COLUMNS)
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_every_column_matches_the_eager_expressions_in_any_read_order(case, first):
+    prep, times = SPLIT_CASES[case]
+    want = eager_columns(prep, times)
+    batch = evaluate(prep, times)
+    for name in [first] + COLUMNS:
+        got = getattr(batch, name)
+        assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name  # signed zeros and nans too
+    if case == "nodal qubit":
+        assert np.isnan(want["gamma_total"]).sum() == 3 and np.isnan(want["uhlmann"]).any()
+    if case == "rank-deficient":
+        assert (want["q"] <= DEFAULT_TOL.weight).sum() == 3
+
+
+def test_reading_gamma_total_alone_does_not_run_tier_two(monkeypatch):
+    calls = []
+    tier_two = getattr(phases, "_tier_two", None)
+
+    def counted(*args):
+        calls.append(args)
+        return tier_two(*args)
+
+    monkeypatch.setattr(phases, "_tier_two", counted, raising=False)
+    prep, times = SPLIT_CASES["full rank"]
+    batch = evaluate(prep, times)
+    for name in ("t", "gamma_total", "overlap_magnitude", "overlaps", "q",
+                 "degenerate_spectrum_warning"):
+        getattr(batch, name)
+    assert len(batch) == 3
+    assert calls == []
+    batch.uhlmann
+    assert len(calls) == 1
+    for name in COLUMNS:
+        getattr(batch, name)
+    assert len(calls) == 1  # all six together, once

@@ -19,6 +19,7 @@ from mixedphase import (
     save_problem,
     validate_density,
 )
+from mixedphase.cli import main
 from mixedphase.serialize import (
     problem_from_dict,
     problem_to_dict,
@@ -111,6 +112,22 @@ def test_degenerate_spectrum_warning_surfaces():
     prep = prepare_problem(Problem(validate_density(np.eye(2) / 2), 0.5 * SZ))
     data = json.loads(reports_to_json(evaluate(prep, 0.7), "")[0])
     assert any("degenerate" in w for w in data["warnings"])
+
+
+def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path, capsys):
+    # rho's spectrum is far from degenerate, but H = I makes K = -I, so z
+    # and every per-component column depend on the eigensolver
+    problem = Problem(validate_density(np.diag([0.5, 0.3, 0.2])), np.eye(3))
+    prep = prepare_problem(problem)
+    assert not problem.rho0.degenerate
+    assert np.ptp(prep.frame.kappas) < 1e-12 and prep.frame.degenerate
+    assert evaluate(prep, 1.0).degenerate_spectrum_warning
+    path = tmp_path / "k_degenerate.json"
+    save_problem(problem, path)
+    assert main(["compute", "--input", str(path), "-t", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [
+        "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
+        "are not unique within degenerate blocks"]
 
 
 def test_sweep_header_and_nan_rows():
