@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .angles import circular_distance
 from .errors import GeometricPhaseError
 from .linalg import frobenius
 from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
-from .phases import evaluate, prepare_problem
+from .phases import evaluate, gamma_total, prepare_problem
 from .serialize import ProblemFileError, load_problem, reports_to_json, sweep_to_csv, \
     sweep_to_json
 from .states import Problem
@@ -38,6 +39,8 @@ EXIT_UNDEFINED_PHASE = 3
 # smallest --tol that verify can meet.
 VERIFY_TIME = 1.7
 VERIFY_HOLONOMY_STEPS = 2**16
+# a negative number as float() reads it, exponent form, inf and nan included
+NEGATIVE_NUMBER = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.I)
 
 
 def _fail_input(message: str) -> int:
@@ -93,7 +96,7 @@ def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
     # The gauge-rephased instance is evaluated first, so that it and the
     # instance itself are never held at once.
     rephased = problem.rephased(rng.uniform(0.0, 2.0 * np.pi, size=problem.dim))
-    gamma_rephased = float(evaluate(prepare_problem(rephased), VERIFY_TIME).gamma_total[0])
+    gamma_rephased = float(gamma_total(prepare_problem(rephased), VERIFY_TIME)[0])
     prep = prepare_problem(problem)
     resid = ancilla_equation_residual(rho.amps, prep.h_prime, prep.frame.k)
     bound = tol * max(1.0, frobenius(prep.h_prime))
@@ -104,7 +107,7 @@ def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
         return f"parallel-transport residual {resid:.3e} > {bound:.3e}"
     # the engine's total phase against the holonomy of the density-matrix
     # path, which never sees the ancilla
-    gamma = float(evaluate(prep, VERIFY_TIME).gamma_total[0])
+    gamma = float(gamma_total(prep, VERIFY_TIME)[0])
     holonomy = discrete_uhlmann_holonomy(problem, VERIFY_TIME, VERIFY_HOLONOMY_STEPS)
     dist = circular_distance(gamma, holonomy)
     if not dist <= tol:  # also catches a nan (nodal) phase
@@ -215,11 +218,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each negative number that follows an option attached to
+    it (-t -1e-3 becomes -t=-1e-3): argparse reads only -N and -N.N as
+    negative numbers, and -1e-3, -2E1 or -inf as an unknown option."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if (NEGATIVE_NUMBER.fullmatch(arg) and prev.startswith("-") and "=" not in prev
+                and not NEGATIVE_NUMBER.fullmatch(prev) and prev != "-h"
+                and not "--help".startswith(prev)):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     """Run one subcommand. Bad input, including a problem whose numbers
     overflow a double, a size whose arrays cannot be allocated and an
     output path that cannot be written, exits 2 with one error line and
     no traceback."""
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise"):

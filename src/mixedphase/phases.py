@@ -24,17 +24,12 @@ the only result type; a single t is row 0 of evaluate(prep, t). At a
 nodal point evaluate stores nan, and the literal per-t definitions it
 is checked against (tests/literal.py) and the oracles return nan there
 too: one convention, angles.angle_or_nan, and nothing raises.
-
-Two tiers: evaluate computes the overlaps m_j and the total phase, the
-one phase verify checks; the other six columns (uhlmann, sjoqvist and
-the four per-component ones) are computed together on the first read of
-any of them, from the exponential tables evaluate kept, which are then
-dropped. A caller that reads every column pays for each table once.
+gamma_total is evaluate's gamma_total column alone, by the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,10 +39,6 @@ from .states import Problem, hamiltonian_in_eigenbasis
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
     solve_ancilla_hamiltonian
-
-
-def _column(name: str, doc: str) -> property:
-    return property(lambda batch: batch._tier_two_column(name), doc=doc)
 
 
 @dataclass(frozen=True)
@@ -60,43 +51,23 @@ class PhaseBatch:
     below the overlap tolerance) is nan, with overlap_magnitude still
     recorded; negligible components carry the sentinel convention
     visibility = gamma = total_phase = 0.
-
-    t, gamma_total, overlap_magnitude, overlaps, q and the warning flag
-    are computed by evaluate. The other six columns are computed
-    together on the first read of any of them, under the numpy error
-    state in force at that read; their values do not depend on when
-    they are read. Reads from several threads are safe.
     """
 
     t: np.ndarray
     gamma_total: np.ndarray
+    uhlmann: np.ndarray
+    sjoqvist: np.ndarray
     overlap_magnitude: np.ndarray
     overlaps: np.ndarray
     q: np.ndarray
+    visibility: np.ndarray
+    gamma: np.ndarray
+    dyn_phase: np.ndarray
+    total_phase: np.ndarray
     degenerate_spectrum_warning: bool
-    _pending: tuple | None = field(repr=False, compare=False)
-    _columns: dict | None = field(default=None, repr=False, compare=False)
-
-    uhlmann = _column("uhlmann", "arg Tr[C U C V^T], [time]")
-    sjoqvist = _column("sjoqvist", "the interferometric phase, Phi(I, t), [time]")
-    visibility = _column("visibility", "|m_j| / q_j, [time, component]")
-    gamma = _column("gamma", "arg(m_j e^{-i kappa_j t}), [time, component]")
-    dyn_phase = _column("dyn_phase", "kappa_j t, [time, component]")
-    total_phase = _column("total_phase", "arg m_j, [time, component]")
 
     def __len__(self) -> int:
         return self.t.size
-
-    def _tier_two_column(self, name: str) -> np.ndarray:
-        # _pending is read first and cleared last: once it reads None,
-        # _columns is set, and a thread that read it earlier still holds
-        # every array it needs
-        pending = self._pending
-        if pending is not None:
-            object.__setattr__(self, "_columns",
-                               _tier_two(self.t, self.overlaps, self.q, *pending))
-            object.__setattr__(self, "_pending", None)
-        return self._columns[name]
 
 
 @dataclass(frozen=True)
@@ -130,26 +101,13 @@ def prepare_problem(problem: Problem) -> PreparedProblem:
     return PreparedProblem(problem, h_prime, h_eigvals, h_eigvecs, frame, weights)
 
 
-def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
-    """Every phase and per-component report at each of times (a scalar
-    or a 1-D sequence; repeats and negative times are allowed).
-
-    No eigendecomposition, and nothing of size T x n x n is formed.
-    evaluate itself forms the tables e^{-i eps_a t} and e^{-i kappa_j t}
-    (two T x n exponentials) and one T x n by n x n product, the
-    overlaps, which give gamma_total; the returned batch keeps the
-    tables. The first read of any other column costs two more products
-    and one more table, e^{i h'_jj t}, for uhlmann and sjoqvist, and
-    then drops the tables. Raises ValueError past |t| E = 2**52, E the
-    largest |eps_a| or |kappa_j|, where doubles at the phase arguments
-    t E are 1 rad or more apart. The degenerate-spectrum flag is set
-    when two eigenvalues of the state or of K are closer than the
-    degeneracy gap.
-    """
+def _total_phase_sum(prep: PreparedProblem, times):
+    """What evaluate and gamma_total share: the checked times, the two
+    tables, P, m_j, m_j e^{-i kappa_j t} and its sum over j."""
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
-    rho, frame, q_h = prep.problem.rho0, prep.frame, prep.h_eigvecs
+    rho, frame = prep.problem.rho0, prep.frame
     energy = float(max(np.abs(prep.h_eigvals).max(), np.abs(frame.kappas).max()))
     late = t[np.abs(t) > 2.0**52 / energy] if energy else t[:0]  # t E itself may overflow
     if late.size:
@@ -159,36 +117,49 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     d = np.exp(-1j * np.outer(t, frame.kappas))  # e^{-i kappa_b t}, [time, b]
     # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
-    p = np.abs(dagger(q_h) @ (frame.z * rho.amps).T) ** 2
+    p = np.abs(dagger(prep.h_eigvecs) @ (frame.z * rho.amps).T) ** 2
     overlaps = e @ p
-    total = (overlaps * d).sum(axis=1)  # sum_j m_j e^{-i kappa_j t}
-    # kappa_j(I) = -h'_jj, copied out so that the batch does not hold h'
-    kappas_i = -np.diag(prep.h_prime).real
+    rotated = overlaps * d  # m_j e^{-i kappa_j t}
+    return t, e, d, p, overlaps, rotated, rotated.sum(axis=1)
+
+
+def gamma_total(prep: PreparedProblem, times) -> np.ndarray:
+    """evaluate(prep, times).gamma_total, bit for bit, from two of its
+    three tables and one of its three products. Raises as evaluate does."""
+    return angle_or_nan(_total_phase_sum(prep, times)[-1])
+
+
+def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
+    """Every phase and per-component report at each of times (a scalar
+    or a 1-D sequence; repeats and negative times are allowed).
+
+    Costs three T x n exponential tables and three T x n by n x n
+    products, and no eigendecomposition; nothing of size T x n x n is
+    formed. Raises ValueError past |t| E = 2**52, E the largest |eps_a|
+    or |kappa_j|, where doubles at the phase arguments t E are 1 rad or
+    more apart. The degenerate-spectrum flag is set when two eigenvalues
+    of the state or of K are closer than the degeneracy gap.
+    """
+    t, e, d, p, overlaps, rotated, total = _total_phase_sum(prep, times)
+    rho, frame, weights = prep.problem.rho0, prep.frame, prep.weights
+    trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
+    # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
+    p_i = (np.abs(prep.h_eigvecs) ** 2).T * rho.lambdas
+    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.h_prime).real))
+    interferometric = ((e @ p_i) * d_i).sum(axis=1)
+    live = weights > DEFAULT_TOL.weight
     return PhaseBatch(
         t=t,
         gamma_total=angle_or_nan(total),
+        uhlmann=angle_or_nan(trace),
+        sjoqvist=angle_or_nan(interferometric),
         overlap_magnitude=np.abs(total),
         overlaps=overlaps,
-        q=prep.weights,
+        q=weights,
+        visibility=np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
+                             where=live),
+        gamma=np.where(live, np.angle(rotated), 0.0),
+        dyn_phase=np.outer(t, frame.kappas),
+        total_phase=np.where(live, np.angle(overlaps), 0.0),
         degenerate_spectrum_warning=rho.degenerate or frame.degenerate,
-        _pending=(e, d, p, q_h, rho.lambdas, frame.kappas, kappas_i),
     )
-
-
-def _tier_two(t, overlaps, weights, e, d, p, q_h, lambdas, kappas, kappas_i) -> dict:
-    """PhaseBatch's six tier-two columns from what evaluate kept."""
-    trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
-    # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
-    p_i = (np.abs(q_h) ** 2).T * lambdas
-    d_i = np.exp(-1j * np.outer(t, kappas_i))
-    interferometric = ((e @ p_i) * d_i).sum(axis=1)
-    live = weights > DEFAULT_TOL.weight
-    return {
-        "uhlmann": angle_or_nan(trace),
-        "sjoqvist": angle_or_nan(interferometric),
-        "visibility": np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
-                                where=live),
-        "gamma": np.where(live, np.angle(overlaps * d), 0.0),  # m_j e^{-i kappa_j t}
-        "dyn_phase": np.outer(t, kappas),
-        "total_phase": np.where(live, np.angle(overlaps), 0.0),
-    }

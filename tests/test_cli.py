@@ -193,6 +193,17 @@ def test_verify_checks_each_hamiltonian_once(monkeypatch, capsys):
     assert len(calls) == 40
 
 
+def test_verify_checks_the_total_phase_without_evaluate(monkeypatch, capsys):
+    """verify reads only the total phase, through phases.gamma_total; the
+    full batch evaluate builds is never needed."""
+    def refuse(*args):
+        raise AssertionError("verify called evaluate")
+
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    assert main(["verify", "--dim", "3", "--trials", "4"]) == 0
+    assert "verified 4/4 random instances (dim 3)" in capsys.readouterr().out
+
+
 def test_verify_usage_error(capsys):
     assert main(["verify", "--dim", "2", "--trials", "0"]) == 2
 
@@ -270,6 +281,37 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("exponent_form, plain", [("-1e-3", "-0.001"), ("-2E1", "-20.0")])
+def test_negative_time_in_exponent_form_parses(mixed_file, capsys, exponent_form, plain):
+    # argparse alone reads -1e-3 as an unknown option and exits 2
+    captured = []
+    for value in (exponent_form, plain):
+        assert main(["compute", "--input", mixed_file, "-t", value]) == 0
+        captured.append(capsys.readouterr())
+    assert captured[0] == captured[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--input", "{path}", "-t", "-inf"], "error: --time must be finite, got -inf"),
+    (["sweep", "--input", "{path}", "--t-start", "-1e308", "--t-end", "0", "--steps", "2"],
+     "error: time -1e+308 is past the resolvable range"),
+    (["verify", "--dim", "2", "--tol", "-1e-9"], "error: --tol must be finite and at least 0"),
+])
+def test_negative_value_in_exponent_form_gets_its_own_error(mixed_file, capsys, argv,
+                                                            message):
+    assert main([arg.format(path=mixed_file) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and len(captured.err.splitlines()) == 1
+
+
+def test_help_before_a_negative_number_still_prints_help(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "-h", "-1e-3"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mixedphase compute")
 
 
 def _problem_file(tmp_path, hamiltonian, rho=None):

@@ -9,6 +9,7 @@ only the scaled distance is held to a fixed bound near nodal points.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,8 +138,8 @@ def test_sweep_csv_header_and_column_order():
 
 
 def eager_columns(prep, times):
-    """Every PhaseBatch column by the expressions evaluate used when it
-    computed them all at once: the reference for the lazy second tier."""
+    """Every PhaseBatch column by the expressions evaluate uses, written
+    out here once more: the reference for evaluate and gamma_total."""
     t = np.asarray(times, dtype=float).reshape(-1)
     rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.h_eigvecs, prep.weights
     e = np.exp(-1j * np.outer(t, prep.h_eigvals))
@@ -189,30 +190,23 @@ def test_every_column_matches_the_eager_expressions_in_any_read_order(case, firs
         got = getattr(batch, name)
         assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
         assert got.tobytes() == want[name].tobytes(), name  # signed zeros and nans too
+    assert phases.gamma_total(prep, times).tobytes() == want["gamma_total"].tobytes()
     if case == "nodal qubit":
         assert np.isnan(want["gamma_total"]).sum() == 3 and np.isnan(want["uhlmann"]).any()
     if case == "rank-deficient":
         assert (want["q"] <= DEFAULT_TOL.weight).sum() == 3
 
 
-def test_reading_gamma_total_alone_does_not_run_tier_two(monkeypatch):
-    calls = []
-    tier_two = getattr(phases, "_tier_two", None)
-
-    def counted(*args):
-        calls.append(args)
-        return tier_two(*args)
-
-    monkeypatch.setattr(phases, "_tier_two", counted, raising=False)
-    prep, times = SPLIT_CASES["full rank"]
-    batch = evaluate(prep, times)
-    for name in ("t", "gamma_total", "overlap_magnitude", "overlaps", "q",
-                 "degenerate_spectrum_warning"):
-        getattr(batch, name)
-    assert len(batch) == 3
-    assert calls == []
-    batch.uhlmann
-    assert len(calls) == 1
-    for name in COLUMNS:
-        getattr(batch, name)
-    assert len(calls) == 1  # all six together, once
+@pytest.mark.parametrize("bad, message", [
+    ([0.0, np.nan], "times must be finite"),
+    (np.inf, "times must be finite"),
+    ([1.0, 1e17], "time 1e+17 is past the resolvable range"),  # |t| E = 5e16 > 2**52
+])
+def test_gamma_total_raises_as_evaluate_does(bad, message):
+    prep = bloch_x_prep(0.6)
+    errors = []
+    for fn in (evaluate, phases.gamma_total):
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            fn(prep, bad)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
