@@ -50,7 +50,8 @@ class PhaseBatch:
     m_j(t). A headline phase at a nodal point (overlap magnitude at or
     below the overlap tolerance) is nan, with overlap_magnitude still
     recorded; negligible components carry the sentinel convention
-    visibility = gamma = total_phase = 0.
+    visibility = gamma = total_phase = 0. energy is the largest |eps_a|
+    or |kappa_j|: |t| times it is the largest phase argument.
     """
 
     t: np.ndarray
@@ -65,6 +66,7 @@ class PhaseBatch:
     dyn_phase: np.ndarray
     total_phase: np.ndarray
     degenerate_spectrum_warning: bool
+    energy: float
 
     def __len__(self) -> int:
         return self.t.size
@@ -102,8 +104,9 @@ def prepare_problem(problem: Problem) -> PreparedProblem:
 
 
 def _total_phase_sum(prep: PreparedProblem, times):
-    """What evaluate and gamma_total share: the checked times, the two
-    tables, P, m_j, m_j e^{-i kappa_j t} and its sum over j."""
+    """What evaluate and gamma_total share: the checked times, the
+    energy, the two tables, P, m_j, m_j e^{-i kappa_j t} and its sum
+    over j."""
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
@@ -120,7 +123,7 @@ def _total_phase_sum(prep: PreparedProblem, times):
     p = np.abs(dagger(prep.h_eigvecs) @ (frame.z * rho.amps).T) ** 2
     overlaps = e @ p
     rotated = overlaps * d  # m_j e^{-i kappa_j t}
-    return t, e, d, p, overlaps, rotated, rotated.sum(axis=1)
+    return t, energy, e, d, p, overlaps, rotated, rotated.sum(axis=1)
 
 
 def gamma_total(prep: PreparedProblem, times) -> np.ndarray:
@@ -136,11 +139,12 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     Costs three T x n exponential tables and three T x n by n x n
     products, and no eigendecomposition; nothing of size T x n x n is
     formed. Raises ValueError past |t| E = 2**52, E the largest |eps_a|
-    or |kappa_j|, where doubles at the phase arguments t E are 1 rad or
-    more apart. The degenerate-spectrum flag is set when two eigenvalues
-    of the state or of K are closer than the degeneracy gap.
+    or |kappa_j| (the batch's energy), where doubles at the phase
+    arguments t E are 1 rad or more apart. The degenerate-spectrum flag
+    is set when two eigenvalues of the state or of K are closer than
+    the degeneracy gap.
     """
-    t, e, d, p, overlaps, rotated, total = _total_phase_sum(prep, times)
+    t, energy, e, d, p, overlaps, rotated, total = _total_phase_sum(prep, times)
     rho, frame, weights = prep.problem.rho0, prep.frame, prep.weights
     trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
     # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
@@ -162,4 +166,5 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
         dyn_phase=np.outer(t, frame.kappas),
         total_phase=np.where(live, np.angle(overlaps), 0.0),
         degenerate_spectrum_warning=rho.degenerate or frame.degenerate,
+        energy=energy,
     )

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import GeometricPhaseError
 from .phases import PhaseBatch
 from .states import Problem, validate_density
+from .tolerances import DEFAULT_TOL
 
 
 class ProblemFileError(GeometricPhaseError):
@@ -29,16 +30,18 @@ class ProblemFileError(GeometricPhaseError):
 
 
 def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
-    # C-level scans of the rows, entries and values, then one conversion.
-    # Exact types: JSON true/false load as bool, an int subclass.
+    # C-level scans of the rows, entries and values, then one conversion
+    # of the flat value list. Exact types: JSON true/false load as bool,
+    # an int subclass.
     if (type(obj) is list and len(obj) == n and set(map(type, obj)) == {list}
             and set(map(len, obj)) == {n}):
         entries = list(chain.from_iterable(obj))
         if (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}
-                and set(map(type, chain.from_iterable(entries))) <= {int, float}):
+                and set(map(type, values := list(chain.from_iterable(entries))))
+                <= {int, float}):
             try:
                 # .view keeps the sign of a -0.0 real part; re + 1j*im would not
-                out = np.array(entries, dtype=float).view(complex).reshape(n, n)
+                out = np.array(values, dtype=float).view(complex).reshape(n, n)
             except OverflowError:  # an integer too large for a double
                 pass
             else:
@@ -114,24 +117,26 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def load_problem(path) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        # json.load builds a list per matrix entry (8,000 at n = 64), all
-        # alive until it returns: a collection during the parse finds no
-        # garbage, yet about ten run per such file and push the lists
-        # toward full collections.
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(f"invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise ProblemFileError("invalid JSON: nested too deeply") from None
-        finally:
-            if enabled:
-                gc.enable()
-    rho, ham = _matrices_from_dict(data)
-    del data  # free the parsed tree before validation decomposes rho
+    # json.load builds a list per matrix entry (8,000 at n = 64), all
+    # alive until the matrices are converted and the tree is freed: a
+    # collection before then finds no garbage, yet about ten run per such
+    # file and push the lists toward full collections. So the collector
+    # stays paused until the tree is gone.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ProblemFileError(f"invalid JSON: {exc}") from exc
+            except RecursionError:
+                raise ProblemFileError("invalid JSON: nested too deeply") from None
+        rho, ham = _matrices_from_dict(data)
+        del data  # free the parsed tree before the collector resumes
+    finally:
+        if enabled:
+            gc.enable()
     return Problem(validate_density(rho), ham)
 
 
@@ -143,6 +148,7 @@ def save_problem(problem: Problem, path) -> None:
 
 
 _PHASES = ("gamma_total", "uhlmann", "sjoqvist")
+_EPS = float(np.finfo(float).eps)
 
 
 def _rows(batch: PhaseBatch, *per_component):
@@ -179,7 +185,10 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> list[str]:
     """Each row's report object as json.dumps(report, indent=2) writes
     it, every line prefixed with indent: t, the three headline phases
     (null where nan), overlap_magnitude, then per component j, q,
-    visibility, gamma, dyn_phase, total_phase, then the warnings."""
+    visibility, gamma, dyn_phase, total_phase, then the warnings. A row
+    whose resolution bound |t| E eps (E = batch.energy, eps the machine
+    epsilon) exceeds the overlap tolerance warns that its phases carry
+    roundoff of that size."""
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
     # j and q_j formatted once; a float's str is its repr, as in json
     slots = ",\n".join(f'{i3}"{key}": %s'
@@ -198,6 +207,12 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> list[str]:
         warnings = degenerate + [
             f"{name} undefined at a nodal point (overlap magnitude {row[4]:.3e})"
             for name, phase in zip(_PHASES, row[1:4]) if math.isnan(phase)]
+        resolution = abs(row[0]) * batch.energy * _EPS
+        if resolution > DEFAULT_TOL.overlap:
+            warnings.append(f"resolution bound |t| E eps = {resolution:.3e} exceeds the "
+                            f"overlap tolerance {DEFAULT_TOL.overlap:.1e} (E = "
+                            f"{batch.energy:.3e}, the largest energy): the phases carry "
+                            "roundoff of that size")
         row[1:4] = ["null" if math.isnan(x) else x for x in row[1:4]]
         row.append("[\n" + ",\n".join(i2 + json.dumps(w) for w in warnings)
                    + f"\n{i1}]" if warnings else "[]")

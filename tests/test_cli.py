@@ -1,15 +1,20 @@
 """CLI contract tests: subcommands, file handling, and exit codes
 (0 success, 1 verification failure, 2 input error, 3 undefined phase)."""
 
+import contextlib
+import io
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mixedphase import Problem, circular_distance, save_problem, validate_density
+from mixedphase import Problem, circular_distance, random_instance, save_problem, \
+    validate_density
 from mixedphase import cli
 from mixedphase.cli import main
+from mixedphase.serialize import problem_to_dict
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -440,3 +445,88 @@ def test_time_past_the_resolvable_range_exits_2(tmp_path, capsys, scale, t, code
         assert len(captured.err.strip().splitlines()) == 1
     else:
         assert captured.err == ""
+
+
+# Hypothesis fuzzing of the whole command line: small problem files,
+# valid, malformed or of extreme magnitude, under edge flag values. The
+# sizes allocate nothing large (n <= 4, --steps <= 64, --trials <= 2).
+JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+              st.text(max_size=3), st.sampled_from([10**400, -10**400])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6)
+NUMBERS = st.one_of(st.floats(-20.0, 20.0), st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-300, 5e3, 9e15, 1e17, 1e300, 1.7e308, -1e17, -1e300]))
+STEPS = st.one_of(st.integers(0, 4096), st.sampled_from([256, 2**52, 2**52 + 1, 10**30]))
+
+
+@st.composite
+def problem_files(draw, directory):
+    """The path of a small problem file, valid or malformed, or a path
+    that is missing or a directory."""
+    kind = draw(st.sampled_from(["valid"] * 4 + ["entry", "row", "key", "dimension",
+                                                 "scale", "junk", "missing", "directory"]))
+    if kind == "missing":
+        return str(directory / "missing.json")
+    if kind == "directory":
+        return str(directory)
+    n = draw(st.integers(1, 4))
+    data = problem_to_dict(random_instance(n, draw(st.integers(1, n)),
+                                           draw(st.integers(0, 2**32 - 1))))
+    name = draw(st.sampled_from(["rho", "hamiltonian"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "entry":
+        data[name][i][j] = draw(st.one_of(JUNK, st.lists(NUMBERS, min_size=2, max_size=2)))
+    elif kind == "row":
+        data[name][i] = draw(JUNK)
+    elif kind == "key":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif kind == "dimension":
+        data["dimension"] = draw(JUNK)
+    elif kind == "scale":
+        factor = draw(NUMBERS)
+        data[name] = [[[re * factor, im * factor] for re, im in row] for row in data[name]]
+    elif kind == "junk":
+        data = draw(JUNK)
+    text = json.dumps(data, indent=draw(st.sampled_from([None, 2])))
+    edit = draw(st.sampled_from(["none"] * 4 + ["truncate", "bom", "crlf", "latin1"]))
+    if edit == "truncate":
+        text = text[:draw(st.integers(0, len(text)))]
+    raw = {"bom": "\ufeff" + text, "crlf": text.replace("\n", "\r\n")}.get(edit, text)
+    path = directory / "problem.json"
+    path.write_bytes((b"\xff" if edit == "latin1" else b"") + raw.encode("utf-8"))
+    return str(path)
+
+
+@st.composite
+def command_lines(draw, directory):
+    command = draw(st.sampled_from(["compute", "sweep", "compare", "verify"]))
+    if command == "verify":
+        return ["verify", "--dim", str(draw(st.integers(-1, 4))),
+                "--trials", str(draw(st.integers(-1, 2))),
+                "--seed", str(draw(st.integers(-1, 2**64))),
+                "--tol", repr(draw(st.one_of(st.sampled_from([1e-9, 0.0]), NUMBERS)))]
+    argv = [command, "--input", draw(problem_files(directory))]
+    if command == "sweep":
+        return argv + ["--t-start", repr(draw(NUMBERS)), "--t-end", repr(draw(NUMBERS)),
+                       "--steps", str(draw(st.integers(-1, 64))),
+                       "--format", draw(st.sampled_from(["csv", "json"]))]
+    argv += ["-t", repr(draw(NUMBERS))]
+    return argv + (["--holonomy-steps", str(draw(STEPS))] if command == "compare" else [])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_command_lines_keep_the_exit_code_contract(tmp_path, data):
+    argv = data.draw(command_lines(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 1, 2, 3}
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""

@@ -3,12 +3,14 @@
 import gc
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mixedphase import (
+    DEFAULT_TOL,
     NotPSD,
     Problem,
     ProblemFileError,
@@ -19,8 +21,10 @@ from mixedphase import (
     save_problem,
     validate_density,
 )
+from mixedphase import serialize
 from mixedphase.cli import main
 from mixedphase.serialize import (
+    _matrix_from_pairs,
     problem_from_dict,
     problem_to_dict,
     reports_to_json,
@@ -58,14 +62,16 @@ def test_missing_key_and_bad_entries():
         problem_from_dict({"dimension": 0, "rho": [], "hamiltonian": []})
 
 
+NOT_PSD = {
+    "dimension": 2,
+    "rho": [[[0.6, 0.0], [0.6, 0.0]], [[0.6, 0.0], [0.4, 0.0]]],
+    "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+}
+
+
 def test_validation_errors_propagate():
-    bad = {
-        "dimension": 2,
-        "rho": [[[0.6, 0.0], [0.6, 0.0]], [[0.6, 0.0], [0.4, 0.0]]],
-        "hamiltonian": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
-    }
     with pytest.raises(NotPSD):
-        problem_from_dict(bad)
+        problem_from_dict(NOT_PSD)
 
 
 def test_invalid_json_reported(tmp_path):
@@ -77,20 +83,60 @@ def test_invalid_json_reported(tmp_path):
             load_problem(path)
 
 
-def test_load_problem_restores_the_collector_state(tmp_path):
-    # load_problem pauses garbage collection during the parse only
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ProblemFileError):
-        load_problem(path)
-    assert gc.isenabled()
-    save_problem(random_instance(2, 2, 1), path)
-    gc.disable()
+def _with_hamiltonian_entry(value):
+    """A valid 2 x 2 problem file's text with hamiltonian[1][1] = [0, value]."""
+    data = problem_to_dict(random_instance(2, 2, 1))
+    data["hamiltonian"][1][1] = [0.0, value]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("text, error, reached", [
+    pytest.param(json.dumps(problem_to_dict(random_instance(2, 2, 1))), None,
+                 {"convert", "validate"}, id="valid"),
+    pytest.param("{not json", ProblemFileError, set(), id="invalid_json"),
+    pytest.param(_with_hamiltonian_entry(True), ProblemFileError, {"convert"},
+                 id="bool_entry"),
+    pytest.param(_with_hamiltonian_entry(10**400), ProblemFileError, {"convert"},
+                 id="huge_integer"),
+    pytest.param(_with_hamiltonian_entry(float("nan")), ProblemFileError, {"convert"},
+                 id="nan_token"),
+    pytest.param(json.dumps(NOT_PSD), NotPSD, {"convert", "validate"}, id="not_psd"),
+])
+def test_load_problem_restores_the_collector_state(tmp_path, monkeypatch, enabled, text,
+                                                   error, reached):
+    # load_problem pauses garbage collection from the parse until the
+    # parsed tree is freed; validation runs under the caller's setting,
+    # and every exit, by a return or an error, restores that setting
+    seen = {}
+    convert, validate = serialize._matrices_from_dict, serialize.validate_density
+
+    def spy_convert(data):
+        seen["convert"] = gc.isenabled()
+        return convert(data)
+
+    def spy_validate(mat):
+        seen["validate"] = gc.isenabled()
+        return validate(mat)
+
+    monkeypatch.setattr(serialize, "_matrices_from_dict", spy_convert)
+    monkeypatch.setattr(serialize, "validate_density", spy_validate)
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    if not enabled:
+        gc.disable()
     try:
-        load_problem(path)
-        assert not gc.isenabled()
+        if error is None:
+            load_problem(path)
+        else:
+            with pytest.raises(error):
+                load_problem(path)
+        assert gc.isenabled() is enabled
     finally:
         gc.enable()
+    assert set(seen) == reached
+    assert seen.get("convert") is not True
+    assert seen.get("validate", enabled) is enabled
 
 
 def test_report_dict_keys_and_null_for_undefined():
@@ -174,6 +220,13 @@ def reference_report(batch, i):
                 f"{name} undefined at a nodal point "
                 f"(overlap magnitude {batch.overlap_magnitude[i]:.3e})"
             )
+    resolution = abs(float(batch.t[i])) * batch.energy * np.finfo(float).eps
+    if resolution > DEFAULT_TOL.overlap:
+        warnings.append(
+            f"resolution bound |t| E eps = {resolution:.3e} exceeds the overlap "
+            f"tolerance {DEFAULT_TOL.overlap:.1e} (E = {batch.energy:.3e}, the largest "
+            "energy): the phases carry roundoff of that size"
+        )
     columns = zip(batch.q.tolist(), batch.visibility[i].tolist(),
                   batch.gamma[i].tolist(), batch.dyn_phase[i].tolist(),
                   batch.total_phase[i].tolist())
@@ -225,6 +278,7 @@ def sweeps(draw):
 @settings(max_examples=60, deadline=None)
 @given(sweeps())
 @example((nodal_qubit(), np.linspace(-10 * np.pi, 10 * np.pi, 5).tolist()))
+@example((nodal_qubit(), [-1e4, 8e3, 1e4, 1e5]))  # rows past the resolution bound
 def test_sweep_csv_matches_cell_by_cell_formatting(case):
     problem, times = case
     batch = evaluate(prepare_problem(problem), times)
@@ -275,3 +329,97 @@ def test_matrix_parse_rejections_name_the_entry(hamiltonian, message):
     with pytest.raises(ProblemFileError) as exc:
         problem_from_dict(_entries_problem(hamiltonian))
     assert str(exc.value) == message
+
+
+# finite doubles (-0.0 and subnormals among them) and ints past 2**64
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70),
+                    st.sampled_from([-0.0, 5e-324, -5e-324, 2**70, -2**70]))
+PAIRS = st.builds(lambda re, im, as_tuple: (re, im) if as_tuple else [re, im],
+                  NUMBERS, NUMBERS, st.booleans())
+
+
+@st.composite
+def pair_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.lists(st.lists(PAIRS, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_matrices())
+def test_flat_conversion_equals_the_nested_one(case):
+    n, obj = case
+    nested = np.array(list(chain.from_iterable(obj)), dtype=float).view(complex).reshape(n, n)
+    assert _matrix_from_pairs(obj, n, "rho").tobytes() == nested.tobytes()
+
+
+# one corruption of a [re, im] entry, or of a whole row, with the message
+# that names it
+ENTRY_CORRUPTIONS = {
+    "bool": (lambda pair: [True, pair[1]], "complex entries must be [re, im] pairs"),
+    "str": (lambda pair: [pair[0], "1.0"], "complex entries must be [re, im] pairs"),
+    "triple": (lambda pair: [*pair, 0.0], "complex entries must be [re, im] pairs"),
+    "huge": (lambda pair: [10**400, pair[1]], "entry is too large for a double"),
+    "nan": (lambda pair: [pair[0], float("nan")], None),
+}
+ROW_CORRUPTIONS = [{"re": 0.0}, 0.5, "row", None, []]
+
+
+@st.composite
+def corrupted_matrices(draw):
+    """A pair matrix with one or two corruptions, and the message naming
+    the first in row-major order (a row before its own entries). A nan
+    is named only when nothing else is wrong."""
+    n, obj = draw(pair_matrices())
+    obj = [list(row) for row in obj]
+    spots = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1)),
+                          min_size=1, max_size=2, unique=True))
+    messages = []
+    for i, j in sorted(spots, key=lambda spot: spot[1] < 0):  # rows after entries
+        if j < 0:
+            row = obj[i] = draw(st.sampled_from(ROW_CORRUPTIONS))
+            got = len(row) if type(row) is list else type(row).__name__
+            messages.append((i, j, f"hamiltonian: row {i} must have {n} entries, got {got}"))
+        else:
+            kind = draw(st.sampled_from(sorted(ENTRY_CORRUPTIONS)))
+            corrupt, message = ENTRY_CORRUPTIONS[kind]
+            obj[i][j] = corrupt(obj[i][j])
+            if message is not None:
+                messages.append((i, j, f"hamiltonian[{i}][{j}]: {message}"))
+    # a replaced row sorts before the entries it dropped
+    return n, obj, min(messages)[2] if messages else "hamiltonian: non-finite entries"
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_matrices())
+def test_malformed_entries_are_named_in_row_major_order(case):
+    n, obj, message = case
+    with pytest.raises(ProblemFileError) as exc:
+        _matrix_from_pairs(obj, n, "hamiltonian")
+    assert str(exc.value) == message
+
+
+def test_resolution_warning_past_the_bound(tmp_path, capsys):
+    # a row warns when |t| E eps exceeds the overlap tolerance; the CSV has
+    # no warnings and does not change
+    problem = random_instance(3, 3, 5)
+    path = tmp_path / "instance.json"
+    save_problem(problem, path)
+    energy = evaluate(prepare_problem(problem), 0.0).energy
+    eps = float(np.finfo(float).eps)
+    bound = DEFAULT_TOL.overlap / (energy * eps)
+    below, above = 0.99 * bound, 1.01 * bound
+    warning = (f"resolution bound |t| E eps = {above * energy * eps:.3e} exceeds the "
+               f"overlap tolerance 1.0e-12 (E = {energy:.3e}, the largest energy): the "
+               "phases carry roundoff of that size")
+    assert main(["compute", "--input", str(path), "-t", repr(below)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
+    assert main(["compute", "--input", str(path), "-t", repr(above)]) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
+    sweep = ["sweep", "--input", str(path), "--t-start", repr(below), "--t-end",
+             repr(above), "--steps", "2"]
+    assert main(sweep + ["--format", "json"]) == 0
+    assert [row["warnings"] for row in json.loads(capsys.readouterr().out)] == [[], [warning]]
+    assert main(sweep) == 0
+    batch = evaluate(prepare_problem(load_problem(path)), [below, above])
+    assert capsys.readouterr().out == sweep_to_csv(batch)
