@@ -22,7 +22,7 @@ from .angles import circular_distance
 from .errors import GeometricPhaseError
 from .linalg import frobenius
 from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
-from .phases import evaluate, gamma_total, prepare_problem
+from .phases import evaluate, gauge_pair, prepare_problem
 from .serialize import ProblemFileError, load_problem, reports_to_json, sweep_to_csv, \
     sweep_to_json
 from .states import Problem
@@ -93,21 +93,21 @@ def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
     """Run the invariant checks on one instance; return the violated
     invariant's description or None."""
     rho = problem.rho0
-    # The gauge-rephased instance is evaluated first, so that it and the
-    # instance itself are never held at once.
-    rephased = problem.rephased(rng.uniform(0.0, 2.0 * np.pi, size=problem.dim))
-    gamma_rephased = float(gamma_total(prepare_problem(rephased), VERIFY_TIME)[0])
-    prep = prepare_problem(problem)
-    resid = ancilla_equation_residual(rho.amps, prep.h_prime, prep.frame.k)
-    bound = tol * max(1.0, frobenius(prep.h_prime))
+    # The total phase of a gauge-rephased copy and of the instance itself,
+    # from one stacked pass that keeps only the instance's own h' and frame.
+    gammas, h_prime, frame = gauge_pair(problem, rng.uniform(0.0, 2.0 * np.pi, size=problem.dim),
+                                        VERIFY_TIME)
+    gamma_rephased, gamma = gammas[:, 0].tolist()
+    resid = ancilla_equation_residual(rho.amps, h_prime, frame.k)
+    bound = tol * max(1.0, frobenius(h_prime))
     if resid > bound:
         return f"ancilla-equation residual {resid:.3e} > {bound:.3e}"
-    resid = transport_residual(rho.amps, prep.h_prime, prep.frame)
+    resid = transport_residual(rho.amps, h_prime, frame)
     if resid > bound:
         return f"parallel-transport residual {resid:.3e} > {bound:.3e}"
+    del h_prime, frame  # not held through the holonomy
     # the engine's total phase against the holonomy of the density-matrix
     # path, which never sees the ancilla
-    gamma = float(gamma_total(prep, VERIFY_TIME)[0])
     holonomy = discrete_uhlmann_holonomy(problem, VERIFY_TIME, VERIFY_HOLONOMY_STEPS)
     dist = circular_distance(gamma, holonomy)
     if not dist <= tol:  # also catches a nan (nodal) phase

@@ -17,8 +17,8 @@ from .tolerances import DEFAULT_TOL
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -74,11 +74,14 @@ def hermitian_eig(a):
     enters (Problem, validate_density, pancharatnam_phase), and every
     other caller builds a Hermitian one. np.linalg.eigh reads only the
     lower triangle; the matrix is symmetrized before the solve so that
-    both triangles enter.
+    both triangles enter. A (B, n, n) stack gives (B, n) eigenvalues and
+    (B, n, n) eigenvectors in one call, each matrix bit for bit as alone.
     """
     a = np.asarray(a, dtype=complex)
-    w, q = np.linalg.eigh((a + dagger(a)) / 2.0)
-    return w, q
+    sym_t = a.conj()  # the transpose of (a + a^dag) / 2, built in place
+    sym_t += a.swapaxes(-1, -2)
+    sym_t /= 2.0
+    return np.linalg.eigh(sym_t.swapaxes(-1, -2))
 
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:

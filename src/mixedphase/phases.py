@@ -25,6 +25,12 @@ nodal point evaluate stores nan, and the literal per-t definitions it
 is checked against (tests/literal.py) and the oracles return nan there
 too: one convention, angles.angle_or_nan, and nothing raises.
 gamma_total is evaluate's gamma_total column alone, by the same code.
+
+Gauge pairs: gauge_pair takes the total phase of one problem in two
+gauges of the state eigenbasis as a (2, n, n) stack, through the same
+functions as prepare_problem and gamma_total (linalg's eigh and matmul
+take leading axes); each member is bit for bit what those give for it
+alone.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
-from .linalg import dagger, hermitian_eig
+from .linalg import hermitian_eig
 from .states import Problem, hamiltonian_in_eigenbasis
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
@@ -92,44 +98,84 @@ class PreparedProblem:
 
 
 def prepare_problem(problem: Problem) -> PreparedProblem:
-    """Build the ancilla frame and weights in the state eigenbasis.
-    A check in another gauge passes a Problem whose state has a
-    rephased basis_e."""
+    """Build the ancilla frame and weights in the state eigenbasis."""
     amps = problem.rho0.amps
     h_prime = hamiltonian_in_eigenbasis(problem)
-    h_eigvals, h_eigvecs = hermitian_eig(h_prime)
-    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_prime))
+    h_eigvals, h_eigvecs, frame = _diagonalize(amps, h_prime)
     weights = component_weights(amps, frame.z)
     return PreparedProblem(problem, h_prime, h_eigvals, h_eigvecs, frame, weights)
 
 
-def _total_phase_sum(prep: PreparedProblem, times):
-    """What evaluate and gamma_total share: the checked times, the
-    energy, the two tables, P, m_j, m_j e^{-i kappa_j t} and its sum
-    over j."""
+def _diagonalize(amps, h_prime):
+    """The eigendecomposition of h' and the ancilla frame, for one h' or
+    a stack of them: what prepare_problem and gauge_pair share."""
+    h_eigvals, h_eigvecs = hermitian_eig(h_prime)
+    return h_eigvals, h_eigvecs, diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_prime))
+
+
+def gauge_pair(problem: Problem, theta, times):
+    """gamma_total at times of problem in two gauges, from one stacked
+    pass, with copies of the problem's own h' and ancilla frame.
+
+    Row 0 is the problem with column j of its state's eigenbasis times
+    e^{i theta_j}, row 1 the problem as it is; the rows, h' and frame are
+    bit for bit what prepare_problem and gamma_total give. Only the
+    eigenvectors differ, so the Hamiltonian is not checked again. The
+    stacked h' and K are released before the contraction, whose
+    temporaries set the pass's peak memory.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (problem.dim,) or not np.isfinite(theta).all():
+        raise ValueError(f"expected {problem.dim} finite angles, got {theta}")
+    amps, e = problem.rho0.amps, problem.rho0.basis_e
+    h_pair = hamiltonian_in_eigenbasis(problem, np.stack([e * np.exp(1j * theta), e]))
+    h_eigvals, h_eigvecs, frame = _diagonalize(amps, h_pair)
+    h_prime, k = h_pair[1].copy(), frame.k[1].copy()
+    z, kappas = frame.z, frame.kappas
+    del h_pair, frame
+    total = _total_phase_sum(amps, h_eigvals, h_eigvecs, z, kappas, times)[-1]
+    return angle_or_nan(total), h_prime, AncillaFrame(k, z[1].copy(), kappas[1].copy())
+
+
+def _total_phase_sum(amps, h_eigvals, h_eigvecs, z, kappas, times):
+    """What evaluate, gamma_total and gauge_pair share: the checked
+    times, the energy, the two tables, P, m_j, m_j e^{-i kappa_j t} and
+    its sum over j. For a stack of spectra and frames, all but t and the
+    energy (the stack's largest) have its leading axis."""
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
-    rho, frame = prep.problem.rho0, prep.frame
-    energy = float(max(np.abs(prep.h_eigvals).max(), np.abs(frame.kappas).max()))
+    energy = float(max(np.abs(h_eigvals).max(), np.abs(kappas).max()))
     late = t[np.abs(t) > 2.0**52 / energy] if energy else t[:0]  # t E itself may overflow
     if late.size:
         raise ValueError(f"time {float(late[0]):g} is past the resolvable range: |t| times "
                          f"the largest energy {energy:.3e} exceeds 2**52")
-    e = np.exp(-1j * np.outer(t, prep.h_eigvals))  # e^{-i eps_a t}, [time, a]
-    d = np.exp(-1j * np.outer(t, frame.kappas))  # e^{-i kappa_b t}, [time, b]
     # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
-    p = np.abs(dagger(prep.h_eigvecs) @ (frame.z * rho.amps).T) ** 2
+    # Q^dag C z^T is formed as the conjugate of Q^T conj(C z^T), which
+    # conjugates the one new array in place instead of copying Q; every
+    # product and sum is then the exact conjugate, so P is the same.
+    czt = (z * amps).swapaxes(-1, -2)
+    p = np.abs(h_eigvecs.swapaxes(-1, -2) @ np.conjugate(czt, out=czt))
+    del czt
+    p **= 2
+    e = np.exp(-1j * (t[:, None] * h_eigvals[..., None, :]))  # e^{-i eps_a t}, [time, a]
+    d = np.exp(-1j * (t[:, None] * kappas[..., None, :]))  # e^{-i kappa_b t}, [time, b]
     overlaps = e @ p
     rotated = overlaps * d  # m_j e^{-i kappa_j t}
-    return t, energy, e, d, p, overlaps, rotated, rotated.sum(axis=1)
+    return t, energy, e, d, p, overlaps, rotated, rotated.sum(axis=-1)
+
+
+def _prepared_sum(prep: PreparedProblem, times):
+    """_total_phase_sum for a prepared problem."""
+    return _total_phase_sum(prep.problem.rho0.amps, prep.h_eigvals, prep.h_eigvecs,
+                            prep.frame.z, prep.frame.kappas, times)
 
 
 def gamma_total(prep: PreparedProblem, times) -> np.ndarray:
     """evaluate(prep, times).gamma_total, bit for bit, from two of its
     three tables and one of its three products. Raises as evaluate does."""
-    return angle_or_nan(_total_phase_sum(prep, times)[-1])
+    return angle_or_nan(_prepared_sum(prep, times)[-1])
 
 
 def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
@@ -144,7 +190,7 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     is set when two eigenvalues of the state or of K are closer than
     the degeneracy gap.
     """
-    t, energy, e, d, p, overlaps, rotated, total = _total_phase_sum(prep, times)
+    t, energy, e, d, p, overlaps, rotated, total = _prepared_sum(prep, times)
     rho, frame, weights = prep.problem.rho0, prep.frame, prep.weights
     trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
     # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj

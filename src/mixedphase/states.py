@@ -8,8 +8,7 @@ state is diag(lambdas) and the amplitude matrix is diag(sqrt(lambdas)).
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -74,19 +73,6 @@ class Problem:
     def dim(self) -> int:
         return self.rho0.dim
 
-    def rephased(self, theta) -> Problem:
-        """The same problem in another gauge: column j of the state's
-        eigenbasis times e^{i theta_j}. Only those eigenvectors change,
-        so the Hamiltonian, checked when this problem was built, is not
-        checked again."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,) or not np.isfinite(theta).all():
-            raise ValueError(f"expected {self.dim} finite angles, got {theta}")
-        rho = self.rho0
-        out = copy.copy(self)  # no __post_init__
-        object.__setattr__(out, "rho0", replace(rho, basis_e=rho.basis_e * np.exp(1j * theta)))
-        return out
-
 
 def validate_density(mat) -> DensityMatrix:
     """Check the density-matrix invariants and decompose the matrix.
@@ -113,8 +99,10 @@ def validate_density(mat) -> DensityMatrix:
     return DensityMatrix(mat, lambdas, q[:, ::-1], np.sqrt(lambdas), degenerate)
 
 
-def hamiltonian_in_eigenbasis(problem: Problem) -> np.ndarray:
+def hamiltonian_in_eigenbasis(problem: Problem, basis_e=None) -> np.ndarray:
     """Rotate the lab-frame Hamiltonian into the state eigenbasis,
-    h' = e^dag h e. Preserves the spectrum; Hermitian up to roundoff."""
-    e = problem.rho0.basis_e
+    h' = e^dag h e, for e = problem.rho0.basis_e or the given basis_e,
+    which may be a (B, n, n) stack of eigenbases of the same state
+    (gauges). Preserves the spectrum; Hermitian up to roundoff."""
+    e = problem.rho0.basis_e if basis_e is None else basis_e
     return dagger(e) @ problem.hamiltonian_lab @ e

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import dagger, frobenius, hermitian_eig
+from .linalg import frobenius, hermitian_eig
 from .tolerances import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
 class AncillaFrame:
     """Ancilla Hamiltonian k, the unitary z with z k z^dag diagonal, and
-    the eigenvalues kappas (ascending, energy units)."""
+    the eigenvalues kappas (ascending, energy units); for a stack of
+    ancilla Hamiltonians, each field has its leading axis."""
 
     k: np.ndarray
     z: np.ndarray
@@ -33,7 +34,7 @@ class AncillaFrame:
 
     @property
     def dim(self) -> int:
-        return self.kappas.size
+        return self.kappas.shape[-1]
 
     @property
     def degenerate(self) -> bool:
@@ -48,7 +49,8 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     """Closed-form solution K of C^2 K^T + K^T C^2 = -2 C H C.
 
     amps is the 1-D vector of amplitudes c_j = sqrt(lambda_j) >= 0;
-    h_prime is the Hamiltonian in the state eigenbasis. Entrywise,
+    h_prime is the Hamiltonian in the state eigenbasis, or a (B, n, n)
+    stack of it in B gauges, which gives a stack of K. Entrywise,
     (K^T)_kl = -2 c_k c_l H'_kl / (c_k^2 + c_l^2) wherever the
     denominator exceeds the support tolerance, else 0: the equation puts no
     constraint on K inside the kernel of the state, and zero is the
@@ -56,17 +58,23 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     """
     amps = np.asarray(amps, dtype=float)
     hp = np.asarray(h_prime, dtype=complex)
-    if amps.size != hp.shape[0]:
+    if amps.size != hp.shape[-1]:
         raise DimensionMismatch(
-            f"{amps.size} amplitudes for a {hp.shape[0]}x{hp.shape[0]} Hamiltonian"
+            f"{amps.size} amplitudes for a {hp.shape[-1]}x{hp.shape[-1]} Hamiltonian"
         )
-    hp = (hp + dagger(hp)) / 2.0  # exact symmetry here makes K exactly Hermitian
+    # K^T = factor * (h' + h'^dag) / 2 with factor symmetric, so K itself is
+    # factor times the transpose of that mean, built in place; exact
+    # symmetry of the mean makes K exactly Hermitian
+    k = hp.conj()
+    k += hp.swapaxes(-1, -2)
+    k /= 2.0
     lam = amps**2
     denom = lam[:, None] + lam[None, :]
     num = -2.0 * np.outer(amps, amps)
     factor = np.divide(num, denom, out=np.zeros_like(denom),
                        where=denom > DEFAULT_TOL.support)
-    return (factor * hp).T
+    k *= factor
+    return k
 
 
 def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
@@ -92,11 +100,12 @@ def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:
 
 def diagonalizing_frame(ancilla_h) -> AncillaFrame:
     """Diagonalize the ancilla Hamiltonian: z = q^dag for k = q diag(kappa) q^dag,
-    so z k z^dag = diag(kappa) with kappas ascending. k is taken to be
-    Hermitian, as solve_ancilla_hamiltonian makes it, and is not checked."""
+    so z k z^dag = diag(kappa) with kappas ascending; a (B, n, n) stack in
+    one eigh call. k is taken to be Hermitian, as solve_ancilla_hamiltonian
+    makes it, and is not checked."""
     kappas, q = hermitian_eig(ancilla_h)
-    return AncillaFrame(k=np.asarray(ancilla_h, dtype=complex), z=dagger(q),
-                        kappas=kappas)
+    z = np.conjugate(q, out=q).swapaxes(-1, -2)  # q^dag, in q's own memory
+    return AncillaFrame(k=np.asarray(ancilla_h, dtype=complex), z=z, kappas=kappas)
 
 
 def component_weights(amps, z) -> np.ndarray:

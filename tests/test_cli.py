@@ -5,6 +5,7 @@ import contextlib
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,15 +165,16 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch, capsys):
 
 
 def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch, capsys):
-    """Negative control: the engine evolves under H (1 + 1e-6) while the
-    holonomy oracle sees H. The ancilla, transport and gauge checks all
-    use the engine's own preparation, so only the holonomy can fail."""
-    prepare = cli.prepare_problem
+    """Negative control: the engine evolves both members of the gauge pair
+    under H (1 + 1e-6) while the holonomy oracle sees H. The ancilla,
+    transport and gauge checks all use the engine's own preparation, so
+    only the holonomy can fail."""
+    pair = cli.gauge_pair
 
-    def perturbed(problem):
-        return prepare(Problem(problem.rho0, problem.hamiltonian_lab * (1 + 1e-6)))
+    def perturbed(problem, theta, times):
+        return pair(Problem(problem.rho0, problem.hamiltonian_lab * (1 + 1e-6)), theta, times)
 
-    monkeypatch.setattr(cli, "prepare_problem", perturbed)
+    monkeypatch.setattr(cli, "gauge_pair", perturbed)
     assert main(["verify", "--dim", "4", "--trials", "5", "--seed", "7",
                  "--tol", "1e-9"]) == 1
     out = capsys.readouterr().out
@@ -207,6 +209,44 @@ def test_verify_checks_the_total_phase_without_evaluate(monkeypatch, capsys):
     monkeypatch.setattr(cli, "evaluate", refuse)
     assert main(["verify", "--dim", "3", "--trials", "4"]) == 0
     assert "verified 4/4 random instances (dim 3)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, stdout, code", [
+    (["--dim", "3", "--trials", "6", "--seed", "2", "--tol", "1e-13"],
+     "verification failed for instance seed 1206473021768521264: total phase vs holonomy "
+     "(65536 steps) differ by 3.356e-12 > 1.000e-13 at t=1.7\n"
+     "passed 0 of 6 instances before first failure\n", 1),
+    # the residuals read the raw h' = E^dag H E, not the symmetrized copy
+    # the eigensolver and the K solve use (which gives 2.354e-17 here)
+    (["--dim", "8", "--trials", "4", "--seed", "5", "--tol", "0"],
+     "verification failed for instance seed 3712420728229738858: ancilla-equation "
+     "residual 3.996e-17 > 0.000e+00\n"
+     "passed 0 of 4 instances before first failure\n", 1),
+    (["--dim", "1", "--trials", "3", "--seed", "1"],
+     "verified 3/3 random instances (dim 1): ancilla equation, holonomy, parallel "
+     "transport, gauge invariance all within tolerance 1.0e-09\n", 0),
+])
+def test_verify_output_is_pinned(capsys, argv, stdout, code):
+    assert main(["verify"] + argv) == code
+    assert capsys.readouterr() == (stdout, "")
+
+
+def test_verify_memory_does_not_grow_with_trials(capsys):
+    """Trials run one at a time, each freeing its arrays before the next:
+    the peak of a warm op (parser built) is flat in --trials. A stack
+    across all trials would grow with it."""
+    def peak(trials):
+        argv = ["verify", "--dim", "8", "--trials", str(trials), "--seed", "3"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(5), peak(80)
+    assert many <= few + 4096, (few, many)
 
 
 def test_verify_usage_error(capsys):

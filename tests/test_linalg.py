@@ -113,6 +113,20 @@ def test_unitary_group_law(seed, t1, t2):
     assert frobenius(dagger(u1) @ u1 - np.eye(3)) <= 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 4))
+def test_dagger_and_eig_of_a_stack_are_those_of_each_matrix(seed, n, batch):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+    w, q = hermitian_eig(stack)
+    assert w.shape == (batch, n) and q.shape == (batch, n, n)
+    for i, a in enumerate(stack):
+        np.testing.assert_array_equal(dagger(stack)[i], a.conj().T)
+        w_i, q_i = hermitian_eig(a)
+        np.testing.assert_array_equal(w[i], w_i)
+        np.testing.assert_array_equal(q[i], q_i)
+
+
 def test_polar_of_unitary_is_input():
     rng = np.random.default_rng(8)
     u = unitary_from_hamiltonian(random_hermitian(rng, 3), 1.1)

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixedphase import (
     Problem,
@@ -18,7 +19,9 @@ from mixedphase import (
     random_instance,
     validate_density,
 )
+from mixedphase import linalg, states
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
+from mixedphase.phases import gamma_total, gauge_pair
 from mixedphase.serialize import reports_to_json
 from mixedphase.states import DensityMatrix
 from mixedphase.transport import diagonalizing_frame
@@ -276,6 +279,52 @@ def test_gauge_invariance_under_eigenvector_rephasing():
         prep2 = prepare_problem(Problem(rephased, problem.hamiltonian_lab))
         gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
         assert circular_distance(gamma, gamma2) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_gauge_pair_equals_two_separate_passes(dim, data, seed):
+    """The stacked pass gives exactly, with == and no tolerance, what
+    prepare_problem and gamma_total give for each member alone: the
+    problem with only its state's eigenvectors rephased, then the problem
+    itself, whose h', K, kappas and z it also returns."""
+    rank = data.draw(st.integers(1, dim), label="rank")
+    theta = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=dim,
+                                        max_size=dim), label="theta"))
+    problem = random_instance(dim, rank, seed)
+    rho = problem.rho0
+    times = [1.7, -0.4, 5.0]
+    gammas, h_prime, frame = gauge_pair(problem, theta, times)
+    rephased = Problem(DensityMatrix(rho.mat, rho.lambdas, rho.basis_e * np.exp(1j * theta),
+                                     rho.amps, rho.degenerate), problem.hamiltonian_lab)
+    own = prepare_problem(problem)
+    assert gammas.shape == (2, 3)
+    np.testing.assert_array_equal(gammas[0], gamma_total(prepare_problem(rephased), times))
+    np.testing.assert_array_equal(gammas[1], gamma_total(own, times))
+    np.testing.assert_array_equal(h_prime, own.h_prime)
+    for name in ("k", "kappas", "z"):
+        np.testing.assert_array_equal(getattr(frame, name), getattr(own.frame, name))
+
+
+def test_gauge_pair_rephases_only_the_eigenvectors(monkeypatch):
+    """The problem is left as it is, and its Hamiltonian, checked when it
+    was built, is not checked again."""
+    problem = random_instance(4, 3, 12)
+    rho = problem.rho0
+    before = {name: getattr(rho, name).tobytes() for name in ("mat", "lambdas", "basis_e", "amps")}
+
+    def refuse(a):
+        raise AssertionError("a Hamiltonian was checked again")
+
+    for module in (linalg, states):
+        monkeypatch.setattr(module, "require_hermitian", refuse)
+    gauge_pair(problem, [0.3, -2.0, 6.0, 1e-3], 1.7)
+    monkeypatch.undo()
+    assert problem.rho0 is rho
+    assert {name: getattr(rho, name).tobytes() for name in before} == before
+    for bad in ([0.0] * 3, [0.0, 0.0, np.nan, 0.0], [[0.0] * 4]):
+        with pytest.raises(ValueError, match="4 finite angles"):
+            gauge_pair(problem, bad, 1.7)
 
 
 def test_total_phase_ignores_ancilla_kernel_freedom():

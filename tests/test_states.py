@@ -132,22 +132,6 @@ def test_degenerate_flag():
     assert not validate_density(np.diag([0.7, 0.3])).degenerate
 
 
-def test_rephased_changes_only_the_eigenvectors():
-    problem = random_instance(4, 3, 12)
-    theta = np.array([0.3, -2.0, 6.0, 1e-3])
-    rho, out = problem.rho0, problem.rephased(theta)
-    want = Problem(DensityMatrix(rho.mat, rho.lambdas, rho.basis_e * np.exp(1j * theta),
-                                 rho.amps, rho.degenerate), problem.hamiltonian_lab)
-    assert out.rho0.basis_e.tobytes() == want.rho0.basis_e.tobytes()
-    assert out.hamiltonian_lab is problem.hamiltonian_lab
-    for name in ("mat", "lambdas", "amps", "degenerate"):
-        assert getattr(out.rho0, name) is getattr(rho, name)
-    assert problem.rho0 is rho  # the original is unchanged
-    for bad in ([0.0] * 3, [0.0, 0.0, np.nan, 0.0], [[0.0] * 4]):
-        with pytest.raises(ValueError, match="4 finite angles"):
-            problem.rephased(bad)
-
-
 def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
     path = tmp_path / "problem.json"
     save_problem(random_instance(5, 3, 11), path)
