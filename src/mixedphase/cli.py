@@ -9,12 +9,15 @@ verification failure, 2 input error, 3 undefined phase.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
 import re
 import sys
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -48,12 +51,16 @@ def _fail_input(message: str) -> int:
     return EXIT_INPUT_ERROR
 
 
-def _emit(text: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _destination(output: str | None) -> Iterator[TextIO]:
+    """The --output file, opened for writing, or stdout. Each command
+    opens it only once its report is computed, so a run that fails
+    before then writes nothing."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _load(path: str) -> Problem:
@@ -68,7 +75,8 @@ def cmd_compute(args) -> int:
     if not math.isfinite(args.time):
         return _fail_input(f"--time must be finite, got {args.time}")
     batch = evaluate(prepare_problem(_load(args.input)), args.time)
-    _emit(reports_to_json(batch, "")[0] + "\n", args.output)
+    with _destination(args.output) as dest:
+        dest.write(next(reports_to_json(batch, "")) + "\n")
     undefined = np.isnan([batch.gamma_total, batch.uhlmann, batch.sjoqvist]).any()
     return EXIT_UNDEFINED_PHASE if undefined else EXIT_OK
 
@@ -84,8 +92,8 @@ def cmd_sweep(args) -> int:
         )
     batch = evaluate(prepare_problem(_load(args.input)),
                      np.linspace(args.t_start, args.t_end, args.steps))
-    text = sweep_to_csv(batch) if args.format == "csv" else sweep_to_json(batch)
-    _emit(text, args.output)
+    with _destination(args.output) as dest:
+        (sweep_to_csv if args.format == "csv" else sweep_to_json)(batch, dest)
     return EXIT_OK
 
 
@@ -169,7 +177,8 @@ def cmd_compare(args) -> int:
         "overlap_magnitude": float(batch.overlap_magnitude[0]),
         "pairwise_distances": distances,
     }
-    _emit(json.dumps(out, indent=2) + "\n", args.output)
+    with _destination(args.output) as dest:
+        dest.write(json.dumps(out, indent=2) + "\n")
     undefined = any(math.isnan(v) for v in values.values())
     return EXIT_UNDEFINED_PHASE if undefined else EXIT_OK
 
@@ -215,6 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(handler=cmd_compare)
 
+    # Each add_argument leaves a throw-away HelpFormatter in a reference
+    # cycle; free them here rather than wherever a collection next runs.
+    gc.collect(0)
     return parser
 
 

@@ -6,7 +6,9 @@ are row-major nested arrays and every complex number is a two-element
 
 Every report, CSV or JSON, fills a %-template per problem, holding j
 and q_j, with each time's row of numbers (_rows). An undefined (nan)
-phase is nan in CSV and null in JSON.
+phase is nan in CSV and null in JSON. The sweep writers write each row
+to a text stream as soon as it is formatted, so the report text is
+never held whole.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import gc
 import json
 import math
 from itertools import chain
-from typing import NoReturn
+from typing import Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -172,18 +174,17 @@ def sweep_header(dim: int) -> str:
     return ",".join(cols)
 
 
-def sweep_to_csv(batch: PhaseBatch) -> str:
-    """One row per time in the sweep_header column order."""
-    template = ",".join(["%r"] * 5 + [f"{q!r},%r,%r" for q in batch.q.tolist()])
-    lines = [sweep_header(batch.q.size)]
-    lines += [template % tuple(row) for row in _rows(batch, batch.visibility, batch.gamma)]
-    lines.append("")  # the trailing newline, without copying the joined text
-    return "\n".join(lines)
+def sweep_to_csv(batch: PhaseBatch, out: TextIO) -> None:
+    """Write the header, then one row per time in the sweep_header column
+    order, to the text stream out, each row as soon as it is formatted."""
+    template = ",".join(["%r"] * 5 + [f"{q!r},%r,%r" for q in batch.q.tolist()]) + "\n"
+    out.write(sweep_header(batch.q.size) + "\n")
+    out.writelines(template % tuple(row) for row in _rows(batch, batch.visibility, batch.gamma))
 
 
-def reports_to_json(batch: PhaseBatch, indent: str) -> list[str]:
-    """Each row's report object as json.dumps(report, indent=2) writes
-    it, every line prefixed with indent: t, the three headline phases
+def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
+    """Yield each row's report object as json.dumps(report, indent=2)
+    writes it, every line prefixed with indent: t, the three headline phases
     (null where nan), overlap_magnitude, then per component j, q,
     visibility, gamma, dyn_phase, total_phase, then the warnings. A row
     whose resolution bound |t| E eps (E = batch.energy, eps the machine
@@ -201,7 +202,6 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> list[str]:
     degenerate = [] if not batch.degenerate_spectrum_warning else [
         "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
         "are not unique within degenerate blocks"]
-    reports = []
     for row in _rows(batch, batch.visibility, batch.gamma, batch.dyn_phase,
                      batch.total_phase):
         warnings = degenerate + [
@@ -216,17 +216,21 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> list[str]:
         row[1:4] = ["null" if math.isnan(x) else x for x in row[1:4]]
         row.append("[\n" + ",\n".join(i2 + json.dumps(w) for w in warnings)
                    + f"\n{i1}]" if warnings else "[]")
-        reports.append(template % tuple(row))
-    return reports
+        yield template % tuple(row)
 
 
-def sweep_to_json(batch: PhaseBatch) -> str:
-    """The list of every row's report object, as json.dumps(reports,
-    indent=2) writes it."""
+def sweep_to_json(batch: PhaseBatch, out: TextIO) -> None:
+    """Write the list of every row's report object, as json.dumps(reports,
+    indent=2) writes it, to the text stream out, each report as soon as
+    it is formatted."""
     reports = reports_to_json(batch, "  ")
-    if not reports:
-        return "[]\n"
-    # the brackets join the first and last rows, so the text is copied once
-    reports[0] = "[\n" + reports[0]
-    reports[-1] += "\n]\n"
-    return ",\n".join(reports)
+    first = next(reports, None)
+    if first is None:
+        out.write("[]\n")
+        return
+    out.write("[\n")
+    out.write(first)
+    for report in reports:
+        out.write(",\n")
+        out.write(report)
+    out.write("\n]\n")

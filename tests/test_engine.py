@@ -8,6 +8,7 @@ argument of: roundoff moves that number by a fixed absolute amount, so
 only the scaled distance is held to a fixed bound near nodal points.
 """
 
+import io
 import math
 import re
 
@@ -123,7 +124,9 @@ def test_evaluate_rejects_non_finite_times():
 def test_sweep_csv_header_and_column_order():
     prep = bloch_x_prep(0.6)
     batch = evaluate(prep, [0.0, 1.0, 5 * np.pi])
-    lines = sweep_to_csv(batch).splitlines()
+    out = io.StringIO()
+    sweep_to_csv(batch, out)
+    lines = out.getvalue().splitlines()
     assert lines[0] == sweep_header(2) == (
         "t,gamma_total,uhlmann,sjoqvist,overlap_magnitude,"
         "q_0,nu_0,gamma_0,q_1,nu_1,gamma_1")

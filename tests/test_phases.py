@@ -353,7 +353,7 @@ def test_phase_report_structure():
     batch = evaluate(prep, 1.0)
     assert batch.t[0] == 1.0
     assert batch.visibility[0].shape == (2,)
-    report = json.loads(reports_to_json(batch, "")[0])
+    report = json.loads(next(reports_to_json(batch, "")))
     assert [c["j"] for c in report["components"]] == [0, 1]
     assert not batch.degenerate_spectrum_warning
     assert abs(batch.gamma_total[0] - batch.uhlmann[0]) <= 1e-9

@@ -1,6 +1,7 @@
 """Problem-file and report serialization tests."""
 
 import gc
+import io
 import json
 import math
 from itertools import chain
@@ -142,13 +143,13 @@ def test_load_problem_restores_the_collector_state(tmp_path, monkeypatch, enable
 def test_report_dict_keys_and_null_for_undefined():
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
     prep = prepare_problem(Problem(validate_density(rho), 0.5 * SZ))
-    data = json.loads(reports_to_json(evaluate(prep, 1.0), "")[0])
+    data = json.loads(next(reports_to_json(evaluate(prep, 1.0), "")))
     assert list(data) == ["t", "gamma_total", "uhlmann", "sjoqvist",
                           "overlap_magnitude", "components", "warnings"]
     assert data["warnings"] == []
     assert list(data["components"][0]) == ["j", "q", "visibility", "gamma",
                                            "dyn_phase", "total_phase"]
-    nodal = json.loads(reports_to_json(evaluate(prep, 5 * np.pi), "")[0])
+    nodal = json.loads(next(reports_to_json(evaluate(prep, 5 * np.pi), "")))
     assert nodal["gamma_total"] is None and nodal["sjoqvist"] is None
     assert any("nodal" in w for w in nodal["warnings"])
     json.dumps(nodal)  # undefined phases must serialize cleanly
@@ -156,7 +157,7 @@ def test_report_dict_keys_and_null_for_undefined():
 
 def test_degenerate_spectrum_warning_surfaces():
     prep = prepare_problem(Problem(validate_density(np.eye(2) / 2), 0.5 * SZ))
-    data = json.loads(reports_to_json(evaluate(prep, 0.7), "")[0])
+    data = json.loads(next(reports_to_json(evaluate(prep, 0.7), "")))
     assert any("degenerate" in w for w in data["warnings"])
 
 
@@ -181,11 +182,18 @@ def test_sweep_header_and_nan_rows():
                                "q_0,nu_0,gamma_0,q_1,nu_1,gamma_1")
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
     prep = prepare_problem(Problem(validate_density(rho), 0.5 * SZ))
-    row = sweep_to_csv(evaluate(prep, [5 * np.pi])).splitlines()[1]
+    row = written(sweep_to_csv, evaluate(prep, [5 * np.pi])).splitlines()[1]
     fields = row.split(",")
     assert len(fields) == 11
     assert fields[1] == "nan"  # undefined phase serializes as the literal nan
     assert not math.isnan(float(fields[4]))
+
+
+def written(writer, batch):
+    """The text a streaming sweep writer writes for batch."""
+    out = io.StringIO()
+    writer(batch, out)
+    return out.getvalue()
 
 
 def csv_reference(batch):
@@ -282,11 +290,11 @@ def sweeps(draw):
 def test_sweep_csv_matches_cell_by_cell_formatting(case):
     problem, times = case
     batch = evaluate(prepare_problem(problem), times)
-    assert sweep_to_csv(batch) == csv_reference(batch)
+    assert written(sweep_to_csv, batch) == csv_reference(batch)
     # the JSON writers against json.dumps of the report objects
     references = [reference_report(batch, i) for i in range(len(batch))]
-    assert sweep_to_json(batch) == json.dumps(references, indent=2) + "\n"
-    reports = reports_to_json(batch, "")
+    assert written(sweep_to_json, batch) == json.dumps(references, indent=2) + "\n"
+    reports = list(reports_to_json(batch, ""))
     assert reports == [json.dumps(reference, indent=2) for reference in references]
 
 
@@ -422,4 +430,4 @@ def test_resolution_warning_past_the_bound(tmp_path, capsys):
     assert [row["warnings"] for row in json.loads(capsys.readouterr().out)] == [[], [warning]]
     assert main(sweep) == 0
     batch = evaluate(prepare_problem(load_problem(path)), [below, above])
-    assert capsys.readouterr().out == sweep_to_csv(batch)
+    assert capsys.readouterr().out == written(sweep_to_csv, batch)
