@@ -13,22 +13,23 @@ that diagonalizes the ancilla Hamiltonian K (kappa_j its eigenvalues;
 E_j = -kappa_j is the parallel-transport condition) gives the total
 geometric phase; z = I (kappa_j = -h'_jj) gives Sjoqvist's
 interferometric phase, which agrees with it only for pure states.
-evaluate computes both on a whole time grid by matrix products. Its
-uhlmann column, arg Tr[C U C V^T], contracts the frame's kernel over
-kappa first: the total phase again, not an independent check. The
-independent checks are the discretized holonomy oracle and the
-benchmark's scipy reference (solve_sylvester for K, expm for U and V).
+evaluate computes both on a whole time grid by matrix products, through
+one helper for Phi's sum (_phi): once with the frame's kernel and
+kappas, once with z = I. Its uhlmann column, arg Tr[C U C V^T],
+contracts the frame's kernel over kappa first: the total phase again,
+not an independent check. The independent checks are the discretized
+holonomy oracle and the benchmark's scipy reference (solve_sylvester
+for K, expm for U and V).
 
 Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
 the only result type; a single t is row 0 of evaluate(prep, t). At a
 nodal point evaluate stores nan, and the literal per-t definitions it
 is checked against (tests/literal.py) and the oracles return nan there
 too: one convention, angles.angle_or_nan, and nothing raises.
-gamma_total is evaluate's gamma_total column alone, by the same code.
 
 Gauge pairs: gauge_pair takes the total phase of one problem in two
 gauges of the state eigenbasis as a (2, n, n) stack, through the same
-functions as prepare_problem and gamma_total (linalg's eigh and matmul
+functions as prepare_problem and evaluate (linalg's eigh and matmul
 take leading axes); each member is bit for bit what those give for it
 alone.
 """
@@ -119,7 +120,7 @@ def gauge_pair(problem: Problem, theta, times):
 
     Row 0 is the problem with column j of its state's eigenbasis times
     e^{i theta_j}, row 1 the problem as it is; the rows, h' and frame are
-    bit for bit what prepare_problem and gamma_total give. Only the
+    bit for bit what prepare_problem and evaluate give. Only the
     eigenvectors differ, so the Hamiltonian is not checked again. The
     stacked h' and K are released before the contraction, whose
     temporaries set the pass's peak memory.
@@ -127,21 +128,23 @@ def gauge_pair(problem: Problem, theta, times):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (problem.dim,) or not np.isfinite(theta).all():
         raise ValueError(f"expected {problem.dim} finite angles, got {theta}")
-    amps, e = problem.rho0.amps, problem.rho0.basis_e
-    h_pair = hamiltonian_in_eigenbasis(problem, np.stack([e * np.exp(1j * theta), e]))
+    amps, basis = problem.rho0.amps, problem.rho0.basis_e
+    h_pair = hamiltonian_in_eigenbasis(problem, np.stack([basis * np.exp(1j * theta), basis]))
     h_eigvals, h_eigvecs, frame = _diagonalize(amps, h_pair)
     h_prime, k = h_pair[1].copy(), frame.k[1].copy()
     z, kappas = frame.z, frame.kappas
     del h_pair, frame
-    total = _total_phase_sum(amps, h_eigvals, h_eigvecs, z, kappas, times)[-1]
+    t, _, e, p = _setup(amps, h_eigvals, h_eigvecs, z, kappas, times)
+    total = _phi(t, e, p, kappas)[-1]
+    del e, p
     return angle_or_nan(total), h_prime, AncillaFrame(k, z[1].copy(), kappas[1].copy())
 
 
-def _total_phase_sum(amps, h_eigvals, h_eigvecs, z, kappas, times):
-    """What evaluate, gamma_total and gauge_pair share: the checked
-    times, the energy, the two tables, P, m_j, m_j e^{-i kappa_j t} and
-    its sum over j. For a stack of spectra and frames, all but t and the
-    energy (the stack's largest) have its leading axis."""
+def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
+    """What evaluate and gauge_pair do before Phi's sum: the checked
+    times, the energy, the table e^{-i eps_a t} and the frame's kernel P.
+    For a stack of spectra and frames, all but t and the energy (the
+    stack's largest) have its leading axis."""
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
@@ -160,22 +163,18 @@ def _total_phase_sum(amps, h_eigvals, h_eigvecs, z, kappas, times):
     del czt
     p **= 2
     e = np.exp(-1j * (t[:, None] * h_eigvals[..., None, :]))  # e^{-i eps_a t}, [time, a]
-    d = np.exp(-1j * (t[:, None] * kappas[..., None, :]))  # e^{-i kappa_b t}, [time, b]
+    return t, energy, e, p
+
+
+def _phi(t, e, p, kappas):
+    """Phi(z, t) before its arg, for the representation z with kernel p
+    and energies kappas: e^{-i kappa_j t}, m_j = (e @ p)_j, m_j e^{-i kappa_j t}
+    and its sum over j, each [time, j] (the sum [time]) behind any
+    leading stack axis."""
+    d = np.exp(-1j * (t[:, None] * kappas[..., None, :]))  # e^{-i kappa_j t}, [time, j]
     overlaps = e @ p
-    rotated = overlaps * d  # m_j e^{-i kappa_j t}
-    return t, energy, e, d, p, overlaps, rotated, rotated.sum(axis=-1)
-
-
-def _prepared_sum(prep: PreparedProblem, times):
-    """_total_phase_sum for a prepared problem."""
-    return _total_phase_sum(prep.problem.rho0.amps, prep.h_eigvals, prep.h_eigvecs,
-                            prep.frame.z, prep.frame.kappas, times)
-
-
-def gamma_total(prep: PreparedProblem, times) -> np.ndarray:
-    """evaluate(prep, times).gamma_total, bit for bit, from two of its
-    three tables and one of its three products. Raises as evaluate does."""
-    return angle_or_nan(_prepared_sum(prep, times)[-1])
+    rotated = overlaps * d
+    return d, overlaps, rotated, rotated.sum(axis=-1)
 
 
 def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
@@ -190,13 +189,14 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     is set when two eigenvalues of the state or of K are closer than
     the degeneracy gap.
     """
-    t, energy, e, d, p, overlaps, rotated, total = _prepared_sum(prep, times)
     rho, frame, weights = prep.problem.rho0, prep.frame, prep.weights
+    t, energy, e, p = _setup(rho.amps, prep.h_eigvals, prep.h_eigvecs, frame.z, frame.kappas,
+                             times)
+    d, overlaps, rotated, total = _phi(t, e, p, frame.kappas)
     trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
-    # the same sum for z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
+    # z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
     p_i = (np.abs(prep.h_eigvecs) ** 2).T * rho.lambdas
-    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.h_prime).real))
-    interferometric = ((e @ p_i) * d_i).sum(axis=1)
+    interferometric = _phi(t, e, p_i, -np.diag(prep.h_prime).real)[-1]
     live = weights > DEFAULT_TOL.weight
     return PhaseBatch(
         t=t,

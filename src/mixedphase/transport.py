@@ -33,10 +33,6 @@ class AncillaFrame:
     kappas: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.kappas.shape[-1]
-
-    @property
     def degenerate(self) -> bool:
         """True when two kappas are closer than the degeneracy gap: z,
         and every per-component quantity, is then not unique within the

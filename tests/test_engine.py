@@ -142,7 +142,7 @@ def test_sweep_csv_header_and_column_order():
 
 def eager_columns(prep, times):
     """Every PhaseBatch column by the expressions evaluate uses, written
-    out here once more: the reference for evaluate and gamma_total."""
+    out here once more: the reference for evaluate."""
     t = np.asarray(times, dtype=float).reshape(-1)
     rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.h_eigvecs, prep.weights
     e = np.exp(-1j * np.outer(t, prep.h_eigvals))
@@ -193,7 +193,6 @@ def test_every_column_matches_the_eager_expressions_in_any_read_order(case, firs
         got = getattr(batch, name)
         assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
         assert got.tobytes() == want[name].tobytes(), name  # signed zeros and nans too
-    assert phases.gamma_total(prep, times).tobytes() == want["gamma_total"].tobytes()
     if case == "nodal qubit":
         assert np.isnan(want["gamma_total"]).sum() == 3 and np.isnan(want["uhlmann"]).any()
     if case == "rank-deficient":
@@ -205,11 +204,13 @@ def test_every_column_matches_the_eager_expressions_in_any_read_order(case, firs
     (np.inf, "times must be finite"),
     ([1.0, 1e17], "time 1e+17 is past the resolvable range"),  # |t| E = 5e16 > 2**52
 ])
-def test_gamma_total_raises_as_evaluate_does(bad, message):
+def test_gauge_pair_raises_as_evaluate_does(bad, message):
+    """Both check their times in the same place, before any table."""
     prep = bloch_x_prep(0.6)
     errors = []
-    for fn in (evaluate, phases.gamma_total):
+    for call in (lambda: evaluate(prep, bad),
+                 lambda: phases.gauge_pair(prep.problem, [0.3, 1.1], bad)):
         with pytest.raises(ValueError, match=re.escape(message)) as exc:
-            fn(prep, bad)
+            call()
         errors.append(str(exc.value))
     assert errors[0] == errors[1]

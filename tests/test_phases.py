@@ -21,7 +21,7 @@ from mixedphase import (
 )
 from mixedphase import linalg, states
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
-from mixedphase.phases import gamma_total, gauge_pair
+from mixedphase.phases import gauge_pair
 from mixedphase.serialize import reports_to_json
 from mixedphase.states import DensityMatrix
 from mixedphase.transport import diagonalizing_frame
@@ -285,7 +285,7 @@ def test_gauge_invariance_under_eigenvector_rephasing():
 @given(dim=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_gauge_pair_equals_two_separate_passes(dim, data, seed):
     """The stacked pass gives exactly, with == and no tolerance, what
-    prepare_problem and gamma_total give for each member alone: the
+    prepare_problem and evaluate give for each member alone: the
     problem with only its state's eigenvectors rephased, then the problem
     itself, whose h', K, kappas and z it also returns."""
     rank = data.draw(st.integers(1, dim), label="rank")
@@ -299,8 +299,9 @@ def test_gauge_pair_equals_two_separate_passes(dim, data, seed):
                                      rho.amps, rho.degenerate), problem.hamiltonian_lab)
     own = prepare_problem(problem)
     assert gammas.shape == (2, 3)
-    np.testing.assert_array_equal(gammas[0], gamma_total(prepare_problem(rephased), times))
-    np.testing.assert_array_equal(gammas[1], gamma_total(own, times))
+    np.testing.assert_array_equal(gammas[0],
+                                  evaluate(prepare_problem(rephased), times).gamma_total)
+    np.testing.assert_array_equal(gammas[1], evaluate(own, times).gamma_total)
     np.testing.assert_array_equal(h_prime, own.h_prime)
     for name in ("k", "kappas", "z"):
         np.testing.assert_array_equal(getattr(frame, name), getattr(own.frame, name))
