@@ -6,36 +6,37 @@ from decimal import Decimal
 from .tolerances import DEFAULT_TOL
 
 
+def magnitude(value: float, scale: float = 1.0) -> str:
+    """value * scale as %.3e, with scale the power of two a matrix past
+    the double range was divided by: formatted as a float, whose exponent
+    has at least two digits, or through Decimal where the product
+    overflows."""
+    product = value * scale
+    return f"{Decimal(value) * Decimal(scale) if math.isinf(product) else product:.3e}"
+
+
 class GeometricPhaseError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
 class NotHermitian(GeometricPhaseError):
-    """Matrix failed the Hermitian symmetry check."""
+    """Matrix failed the Hermitian symmetry check; ||a - a^dag||_F is
+    residual * scale (see magnitude)."""
 
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(
-            f"not Hermitian: ||a - a^dag||_F = {residual:.3e} exceeds "
-            f"{DEFAULT_TOL.hermiticity:.1e}"
-        )
+    def __init__(self, residual: float, scale: float = 1.0):
+        self.residual = residual * scale
+        super().__init__(f"not Hermitian: ||a - a^dag||_F = {magnitude(residual, scale)} "
+                         f"exceeds {DEFAULT_TOL.hermiticity:.1e}")
 
 
 class NotPSD(GeometricPhaseError):
-    """Matrix has an eigenvalue below the positive-semidefinite floor."""
+    """Matrix has an eigenvalue below the positive-semidefinite floor;
+    the smallest is eigenvalue * scale (see magnitude)."""
 
     def __init__(self, eigenvalue: float, scale: float = 1.0):
-        """The smallest eigenvalue is eigenvalue * scale, with scale the
-        power of two a matrix past the double range was divided by. Where
-        that product overflows, the message formats it through Decimal;
-        elsewhere as a float, whose exponent has at least two digits."""
         self.min_eigenvalue = eigenvalue * scale
-        shown = (Decimal(eigenvalue) * Decimal(scale)
-                 if math.isinf(self.min_eigenvalue) else self.min_eigenvalue)
-        super().__init__(
-            f"not positive semidefinite: smallest eigenvalue {shown:.3e} "
-            f"is below -{DEFAULT_TOL.psd:.1e}"
-        )
+        super().__init__("not positive semidefinite: smallest eigenvalue "
+                         f"{magnitude(eigenvalue, scale)} is below -{DEFAULT_TOL.psd:.1e}")
 
 
 class NotUnitTrace(GeometricPhaseError):

@@ -34,35 +34,38 @@ def as_square(a) -> np.ndarray:
     return a
 
 
-def scaled(a) -> tuple[np.ndarray, float, float]:
-    """(b, s, ||b||_F) with a = s b. s is 1 up to ||a||_F = 1e300 and
-    above it the power of two at or just below max |Re a_ij|, |Im a_ij|,
-    so the division is exact and ||a||_F = s ||b||_F holds without
-    overflow at every finite magnitude."""
-    with np.errstate(over="ignore"):
-        norm = frobenius(a)
-    if norm <= 1e300:
-        return a, 1.0, norm
-    peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
-    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    b = a / scale
-    return b, scale, frobenius(b)
-
-
-def require_hermitian(a) -> np.ndarray:
-    """Return a as a complex array, raising NotHermitian if it is not
+def require_hermitian(a) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Check that a is Hermitian and return what was measured, (a, b, s,
+    ||b||_F): a as a complex array and b = a / s. s is 1 (b is a) up to
+    ||a||_F = 1e300 and above it the power of two at or just below
+    max |Re a_ij|, |Im a_ij|, so the division is exact and ||a||_F =
+    s ||b||_F holds without overflow. Raises NotHermitian if a is not
     symmetric within the hermiticity tolerance, relative to
-    max(1, ||a||_F). The norms are taken of scaled(a), so the test
-    holds at every finite magnitude.
+    max(1, ||a||_F); the test reads b, so it holds at every finite size.
     """
     a = as_square(a)
-    b, scale, norm = scaled(a)
+    with np.errstate(over="ignore"):
+        norm = frobenius(a)
+    b, scale = a, 1.0
+    if norm > 1e300:
+        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+        b = a / scale
+        norm = frobenius(b)
     tol = DEFAULT_TOL.hermiticity
     defect = frobenius(b - dagger(b))
     # defect * scale > tol * max(1, norm * scale)
     if defect > tol * norm and defect * scale > tol:
-        raise NotHermitian(defect * scale)
-    return a
+        raise NotHermitian(defect, scale)
+    return a, b, scale, norm
+
+
+def close_eigenvalues(w) -> bool:
+    """True when two neighbours of the sorted spectrum w (either order; in
+    any row of a stack) are closer than the degeneracy gap: their
+    eigenvectors, and all that is read from them, are then not unique."""
+    gaps = np.abs(np.diff(w))
+    return bool(gaps.size and gaps.min() < DEFAULT_TOL.degeneracy_gap)
 
 
 def hermitian_eig(a):

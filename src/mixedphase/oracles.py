@@ -77,7 +77,7 @@ def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     norm = float(np.linalg.norm(psi0))
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"state norm {norm} is not 1 within 1e-12")
-    h_lab = require_hermitian(h_lab)
+    h_lab = require_hermitian(h_lab)[0]
     u = unitary_from_hamiltonian(h_lab, t)
     total = angle_or_nan(complex(np.vdot(psi0, u @ psi0)))
     energy = float(np.vdot(psi0, h_lab @ psi0).real)

@@ -9,12 +9,11 @@ state is diag(lambdas) and the amplitude matrix is diag(sqrt(lambdas)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, NotUnitTrace
-from .linalg import dagger, hermitian_eig, require_hermitian, scaled
+from .errors import DimensionMismatch, NotPSD, NotUnitTrace, magnitude
+from .linalg import close_eigenvalues, dagger, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
 
 
@@ -24,24 +23,26 @@ class DensityMatrix:
     eigendecomposition.
 
     lambdas are descending and clamped to [0, 1]; column j of basis_e is
-    the eigenvector for lambdas[j]; amps = sqrt(lambdas). degenerate is
-    set when two consecutive eigenvalues are closer than the degeneracy
-    gap, in which case eigenbasis-dependent quantities are not unique.
-    Construct through validate_density, or from a validated state with
-    basis_e rephased column by column (a gauge change). mat is a private
-    copy and is never mutated (tiny negative eigenvalues within the PSD
-    floor are tolerated, not repaired).
+    the eigenvector for lambdas[j]; amps = sqrt(lambdas). Construct
+    through validate_density, or from a validated state with basis_e
+    rephased column by column (a gauge change). mat is a private copy and
+    is never mutated (tiny negative eigenvalues within the PSD floor are
+    tolerated, not repaired).
     """
 
     mat: np.ndarray
     lambdas: np.ndarray
     basis_e: np.ndarray
     amps: np.ndarray
-    degenerate: bool
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def degenerate(self) -> bool:
+        """True when two lambdas are closer than the degeneracy gap."""
+        return close_eigenvalues(self.lambdas)
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,9 @@ class Problem:
     hamiltonian_lab: np.ndarray
 
     def __post_init__(self):
-        h = require_hermitian(self.hamiltonian_lab)
-        _, scale, norm = scaled(h)
+        h, _, scale, norm = require_hermitian(self.hamiltonian_lab)
         if norm > np.finfo(float).max / 2 / scale:
-            raise ValueError(f"Hamiltonian norm ||H||_F = {Decimal(norm) * Decimal(scale):.3e}"
+            raise ValueError(f"Hamiltonian norm ||H||_F = {magnitude(norm, scale)}"
                              " exceeds half the range of a double")
         object.__setattr__(self, "hamiltonian_lab", h)
         if h.shape[0] != self.rho0.dim:
@@ -80,23 +80,20 @@ def validate_density(mat) -> DensityMatrix:
     Raises NotHermitian (require_hermitian's test, which holds at any
     finite magnitude, made here once: hermitian_eig does not check its
     input), NotUnitTrace, or NotPSD naming the violated invariant with
-    the measured residual. The eigenvalues come from scaled(mat), so the
-    PSD test holds at any finite magnitude too; below ||rho||_F = 1e300
-    that is mat itself, and no unit-trace PSD matrix lies above it.
-    Eigenvalues in [-psd, 0) are tolerated but not mutated.
+    the measured residual. The eigenvalues are those of the scaled b the
+    check returns, so the PSD test holds at any finite magnitude too; b
+    is mat itself below ||rho||_F = 1e300, and no unit-trace PSD matrix
+    lies above it. Eigenvalues in [-psd, 0) are tolerated but not mutated.
     """
-    mat = np.array(require_hermitian(mat))  # private copy
+    mat, b, scale, _ = require_hermitian(np.array(mat, dtype=complex))  # private copy
     trace = complex(np.trace(mat))
     if abs(trace - 1.0) > DEFAULT_TOL.unit_trace:
         raise NotUnitTrace(trace)
-    b, scale, _ = scaled(mat)
     w, q = hermitian_eig(b)
     if float(w[0]) * scale < -DEFAULT_TOL.psd:
         raise NotPSD(float(w[0]), scale)
     lambdas = np.clip(w[::-1], 0.0, 1.0)
-    gaps = lambdas[:-1] - lambdas[1:]
-    degenerate = bool(gaps.size and np.min(gaps) < DEFAULT_TOL.degeneracy_gap)
-    return DensityMatrix(mat, lambdas, q[:, ::-1], np.sqrt(lambdas), degenerate)
+    return DensityMatrix(mat, lambdas, q[:, ::-1], np.sqrt(lambdas))
 
 
 def hamiltonian_in_eigenbasis(problem: Problem, basis_e=None) -> np.ndarray:

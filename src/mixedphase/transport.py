@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import frobenius, hermitian_eig
+from .linalg import close_eigenvalues, frobenius, hermitian_eig
 from .tolerances import DEFAULT_TOL
 
 
@@ -37,8 +37,7 @@ class AncillaFrame:
         """True when two kappas are closer than the degeneracy gap: z,
         and every per-component quantity, is then not unique within the
         degenerate block."""
-        gaps = np.diff(self.kappas)
-        return bool(gaps.size and gaps.min() < DEFAULT_TOL.degeneracy_gap)
+        return close_eigenvalues(self.kappas)
 
 
 def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:

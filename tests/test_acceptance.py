@@ -23,7 +23,6 @@ from mixedphase import (
 )
 from mixedphase.angles import principal_angle
 from mixedphase.linalg import dagger, frobenius
-from mixedphase.states import DensityMatrix
 from mixedphase.transport import (
     ancilla_equation_residual,
     diagonalizing_frame,
@@ -227,10 +226,8 @@ def test_criterion_7_structural_invariants():
         t = 1.7
         gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
         rho = prep.problem.rho0
-        rephased = DensityMatrix(rho.mat, rho.lambdas,
-                                 rho.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi,
-                                                                       prep.dim)),
-                                 rho.amps, rho.degenerate)
+        rephased = replace(rho, basis_e=rho.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi,
+                                                                              prep.dim)))
         prep2 = prepare_problem(Problem(rephased, prep.problem.hamiltonian_lab))
         gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
         worst_gauge = max(worst_gauge, circular_distance(gamma, gamma2))

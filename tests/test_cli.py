@@ -448,7 +448,7 @@ def test_huge_integer_entry_exits_2(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("case", ["huge_hamiltonian", "huge_rho",
+@pytest.mark.parametrize("case", ["huge_hamiltonian", "huge_rho", "huge_non_hermitian",
                                   "output_in_missing_directory", "output_is_a_directory"])
 @pytest.mark.parametrize("argv", [
     ["compute", "-t", "1.0"],
@@ -465,6 +465,9 @@ def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
                                          "half the range of a double"),
         "huge_rho": (zero, [[[0.5, 0.0], [1e200, 0.0]], [[0.3, 0.0], [0.5, 0.0]]], None,
                      "not Hermitian"),
+        # ||H - H^dag||_F = 2.4e308 is past the double range, named finitely
+        "huge_non_hermitian": ([[[0.0, 0.0], [huge, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], None,
+                               None, "not Hermitian: ||a - a^dag||_F = 2.404e+308 exceeds"),
         "output_in_missing_directory": (zero, None, tmp_path / "missing" / "out.txt",
                                         "No such file"),
         "output_is_a_directory": (zero, None, tmp_path, "directory"),

@@ -23,7 +23,6 @@ from mixedphase import linalg, states
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
 from mixedphase.phases import gauge_pair
 from mixedphase.serialize import reports_to_json
-from mixedphase.states import DensityMatrix
 from mixedphase.transport import diagonalizing_frame
 
 from literal import (
@@ -274,8 +273,7 @@ def test_gauge_invariance_under_eigenvector_rephasing():
         t = 1.7
         gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
         rho = problem.rho0
-        rephased = DensityMatrix(rho.mat, rho.lambdas, rho.basis_e * np.exp(1j * rng.uniform(
-            0, 2 * np.pi, 4)), rho.amps, rho.degenerate)
+        rephased = replace(rho, basis_e=rho.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
         prep2 = prepare_problem(Problem(rephased, problem.hamiltonian_lab))
         gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
         assert circular_distance(gamma, gamma2) <= 1e-9
@@ -295,8 +293,8 @@ def test_gauge_pair_equals_two_separate_passes(dim, data, seed):
     rho = problem.rho0
     times = [1.7, -0.4, 5.0]
     gammas, h_prime, frame = gauge_pair(problem, theta, times)
-    rephased = Problem(DensityMatrix(rho.mat, rho.lambdas, rho.basis_e * np.exp(1j * theta),
-                                     rho.amps, rho.degenerate), problem.hamiltonian_lab)
+    rephased = Problem(replace(rho, basis_e=rho.basis_e * np.exp(1j * theta)),
+                       problem.hamiltonian_lab)
     own = prepare_problem(problem)
     assert gammas.shape == (2, 3)
     np.testing.assert_array_equal(gammas[0],

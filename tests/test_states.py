@@ -3,6 +3,7 @@ makes, and the eigenbasis rotation of the Hamiltonian."""
 
 import collections
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from mixedphase import (
     save_problem,
     validate_density,
 )
+from mixedphase import linalg
 from mixedphase.linalg import dagger, frobenius, unitary_from_hamiltonian
-from mixedphase.states import DensityMatrix, hamiltonian_in_eigenbasis
+from mixedphase.states import hamiltonian_in_eigenbasis
+from mixedphase.tolerances import DEFAULT_TOL
+from mixedphase.transport import diagonalizing_frame
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -67,6 +71,45 @@ def test_non_psd_eigenvalue_past_the_double_range_named_finitely():
     assert str(exc.value) == ("not positive semidefinite: smallest eigenvalue "
                               "-3.400e+308 is below -1.0e-12")
     assert exc.value.min_eigenvalue == -np.inf
+
+
+def test_non_hermitian_defect_past_the_double_range_named_finitely():
+    # ||a - a^dag||_F = 1.7e308 sqrt(2) is past the double range, through
+    # Problem and through validate_density alike
+    x = 1.7e308
+    state = validate_density(np.eye(2) / 2)
+    for build in (lambda: Problem(state, np.array([[0.0, x], [0.0, 0.0]])),
+                  lambda: validate_density(np.array([[0.5, x], [0.0, 0.5]]))):
+        with pytest.raises(NotHermitian) as exc:
+            build()
+        assert str(exc.value) == ("not Hermitian: ||a - a^dag||_F = 2.404e+308 "
+                                  "exceeds 1.0e-10")
+        assert exc.value.residual == np.inf
+
+
+def test_one_norm_pass_per_matrix(monkeypatch):
+    """The Hermitian check measures each matrix once, and validation and
+    Problem reuse what it measured: the norm and the defect, plus the
+    rescaled norm past ||a||_F = 1e300."""
+    calls = []
+    norm = linalg.frobenius
+
+    def counted(a):
+        calls.append(a)
+        return norm(a)
+
+    monkeypatch.setattr(linalg, "frobenius", counted)
+    state = validate_density(np.diag([0.7, 0.3]))
+    for build, count in [(lambda: validate_density(np.diag([0.7, 0.3])), 2),
+                         (lambda: Problem(state, 0.5 * SZ), 2),
+                         (lambda: validate_density(np.array([[0.5, 1e301], [1e301, 0.5]])), 3),
+                         (lambda: Problem(state, 1e301 * SZ), 3)]:
+        calls.clear()
+        try:
+            build()
+        except NotPSD:  # the 1e301 state, decomposed after its one check
+            pass
+        assert len(calls) == count
 
 
 def test_wrong_trace_rejected():
@@ -130,6 +173,19 @@ def test_spectrum_sums_and_clamping():
 def test_degenerate_flag():
     assert validate_density(np.eye(2) / 2).degenerate
     assert not validate_density(np.diag([0.7, 0.3])).degenerate
+    # one rule for rho (descending) and K (ascending), strict at the gap;
+    # each pair of neighbours differs exactly in binary
+    gap = DEFAULT_TOL.degeneracy_gap
+    below = gap - np.nextafter(gap, 0.0)  # gap - below is the double under gap
+    for values, flagged in [([1 - 3 * gap, 2 * gap, gap], False),
+                            ([1 - gap - below, gap, below], True),
+                            ([1.0], False)]:
+        state = validate_density(np.diag(values))
+        np.testing.assert_array_equal(state.lambdas, values)
+        frame = diagonalizing_frame(np.diag(values))
+        np.testing.assert_array_equal(frame.kappas, values[::-1])
+        assert state.degenerate is frame.degenerate is flagged
+        assert replace(state, basis_e=-state.basis_e).degenerate is flagged
 
 
 def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
@@ -158,7 +214,7 @@ def test_hamiltonian_rotation_hadamard_swap():
     # basis along |+>/|->: sigma_z becomes sigma_x
     rho = 0.8 * np.outer(PLUS, PLUS.conj()) + 0.2 * (np.eye(2) - np.outer(PLUS, PLUS.conj()))
     rho0 = validate_density(rho)
-    state = DensityMatrix(rho0.mat, rho0.lambdas, HADAMARD, rho0.amps, rho0.degenerate)
+    state = replace(rho0, basis_e=HADAMARD)
     h_prime = hamiltonian_in_eigenbasis(Problem(state, 0.5 * SZ))
     np.testing.assert_allclose(h_prime, 0.5 * np.array([[0, 1], [1, 0]]), atol=1e-14)
 
