@@ -40,14 +40,14 @@ class NotPSD(GeometricPhaseError):
 
 
 class NotUnitTrace(GeometricPhaseError):
-    """Density matrix trace deviates from one."""
+    """Density matrix trace deviates from one; the trace is trace * scale
+    and |Tr - 1| is |trace - 1 / scale| * scale (see magnitude)."""
 
-    def __init__(self, trace: complex):
-        self.trace = trace
-        super().__init__(
-            f"trace is not one: |Tr - 1| = {abs(trace - 1.0):.3e} exceeds "
-            f"{DEFAULT_TOL.unit_trace:.1e}"
-        )
+    def __init__(self, trace: complex, scale: float = 1.0):
+        self.trace = trace * scale
+        residual = magnitude(abs(trace - 1.0 / scale), scale)
+        super().__init__(f"trace is not one: |Tr - 1| = {residual} "
+                         f"exceeds {DEFAULT_TOL.unit_trace:.1e}")
 
 
 class DimensionMismatch(GeometricPhaseError):

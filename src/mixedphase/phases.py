@@ -52,13 +52,15 @@ from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
 class PhaseBatch:
     """Every phase of one instance on a grid of times.
 
-    Arrays are indexed [time] or [time, component], except q, which is
-    time-invariant and indexed [component]. overlaps holds the complex
-    m_j(t). A headline phase at a nodal point (overlap magnitude at or
-    below the overlap tolerance) is nan, with overlap_magnitude still
-    recorded; negligible components carry the sentinel convention
-    visibility = gamma = total_phase = 0. energy is the largest |eps_a|
-    or |kappa_j|: |t| times it is the largest phase argument.
+    Arrays are real and indexed [time] or [time, component], except q,
+    which is time-invariant and indexed [component]. The per-component
+    arrays are the report's columns; the complex m_j(t) they are read
+    from is not kept. A headline phase at a nodal point (overlap
+    magnitude at or below the overlap tolerance) is nan, with
+    overlap_magnitude still recorded; negligible components carry the
+    sentinel convention visibility = gamma = total_phase = 0. energy is
+    the largest |eps_a| or |kappa_j|: |t| times it is the largest phase
+    argument.
     """
 
     t: np.ndarray
@@ -66,7 +68,6 @@ class PhaseBatch:
     uhlmann: np.ndarray
     sjoqvist: np.ndarray
     overlap_magnitude: np.ndarray
-    overlaps: np.ndarray
     q: np.ndarray
     visibility: np.ndarray
     gamma: np.ndarray
@@ -183,7 +184,8 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
 
     Costs three T x n exponential tables and three T x n by n x n
     products, and no eigendecomposition; nothing of size T x n x n is
-    formed. Raises ValueError past |t| E = 2**52, E the largest |eps_a|
+    formed, and the complex tables, m_j(t) among them, are released on
+    return. Raises ValueError past |t| E = 2**52, E the largest |eps_a|
     or |kappa_j| (the batch's energy), where doubles at the phase
     arguments t E are 1 rad or more apart. The degenerate-spectrum flag
     is set when two eigenvalues of the state or of K are closer than
@@ -204,7 +206,6 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
         uhlmann=angle_or_nan(trace),
         sjoqvist=angle_or_nan(interferometric),
         overlap_magnitude=np.abs(total),
-        overlaps=overlaps,
         q=weights,
         visibility=np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
                              where=live),

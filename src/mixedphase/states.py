@@ -80,15 +80,16 @@ def validate_density(mat) -> DensityMatrix:
     Raises NotHermitian (require_hermitian's test, which holds at any
     finite magnitude, made here once: hermitian_eig does not check its
     input), NotUnitTrace, or NotPSD naming the violated invariant with
-    the measured residual. The eigenvalues are those of the scaled b the
-    check returns, so the PSD test holds at any finite magnitude too; b
-    is mat itself below ||rho||_F = 1e300, and no unit-trace PSD matrix
-    lies above it. Eigenvalues in [-psd, 0) are tolerated but not mutated.
+    the measured residual. The trace and the eigenvalues are those of the
+    scaled b the check returns, so both tests hold at any finite
+    magnitude too; b is mat itself below ||rho||_F = 1e300, and no
+    unit-trace PSD matrix lies above it. Eigenvalues in [-psd, 0) are
+    tolerated but not mutated.
     """
     mat, b, scale, _ = require_hermitian(np.array(mat, dtype=complex))  # private copy
-    trace = complex(np.trace(mat))
-    if abs(trace - 1.0) > DEFAULT_TOL.unit_trace:
-        raise NotUnitTrace(trace)
+    trace = complex(np.trace(b))
+    if abs(trace - 1.0 / scale) * scale > DEFAULT_TOL.unit_trace:
+        raise NotUnitTrace(trace, scale)
     w, q = hermitian_eig(b)
     if float(w[0]) * scale < -DEFAULT_TOL.psd:
         raise NotPSD(float(w[0]), scale)

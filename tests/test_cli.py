@@ -449,7 +449,8 @@ def test_huge_integer_entry_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["huge_hamiltonian", "huge_rho", "huge_non_hermitian",
-                                  "output_in_missing_directory", "output_is_a_directory"])
+                                  "huge_trace", "output_in_missing_directory",
+                                  "output_is_a_directory"])
 @pytest.mark.parametrize("argv", [
     ["compute", "-t", "1.0"],
     ["sweep", "--t-start", "0.0", "--t-end", "1.0", "--steps", "3"],
@@ -468,6 +469,9 @@ def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
         # ||H - H^dag||_F = 2.4e308 is past the double range, named finitely
         "huge_non_hermitian": ([[[0.0, 0.0], [huge, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], None,
                                None, "not Hermitian: ||a - a^dag||_F = 2.404e+308 exceeds"),
+        # Tr rho = 3.4e308 is past the double range, named finitely
+        "huge_trace": (zero, [[[huge, 0.0], [0.0, 0.0]], [[0.0, 0.0], [huge, 0.0]]], None,
+                       "trace is not one: |Tr - 1| = 3.400e+308 exceeds"),
         "output_in_missing_directory": (zero, None, tmp_path / "missing" / "out.txt",
                                         "No such file"),
         "output_is_a_directory": (zero, None, tmp_path, "directory"),

@@ -3,6 +3,7 @@ makes, and the eigenbasis rotation of the Hamiltonian."""
 
 import collections
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,19 @@ def test_non_psd_eigenvalue_past_the_double_range_named_finitely():
     assert str(exc.value) == ("not positive semidefinite: smallest eigenvalue "
                               "-3.400e+308 is below -1.0e-12")
     assert exc.value.min_eigenvalue == -np.inf
+
+
+def test_trace_past_the_double_range_named_finitely():
+    # Hermitian through its scale 2**1023, but Tr rho = 3.4e308 is not a
+    # double: the trace is taken of the scaled matrix, so nothing overflows
+    x = 1.7e308
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NotUnitTrace) as exc:
+            validate_density(np.diag([x, x]))
+    assert caught == []
+    assert str(exc.value) == "trace is not one: |Tr - 1| = 3.400e+308 exceeds 1.0e-10"
+    assert exc.value.trace == np.inf
 
 
 def test_non_hermitian_defect_past_the_double_range_named_finitely():
