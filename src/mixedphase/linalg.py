@@ -1,9 +1,9 @@
 """Dense complex-matrix kernel.
 
-Hermitian eigendecompositions, unitary evolution operators, polar
-factors, and PSD square roots, shared by every other module. All
-functions are pure and never mutate their inputs; sizes are small
-(n up to a few dozen), so everything is done densely via LAPACK.
+Hermitian eigendecompositions, unitary evolution operators and polar
+factors, shared by every other module. All functions are pure and never
+mutate their inputs; sizes are small (n up to a few dozen), so
+everything is done densely via LAPACK.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import NotHermitian, NotPSD
+from .errors import NotHermitian
 from .tolerances import DEFAULT_TOL
 
 
@@ -114,15 +114,3 @@ def polar_unitary(a) -> np.ndarray:
     x, _, yh = np.linalg.svd(a)
     return x @ yh
 
-
-def psd_sqrt(a) -> np.ndarray:
-    """Hermitian PSD square root of a PSD matrix.
-
-    Eigenvalues in [-psd, 0) are clamped to zero; anything below -psd
-    raises NotPSD.
-    """
-    w, q = hermitian_eig(a)
-    if w.size and w[0] < -DEFAULT_TOL.psd:
-        raise NotPSD(float(w[0]))
-    w = np.clip(w, 0.0, None)
-    return (q * np.sqrt(w)) @ dagger(q)

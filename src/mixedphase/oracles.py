@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .angles import angle_or_nan, principal_angle
-from .linalg import dagger, frobenius, hermitian_eig, polar_unitary, psd_sqrt, \
-    require_hermitian, unitary_from_eig, unitary_from_hamiltonian
+from .linalg import dagger, frobenius, polar_unitary, require_hermitian, unitary_from_eig, \
+    unitary_from_hamiltonian
 from .states import Problem, validate_density
 
 
@@ -50,17 +50,24 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
     not vanish), so P is fixed there; the free part of the polar factor
     acts on the kernel, which the trace never sees.
 
+    It reads only the density-matrix path: U(t) from the problem's
+    eigendecomposition of H (h_eigvals, h_eigvecs) and sqrt(rho0) =
+    E diag(amps) E^dag from the state's (basis_e, amps), so it makes no
+    eigendecomposition of its own and never reads h', K, the frame z or
+    the kappas. sqrt(rho0) does not depend on the choice of E inside a
+    degenerate eigenspace of rho0.
+
     The phase converges to the engine's total geometric phase at second
     order in t_end/N (the error falls by 4.00 per step doubling). One
-    eigendecomposition of H, one SVD and one matrix power cost
-    O(n^3 log N), not N SVDs. Roundoff in the power grows like N times
-    machine epsilon: for a unit-norm H and t_end near 1 that floor meets
-    the O((t_end/N)^2) discretization error near N = 2^16 (about 1e-12),
-    and MAX_STEPS caps N where it reaches 1.
+    SVD and one matrix power cost O(n^3 log N), not N SVDs. Roundoff in
+    the power grows like N times machine epsilon: for a unit-norm H and
+    t_end near 1 that floor meets the O((t_end/N)^2) discretization
+    error near N = 2^16 (about 1e-12), and MAX_STEPS caps N where it
+    reaches 1.
     """
     _check_grid(t_end, steps)
-    w_h, q_h = hermitian_eig(problem.hamiltonian_lab)
-    sqrt0 = psd_sqrt(problem.rho0.mat)
+    w_h, q_h, rho = problem.h_eigvals, problem.h_eigvecs, problem.rho0
+    sqrt0 = (rho.basis_e * rho.amps) @ dagger(rho.basis_e)
     link = polar_unitary(sqrt0 @ unitary_from_eig(w_h, q_h, t_end / steps) @ sqrt0)
     transport = np.linalg.matrix_power(dagger(link), steps)
     endpoint = sqrt0 @ unitary_from_eig(w_h, q_h, t_end) @ sqrt0

@@ -6,8 +6,9 @@ representations z (unitary frames) of the ancilla's Hilbert space:
     Phi(z, t) = arg sum_j m_j(z, t) e^{-i kappa_j(z) t},
     m_j(z, t) = <e_j| z* C U(t) C z^T |e_j> = sum_a P_aj e^{-i eps_a t},
 
-with P = |Q^dag C z^T|^2 for h' = Q diag(eps) Q^dag (diagonalized once,
-by prepare_problem) and kappa_j(z) = -<psi_j|h'|psi_j> / q_j, the
+with P = |Q^dag C z^T|^2 for h' = Q diag(eps) Q^dag (H's decomposition,
+made once by Problem, rotated into the state eigenbasis: eps are H's
+eigenvalues and Q = e^dag V) and kappa_j(z) = -<psi_j|h'|psi_j> / q_j, the
 negated energy of component psi_j = C z^T |e_j> of weight q_j. The frame
 that diagonalizes the ancilla Hamiltonian K (kappa_j its eigenvalues;
 E_j = -kappa_j is the parallel-transport condition) gives the total
@@ -31,7 +32,7 @@ Gauge pairs: gauge_pair takes the total phase of one problem in two
 gauges of the state eigenbasis as a (2, n, n) stack, through the same
 functions as prepare_problem and evaluate (linalg's eigh and matmul
 take leading axes); each member is bit for bit what those give for it
-alone.
+alone. The gauges share H's eigenvalues; only Q and the frame differ.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
-from .linalg import hermitian_eig
 from .states import Problem, hamiltonian_in_eigenbasis
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
@@ -84,12 +84,14 @@ class PhaseBatch:
 class PreparedProblem:
     """A problem with its ancilla frame solved in the eigenbasis
     problem.rho0 carries, ready for phase evaluation at any time.
-    h_eigvals and h_eigvecs are the eigendecomposition of h_prime
-    (ascending, as from hermitian_eig)."""
+    h_prime = Q diag(h_eigvals) Q^dag up to roundoff: h_eigvals are the
+    problem's eigenvalues of H (ascending, as from hermitian_eig) and
+    h_eigvecs is Q = e^dag V, the problem's eigenvectors of H rotated
+    into the state eigenbasis e. No eigendecomposition of h_prime is
+    made."""
 
     problem: Problem
     h_prime: np.ndarray
-    h_eigvals: np.ndarray
     h_eigvecs: np.ndarray
     frame: AncillaFrame
     weights: np.ndarray
@@ -98,21 +100,18 @@ class PreparedProblem:
     def dim(self) -> int:
         return self.problem.dim
 
+    @property
+    def h_eigvals(self) -> np.ndarray:
+        return self.problem.h_eigvals
+
 
 def prepare_problem(problem: Problem) -> PreparedProblem:
     """Build the ancilla frame and weights in the state eigenbasis."""
     amps = problem.rho0.amps
-    h_prime = hamiltonian_in_eigenbasis(problem)
-    h_eigvals, h_eigvecs, frame = _diagonalize(amps, h_prime)
+    h_prime, h_eigvecs = hamiltonian_in_eigenbasis(problem)
+    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_prime))
     weights = component_weights(amps, frame.z)
-    return PreparedProblem(problem, h_prime, h_eigvals, h_eigvecs, frame, weights)
-
-
-def _diagonalize(amps, h_prime):
-    """The eigendecomposition of h' and the ancilla frame, for one h' or
-    a stack of them: what prepare_problem and gauge_pair share."""
-    h_eigvals, h_eigvecs = hermitian_eig(h_prime)
-    return h_eigvals, h_eigvecs, diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_prime))
+    return PreparedProblem(problem, h_prime, h_eigvecs, frame, weights)
 
 
 def gauge_pair(problem: Problem, theta, times):
@@ -122,20 +121,22 @@ def gauge_pair(problem: Problem, theta, times):
     Row 0 is the problem with column j of its state's eigenbasis times
     e^{i theta_j}, row 1 the problem as it is; the rows, h' and frame are
     bit for bit what prepare_problem and evaluate give. Only the
-    eigenvectors differ, so the Hamiltonian is not checked again. The
-    stacked h' and K are released before the contraction, whose
-    temporaries set the pass's peak memory.
+    eigenvectors differ, so the Hamiltonian is neither checked nor
+    decomposed again: both rows take its eigenvalues, and one stacked
+    product their Q. The stacked h' and K are released before the
+    contraction, whose temporaries set the pass's peak memory.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (problem.dim,) or not np.isfinite(theta).all():
         raise ValueError(f"expected {problem.dim} finite angles, got {theta}")
     amps, basis = problem.rho0.amps, problem.rho0.basis_e
-    h_pair = hamiltonian_in_eigenbasis(problem, np.stack([basis * np.exp(1j * theta), basis]))
-    h_eigvals, h_eigvecs, frame = _diagonalize(amps, h_pair)
+    h_pair, h_eigvecs = hamiltonian_in_eigenbasis(
+        problem, np.stack([basis * np.exp(1j * theta), basis]))
+    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_pair))
     h_prime, k = h_pair[1].copy(), frame.k[1].copy()
     z, kappas = frame.z, frame.kappas
     del h_pair, frame
-    t, _, e, p = _setup(amps, h_eigvals, h_eigvecs, z, kappas, times)
+    t, _, e, p = _setup(amps, problem.h_eigvals, h_eigvecs, z, kappas, times)
     total = _phi(t, e, p, kappas)[-1]
     del e, p
     return angle_or_nan(total), h_prime, AncillaFrame(k, z[1].copy(), kappas[1].copy())
@@ -144,8 +145,9 @@ def gauge_pair(problem: Problem, theta, times):
 def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
     """What evaluate and gauge_pair do before Phi's sum: the checked
     times, the energy, the table e^{-i eps_a t} and the frame's kernel P.
-    For a stack of spectra and frames, all but t and the energy (the
-    stack's largest) have its leading axis."""
+    For a stack of Q and frames (gauges of one problem), P has its
+    leading axis; t, the energy (the stack's largest) and the table,
+    which read only H's eigenvalues, do not."""
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
@@ -163,7 +165,7 @@ def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
     p = np.abs(h_eigvecs.swapaxes(-1, -2) @ np.conjugate(czt, out=czt))
     del czt
     p **= 2
-    e = np.exp(-1j * (t[:, None] * h_eigvals[..., None, :]))  # e^{-i eps_a t}, [time, a]
+    e = np.exp(-1j * (t[:, None] * h_eigvals))  # e^{-i eps_a t}, [time, a]
     return t, energy, e, p
 
 

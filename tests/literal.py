@@ -7,7 +7,9 @@ Each function here computes one quantity straight from its definition,
 for one time and one component at a time: the overlap kernel, the
 per-component report, the total, Uhlmann-trace and interferometric
 phases, the component states, the finite-difference parallel-transport
-residual, and the discretized parallel amplitude chain. The per-t
+residual, and the discretized parallel amplitude chain with the PSD
+square root it starts from, each from its own eigendecompositions of
+rho0 and H rather than those the Problem carries. The per-t
 functions take the prepared problem and an explicit evolution operator
 u_t, so a caller can pass one built independently of the cached
 eigendecomposition (evolution_operator builds it from that
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from mixedphase.angles import angle_or_nan
-from mixedphase.linalg import dagger, hermitian_eig, polar_unitary, psd_sqrt, \
-    unitary_from_eig, unitary_from_hamiltonian
+from mixedphase.errors import NotPSD
+from mixedphase.linalg import dagger, hermitian_eig, polar_unitary, unitary_from_eig, \
+    unitary_from_hamiltonian
 from mixedphase.oracles import _check_grid
 from mixedphase.phases import PreparedProblem
 from mixedphase.states import Problem
@@ -33,7 +36,8 @@ from mixedphase.tolerances import DEFAULT_TOL
 
 
 def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
-    """exp(-i h' t) in the state eigenbasis, from prep's eigendecomposition of h'."""
+    """exp(-i h' t) in the state eigenbasis, from the decomposition of h'
+    that prep carries: H's eigenvalues and Q = e^dag V."""
     return unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
 
 
@@ -137,6 +141,20 @@ def parallel_residual(prep: PreparedProblem, j: int, t: float, delta: float) -> 
         raise ValueError(f"component {j} has negligible weight {q_j:.3e}")
     ov = complex(np.vdot(chi_t, chi_dt)) / q_j
     return float(abs(ov * np.exp(-1j * float(frame.kappas[j]) * delta) - 1.0) / delta)
+
+
+def psd_sqrt(a) -> np.ndarray:
+    """Hermitian PSD square root of a PSD matrix, from its own
+    eigendecomposition.
+
+    Eigenvalues in [-psd, 0) are clamped to zero; anything below -psd
+    raises NotPSD.
+    """
+    w, q = hermitian_eig(a)
+    if w.size and w[0] < -DEFAULT_TOL.psd:
+        raise NotPSD(float(w[0]))
+    w = np.clip(w, 0.0, None)
+    return (q * np.sqrt(w)) @ dagger(q)
 
 
 def amplitude_chain(problem: Problem, t_end: float, steps: int) -> Iterator[np.ndarray]:

@@ -21,7 +21,7 @@ PUBLIC = {
 LITERAL = (
     "ComponentReport", "overlap_kernel", "component_report", "total_geometric_phase",
     "uhlmann_trace_phase", "sjoqvist_phase", "amplitude_chain", "parallel_residual",
-    "component_state", "evolution_operator",
+    "component_state", "evolution_operator", "psd_sqrt",
 )
 
 

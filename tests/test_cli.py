@@ -245,7 +245,7 @@ def test_verify_checks_the_total_phase_without_evaluate(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, stdout, code", [
     (["--dim", "3", "--trials", "6", "--seed", "2", "--tol", "1e-13"],
      "verification failed for instance seed 1206473021768521264: total phase vs holonomy "
-     "(65536 steps) differ by 3.356e-12 > 1.000e-13 at t=1.7\n"
+     "(65536 steps) differ by 1.080e-11 > 1.000e-13 at t=1.7\n"
      "passed 0 of 6 instances before first failure\n", 1),
     # the residuals read the raw h' = E^dag H E, not the symmetrized copy
     # the eigensolver and the K solve use (which gives 2.354e-17 here)

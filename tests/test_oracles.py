@@ -76,6 +76,26 @@ def test_closed_form_matches_the_literal_chain(dim, data, seed, steps, t_end):
     assert circular_distance(got, want) <= 1e-11, (dim, rank, steps, got, want)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_holonomy_ignores_the_basis_inside_a_degenerate_eigenspace(seed):
+    # sqrt(rho0) = E diag(amps) E^dag is the same for every orthonormal
+    # basis of rho0's eigenspace of 0.2; at 4096 steps the roundoff the
+    # power multiplies by N stays below the bound
+    rng = np.random.default_rng(seed)
+    rho = validate_density(np.diag([0.4, 0.2, 0.2, 0.2]))
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    problem = Problem(rho, (a + dagger(a)) / 2)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    basis = rho.basis_e.copy()
+    basis[:, 1:] = basis[:, 1:] @ u
+    assert frobenius(basis - rho.basis_e) > 1.0
+    rotated = Problem(replace(rho, basis_e=basis), problem.hamiltonian_lab)
+    for t_end in (0.5, 1.7, 3.0):
+        got = discrete_uhlmann_holonomy(rotated, t_end, 4096)
+        want = discrete_uhlmann_holonomy(problem, t_end, 4096)
+        assert circular_distance(got, want) <= 1e-12, (t_end, got, want)
+
+
 @pytest.mark.parametrize("steps", [2, 3, 255, 256])
 def test_closed_form_and_chain_both_vanish_at_orthogonal_endpoint(steps):
     # |+> reaches the orthogonal |-> at t = pi on any grid

@@ -1,5 +1,6 @@
-"""State-layer tests: density validation and the eigendecomposition it
-makes, and the eigenbasis rotation of the Hamiltonian."""
+"""State-layer tests: density validation and the Problem, the one
+eigendecomposition of rho and of H they make, and the eigenbasis
+rotation of the Hamiltonian."""
 
 import collections
 import re
@@ -8,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mixedphase import (
     DimensionMismatch,
@@ -21,7 +23,7 @@ from mixedphase import (
     save_problem,
     validate_density,
 )
-from mixedphase import linalg
+from mixedphase import cli, linalg
 from mixedphase.linalg import dagger, frobenius, unitary_from_hamiltonian
 from mixedphase.states import hamiltonian_in_eigenbasis
 from mixedphase.tolerances import DEFAULT_TOL
@@ -206,21 +208,47 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
     path = tmp_path / "problem.json"
     save_problem(random_instance(5, 3, 11), path)
     calls = collections.Counter()
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _solve(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     prepare_problem(load_problem(path))
-    assert calls == {"eigh": 3}  # rho (in validation), h' and K
+    assert calls == {"eigh": 3}  # rho, H (both in validation) and K
     calls.clear()
     random_instance(8, 8, 3)
-    assert calls == {"eigh": 1}
+    assert calls == {"eigh": 2}  # rho and H
+    # the holonomy oracle takes rho's and H's decompositions from the
+    # Problem: one SVD and no eigendecomposition of its own
+    calls.clear()
+    assert cli.main(["compare", "--input", str(path), "-t", "1"]) == 0
+    assert calls == {"eigh": 3, "svd": 1}
+    # a verify trial: rho, H, and the gauge pair's two K in one stacked call
+    calls.clear()
+    assert cli.main(["verify", "--dim", "8", "--trials", "1"]) == 0
+    assert calls == {"eigh": 3, "svd": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 16), rank=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       identity=st.booleans())
+@example(dim=16, rank=1, seed=0, identity=True)
+@example(dim=1, rank=1, seed=0, identity=False)
+def test_carried_spectra_rebuild_their_inputs(dim, rank, seed, identity):
+    # the one decomposition of rho and of H that every reader takes
+    problem = random_instance(dim, min(rank, dim), seed)
+    if identity:
+        problem = Problem(problem.rho0, np.eye(dim, dtype=complex))
+    rho, h = problem.rho0, problem.hamiltonian_lab
+    assert frobenius((rho.basis_e * rho.lambdas) @ dagger(rho.basis_e) - rho.mat) <= 1e-13
+    q, w = problem.h_eigvecs, problem.h_eigvals
+    assert np.all(np.diff(w) >= 0)
+    assert frobenius((q * w) @ dagger(q) - h) <= 1e-13 * max(1.0, frobenius(h))
 
 
 def test_hamiltonian_rotation_identity_for_diagonal_state():
     problem = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
-    np.testing.assert_allclose(hamiltonian_in_eigenbasis(problem), 0.5 * SZ,
+    np.testing.assert_allclose(hamiltonian_in_eigenbasis(problem)[0], 0.5 * SZ,
                                atol=1e-14)
 
 
@@ -229,7 +257,7 @@ def test_hamiltonian_rotation_hadamard_swap():
     rho = 0.8 * np.outer(PLUS, PLUS.conj()) + 0.2 * (np.eye(2) - np.outer(PLUS, PLUS.conj()))
     rho0 = validate_density(rho)
     state = replace(rho0, basis_e=HADAMARD)
-    h_prime = hamiltonian_in_eigenbasis(Problem(state, 0.5 * SZ))
+    h_prime = hamiltonian_in_eigenbasis(Problem(state, 0.5 * SZ))[0]
     np.testing.assert_allclose(h_prime, 0.5 * np.array([[0, 1], [1, 0]]), atol=1e-14)
 
 
@@ -239,10 +267,13 @@ def test_hamiltonian_rotation_preserves_spectrum():
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = (a + dagger(a)) / 2
     problem = Problem(validate_density(rho), h)
-    h_prime = hamiltonian_in_eigenbasis(problem)
+    h_prime, q = hamiltonian_in_eigenbasis(problem)
     assert frobenius(h_prime - dagger(h_prime)) <= 1e-10
     np.testing.assert_allclose(np.linalg.eigvalsh(h_prime), np.linalg.eigvalsh(h),
                                atol=1e-10)
+    # Q = E^dag V diagonalizes h' with the Problem's eigenvalues of H
+    assert frobenius(dagger(q) @ q - np.eye(5)) <= 1e-13
+    assert frobenius((q * problem.h_eigvals) @ dagger(q) - h_prime) <= 1e-13 * frobenius(h)
 
 
 def test_problem_dimension_mismatch():
