@@ -18,21 +18,21 @@ from mixedphase.transport import ancilla_equation_residual, diagonalizing_frame,
 
 def evolved_components(prep, t):
     """U(t) and the unnormalized components U(t) C z^T |e_j>, one per column."""
-    u = unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
+    u = unitary_from_eig(prep.problem.h_eigvals, prep.problem.h_eigvecs, t)
     return u, u @ (prep.frame.z * prep.problem.rho0.amps).T
 
 
 def main():
     problem = mp.random_instance(3, 3, 2024)
     prep = mp.prepare_problem(problem)
-    amps = prep.problem.rho0.amps
+    amps, h_prime = problem.rho0.amps, problem.h_prime
 
     print("1. spectral decomposition")
     print(f"   eigenvalues of the state: {np.round(prep.problem.rho0.lambdas, 6)}")
     print(f"   amplitudes sqrt(lambda):  {np.round(amps, 6)}\n")
 
     print("2. ancilla Hamiltonian from the closed form")
-    resid = ancilla_equation_residual(amps, prep.h_prime, prep.frame.k)
+    resid = ancilla_equation_residual(amps, h_prime, prep.frame.k)
     print(f"   defining-equation residual: {resid:.2e}")
     print(f"   eigenvalues kappa: {np.round(prep.frame.kappas, 6)}\n")
 
@@ -45,13 +45,13 @@ def main():
 
     print("4. parallel transport holds component by component: energy -kappa_j q_j")
     chis = evolved_components(prep, 0.9)[1]
-    energies = ((chis.conj().T @ prep.h_prime) * chis.T).sum(axis=1).real
+    energies = ((chis.conj().T @ h_prime) * chis.T).sum(axis=1).real
     for j in range(3):
         print(f"   component {j}: <chi_j|h'|chi_j> = {energies[j]:+.9f}, "
               f"-kappa_j q_j = {-prep.frame.kappas[j] * prep.weights[j]:+.9f}")
-    print(f"   largest violation: {transport_residual(amps, prep.h_prime, prep.frame):.2e}")
+    print(f"   largest violation: {transport_residual(amps, h_prime, prep.frame):.2e}")
     wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    control = transport_residual(amps, prep.h_prime, wrong)
+    control = transport_residual(amps, h_prime, wrong)
     print(f"   negative control (ancilla Hamiltonian zeroed): {control:.2e}\n")
 
     print("5. components reassemble the evolved state")

@@ -100,20 +100,20 @@ def cmd_sweep(args) -> int:
 def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
     """Run the invariant checks on one instance; return the violated
     invariant's description or None."""
-    rho = problem.rho0
+    amps, h_prime = problem.rho0.amps, problem.h_prime
     # The total phase of a gauge-rephased copy and of the instance itself,
-    # from one stacked pass that keeps only the instance's own h' and frame.
-    gammas, h_prime, frame = gauge_pair(problem, rng.uniform(0.0, 2.0 * np.pi, size=problem.dim),
-                                        VERIFY_TIME)
+    # from one stacked pass that keeps only the instance's own frame.
+    gammas, frame = gauge_pair(problem, rng.uniform(0.0, 2.0 * np.pi, size=problem.dim),
+                               VERIFY_TIME)
     gamma_rephased, gamma = gammas[:, 0].tolist()
-    resid = ancilla_equation_residual(rho.amps, h_prime, frame.k)
+    resid = ancilla_equation_residual(amps, h_prime, frame.k)
     bound = tol * max(1.0, frobenius(h_prime))
     if resid > bound:
         return f"ancilla-equation residual {resid:.3e} > {bound:.3e}"
-    resid = transport_residual(rho.amps, h_prime, frame)
+    resid = transport_residual(amps, h_prime, frame)
     if resid > bound:
         return f"parallel-transport residual {resid:.3e} > {bound:.3e}"
-    del h_prime, frame  # not held through the holonomy
+    del frame  # not held through the holonomy
     # the engine's total phase against the holonomy of the density-matrix
     # path, which never sees the ancilla
     holonomy = discrete_uhlmann_holonomy(problem, VERIFY_TIME, VERIFY_HOLONOMY_STEPS)
@@ -139,8 +139,9 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     for passed in range(args.trials):
         inst_seed = int(rng.integers(0, 2**62))
-        problem = random_instance(args.dim, args.dim, inst_seed)
-        failure = _verify_trial(problem, rng, args.tol)
+        # drawn in the argument list: no name holds the last trial's
+        # problem while the next one is built
+        failure = _verify_trial(random_instance(args.dim, args.dim, inst_seed), rng, args.tol)
         if failure is not None:
             print(f"verification failed for instance seed {inst_seed}: {failure}")
             print(f"passed {passed} of {args.trials} instances before first failure")

@@ -1,7 +1,8 @@
 """Independent brute-force verifiers.
 
 A discretized purification holonomy built only from the density-matrix
-path (never from the ancilla construction), the pure-state geometric
+path (never from the ancilla construction), in the state eigenbasis the
+Problem carries, where sqrt(rho0) is diagonal; the pure-state geometric
 phase as total minus dynamical, and a deterministic random-instance
 generator. These are the oracles the engine is tested against. Like the
 engine, they return nan where the overlap whose argument is the phase
@@ -50,12 +51,15 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
     not vanish), so P is fixed there; the free part of the polar factor
     acts on the kernel, which the trace never sees.
 
-    It reads only the density-matrix path: U(t) from the problem's
-    eigendecomposition of H (h_eigvals, h_eigvecs) and sqrt(rho0) =
-    E diag(amps) E^dag from the state's (basis_e, amps), so it makes no
-    eigendecomposition of its own and never reads h', K, the frame z or
-    the kappas. sqrt(rho0) does not depend on the choice of E inside a
-    degenerate eigenspace of rho0.
+    It reads only the density-matrix path, in the state eigenbasis e
+    where sqrt(rho0) is diag(amps): U(t) from the problem's one
+    eigendecomposition of H (h_eigvals, and h_eigvecs = e^dag V), so
+    that it is e^dag U(t) e, and the sandwich sqrt(rho0) X sqrt(rho0) is
+    outer(amps, amps) * X. It makes no eigendecomposition of its own, no
+    sqrt(rho0) matrix, and never reads h', K, the frame z or the kappas.
+    The polar factor turns with its argument and the trace is basis-free,
+    so the phase is that of the lab-frame chain; it does not depend on the
+    choice of e inside a degenerate eigenspace of rho0.
 
     The phase converges to the engine's total geometric phase at second
     order in t_end/N (the error falls by 4.00 per step doubling). One
@@ -66,11 +70,12 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
     reaches 1.
     """
     _check_grid(t_end, steps)
-    w_h, q_h, rho = problem.h_eigvals, problem.h_eigvecs, problem.rho0
-    sqrt0 = (rho.basis_e * rho.amps) @ dagger(rho.basis_e)
-    link = polar_unitary(sqrt0 @ unitary_from_eig(w_h, q_h, t_end / steps) @ sqrt0)
+    w_h, q_h = problem.h_eigvals, problem.h_eigvecs
+    amps = problem.rho0.amps
+    sandwich = np.outer(amps, amps)  # sqrt(rho0) X sqrt(rho0) = sandwich * X
+    link = polar_unitary(sandwich * unitary_from_eig(w_h, q_h, t_end / steps))
     transport = np.linalg.matrix_power(dagger(link), steps)
-    endpoint = sqrt0 @ unitary_from_eig(w_h, q_h, t_end) @ sqrt0
+    endpoint = sandwich * unitary_from_eig(w_h, q_h, t_end)
     return angle_or_nan(complex(np.trace(endpoint @ transport)))
 
 

@@ -31,8 +31,10 @@ too: one convention, angles.angle_or_nan, and nothing raises.
 Gauge pairs: gauge_pair takes the total phase of one problem in two
 gauges of the state eigenbasis as a (2, n, n) stack, through the same
 functions as prepare_problem and evaluate (linalg's eigh and matmul
-take leading axes); each member is bit for bit what those give for it
-alone. The gauges share H's eigenvalues; only Q and the frame differ.
+take leading axes). The gauge e D, D = diag(e^{i theta}), needs no new
+rotation of H: h' becomes D^dag h' D and Q becomes D^dag Q, entry by
+entry. The problem's own member is bit for bit what prepare_problem and
+evaluate give for it alone; the gauges share H's eigenvalues.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
-from .states import Problem, hamiltonian_in_eigenbasis
+from .states import Problem
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
     solve_ancilla_hamiltonian
@@ -82,17 +84,13 @@ class PhaseBatch:
 
 @dataclass(frozen=True)
 class PreparedProblem:
-    """A problem with its ancilla frame solved in the eigenbasis
-    problem.rho0 carries, ready for phase evaluation at any time.
-    h_prime = Q diag(h_eigvals) Q^dag up to roundoff: h_eigvals are the
-    problem's eigenvalues of H (ascending, as from hermitian_eig) and
-    h_eigvecs is Q = e^dag V, the problem's eigenvectors of H rotated
-    into the state eigenbasis e. No eigendecomposition of h_prime is
-    made."""
+    """A problem with what the ancilla representation adds to it: the
+    frame that diagonalizes K, solved in the eigenbasis problem.rho0
+    carries, and the component weights, ready for phase evaluation at
+    any time. The Hamiltonian in that basis (h_prime, and its spectrum
+    h_eigvals, h_eigvecs) is the problem's own."""
 
     problem: Problem
-    h_prime: np.ndarray
-    h_eigvecs: np.ndarray
     frame: AncillaFrame
     weights: np.ndarray
 
@@ -100,46 +98,41 @@ class PreparedProblem:
     def dim(self) -> int:
         return self.problem.dim
 
-    @property
-    def h_eigvals(self) -> np.ndarray:
-        return self.problem.h_eigvals
-
 
 def prepare_problem(problem: Problem) -> PreparedProblem:
     """Build the ancilla frame and weights in the state eigenbasis."""
     amps = problem.rho0.amps
-    h_prime, h_eigvecs = hamiltonian_in_eigenbasis(problem)
-    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_prime))
-    weights = component_weights(amps, frame.z)
-    return PreparedProblem(problem, h_prime, h_eigvecs, frame, weights)
+    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, problem.h_prime))
+    return PreparedProblem(problem, frame, component_weights(amps, frame.z))
 
 
 def gauge_pair(problem: Problem, theta, times):
     """gamma_total at times of problem in two gauges, from one stacked
-    pass, with copies of the problem's own h' and ancilla frame.
+    pass, with a copy of the problem's own ancilla frame.
 
     Row 0 is the problem with column j of its state's eigenbasis times
-    e^{i theta_j}, row 1 the problem as it is; the rows, h' and frame are
-    bit for bit what prepare_problem and evaluate give. Only the
-    eigenvectors differ, so the Hamiltonian is neither checked nor
-    decomposed again: both rows take its eigenvalues, and one stacked
-    product their Q. The stacked h' and K are released before the
-    contraction, whose temporaries set the pass's peak memory.
+    d_j = e^{i theta_j}, row 1 the problem as it is; row 1 and the frame
+    are bit for bit what prepare_problem and evaluate give. Only the
+    eigenvectors differ, so the Hamiltonian is neither checked,
+    decomposed nor rotated again: row 0 takes h'_jk conj(d_j) d_k and
+    Q_ja conj(d_j), and both rows H's eigenvalues. The stacked h', Q and
+    K are released before the contraction, whose temporaries set the
+    pass's peak memory.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (problem.dim,) or not np.isfinite(theta).all():
         raise ValueError(f"expected {problem.dim} finite angles, got {theta}")
-    amps, basis = problem.rho0.amps, problem.rho0.basis_e
-    h_pair, h_eigvecs = hamiltonian_in_eigenbasis(
-        problem, np.stack([basis * np.exp(1j * theta), basis]))
-    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, h_pair))
-    h_prime, k = h_pair[1].copy(), frame.k[1].copy()
-    z, kappas = frame.z, frame.kappas
-    del h_pair, frame
-    t, _, e, p = _setup(amps, problem.h_eigvals, h_eigvecs, z, kappas, times)
+    amps, h_prime, h_eigvecs = problem.rho0.amps, problem.h_prime, problem.h_eigvecs
+    d = np.exp(1j * theta)
+    frame = diagonalizing_frame(solve_ancilla_hamiltonian(
+        amps, np.stack([np.outer(d.conj(), d) * h_prime, h_prime])))
+    k, z, kappas = frame.k[1].copy(), frame.z, frame.kappas
+    del frame
+    t, _, e, p = _setup(amps, problem.h_eigvals,
+                        np.stack([d.conj()[:, None] * h_eigvecs, h_eigvecs]), z, kappas, times)
     total = _phi(t, e, p, kappas)[-1]
     del e, p
-    return angle_or_nan(total), h_prime, AncillaFrame(k, z[1].copy(), kappas[1].copy())
+    return angle_or_nan(total), AncillaFrame(k, z[1].copy(), kappas[1].copy())
 
 
 def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
@@ -193,14 +186,15 @@ def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
     is set when two eigenvalues of the state or of K are closer than
     the degeneracy gap.
     """
-    rho, frame, weights = prep.problem.rho0, prep.frame, prep.weights
-    t, energy, e, p = _setup(rho.amps, prep.h_eigvals, prep.h_eigvecs, frame.z, frame.kappas,
-                             times)
+    problem, frame, weights = prep.problem, prep.frame, prep.weights
+    rho = problem.rho0
+    t, energy, e, p = _setup(rho.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,
+                             frame.kappas, times)
     d, overlaps, rotated, total = _phi(t, e, p, frame.kappas)
     trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
     # z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
-    p_i = (np.abs(prep.h_eigvecs) ** 2).T * rho.lambdas
-    interferometric = _phi(t, e, p_i, -np.diag(prep.h_prime).real)[-1]
+    p_i = (np.abs(problem.h_eigvecs) ** 2).T * rho.lambdas
+    interferometric = _phi(t, e, p_i, -np.diag(problem.h_prime).real)[-1]
     live = weights > DEFAULT_TOL.weight
     return PhaseBatch(
         t=t,

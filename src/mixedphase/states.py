@@ -1,11 +1,11 @@
 """Typed quantum-state layer.
 
 Density-matrix validation and the Problem record, which make the one
-eigendecomposition of the state and of the Hamiltonian, and the rotation
-of the Hamiltonian and its eigenvectors into the state eigenbasis.
-Everything downstream works in the initial-state eigenbasis, where the
-state is diag(lambdas) and the amplitude matrix is diag(sqrt(lambdas)),
-and reads both spectra from here; nothing decomposes rho or H again.
+eigendecomposition of the state and of the Hamiltonian. Problem also
+rotates the Hamiltonian and its eigenvectors into the state eigenbasis,
+once. Everything downstream works in that basis, where the state is
+diag(lambdas) and the amplitude matrix is diag(sqrt(lambdas)), and reads
+both spectra from here; nothing decomposes or rotates rho or H again.
 """
 
 from __future__ import annotations
@@ -54,16 +54,21 @@ class Problem:
     The Hamiltonian is checked once here: square, finite, the state's
     dimension, Hermitian (NotHermitian otherwise), and of Frobenius norm
     at most half the largest double, so that h' + h'^dag cannot overflow.
-    Then it is decomposed once: h_eigvals (ascending) and h_eigvecs are
-    hermitian_eig's spectrum of hamiltonian_lab, which the engine rotates
-    into the state eigenbasis and the holonomy oracle evolves with. They
-    are derived, so they take no part in construction, repr or equality.
+    Then it is decomposed once, H = V diag(h_eigvals) V^dag with
+    h_eigvals ascending (hermitian_eig), and carried in the state
+    eigenbasis e = rho0.basis_e: h_prime = e^dag H e and h_eigvecs =
+    Q = e^dag V, so that h' = Q diag(h_eigvals) Q^dag with H's own
+    eigenvalues. h' is Hermitian and Q unitary up to roundoff. The
+    engine, gauge pairs and the holonomy oracle all read these; no
+    eigendecomposition of h' is made. They are derived, so they take no
+    part in construction, repr or equality.
     """
 
     rho0: DensityMatrix
     hamiltonian_lab: np.ndarray
     h_eigvals: np.ndarray = field(init=False, repr=False, compare=False)
     h_eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
+    h_prime: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h, _, scale, norm = require_hermitian(self.hamiltonian_lab)
@@ -76,9 +81,12 @@ class Problem:
                 f"state is {self.rho0.dim}x{self.rho0.dim} but the Hamiltonian "
                 f"is {h.shape[0]}x{h.shape[0]}"
             )
-        w, q = hermitian_eig(h)
+        w, v = hermitian_eig(h)
+        e = self.rho0.basis_e
+        e_dag = dagger(e)
         object.__setattr__(self, "h_eigvals", w)
-        object.__setattr__(self, "h_eigvecs", q)
+        object.__setattr__(self, "h_eigvecs", e_dag @ v)
+        object.__setattr__(self, "h_prime", e_dag @ h @ e)
 
     @property
     def dim(self) -> int:
@@ -107,15 +115,3 @@ def validate_density(mat) -> DensityMatrix:
     lambdas = np.clip(w[::-1], 0.0, 1.0)
     return DensityMatrix(mat, lambdas, q[:, ::-1], np.sqrt(lambdas))
 
-
-def hamiltonian_in_eigenbasis(problem: Problem, basis_e=None) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the lab-frame Hamiltonian and its eigenvectors into the
-    state eigenbasis: (h', Q) = (e^dag H e, e^dag V) for H = V diag(w) V^dag
-    the problem's decomposition, so that h' = Q diag(w) Q^dag with the
-    same eigenvalues w. e is problem.rho0.basis_e or the given basis_e,
-    which may be a (B, n, n) stack of eigenbases of the same state
-    (gauges); e^dag is formed once for both products. h' is Hermitian
-    and Q unitary up to roundoff."""
-    e = problem.rho0.basis_e if basis_e is None else basis_e
-    e_dag = dagger(e)
-    return e_dag @ problem.hamiltonian_lab @ e, e_dag @ problem.h_eigvecs

@@ -37,8 +37,8 @@ from mixedphase.tolerances import DEFAULT_TOL
 
 def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
     """exp(-i h' t) in the state eigenbasis, from the decomposition of h'
-    that prep carries: H's eigenvalues and Q = e^dag V."""
-    return unitary_from_eig(prep.h_eigvals, prep.h_eigvecs, t)
+    that the problem carries: H's eigenvalues and Q = e^dag V."""
+    return unitary_from_eig(prep.problem.h_eigvals, prep.problem.h_eigvecs, t)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def sjoqvist_phase(prep: PreparedProblem, t: float, u_t) -> float:
     the ancilla keeps the original eigenbasis and only cancels the
     diagonal dynamical phases. Agrees with the total geometric phase for
     pure states only."""
-    phases = np.exp(1j * np.diag(prep.h_prime).real * t)
+    phases = np.exp(1j * np.diag(prep.problem.h_prime).real * t)
     return angle_or_nan(complex(
         (prep.problem.rho0.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
 

@@ -79,10 +79,10 @@ def test_criterion_1_total_phase_equals_trace_phase():
 def test_criterion_2_ancilla_equation_solver():
     worst_resid = worst_herm = 0.0
     for prep in _instances():
-        resid = ancilla_equation_residual(prep.problem.rho0.amps, prep.h_prime,
+        resid = ancilla_equation_residual(prep.problem.rho0.amps, prep.problem.h_prime,
                                           prep.frame.k)
         worst_resid = max(worst_resid,
-                          resid / max(1.0, frobenius(prep.h_prime)))
+                          resid / max(1.0, frobenius(prep.problem.h_prime)))
         worst_herm = max(worst_herm, frobenius(prep.frame.k - dagger(prep.frame.k)))
     ok = worst_resid <= 1e-10 and worst_herm <= 1e-12
     _criterion(2, ok,
@@ -93,8 +93,8 @@ def test_criterion_2_ancilla_equation_solver():
 def test_criterion_3_parallel_transport():
     worst = worst_exact = 0.0
     for prep in _instances():
-        exact = transport_residual(prep.problem.rho0.amps, prep.h_prime, prep.frame)
-        worst_exact = max(worst_exact, exact / max(1.0, frobenius(prep.h_prime)))
+        exact = transport_residual(prep.problem.rho0.amps, prep.problem.h_prime, prep.frame)
+        worst_exact = max(worst_exact, exact / max(1.0, frobenius(prep.problem.h_prime)))
         for t in (0.3, 1.7):
             for j in range(prep.dim):
                 if prep.weights[j] > 1e-10:

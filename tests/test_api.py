@@ -1,6 +1,7 @@
 """The public surface: the pipeline in mixedphase; the literal references
 live with the tests, in tests/literal.py, and not in the package."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -33,6 +34,16 @@ def test_package_exports_exactly_the_pipeline():
     errors = [name for name in PUBLIC if isinstance(getattr(mixedphase, name), type)
               and issubclass(getattr(mixedphase, name), mixedphase.GeometricPhaseError)]
     assert len(errors) == 6
+
+
+def test_prepared_problem_holds_only_the_ancilla_frame():
+    # the Hamiltonian in the state eigenbasis is the Problem's alone, and
+    # no module rotates it again
+    assert [f.name for f in dataclasses.fields(mixedphase.PreparedProblem)] == [
+        "problem", "frame", "weights"]
+    for info in pkgutil.iter_modules(mixedphase.__path__):
+        module = importlib.import_module(f"mixedphase.{info.name}")
+        assert not hasattr(module, "hamiltonian_in_eigenbasis"), info.name
 
 
 def test_literal_definitions_live_in_one_module():

@@ -196,16 +196,17 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch, capsys):
 
 
 def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch, capsys):
-    """Negative control: the engine evolves both members of the gauge pair
-    under H (1 + 1e-6) while the holonomy oracle sees H. The ancilla,
-    transport and gauge checks all use the engine's own preparation, so
-    only the holonomy can fail."""
-    pair = cli.gauge_pair
+    """Negative control: the holonomy oracle evolves the state under
+    H (1 + 1e-6) while the engine sees H. The ancilla, transport and
+    gauge checks all read the problem's own h' and the engine's
+    preparation of it, so only the holonomy can fail."""
+    holonomy = cli.discrete_uhlmann_holonomy
 
-    def perturbed(problem, theta, times):
-        return pair(Problem(problem.rho0, problem.hamiltonian_lab * (1 + 1e-6)), theta, times)
+    def perturbed(problem, t_end, steps):
+        return holonomy(Problem(problem.rho0, problem.hamiltonian_lab * (1 + 1e-6)), t_end,
+                        steps)
 
-    monkeypatch.setattr(cli, "gauge_pair", perturbed)
+    monkeypatch.setattr(cli, "discrete_uhlmann_holonomy", perturbed)
     assert main(["verify", "--dim", "4", "--trials", "5", "--seed", "7",
                  "--tol", "1e-9"]) == 1
     out = capsys.readouterr().out
@@ -245,7 +246,7 @@ def test_verify_checks_the_total_phase_without_evaluate(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, stdout, code", [
     (["--dim", "3", "--trials", "6", "--seed", "2", "--tol", "1e-13"],
      "verification failed for instance seed 1206473021768521264: total phase vs holonomy "
-     "(65536 steps) differ by 1.080e-11 > 1.000e-13 at t=1.7\n"
+     "(65536 steps) differ by 1.974e-12 > 1.000e-13 at t=1.7\n"
      "passed 0 of 6 instances before first failure\n", 1),
     # the residuals read the raw h' = E^dag H E, not the symmetrized copy
     # the eigensolver and the K solve use (which gives 2.354e-17 here)

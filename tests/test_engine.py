@@ -74,7 +74,7 @@ def test_batch_matches_literal_definitions(case):
     assert len(batch) == len(times)
     assert np.array_equal(batch.q, prep.weights)
     for i, t in enumerate(times):
-        u = unitary_from_hamiltonian(prep.h_prime, t)
+        u = unitary_from_hamiltonian(prep.problem.h_prime, t)
         for j in range(prep.dim):
             m = overlap_kernel(prep, j, u)
             rep = component_report(prep, j, t, u)
@@ -90,7 +90,7 @@ def test_batch_matches_literal_definitions(case):
         assert_phase_close(batch.uhlmann[i],
                            uhlmann_trace_phase(prep, t, u), magnitude, "uhlmann")
         sjo_magnitude = abs(np.sum(prep.problem.rho0.lambdas * np.diag(u)
-                                   * np.exp(1j * np.diag(prep.h_prime).real * t)))
+                                   * np.exp(1j * np.diag(prep.problem.h_prime).real * t)))
         assert_phase_close(batch.sjoqvist[i], sjoqvist_phase(prep, t, u), sjo_magnitude,
                            "sjoqvist")
 
@@ -100,7 +100,7 @@ def test_nodal_point_gives_nan_in_the_literal_columns():
     prep = bloch_x_prep(0.6)
     t = 5 * np.pi
     batch = evaluate(prep, [1.0, t])
-    u = unitary_from_hamiltonian(prep.h_prime, t)
+    u = unitary_from_hamiltonian(prep.problem.h_prime, t)
     literal = {
         "gamma_total": total_geometric_phase(prep, t, u),
         "uhlmann": uhlmann_trace_phase(prep, t, u),
@@ -144,8 +144,8 @@ def eager_columns(prep, times):
     """Every PhaseBatch column by the expressions evaluate uses, written
     out here once more: the reference for evaluate."""
     t = np.asarray(times, dtype=float).reshape(-1)
-    rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.h_eigvecs, prep.weights
-    e = np.exp(-1j * np.outer(t, prep.h_eigvals))
+    rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.problem.h_eigvecs, prep.weights
+    e = np.exp(-1j * np.outer(t, prep.problem.h_eigvals))
     d = np.exp(-1j * np.outer(t, frame.kappas))
     p = np.abs(dagger(q_h) @ (frame.z * rho.amps).T) ** 2
     overlaps = e @ p
@@ -153,7 +153,7 @@ def eager_columns(prep, times):
     total = rotated.sum(axis=1)
     trace = np.einsum("ta,ta->t", e, d @ p.T)
     p_i = (np.abs(q_h) ** 2).T * rho.lambdas
-    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.h_prime).real))
+    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.problem.h_prime).real))
     interferometric = ((e @ p_i) * d_i).sum(axis=1)
     live = weights > DEFAULT_TOL.weight
     return {

@@ -2,6 +2,7 @@
 reference, parallel-transport residuals, and the instance generator."""
 
 import collections
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -78,9 +79,10 @@ def test_closed_form_matches_the_literal_chain(dim, data, seed, steps, t_end):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_holonomy_ignores_the_basis_inside_a_degenerate_eigenspace(seed):
-    # sqrt(rho0) = E diag(amps) E^dag is the same for every orthonormal
-    # basis of rho0's eigenspace of 0.2; at 4096 steps the roundoff the
-    # power multiplies by N stays below the bound
+    # the oracle works in the state eigenbasis E, where sqrt(rho0) is
+    # diag(amps); its trace is the same for every orthonormal basis of
+    # rho0's eigenspace of 0.2. At 4096 steps the roundoff the power
+    # multiplies by N stays below the bound
     rng = np.random.default_rng(seed)
     rho = validate_density(np.diag([0.4, 0.2, 0.2, 0.2]))
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -94,6 +96,17 @@ def test_holonomy_ignores_the_basis_inside_a_degenerate_eigenspace(seed):
         got = discrete_uhlmann_holonomy(rotated, t_end, 4096)
         want = discrete_uhlmann_holonomy(problem, t_end, 4096)
         assert circular_distance(got, want) <= 1e-12, (t_end, got, want)
+
+
+def test_holonomy_never_reads_h_prime():
+    # the oracle reads H only through its carried spectrum: h' replaced by
+    # garbage on a copy of the problem leaves the phase bit for bit
+    problem = random_instance(5, 3, 41)
+    garbage = copy.copy(problem)
+    object.__setattr__(garbage, "h_prime", np.full((5, 5), np.nan, dtype=complex))
+    for t_end, steps in [(1.7, VERIFY_HOLONOMY_STEPS), (0.4, 300)]:
+        want = discrete_uhlmann_holonomy(problem, t_end, steps)
+        assert discrete_uhlmann_holonomy(garbage, t_end, steps) == want, (t_end, want)
 
 
 @pytest.mark.parametrize("steps", [2, 3, 255, 256])

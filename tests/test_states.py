@@ -25,7 +25,6 @@ from mixedphase import (
 )
 from mixedphase import cli, linalg
 from mixedphase.linalg import dagger, frobenius, unitary_from_hamiltonian
-from mixedphase.states import hamiltonian_in_eigenbasis
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.transport import diagonalizing_frame
 
@@ -235,21 +234,25 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
 @example(dim=16, rank=1, seed=0, identity=True)
 @example(dim=1, rank=1, seed=0, identity=False)
 def test_carried_spectra_rebuild_their_inputs(dim, rank, seed, identity):
-    # the one decomposition of rho and of H that every reader takes
+    # the one decomposition of rho and of H that every reader takes, and
+    # H carried in the state eigenbasis E: h' = E^dag H E = Q diag(w) Q^dag
     problem = random_instance(dim, min(rank, dim), seed)
     if identity:
         problem = Problem(problem.rho0, np.eye(dim, dtype=complex))
     rho, h = problem.rho0, problem.hamiltonian_lab
-    assert frobenius((rho.basis_e * rho.lambdas) @ dagger(rho.basis_e) - rho.mat) <= 1e-13
-    q, w = problem.h_eigvecs, problem.h_eigvals
+    e = rho.basis_e
+    assert frobenius((e * rho.lambdas) @ dagger(e) - rho.mat) <= 1e-13
+    q, w, h_prime = problem.h_eigvecs, problem.h_eigvals, problem.h_prime
     assert np.all(np.diff(w) >= 0)
-    assert frobenius((q * w) @ dagger(q) - h) <= 1e-13 * max(1.0, frobenius(h))
+    bound = 1e-13 * max(1.0, frobenius(h))
+    assert frobenius((q * w) @ dagger(q) - h_prime) <= bound
+    assert frobenius(e @ h_prime @ dagger(e) - h) <= bound
+    assert frobenius(dagger(q) @ q - np.eye(dim)) <= bound
 
 
 def test_hamiltonian_rotation_identity_for_diagonal_state():
     problem = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
-    np.testing.assert_allclose(hamiltonian_in_eigenbasis(problem)[0], 0.5 * SZ,
-                               atol=1e-14)
+    np.testing.assert_allclose(problem.h_prime, 0.5 * SZ, atol=1e-14)
 
 
 def test_hamiltonian_rotation_hadamard_swap():
@@ -257,7 +260,7 @@ def test_hamiltonian_rotation_hadamard_swap():
     rho = 0.8 * np.outer(PLUS, PLUS.conj()) + 0.2 * (np.eye(2) - np.outer(PLUS, PLUS.conj()))
     rho0 = validate_density(rho)
     state = replace(rho0, basis_e=HADAMARD)
-    h_prime = hamiltonian_in_eigenbasis(Problem(state, 0.5 * SZ))[0]
+    h_prime = Problem(state, 0.5 * SZ).h_prime
     np.testing.assert_allclose(h_prime, 0.5 * np.array([[0, 1], [1, 0]]), atol=1e-14)
 
 
@@ -267,7 +270,7 @@ def test_hamiltonian_rotation_preserves_spectrum():
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     h = (a + dagger(a)) / 2
     problem = Problem(validate_density(rho), h)
-    h_prime, q = hamiltonian_in_eigenbasis(problem)
+    h_prime, q = problem.h_prime, problem.h_eigvecs
     assert frobenius(h_prime - dagger(h_prime)) <= 1e-10
     np.testing.assert_allclose(np.linalg.eigvalsh(h_prime), np.linalg.eigvalsh(h),
                                atol=1e-10)
@@ -296,7 +299,7 @@ def test_hamiltonian_just_inside_half_the_largest_double_prepares():
     # a RuntimeWarning is an error in this suite (pyproject.toml)
     rho = validate_density(np.array([[0.5, 0.3], [0.3, 0.5]]))
     prep = prepare_problem(Problem(rho, np.diag([6e307, -6e307]).astype(complex)))
-    np.testing.assert_allclose(prep.h_eigvals, [-6e307, 6e307], rtol=1e-12)
+    np.testing.assert_allclose(prep.problem.h_eigvals, [-6e307, 6e307], rtol=1e-12)
 
 
 def test_evolved_state_stays_physical():

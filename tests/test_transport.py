@@ -53,9 +53,9 @@ def test_solver_residual_random_instances():
     # to the support
     for n, rank, seed in ((2, 2, 0), (3, 3, 1), (4, 2, 2), (6, 6, 3), (6, 3, 4)):
         prep = prepare_problem(random_instance(n, rank, seed))
-        resid = ancilla_equation_residual(prep.problem.rho0.amps, prep.h_prime,
+        resid = ancilla_equation_residual(prep.problem.rho0.amps, prep.problem.h_prime,
                                           prep.frame.k)
-        assert resid <= 1e-10 * max(1.0, frobenius(prep.h_prime))
+        assert resid <= 1e-10 * max(1.0, frobenius(prep.problem.h_prime))
         assert frobenius(prep.frame.k - dagger(prep.frame.k)) <= 1e-12
 
 
@@ -84,8 +84,8 @@ def test_transport_residual_vanishes_for_the_solved_frame(dim, data, seed, h_sca
     # E_j = -kappa_j holds in closed form; measured floor about 3.6e-16
     rank = data.draw(st.integers(1, dim), label="rank")
     prep = prepare_problem(random_instance(dim, rank, seed, h_scale))
-    resid = transport_residual(prep.problem.rho0.amps, prep.h_prime, prep.frame)
-    assert resid <= 1e-13 * max(1.0, frobenius(prep.h_prime))
+    resid = transport_residual(prep.problem.rho0.amps, prep.problem.h_prime, prep.frame)
+    assert resid <= 1e-13 * max(1.0, frobenius(prep.problem.h_prime))
 
 
 def test_transport_residual_negative_controls():
@@ -95,13 +95,13 @@ def test_transport_residual_negative_controls():
     k = prep.frame.k.copy()
     k[0, 0] += 1e-7
     perturbed = replace(prep, frame=diagonalizing_frame(k))
-    assert frobenius(prep.h_prime) <= 1.0 + 1e-12
-    assert transport_residual(prep.problem.rho0.amps, prep.h_prime, perturbed.frame) > 1e-9
+    assert frobenius(prep.problem.h_prime) <= 1.0 + 1e-12
+    assert transport_residual(prep.problem.rho0.amps, prep.problem.h_prime, perturbed.frame) > 1e-9
     assert max(parallel_residual(perturbed, j, 0.3, 1e-6) for j in range(8)) < 1e-6
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
     prep = prepare_problem(random_instance(3, 3, 11))
     zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    assert transport_residual(prep.problem.rho0.amps, prep.h_prime, zeroed) > 1e-3
+    assert transport_residual(prep.problem.rho0.amps, prep.problem.h_prime, zeroed) > 1e-3
 
 
 def test_frame_of_pauli_x_multiple():
@@ -177,7 +177,7 @@ def test_component_norm_invariant_under_evolution():
         n0 = np.vdot(component_state(j, np.eye(4), amps, z),
                      component_state(j, np.eye(4), amps, z)).real
         for t in (0.4, 2.1):
-            u = unitary_from_hamiltonian(prep.h_prime, t)
+            u = unitary_from_hamiltonian(prep.problem.h_prime, t)
             nt = np.vdot(component_state(j, u, amps, z),
                          component_state(j, u, amps, z)).real
             assert abs(nt - n0) <= 1e-12
@@ -188,7 +188,7 @@ def test_components_reassemble_evolved_state():
     prep = prepare_problem(random_instance(3, 3, 61))
     amps, z = prep.problem.rho0.amps, prep.frame.z
     for t in (0.0, 0.8, 3.0):
-        u = unitary_from_hamiltonian(prep.h_prime, t)
+        u = unitary_from_hamiltonian(prep.problem.h_prime, t)
         total = sum(np.outer(chi, chi.conj()) for chi in
                     (component_state(j, u, amps, z) for j in range(3)))
         rho_t = u @ np.diag(prep.problem.rho0.lambdas) @ dagger(u)
