@@ -18,7 +18,7 @@ def main():
     t_end = 1.7
     for dim, seed in ((2, 123), (3, 456)):
         problem = mp.random_instance(dim, dim, seed)
-        gamma = float(mp.evaluate(mp.prepare_problem(problem), t_end).gamma_total[0])
+        gamma = float(mp.evaluate(problem, t_end).gamma_total[0])
         print(f"random dim-{dim} instance (seed {seed}), t_end = {t_end}")
         print(f"engine total geometric phase: {gamma:+.10f}\n")
         print(f"{'steps':>10} {'holonomy':>14} {'error':>10}")

@@ -20,22 +20,21 @@ def main():
     r, omega = 0.6, 1.0
     rho = (np.eye(2) + r * SX) / 2
     problem = mp.Problem(mp.validate_density(rho), 0.5 * omega * SZ)
-    prep = mp.prepare_problem(problem)
 
     period = 2 * np.pi / omega
+    b = mp.evaluate(problem, np.linspace(0.0, period, 9))
     print(f"Bloch vector r = {r} along x, precessing about z, period {period:.4f}")
-    print(f"state eigenvalues: {prep.problem.rho0.lambdas}")
-    print(f"component weights: {prep.weights}  (equal, and time-invariant)\n")
+    print(f"state eigenvalues: {problem.rho0.lambdas}")
+    print(f"component weights: {b.q}  (equal, and time-invariant)\n")
 
     print(f"{'t':>7} {'total':>9} {'trace':>9} {'interfer':>9} "
           f"{'|overlap|':>9} {'nu_0':>7} {'nu_1':>7}")
-    b = mp.evaluate(prep, np.linspace(0.0, period, 9))
     for i, t in enumerate(b.t):
         print(f"{t:7.3f} {b.gamma_total[i]:9.4f} {b.uhlmann[i]:9.4f} "
               f"{b.sjoqvist[i]:9.4f} {b.overlap_magnitude[i]:9.4f} "
               f"{b.visibility[i, 0]:7.4f} {b.visibility[i, 1]:7.4f}")
 
-    cyclic = mp.evaluate(prep, period)
+    cyclic = mp.evaluate(problem, period)
     gamma, trace, sjo = cyclic.gamma_total[0], cyclic.uhlmann[0], cyclic.sjoqvist[0]
     hol = mp.discrete_uhlmann_holonomy(problem, period, 4096)
     print(f"\nat the cyclic point t = {period:.4f}:")

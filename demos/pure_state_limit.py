@@ -25,7 +25,7 @@ def main():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (a + a.conj().T) / 2
         problem = mp.Problem(mp.validate_density(np.outer(psi, psi.conj())), h)
-        batch = mp.evaluate(mp.prepare_problem(problem), t)
+        batch = mp.evaluate(problem, t)
         gamma = float(batch.gamma_total[0])
         sjo = float(batch.sjoqvist[0])
         ref = mp.pancharatnam_phase(psi, h, t)

@@ -25,7 +25,7 @@ from .angles import circular_distance
 from .errors import GeometricPhaseError
 from .linalg import frobenius
 from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
-from .phases import evaluate, gauge_pair, prepare_problem
+from .phases import evaluate, gauge_pair
 from .serialize import ProblemFileError, load_problem, reports_to_json, sweep_to_csv, \
     sweep_to_json
 from .states import Problem
@@ -74,7 +74,7 @@ def _load(path: str) -> Problem:
 def cmd_compute(args) -> int:
     if not math.isfinite(args.time):
         return _fail_input(f"--time must be finite, got {args.time}")
-    batch = evaluate(prepare_problem(_load(args.input)), args.time)
+    batch = evaluate(_load(args.input), args.time)
     with _destination(args.output) as dest:
         dest.write(next(reports_to_json(batch, "")) + "\n")
     undefined = np.isnan([batch.gamma_total, batch.uhlmann, batch.sjoqvist]).any()
@@ -90,8 +90,7 @@ def cmd_sweep(args) -> int:
         return _fail_input(
             f"--t-start must be below --t-end, got {args.t_start} >= {args.t_end}"
         )
-    batch = evaluate(prepare_problem(_load(args.input)),
-                     np.linspace(args.t_start, args.t_end, args.steps))
+    batch = evaluate(_load(args.input), np.linspace(args.t_start, args.t_end, args.steps))
     with _destination(args.output) as dest:
         (sweep_to_csv if args.format == "csv" else sweep_to_json)(batch, dest)
     return EXIT_OK
@@ -160,7 +159,7 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.time) and args.time > 0):
         return _fail_input(f"--time must be finite and positive, got {args.time}")
     problem = _load(args.input)
-    batch = evaluate(prepare_problem(problem), args.time)
+    batch = evaluate(problem, args.time)
     values = {
         "gamma_total": float(batch.gamma_total[0]),
         "uhlmann": float(batch.uhlmann[0]),

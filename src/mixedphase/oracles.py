@@ -11,6 +11,9 @@ vanishes (angles.angle_or_nan).
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from .angles import angle_or_nan, principal_angle
@@ -26,11 +29,16 @@ MAX_STEPS = 2**52
 
 def _check_grid(t_end: float, steps: int) -> None:
     """Reject a uniform grid 0 = t_0 < ... < t_N = t_end, N = steps, that
-    is too coarse, too fine or empty."""
+    is too coarse, too fine, empty or unbounded, or whose step count is
+    not an integer (numpy integers are)."""
+    try:
+        operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if not 2 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in 2..2**52, got {steps}")
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
 
 
 def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> float:
@@ -87,7 +95,7 @@ def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     h_lab."""
     psi0 = np.asarray(psi0, dtype=complex)
     norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # also rejects a nan or inf entry
         raise ValueError(f"state norm {norm} is not 1 within 1e-12")
     h_lab = require_hermitian(h_lab)[0]
     u = unitary_from_hamiltonian(h_lab, t)

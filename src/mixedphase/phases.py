@@ -22,8 +22,9 @@ not an independent check. The independent checks are the discretized
 holonomy oracle and the benchmark's scipy reference (solve_sylvester
 for K, expm for U and V).
 
-Batch-of-one rule: evaluate is the only evaluation path and PhaseBatch
-the only result type; a single t is row 0 of evaluate(prep, t). At a
+One pipeline call: evaluate(problem, times) solves the ancilla frame
+(prepare_problem) and reads every phase off it; PhaseBatch is the only
+result type, and a single t is row 0 of evaluate(problem, t). At a
 nodal point evaluate stores nan, and the literal per-t definitions it
 is checked against (tests/literal.py) and the oracles return nan there
 too: one convention, angles.angle_or_nan, and nothing raises.
@@ -82,28 +83,11 @@ class PhaseBatch:
         return self.t.size
 
 
-@dataclass(frozen=True)
-class PreparedProblem:
-    """A problem with what the ancilla representation adds to it: the
-    frame that diagonalizes K, solved in the eigenbasis problem.rho0
-    carries, and the component weights, ready for phase evaluation at
-    any time. The Hamiltonian in that basis (h_prime, and its spectrum
-    h_eigvals, h_eigvecs) is the problem's own."""
-
-    problem: Problem
-    frame: AncillaFrame
-    weights: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.problem.dim
-
-
-def prepare_problem(problem: Problem) -> PreparedProblem:
-    """Build the ancilla frame and weights in the state eigenbasis."""
-    amps = problem.rho0.amps
-    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, problem.h_prime))
-    return PreparedProblem(problem, frame, component_weights(amps, frame.z))
+def prepare_problem(problem: Problem) -> AncillaFrame:
+    """The frame that diagonalizes K, solved in the eigenbasis
+    problem.rho0 carries; the Hamiltonian in that basis (h_prime, and
+    its spectrum h_eigvals, h_eigvecs) is the problem's own."""
+    return diagonalizing_frame(solve_ancilla_hamiltonian(problem.rho0.amps, problem.h_prime))
 
 
 def gauge_pair(problem: Problem, theta, times):
@@ -173,21 +157,23 @@ def _phi(t, e, p, kappas):
     return d, overlaps, rotated, rotated.sum(axis=-1)
 
 
-def evaluate(prep: PreparedProblem, times) -> PhaseBatch:
+def evaluate(problem: Problem, times) -> PhaseBatch:
     """Every phase and per-component report at each of times (a scalar
     or a 1-D sequence; repeats and negative times are allowed).
 
-    Costs three T x n exponential tables and three T x n by n x n
-    products, and no eigendecomposition; nothing of size T x n x n is
-    formed, and the complex tables, m_j(t) among them, are released on
-    return. Raises ValueError past |t| E = 2**52, E the largest |eps_a|
-    or |kappa_j| (the batch's energy), where doubles at the phase
+    Costs the ancilla solve and K's one eigendecomposition
+    (prepare_problem), then three T x n exponential tables and three
+    T x n by n x n products; nothing of size T x n x n is formed, and
+    the complex tables, m_j(t) among them, are released on return.
+    Raises ValueError past |t| E = 2**52, E the largest |eps_a| or
+    |kappa_j| (the batch's energy), where doubles at the phase
     arguments t E are 1 rad or more apart. The degenerate-spectrum flag
     is set when two eigenvalues of the state or of K are closer than
     the degeneracy gap.
     """
-    problem, frame, weights = prep.problem, prep.frame, prep.weights
+    frame = prepare_problem(problem)
     rho = problem.rho0
+    weights = component_weights(rho.amps, frame.z)
     t, energy, e, p = _setup(rho.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,
                              frame.kappas, times)
     d, overlaps, rotated, total = _phi(t, e, p, frame.kappas)

@@ -10,9 +10,10 @@ phases, the component states, the finite-difference parallel-transport
 residual, and the discretized parallel amplitude chain with the PSD
 square root it starts from, each from its own eigendecompositions of
 rho0 and H rather than those the Problem carries. The per-t
-functions take the prepared problem and an explicit evolution operator
-u_t, so a caller can pass one built independently of the cached
-eigendecomposition (evolution_operator builds it from that
+functions take the problem, the ancilla frame to read it in
+(phases.prepare_problem's, or any other) and an explicit evolution
+operator u_t, so a caller can pass one built independently of the
+cached eigendecomposition (evolution_operator builds it from that
 decomposition). The tests compare phases.evaluate and
 oracles.discrete_uhlmann_holonomy against them. At a nodal point
 the literal phases are nan, as evaluate's are (angles.angle_or_nan).
@@ -30,15 +31,15 @@ from mixedphase.errors import NotPSD
 from mixedphase.linalg import dagger, hermitian_eig, polar_unitary, unitary_from_eig, \
     unitary_from_hamiltonian
 from mixedphase.oracles import _check_grid
-from mixedphase.phases import PreparedProblem
 from mixedphase.states import Problem
 from mixedphase.tolerances import DEFAULT_TOL
+from mixedphase.transport import AncillaFrame
 
 
-def evolution_operator(prep: PreparedProblem, t: float) -> np.ndarray:
+def evolution_operator(problem: Problem, t: float) -> np.ndarray:
     """exp(-i h' t) in the state eigenbasis, from the decomposition of h'
     that the problem carries: H's eigenvalues and Q = e^dag V."""
-    return unitary_from_eig(prep.problem.h_eigvals, prep.problem.h_eigvecs, t)
+    return unitary_from_eig(problem.h_eigvals, problem.h_eigvecs, t)
 
 
 @dataclass(frozen=True)
@@ -60,54 +61,57 @@ class ComponentReport:
     total_phase: float
 
 
-def overlap_kernel(prep: PreparedProblem, j: int, u_t) -> complex:
+def overlap_kernel(problem: Problem, frame: AncillaFrame, j: int, u_t) -> complex:
     """m_j(t) = <e_j| z* C u_t C z^T |e_j>, the unnormalized overlap of
     component j between times 0 and t. m_j(0) = q_j and |m_j| <= q_j."""
-    if not 0 <= j < prep.dim:
-        raise IndexError(f"component {j} outside 0..{prep.dim - 1}")
-    w = prep.problem.rho0.amps * prep.frame.z[j, :]
+    if not 0 <= j < problem.dim:
+        raise IndexError(f"component {j} outside 0..{problem.dim - 1}")
+    w = problem.rho0.amps * frame.z[j, :]
     return complex(np.vdot(w, np.asarray(u_t) @ w))
 
 
-def component_report(prep: PreparedProblem, j: int, t: float, u_t) -> ComponentReport:
+def component_report(problem: Problem, frame: AncillaFrame, j: int, t: float,
+                     u_t) -> ComponentReport:
     """Weight, visibility, and geometric/dynamical/total phase of one
-    component. gamma == total_phase - dyn_phase modulo 2*pi."""
-    q_j = float(prep.weights[j])
-    dyn = float(prep.frame.kappas[j]) * t
+    component of the given frame. gamma == total_phase - dyn_phase
+    modulo 2*pi. The weight q_j = sum_k |z_jk|^2 lambda_k is read off
+    the frame's own row."""
+    q_j = float(np.abs(frame.z[j, :]) ** 2 @ problem.rho0.lambdas)
+    dyn = float(frame.kappas[j]) * t
     if q_j <= DEFAULT_TOL.weight:
         return ComponentReport(j, q_j, 0.0, 0.0, dyn, 0.0)
-    m = overlap_kernel(prep, j, u_t)
+    m = overlap_kernel(problem, frame, j, u_t)
     gamma = float(np.angle(m * np.exp(-1j * dyn)))
     return ComponentReport(j, q_j, abs(m) / q_j, gamma, dyn, float(np.angle(m)))
 
 
-def total_geometric_phase(prep: PreparedProblem, t: float, u_t) -> float:
+def total_geometric_phase(problem: Problem, frame: AncillaFrame, t: float, u_t) -> float:
     """Total geometric phase arg sum_j q_j nu_j e^{i gamma_j}, evaluated
     as arg sum_j m_j(t) e^{-i kappa_j t} (identical, numerically
     stabler). nan at nodal points."""
-    kappas = prep.frame.kappas
-    return angle_or_nan(sum(overlap_kernel(prep, j, u_t) * np.exp(-1j * kappas[j] * t)
-                            for j in range(prep.dim)))
+    kappas = frame.kappas
+    return angle_or_nan(sum(overlap_kernel(problem, frame, j, u_t)
+                            * np.exp(-1j * kappas[j] * t) for j in range(problem.dim)))
 
 
-def uhlmann_trace_phase(prep: PreparedProblem, t: float, u_t) -> float:
+def uhlmann_trace_phase(problem: Problem, frame: AncillaFrame, t: float, u_t) -> float:
     """arg Tr[C u_t C v_t^T] with v_t = exp(-i k t): the holonomy phase
     of the parallel purification path. Equals total_geometric_phase but
     is computed without the diagonalizing frame: v_t comes from its own
     eigendecomposition of k."""
-    v_t = unitary_from_hamiltonian(prep.frame.k, t)
-    c = np.diag(prep.problem.rho0.amps)
+    v_t = unitary_from_hamiltonian(frame.k, t)
+    c = np.diag(problem.rho0.amps)
     return angle_or_nan(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
 
 
-def sjoqvist_phase(prep: PreparedProblem, t: float, u_t) -> float:
+def sjoqvist_phase(problem: Problem, t: float, u_t) -> float:
     """Interferometric phase arg sum_j lambda_j <e_j|u_t|e_j> e^{i h'_jj t}:
-    the ancilla keeps the original eigenbasis and only cancels the
-    diagonal dynamical phases. Agrees with the total geometric phase for
-    pure states only."""
-    phases = np.exp(1j * np.diag(prep.problem.h_prime).real * t)
+    the ancilla keeps the original eigenbasis (z = I, so no frame is
+    taken) and only cancels the diagonal dynamical phases. Agrees with
+    the total geometric phase for pure states only."""
+    phases = np.exp(1j * np.diag(problem.h_prime).real * t)
     return angle_or_nan(complex(
-        (prep.problem.rho0.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
+        (problem.rho0.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
 
 
 def component_state(j: int, u_t, amps, z) -> np.ndarray:
@@ -122,7 +126,8 @@ def component_state(j: int, u_t, amps, z) -> np.ndarray:
     return np.asarray(u_t) @ (amps * np.asarray(z)[j, :])
 
 
-def parallel_residual(prep: PreparedProblem, j: int, t: float, delta: float) -> float:
+def parallel_residual(problem: Problem, frame: AncillaFrame, j: int, t: float,
+                      delta: float) -> float:
     """Forward-difference bound on the parallel-transport violation of
     component j: |<chi_j(t)|chi_j(t+delta)> e^{-i kappa_j delta} - 1| / delta.
 
@@ -133,9 +138,9 @@ def parallel_residual(prep: PreparedProblem, j: int, t: float, delta: float) -> 
     """
     if not 1e-8 <= delta <= 1e-4:
         raise ValueError(f"delta {delta} outside [1e-8, 1e-4]")
-    amps, frame = prep.problem.rho0.amps, prep.frame
-    chi_t = component_state(j, evolution_operator(prep, t), amps, frame.z)
-    chi_dt = component_state(j, evolution_operator(prep, t + delta), amps, frame.z)
+    amps = problem.rho0.amps
+    chi_t = component_state(j, evolution_operator(problem, t), amps, frame.z)
+    chi_dt = component_state(j, evolution_operator(problem, t + delta), amps, frame.z)
     q_j = float(np.vdot(chi_t, chi_t).real)
     if q_j <= DEFAULT_TOL.weight:
         raise ValueError(f"component {j} has negligible weight {q_j:.3e}")

@@ -25,6 +25,7 @@ from mixedphase.angles import principal_angle
 from mixedphase.linalg import dagger, frobenius
 from mixedphase.transport import (
     ancilla_equation_residual,
+    component_weights,
     diagonalizing_frame,
     transport_residual,
 )
@@ -59,17 +60,17 @@ def _instances():
     for n in DIMS:
         for i in range(PER_DIM):
             problem = random_instance(n, n, 1000 * n + i)
-            out.append(prepare_problem(problem))
+            out.append((problem, prepare_problem(problem)))
     return out
 
 
 def test_criterion_1_total_phase_equals_trace_phase():
     worst = 0.0
-    for prep in _instances():
+    for problem, frame in _instances():
         for t in TIMES:
-            u = evolution_operator(prep, t)
-            gamma = total_geometric_phase(prep, t, u)
-            trace_phase = uhlmann_trace_phase(prep, t, u)
+            u = evolution_operator(problem, t)
+            gamma = total_geometric_phase(problem, frame, t, u)
+            trace_phase = uhlmann_trace_phase(problem, frame, t, u)
             worst = max(worst, circular_distance(gamma, trace_phase))
     _criterion(1, worst <= 1e-9,
                f"component-sum vs trace-formula phase: max circular distance "
@@ -78,12 +79,10 @@ def test_criterion_1_total_phase_equals_trace_phase():
 
 def test_criterion_2_ancilla_equation_solver():
     worst_resid = worst_herm = 0.0
-    for prep in _instances():
-        resid = ancilla_equation_residual(prep.problem.rho0.amps, prep.problem.h_prime,
-                                          prep.frame.k)
-        worst_resid = max(worst_resid,
-                          resid / max(1.0, frobenius(prep.problem.h_prime)))
-        worst_herm = max(worst_herm, frobenius(prep.frame.k - dagger(prep.frame.k)))
+    for problem, frame in _instances():
+        resid = ancilla_equation_residual(problem.rho0.amps, problem.h_prime, frame.k)
+        worst_resid = max(worst_resid, resid / max(1.0, frobenius(problem.h_prime)))
+        worst_herm = max(worst_herm, frobenius(frame.k - dagger(frame.k)))
     ok = worst_resid <= 1e-10 and worst_herm <= 1e-12
     _criterion(2, ok,
                f"ancilla-equation residual max {worst_resid:.2e} (tol 1e-10), "
@@ -92,18 +91,19 @@ def test_criterion_2_ancilla_equation_solver():
 
 def test_criterion_3_parallel_transport():
     worst = worst_exact = 0.0
-    for prep in _instances():
-        exact = transport_residual(prep.problem.rho0.amps, prep.problem.h_prime, prep.frame)
-        worst_exact = max(worst_exact, exact / max(1.0, frobenius(prep.problem.h_prime)))
+    for problem, frame in _instances():
+        exact = transport_residual(problem.rho0.amps, problem.h_prime, frame)
+        worst_exact = max(worst_exact, exact / max(1.0, frobenius(problem.h_prime)))
+        q = component_weights(problem.rho0.amps, frame.z)
         for t in (0.3, 1.7):
-            for j in range(prep.dim):
-                if prep.weights[j] > 1e-10:
-                    worst = max(worst, parallel_residual(prep, j, t, 1e-6))
+            for j in range(problem.dim):
+                if q[j] > 1e-10:
+                    worst = max(worst, parallel_residual(problem, frame, j, t, 1e-6))
     # negative control: zeroed ancilla Hamiltonian on a noncommuting
     # full-rank mixed instance
-    prep = prepare_problem(random_instance(3, 3, 11))
-    wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
-    control = max(parallel_residual(wrong, j, 0.3, 1e-6) for j in range(3))
+    problem = random_instance(3, 3, 11)
+    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    control = max(parallel_residual(problem, wrong, j, 0.3, 1e-6) for j in range(3))
     ok = worst <= 1e-6 and worst_exact <= 1e-13 and control > 1e-3
     _criterion(3, ok,
                f"transport residual max {worst:.2e} (tol 1e-6, delta 1e-6); "
@@ -120,8 +120,8 @@ def test_criterion_4_holonomy_oracle_convergence():
     shrinks = True
     for spec in specs:
         problem = random_instance(*spec)
-        prep = prepare_problem(problem)
-        gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
+        gamma = total_geometric_phase(problem, prepare_problem(problem), t_end,
+                                      evolution_operator(problem, t_end))
         hols = {n: discrete_uhlmann_holonomy(problem, t_end, n)
                 for n in (256, 512, 1024, 2048, 4096)}
         errs = [circular_distance(h, gamma) for h in hols.values()]
@@ -152,19 +152,18 @@ def test_criterion_5_pure_state_limit():
     for i in range(50):
         n = 2 if i % 2 == 0 else 3
         problem = random_instance(n, 1, 8500 + i)
-        prep = prepare_problem(problem)
-        u = evolution_operator(prep, t)
-        gamma = total_geometric_phase(prep, t, u)
-        sjo = sjoqvist_phase(prep, t, u)
-        psi = prep.problem.rho0.basis_e[:, 0]
+        u = evolution_operator(problem, t)
+        gamma = total_geometric_phase(problem, prepare_problem(problem), t, u)
+        sjo = sjoqvist_phase(problem, t, u)
+        psi = problem.rho0.basis_e[:, 0]
         panch = pancharatnam_phase(psi, problem.hamiltonian_lab, t)
         worst = max(worst, circular_distance(gamma, sjo),
                     circular_distance(gamma, panch), circular_distance(sjo, panch))
     # concrete case: equatorial great circle accumulates half its solid angle
-    prep = prepare_problem(
-        Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ))
+    plus = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
     t_cyc = 2 * np.pi
-    gamma_plus = total_geometric_phase(prep, t_cyc, evolution_operator(prep, t_cyc))
+    gamma_plus = total_geometric_phase(plus, prepare_problem(plus), t_cyc,
+                                       evolution_operator(plus, t_cyc))
     plus_err = circular_distance(gamma_plus, np.pi)
     ok = worst <= 1e-8 and plus_err <= 1e-9
     _criterion(5, ok,
@@ -176,11 +175,10 @@ def test_criterion_5_pure_state_limit():
 def test_criterion_6_definitions_diverge_for_mixed_states():
     r = 0.6
     problem = Problem(validate_density((np.eye(2) + r * SX) / 2), 0.5 * SZ)
-    prep = prepare_problem(problem)
     t = 2 * np.pi
-    u = evolution_operator(prep, t)
-    gamma = total_geometric_phase(prep, t, u)
-    sjo = sjoqvist_phase(prep, t, u)
+    u = evolution_operator(problem, t)
+    gamma = total_geometric_phase(problem, prepare_problem(problem), t, u)
+    sjo = sjoqvist_phase(problem, t, u)
     hol = discrete_uhlmann_holonomy(problem, t, 4096)
     closed = float(np.angle(-np.cos(np.pi * np.sqrt(1 - r**2))))
     split = circular_distance(gamma, sjo)
@@ -201,11 +199,11 @@ def test_criterion_7_structural_invariants():
     rng = np.random.default_rng(97)
     for n in (2, 3):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        prep = prepare_problem(Problem(validate_density(np.eye(n) / n),
-                                       (a + dagger(a)) / 2))
+        problem = Problem(validate_density(np.eye(n) / n), (a + dagger(a)) / 2)
+        frame = prepare_problem(problem)
         for t in np.linspace(0.2, 6.0, 7):
-            u = evolution_operator(prep, t)
-            g = total_geometric_phase(prep, t, u)
+            u = evolution_operator(problem, t)
+            g = total_geometric_phase(problem, frame, t, u)
             if circular_distance(g, 0.0) > 1e-9:
                 failures.append(f"maximally mixed phase {g:.2e} at t={t:.2f}")
     # commuting state and Hamiltonian: both phases vanish
@@ -213,39 +211,41 @@ def test_criterion_7_structural_invariants():
                      + 1j * rng.standard_normal((4, 4)))[0]
     rho = q @ np.diag([0.4, 0.3, 0.2, 0.1]) @ dagger(q)
     h = q @ np.diag([1.2, -0.7, 0.3, 0.9]) @ dagger(q)
-    prep = prepare_problem(Problem(validate_density(rho), h))
+    problem = Problem(validate_density(rho), h)
+    frame = prepare_problem(problem)
     for t in TIMES:
-        u = evolution_operator(prep, t)
-        g = total_geometric_phase(prep, t, u)
-        s = sjoqvist_phase(prep, t, u)
+        u = evolution_operator(problem, t)
+        g = total_geometric_phase(problem, frame, t, u)
+        s = sjoqvist_phase(problem, t, u)
         if circular_distance(g, 0.0) > 1e-9 or circular_distance(s, 0.0) > 1e-9:
             failures.append(f"commuting instance phases {g:.2e}/{s:.2e} at t={t}")
     # gauge invariance under eigenvector rephasing
     worst_gauge = 0.0
-    for prep in _instances()[::10]:
+    for problem, frame in _instances()[::10]:
         t = 1.7
-        gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
-        rho = prep.problem.rho0
+        gamma = total_geometric_phase(problem, frame, t, evolution_operator(problem, t))
+        rho = problem.rho0
         rephased = replace(rho, basis_e=rho.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi,
-                                                                              prep.dim)))
-        prep2 = prepare_problem(Problem(rephased, prep.problem.hamiltonian_lab))
-        gamma2 = total_geometric_phase(prep2, t, evolution_operator(prep2, t))
+                                                                              problem.dim)))
+        problem2 = Problem(rephased, problem.hamiltonian_lab)
+        gamma2 = total_geometric_phase(problem2, prepare_problem(problem2), t,
+                                       evolution_operator(problem2, t))
         worst_gauge = max(worst_gauge, circular_distance(gamma, gamma2))
     if worst_gauge > 1e-9:
         failures.append(f"gauge shift {worst_gauge:.2e}")
     # weights, visibilities, and completeness of the decomposition
     worst_q = worst_nu = worst_rebuild = 0.0
-    for prep in _instances()[::7]:
-        worst_q = max(worst_q, abs(prep.weights.sum() - 1.0))
+    for problem, frame in _instances()[::7]:
+        worst_q = max(worst_q, abs(component_weights(problem.rho0.amps, frame.z).sum() - 1.0))
         for t in TIMES:
-            u = evolution_operator(prep, t)
-            for j in range(prep.dim):
-                rep = component_report(prep, j, t, u)
+            u = evolution_operator(problem, t)
+            for j in range(problem.dim):
+                rep = component_report(problem, frame, j, t, u)
                 worst_nu = max(worst_nu, rep.visibility - (1.0 + 1e-10))
             total = sum(np.outer(chi, chi.conj()) for chi in
-                        (component_state(j, u, prep.problem.rho0.amps, prep.frame.z)
-                         for j in range(prep.dim)))
-            rho_t = u @ np.diag(prep.problem.rho0.lambdas) @ dagger(u)
+                        (component_state(j, u, problem.rho0.amps, frame.z)
+                         for j in range(problem.dim)))
+            rho_t = u @ np.diag(problem.rho0.lambdas) @ dagger(u)
             worst_rebuild = max(worst_rebuild, frobenius(total - rho_t))
     if worst_q > 1e-10:
         failures.append(f"weight sum off by {worst_q:.2e}")

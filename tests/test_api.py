@@ -1,19 +1,19 @@
 """The public surface: the pipeline in mixedphase; the literal references
 live with the tests, in tests/literal.py, and not in the package."""
 
-import dataclasses
 import importlib
 import importlib.util
 import pkgutil
 import types
 
 import mixedphase
+from mixedphase.transport import AncillaFrame
 
 import literal
 
 PUBLIC = {
     "Problem", "validate_density", "load_problem", "save_problem", "random_instance",
-    "prepare_problem", "evaluate", "PhaseBatch", "PreparedProblem",
+    "prepare_problem", "evaluate", "PhaseBatch",
     "discrete_uhlmann_holonomy", "pancharatnam_phase", "circular_distance", "DEFAULT_TOL",
     "GeometricPhaseError", "NotHermitian", "NotPSD", "NotUnitTrace", "DimensionMismatch",
     "ProblemFileError",
@@ -30,19 +30,21 @@ def test_package_exports_exactly_the_pipeline():
     exported = {name for name, value in vars(mixedphase).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 19
+    assert len(PUBLIC) == 18
     errors = [name for name in PUBLIC if isinstance(getattr(mixedphase, name), type)
               and issubclass(getattr(mixedphase, name), mixedphase.GeometricPhaseError)]
     assert len(errors) == 6
 
 
-def test_prepared_problem_holds_only_the_ancilla_frame():
-    # the Hamiltonian in the state eigenbasis is the Problem's alone, and
-    # no module rotates it again
-    assert [f.name for f in dataclasses.fields(mixedphase.PreparedProblem)] == [
-        "problem", "frame", "weights"]
+def test_no_module_defines_a_prepared_problem():
+    # evaluate takes the Problem and prepares its own ancilla frame, which
+    # is all prepare_problem returns; the Hamiltonian in the state
+    # eigenbasis is the Problem's alone, and no module rotates it again
+    frame = mixedphase.prepare_problem(mixedphase.random_instance(3, 2, 0))
+    assert type(frame) is AncillaFrame
     for info in pkgutil.iter_modules(mixedphase.__path__):
         module = importlib.import_module(f"mixedphase.{info.name}")
+        assert not hasattr(module, "PreparedProblem"), info.name
         assert not hasattr(module, "hamiltonian_in_eigenbasis"), info.name
 
 

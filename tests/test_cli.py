@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mixedphase import Problem, circular_distance, evaluate, load_problem, \
-    prepare_problem, random_instance, save_problem, validate_density
+from mixedphase import Problem, circular_distance, evaluate, load_problem, random_instance, \
+    save_problem, validate_density
 from mixedphase import cli
 from mixedphase.cli import main
 from mixedphase.serialize import problem_to_dict
@@ -149,8 +149,7 @@ def test_sweep_never_holds_its_report_text(tmp_path, fmt):
 
     assert main(argv) == 0  # warm: parser built, modules loaded
     op = peak(lambda: main(argv))
-    evaluation = peak(lambda: evaluate(prepare_problem(load_problem(path)),
-                                       np.linspace(0.0, 40.0, 400)))
+    evaluation = peak(lambda: evaluate(load_problem(path), np.linspace(0.0, 40.0, 400)))
     size = output.stat().st_size
     assert op <= evaluation + size / 2, (op, evaluation, size)
 

@@ -30,6 +30,7 @@ from mixedphase.angles import angle_or_nan
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.serialize import sweep_header, sweep_to_csv
+from mixedphase.transport import component_weights
 
 from literal import (
     component_report,
@@ -44,8 +45,8 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def bloch_x_prep(r):
-    return prepare_problem(Problem(validate_density((np.eye(2) + r * SX) / 2), 0.5 * SZ))
+def bloch_x_problem(r):
+    return Problem(validate_density((np.eye(2) + r * SX) / 2), 0.5 * SZ)
 
 
 def assert_phase_close(got, want, magnitude, label):
@@ -69,15 +70,15 @@ def instances(draw):
 @given(instances())
 def test_batch_matches_literal_definitions(case):
     problem, times = case
-    prep = prepare_problem(problem)
-    batch = evaluate(prep, times)
+    frame = prepare_problem(problem)
+    batch = evaluate(problem, times)
     assert len(batch) == len(times)
-    assert np.array_equal(batch.q, prep.weights)
+    assert np.array_equal(batch.q, component_weights(problem.rho0.amps, frame.z))
     for i, t in enumerate(times):
-        u = unitary_from_hamiltonian(prep.problem.h_prime, t)
-        for j in range(prep.dim):
-            m = overlap_kernel(prep, j, u)
-            rep = component_report(prep, j, t, u)
+        u = unitary_from_hamiltonian(problem.h_prime, t)
+        for j in range(problem.dim):
+            m = overlap_kernel(problem, frame, j, u)
+            rep = component_report(problem, frame, j, t, u)
             assert abs(batch.visibility[i, j] - rep.visibility) * rep.q <= TOL
             assert batch.dyn_phase[i, j] == rep.dyn_phase
             assert_phase_close(batch.gamma[i, j], rep.gamma, abs(m), f"gamma_{j}")
@@ -85,26 +86,28 @@ def test_batch_matches_literal_definitions(case):
                                f"total_phase_{j}")
         magnitude = batch.overlap_magnitude[i]
         assert_phase_close(batch.gamma_total[i],
-                           total_geometric_phase(prep, t, u), magnitude, "gamma_total")
+                           total_geometric_phase(problem, frame, t, u), magnitude,
+                           "gamma_total")
         # the literal trace phase builds exp(-iKt) from K itself
         assert_phase_close(batch.uhlmann[i],
-                           uhlmann_trace_phase(prep, t, u), magnitude, "uhlmann")
-        sjo_magnitude = abs(np.sum(prep.problem.rho0.lambdas * np.diag(u)
-                                   * np.exp(1j * np.diag(prep.problem.h_prime).real * t)))
-        assert_phase_close(batch.sjoqvist[i], sjoqvist_phase(prep, t, u), sjo_magnitude,
+                           uhlmann_trace_phase(problem, frame, t, u), magnitude, "uhlmann")
+        sjo_magnitude = abs(np.sum(problem.rho0.lambdas * np.diag(u)
+                                   * np.exp(1j * np.diag(problem.h_prime).real * t)))
+        assert_phase_close(batch.sjoqvist[i], sjoqvist_phase(problem, t, u), sjo_magnitude,
                            "sjoqvist")
 
 
 def test_nodal_point_gives_nan_in_the_literal_columns():
     # r = 0.6 along x about z: the overlap crosses zero at t = 5 pi
-    prep = bloch_x_prep(0.6)
+    problem = bloch_x_problem(0.6)
+    frame = prepare_problem(problem)
     t = 5 * np.pi
-    batch = evaluate(prep, [1.0, t])
-    u = unitary_from_hamiltonian(prep.problem.h_prime, t)
+    batch = evaluate(problem, [1.0, t])
+    u = unitary_from_hamiltonian(problem.h_prime, t)
     literal = {
-        "gamma_total": total_geometric_phase(prep, t, u),
-        "uhlmann": uhlmann_trace_phase(prep, t, u),
-        "sjoqvist": sjoqvist_phase(prep, t, u),
+        "gamma_total": total_geometric_phase(problem, frame, t, u),
+        "uhlmann": uhlmann_trace_phase(problem, frame, t, u),
+        "sjoqvist": sjoqvist_phase(problem, t, u),
     }
     assert all(math.isnan(v) for v in literal.values())
     for name in literal:
@@ -115,15 +118,14 @@ def test_nodal_point_gives_nan_in_the_literal_columns():
 
 
 def test_evaluate_rejects_non_finite_times():
-    prep = bloch_x_prep(0.6)
+    problem = bloch_x_problem(0.6)
     for bad in ([np.inf], [0.0, np.nan]):
         with pytest.raises(ValueError):
-            evaluate(prep, bad)
+            evaluate(problem, bad)
 
 
 def test_sweep_csv_header_and_column_order():
-    prep = bloch_x_prep(0.6)
-    batch = evaluate(prep, [0.0, 1.0, 5 * np.pi])
+    batch = evaluate(bloch_x_problem(0.6), [0.0, 1.0, 5 * np.pi])
     out = io.StringIO()
     sweep_to_csv(batch, out)
     lines = out.getvalue().splitlines()
@@ -140,12 +142,13 @@ def test_sweep_csv_header_and_column_order():
         np.testing.assert_array_equal(got, want)  # repr round-trips; nan == nan here
 
 
-def eager_columns(prep, times):
+def eager_columns(problem, times):
     """Every PhaseBatch column by the expressions evaluate uses, written
     out here once more: the reference for evaluate."""
     t = np.asarray(times, dtype=float).reshape(-1)
-    rho, frame, q_h, weights = prep.problem.rho0, prep.frame, prep.problem.h_eigvecs, prep.weights
-    e = np.exp(-1j * np.outer(t, prep.problem.h_eigvals))
+    rho, frame, q_h = problem.rho0, prepare_problem(problem), problem.h_eigvecs
+    weights = component_weights(rho.amps, frame.z)
+    e = np.exp(-1j * np.outer(t, problem.h_eigvals))
     d = np.exp(-1j * np.outer(t, frame.kappas))
     p = np.abs(dagger(q_h) @ (frame.z * rho.amps).T) ** 2
     overlaps = e @ p
@@ -153,7 +156,7 @@ def eager_columns(prep, times):
     total = rotated.sum(axis=1)
     trace = np.einsum("ta,ta->t", e, d @ p.T)
     p_i = (np.abs(q_h) ** 2).T * rho.lambdas
-    d_i = np.exp(-1j * np.outer(t, -np.diag(prep.problem.h_prime).real))
+    d_i = np.exp(-1j * np.outer(t, -np.diag(problem.h_prime).real))
     interferometric = ((e @ p_i) * d_i).sum(axis=1)
     live = weights > DEFAULT_TOL.weight
     return {
@@ -173,11 +176,10 @@ def eager_columns(prep, times):
 
 SPLIT_CASES = {
     # nodal at 5 pi, where every headline phase is nan
-    "nodal qubit": (bloch_x_prep(0.6), [5 * np.pi, -5 * np.pi, 1.0, 5 * np.pi, 0.0]),
+    "nodal qubit": (bloch_x_problem(0.6), [5 * np.pi, -5 * np.pi, 1.0, 5 * np.pi, 0.0]),
     # rank 2 of 5: three zero-weight components carry the sentinels
-    "rank-deficient": (prepare_problem(random_instance(5, 2, 31)),
-                       [-3.5, 2.0, -3.5, 0.0, 11.25]),
-    "full rank": (prepare_problem(random_instance(6, 6, 32)), [-0.25, -0.25, 7.0]),
+    "rank-deficient": (random_instance(5, 2, 31), [-3.5, 2.0, -3.5, 0.0, 11.25]),
+    "full rank": (random_instance(6, 6, 32), [-0.25, -0.25, 7.0]),
 }
 COLUMNS = list(eager_columns(*SPLIT_CASES["nodal qubit"]))
 
@@ -185,9 +187,9 @@ COLUMNS = list(eager_columns(*SPLIT_CASES["nodal qubit"]))
 @pytest.mark.parametrize("first", COLUMNS)
 @pytest.mark.parametrize("case", list(SPLIT_CASES))
 def test_every_column_matches_the_eager_expressions_in_any_read_order(case, first):
-    prep, times = SPLIT_CASES[case]
-    want = eager_columns(prep, times)
-    batch = evaluate(prep, times)
+    problem, times = SPLIT_CASES[case]
+    want = eager_columns(problem, times)
+    batch = evaluate(problem, times)
     for name in [first] + COLUMNS:
         got = getattr(batch, name)
         assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
@@ -201,8 +203,8 @@ def test_every_column_matches_the_eager_expressions_in_any_read_order(case, firs
 def test_every_array_of_a_batch_is_real():
     """The batch holds report columns only; the complex m_j(t) they are
     read from is released when evaluate returns."""
-    prep, times = SPLIT_CASES["rank-deficient"]
-    batch = evaluate(prep, times)
+    problem, times = SPLIT_CASES["rank-deficient"]
+    batch = evaluate(problem, times)
     arrays = {f.name: getattr(batch, f.name) for f in dataclasses.fields(batch)
               if isinstance(getattr(batch, f.name), np.ndarray)}
     assert set(arrays) == set(COLUMNS)
@@ -217,10 +219,10 @@ def test_every_array_of_a_batch_is_real():
 ])
 def test_gauge_pair_raises_as_evaluate_does(bad, message):
     """Both check their times in the same place, before any table."""
-    prep = bloch_x_prep(0.6)
+    problem = bloch_x_problem(0.6)
     errors = []
-    for call in (lambda: evaluate(prep, bad),
-                 lambda: phases.gauge_pair(prep.problem, [0.3, 1.1], bad)):
+    for call in (lambda: evaluate(problem, bad),
+                 lambda: phases.gauge_pair(problem, [0.3, 1.1], bad)):
         with pytest.raises(ValueError, match=re.escape(message)) as exc:
             call()
         errors.append(str(exc.value))

@@ -24,7 +24,7 @@ from mixedphase import (
 from mixedphase.cli import VERIFY_HOLONOMY_STEPS, VERIFY_TIME
 from mixedphase.linalg import dagger, frobenius
 from mixedphase.oracles import MAX_STEPS
-from mixedphase.transport import diagonalizing_frame
+from mixedphase.transport import component_weights, diagonalizing_frame
 
 from literal import amplitude_chain, evolution_operator, parallel_residual, \
     total_geometric_phase
@@ -52,6 +52,19 @@ def test_path_sampling_rejects_steps_beyond_the_roundoff_cap():
         discrete_uhlmann_holonomy(COMMUTING, 1.0, MAX_STEPS + 1)
     with pytest.raises(ValueError):
         discrete_uhlmann_holonomy(COMMUTING, 1.0, 10**400)
+
+
+@pytest.mark.parametrize("t_end, steps, argument", [
+    (1.0, 3.0, "steps"), (1.0, 2.5, "steps"), (math.inf, 4, "t_end")])
+def test_path_sampling_rejects_a_non_integer_step_count_and_an_unbounded_end(
+        t_end, steps, argument):
+    for run in (lambda: discrete_uhlmann_holonomy(COMMUTING, t_end, steps),
+                lambda: next(amplitude_chain(COMMUTING, t_end, steps))):
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            run()
+    # a numpy integer is an integer
+    assert discrete_uhlmann_holonomy(COMMUTING, 1.0, np.int64(3)) == \
+        discrete_uhlmann_holonomy(COMMUTING, 1.0, 3)
 
 
 def chain_phase_and_magnitude(problem, t_end, steps):
@@ -141,15 +154,15 @@ def test_holonomy_mixed_great_circle_confirms_zero():
 
 def test_holonomy_matches_engine_on_random_instance():
     prob = random_instance(3, 3, 90)
-    prep = prepare_problem(prob)
+    frame = prepare_problem(prob)
     t_end = 1.7
-    gamma = total_geometric_phase(prep, t_end, evolution_operator(prep, t_end))
+    gamma = total_geometric_phase(prob, frame, t_end, evolution_operator(prob, t_end))
     hol = discrete_uhlmann_holonomy(prob, t_end, 4096)
     assert circular_distance(hol, gamma) <= 2e-9
     # verify's operating point: one holonomy call against evaluate
     for dim, seed in itertools.product((1, 2, 8, 16), range(100, 108)):
         prob = random_instance(dim, dim, seed)
-        gamma = float(evaluate(prepare_problem(prob), VERIFY_TIME).gamma_total[0])
+        gamma = float(evaluate(prob, VERIFY_TIME).gamma_total[0])
         hol = discrete_uhlmann_holonomy(prob, VERIFY_TIME, VERIFY_HOLONOMY_STEPS)
         assert circular_distance(hol, gamma) <= 1e-10, (dim, seed)
 
@@ -189,9 +202,9 @@ def test_pancharatnam_matches_engine_for_pure_qutrit():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (a + dagger(a)) / 2
     prob = Problem(validate_density(np.outer(psi, psi.conj())), h)
-    prep = prepare_problem(prob)
+    frame = prepare_problem(prob)
     t = 1.3
-    gamma = total_geometric_phase(prep, t, evolution_operator(prep, t))
+    gamma = total_geometric_phase(prob, frame, t, evolution_operator(prob, t))
     assert circular_distance(gamma, pancharatnam_phase(psi, h, t)) <= 1e-8
 
 
@@ -211,6 +224,14 @@ def test_pancharatnam_rejects_unnormalized_state():
         pancharatnam_phase(np.array([1.0, 1.0]), 0.5 * SZ, 1.0)
 
 
+@pytest.mark.parametrize("psi", [[np.nan, 0, 0], [np.inf, 0, 0], [1.0, np.nan, 0],
+                                 [np.inf, 1j * np.inf, 0]])
+def test_pancharatnam_rejects_a_non_finite_state(psi):
+    # a nan norm compares False with any bound, so it must not pass as 1
+    with pytest.raises(ValueError, match="state norm"):
+        pancharatnam_phase(np.array(psi, dtype=complex), np.eye(3, dtype=complex), 1.0)
+
+
 def test_pancharatnam_raises_at_orthogonal_endpoint():
     # sigma_x / 2 for t = pi takes |0> to the orthogonal |1>; a nodal point
     # gives nan, not an exception
@@ -220,35 +241,37 @@ def test_pancharatnam_raises_at_orthogonal_endpoint():
 
 def test_parallel_residual_small_for_solved_frame():
     for seed in (94, 95):
-        prep = prepare_problem(random_instance(4, 4, seed))
+        problem = random_instance(4, 4, seed)
+        frame = prepare_problem(problem)
         for t in (0.0, 0.3, 1.7):
             for j in range(4):
-                resid = parallel_residual(prep, j, t, 1e-6)
+                resid = parallel_residual(problem, frame, j, t, 1e-6)
                 assert resid <= 1e-6
 
 
 def test_parallel_residual_negative_control():
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
-    prep = prepare_problem(random_instance(3, 3, 11))
-    wrong = replace(prep, frame=diagonalizing_frame(np.zeros((3, 3), dtype=complex)))
-    worst = max(parallel_residual(wrong, j, 0.3, 1e-6) for j in range(3))
+    problem = random_instance(3, 3, 11)
+    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    worst = max(parallel_residual(problem, wrong, j, 0.3, 1e-6) for j in range(3))
     assert worst > 1e-3
 
 
 def test_parallel_residual_zero_hamiltonian():
-    prep = prepare_problem(Problem(validate_density(np.diag([0.7, 0.3])),
-                                   np.zeros((2, 2), dtype=complex)))
+    problem = Problem(validate_density(np.diag([0.7, 0.3])), np.zeros((2, 2), dtype=complex))
+    frame = prepare_problem(problem)
     for j in range(2):
-        assert parallel_residual(prep, j, 0.5, 1e-6) <= 1e-9
+        assert parallel_residual(problem, frame, j, 0.5, 1e-6) <= 1e-9
 
 
 def test_parallel_residual_argument_validation():
-    prep = prepare_problem(random_instance(3, 1, 96))
+    problem = random_instance(3, 1, 96)
+    frame = prepare_problem(problem)
     with pytest.raises(ValueError):
-        parallel_residual(prep, 0, 0.3, 1e-2)
-    negligible = int(np.argmin(prep.weights))
+        parallel_residual(problem, frame, 0, 0.3, 1e-2)
+    negligible = int(np.argmin(component_weights(problem.rho0.amps, frame.z)))
     with pytest.raises(ValueError):
-        parallel_residual(prep, negligible, 0.3, 1e-6)
+        parallel_residual(problem, frame, negligible, 0.3, 1e-6)
 
 
 def test_random_instance_deterministic():

@@ -142,22 +142,22 @@ def test_load_problem_restores_the_collector_state(tmp_path, monkeypatch, enable
 
 def test_report_dict_keys_and_null_for_undefined():
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
-    prep = prepare_problem(Problem(validate_density(rho), 0.5 * SZ))
-    data = json.loads(next(reports_to_json(evaluate(prep, 1.0), "")))
+    problem = Problem(validate_density(rho), 0.5 * SZ)
+    data = json.loads(next(reports_to_json(evaluate(problem, 1.0), "")))
     assert list(data) == ["t", "gamma_total", "uhlmann", "sjoqvist",
                           "overlap_magnitude", "components", "warnings"]
     assert data["warnings"] == []
     assert list(data["components"][0]) == ["j", "q", "visibility", "gamma",
                                            "dyn_phase", "total_phase"]
-    nodal = json.loads(next(reports_to_json(evaluate(prep, 5 * np.pi), "")))
+    nodal = json.loads(next(reports_to_json(evaluate(problem, 5 * np.pi), "")))
     assert nodal["gamma_total"] is None and nodal["sjoqvist"] is None
     assert any("nodal" in w for w in nodal["warnings"])
     json.dumps(nodal)  # undefined phases must serialize cleanly
 
 
 def test_degenerate_spectrum_warning_surfaces():
-    prep = prepare_problem(Problem(validate_density(np.eye(2) / 2), 0.5 * SZ))
-    data = json.loads(next(reports_to_json(evaluate(prep, 0.7), "")))
+    problem = Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
+    data = json.loads(next(reports_to_json(evaluate(problem, 0.7), "")))
     assert any("degenerate" in w for w in data["warnings"])
 
 
@@ -165,10 +165,10 @@ def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path, capsys):
     # rho's spectrum is far from degenerate, but H = I makes K = -I, so z
     # and every per-component column depend on the eigensolver
     problem = Problem(validate_density(np.diag([0.5, 0.3, 0.2])), np.eye(3))
-    prep = prepare_problem(problem)
+    frame = prepare_problem(problem)
     assert not problem.rho0.degenerate
-    assert np.ptp(prep.frame.kappas) < 1e-12 and prep.frame.degenerate
-    assert evaluate(prep, 1.0).degenerate_spectrum_warning
+    assert np.ptp(frame.kappas) < 1e-12 and frame.degenerate
+    assert evaluate(problem, 1.0).degenerate_spectrum_warning
     path = tmp_path / "k_degenerate.json"
     save_problem(problem, path)
     assert main(["compute", "--input", str(path), "-t", "1"]) == 0
@@ -181,8 +181,8 @@ def test_sweep_header_and_nan_rows():
     assert sweep_header(2) == ("t,gamma_total,uhlmann,sjoqvist,overlap_magnitude,"
                                "q_0,nu_0,gamma_0,q_1,nu_1,gamma_1")
     rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
-    prep = prepare_problem(Problem(validate_density(rho), 0.5 * SZ))
-    row = written(sweep_to_csv, evaluate(prep, [5 * np.pi])).splitlines()[1]
+    problem = Problem(validate_density(rho), 0.5 * SZ)
+    row = written(sweep_to_csv, evaluate(problem, [5 * np.pi])).splitlines()[1]
     fields = row.split(",")
     assert len(fields) == 11
     assert fields[1] == "nan"  # undefined phase serializes as the literal nan
@@ -289,7 +289,7 @@ def sweeps(draw):
 @example((nodal_qubit(), [-1e4, 8e3, 1e4, 1e5]))  # rows past the resolution bound
 def test_sweep_csv_matches_cell_by_cell_formatting(case):
     problem, times = case
-    batch = evaluate(prepare_problem(problem), times)
+    batch = evaluate(problem, times)
     assert written(sweep_to_csv, batch) == csv_reference(batch)
     # the JSON writers against json.dumps of the report objects
     references = [reference_report(batch, i) for i in range(len(batch))]
@@ -413,7 +413,7 @@ def test_resolution_warning_past_the_bound(tmp_path, capsys):
     problem = random_instance(3, 3, 5)
     path = tmp_path / "instance.json"
     save_problem(problem, path)
-    energy = evaluate(prepare_problem(problem), 0.0).energy
+    energy = evaluate(problem, 0.0).energy
     eps = float(np.finfo(float).eps)
     bound = DEFAULT_TOL.overlap / (energy * eps)
     below, above = 0.99 * bound, 1.01 * bound
@@ -429,5 +429,5 @@ def test_resolution_warning_past_the_bound(tmp_path, capsys):
     assert main(sweep + ["--format", "json"]) == 0
     assert [row["warnings"] for row in json.loads(capsys.readouterr().out)] == [[], [warning]]
     assert main(sweep) == 0
-    batch = evaluate(prepare_problem(load_problem(path)), [below, above])
+    batch = evaluate(load_problem(path), [below, above])
     assert capsys.readouterr().out == written(sweep_to_csv, batch)

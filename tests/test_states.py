@@ -214,6 +214,13 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     prepare_problem(load_problem(path))
     assert calls == {"eigh": 3}  # rho, H (both in validation) and K
+    # evaluate prepares the frame itself: K is still decomposed once
+    for argv in (["compute", "--input", str(path), "-t", "1"],
+                 ["sweep", "--input", str(path), "--t-start", "0", "--t-end", "4",
+                  "--steps", "50"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == {"eigh": 3}, argv
     calls.clear()
     random_instance(8, 8, 3)
     assert calls == {"eigh": 2}  # rho and H
@@ -298,8 +305,9 @@ def test_problem_rejects_hamiltonian_beyond_half_the_largest_double(h, norm):
 def test_hamiltonian_just_inside_half_the_largest_double_prepares():
     # a RuntimeWarning is an error in this suite (pyproject.toml)
     rho = validate_density(np.array([[0.5, 0.3], [0.3, 0.5]]))
-    prep = prepare_problem(Problem(rho, np.diag([6e307, -6e307]).astype(complex)))
-    np.testing.assert_allclose(prep.problem.h_eigvals, [-6e307, 6e307], rtol=1e-12)
+    problem = Problem(rho, np.diag([6e307, -6e307]).astype(complex))
+    prepare_problem(problem)
+    np.testing.assert_allclose(problem.h_eigvals, [-6e307, 6e307], rtol=1e-12)
 
 
 def test_evolved_state_stays_physical():
