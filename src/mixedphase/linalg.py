@@ -36,14 +36,15 @@ def as_square(a) -> np.ndarray:
 
 def require_hermitian(a) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Check that a is Hermitian and return what was measured, (a, b, s,
-    ||b||_F): a as a complex array and b = a / s. s is 1 (b is a) up to
+    ||b||_F): a as a new complex array, a private copy that shares no
+    memory with the argument, and b = a / s. s is 1 (b is a) up to
     ||a||_F = 1e300 and above it the power of two at or just below
     max |Re a_ij|, |Im a_ij|, so the division is exact and ||a||_F =
     s ||b||_F holds without overflow. Raises NotHermitian if a is not
     symmetric within the hermiticity tolerance, relative to
     max(1, ||a||_F); the test reads b, so it holds at every finite size.
     """
-    a = as_square(a)
+    a = as_square(np.array(a, dtype=complex))
     with np.errstate(over="ignore"):
         norm = frobenius(a)
     b, scale = a, 1.0

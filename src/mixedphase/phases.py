@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
+from .linalg import close_eigenvalues
 from .states import Problem
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
@@ -168,8 +169,8 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
     Raises ValueError past |t| E = 2**52, E the largest |eps_a| or
     |kappa_j| (the batch's energy), where doubles at the phase
     arguments t E are 1 rad or more apart. The degenerate-spectrum flag
-    is set when two eigenvalues of the state or of K are closer than
-    the degeneracy gap.
+    is decided here alone: it is set when two eigenvalues of the state
+    or of K are closer than the degeneracy gap (close_eigenvalues).
     """
     frame = prepare_problem(problem)
     rho = problem.rho0
@@ -194,6 +195,9 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
         gamma=np.where(live, np.angle(rotated), 0.0),
         dyn_phase=np.outer(t, frame.kappas),
         total_phase=np.where(live, np.angle(overlaps), 0.0),
-        degenerate_spectrum_warning=rho.degenerate or frame.degenerate,
+        # close kappas leave z, and every per-component column, not unique
+        # within the degenerate block, as close lambdas leave basis_e
+        degenerate_spectrum_warning=(close_eigenvalues(rho.lambdas)
+                                     or close_eigenvalues(frame.kappas)),
         energy=energy,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, NotUnitTrace, magnitude
-from .linalg import close_eigenvalues, dagger, hermitian_eig, require_hermitian
+from .linalg import dagger, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
 
 
@@ -27,9 +27,11 @@ class DensityMatrix:
     lambdas are descending and clamped to [0, 1]; column j of basis_e is
     the eigenvector for lambdas[j]; amps = sqrt(lambdas). Construct
     through validate_density, or from a validated state with basis_e
-    rephased column by column (a gauge change). mat is a private copy and
-    is never mutated (tiny negative eigenvalues within the PSD floor are
-    tolerated, not repaired).
+    rephased column by column (a gauge change). mat is require_hermitian's
+    private copy of the input and is never mutated (tiny negative
+    eigenvalues within the PSD floor are tolerated, not repaired).
+    Whether lambdas are degenerate is evaluate's decision, made with K's
+    spectrum.
     """
 
     mat: np.ndarray
@@ -41,11 +43,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def degenerate(self) -> bool:
-        """True when two lambdas are closer than the degeneracy gap."""
-        return close_eigenvalues(self.lambdas)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -54,6 +51,8 @@ class Problem:
     The Hamiltonian is checked once here: square, finite, the state's
     dimension, Hermitian (NotHermitian otherwise), and of Frobenius norm
     at most half the largest double, so that h' + h'^dag cannot overflow.
+    hamiltonian_lab is the check's private copy, so a later write to the
+    caller's array moves neither it nor anything derived from it.
     Then it is decomposed once, H = V diag(h_eigvals) V^dag with
     h_eigvals ascending (hermitian_eig), and carried in the state
     eigenbasis e = rho0.basis_e: h_prime = e^dag H e and h_eigvecs =
@@ -96,6 +95,7 @@ class Problem:
 def validate_density(mat) -> DensityMatrix:
     """Check the density-matrix invariants and decompose the matrix.
 
+    The returned state holds require_hermitian's private copy of mat.
     Raises NotHermitian (require_hermitian's test, which holds at any
     finite magnitude, made here once: hermitian_eig does not check its
     input), NotUnitTrace, or NotPSD naming the violated invariant with
@@ -105,7 +105,7 @@ def validate_density(mat) -> DensityMatrix:
     unit-trace PSD matrix lies above it. Eigenvalues in [-psd, 0) are
     tolerated but not mutated.
     """
-    mat, b, scale, _ = require_hermitian(np.array(mat, dtype=complex))  # private copy
+    mat, b, scale, _ = require_hermitian(mat)
     trace = complex(np.trace(b))
     if abs(trace - 1.0 / scale) * scale > DEFAULT_TOL.unit_trace:
         raise NotUnitTrace(trace, scale)

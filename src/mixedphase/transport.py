@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import close_eigenvalues, frobenius, hermitian_eig
+from .linalg import frobenius, hermitian_eig
 from .tolerances import DEFAULT_TOL
 
 
@@ -26,18 +26,12 @@ from .tolerances import DEFAULT_TOL
 class AncillaFrame:
     """Ancilla Hamiltonian k, the unitary z with z k z^dag diagonal, and
     the eigenvalues kappas (ascending, energy units); for a stack of
-    ancilla Hamiltonians, each field has its leading axis."""
+    ancilla Hamiltonians, each field has its leading axis. Whether kappas
+    are degenerate is evaluate's decision, made with the state's spectrum."""
 
     k: np.ndarray
     z: np.ndarray
     kappas: np.ndarray
-
-    @property
-    def degenerate(self) -> bool:
-        """True when two kappas are closer than the degeneracy gap: z,
-        and every per-component quantity, is then not unique within the
-        degenerate block."""
-        return close_eigenvalues(self.kappas)
 
 
 def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:

@@ -7,6 +7,7 @@ import pkgutil
 import types
 
 import mixedphase
+from mixedphase import phases
 from mixedphase.transport import AncillaFrame
 
 import literal
@@ -46,6 +47,25 @@ def test_no_module_defines_a_prepared_problem():
         module = importlib.import_module(f"mixedphase.{info.name}")
         assert not hasattr(module, "PreparedProblem"), info.name
         assert not hasattr(module, "hamiltonian_in_eigenbasis"), info.name
+
+
+def test_evaluate_alone_decides_degeneracy(monkeypatch):
+    # no record carries a degeneracy flag of its own; evaluate reads both
+    # spectra through the one gap rule, linalg.close_eigenvalues
+    for info in pkgutil.iter_modules(mixedphase.__path__):
+        module = importlib.import_module(f"mixedphase.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type):
+                assert not hasattr(value, "degenerate"), f"{info.name}.{name}"
+    spectra = []
+    rule = phases.close_eigenvalues
+    monkeypatch.setattr(phases, "close_eigenvalues", lambda w: spectra.append(w) or rule(w))
+    problem = mixedphase.random_instance(3, 3, 0)
+    frame = mixedphase.prepare_problem(problem)
+    assert not mixedphase.evaluate(problem, 1.0).degenerate_spectrum_warning
+    assert len(spectra) == 2
+    assert spectra[0] is problem.rho0.lambdas
+    assert spectra[1].tobytes() == frame.kappas.tobytes()
 
 
 def test_literal_definitions_live_in_one_module():

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,27 @@ def test_verify_checks_the_total_phase_without_evaluate(monkeypatch, capsys):
     assert "verified 4/4 random instances (dim 3)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("corrupt, first_line", [
+    # kappas moved, k untouched: the ancilla equation still holds, and the
+    # transport check, which reads the kappas, must catch it
+    (lambda gammas, frame: (gammas, replace(frame, kappas=frame.kappas + 1e-6)),
+     "parallel-transport residual 5.505e-07 > 1.000e-09"),
+    # the rephased copy's phase moved: only the gauge check reads it
+    (lambda gammas, frame: (gammas + [[1e-6], [0.0]], frame),
+     "gauge rephasing moved the total phase by 1.000e-06 > 1.000e-09"),
+])
+def test_verify_catches_a_corrupted_gauge_pair(monkeypatch, capsys, corrupt, first_line):
+    """Negative controls for the two checks that read gauge_pair alone."""
+    pair = cli.gauge_pair
+    monkeypatch.setattr(cli, "gauge_pair", lambda *args: corrupt(*pair(*args)))
+    assert main(["verify", "--dim", "3", "--trials", "4", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"verification failed for instance seed 2882744023523087010: {first_line}",
+        "passed 0 of 4 instances before first failure"]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("argv, stdout, code", [
     (["--dim", "3", "--trials", "6", "--seed", "2", "--tol", "1e-13"],
      "verification failed for instance seed 1206473021768521264: total phase vs holonomy "
@@ -390,13 +412,30 @@ def test_negative_time_in_exponent_form_parses(mixed_file, capsys, exponent_form
     (["sweep", "--input", "{path}", "--t-start", "-1e308", "--t-end", "0", "--steps", "2"],
      "error: time -1e+308 is past the resolvable range"),
     (["verify", "--dim", "2", "--tol", "-1e-9"], "error: --tol must be finite and at least 0"),
+    # the grid's spacing t_end - t_start overflows inside np.linspace
+    (["sweep", "--input", "{path}", "--t-start", "-1.7e308", "--t-end", "1.7e308",
+      "--steps", "3"], "error: input magnitudes exceed the range of a double"),
+    # the other bad times and a problem file that is not an object get
+    # their own one-line errors too
+    (["sweep", "--input", "{path}", "--t-start", "0", "--t-end", "inf", "--steps", "3"],
+     "error: --t-start and --t-end must be finite\n"),
+    (["compare", "--input", "{path}", "-t", "0"],
+     "error: --time must be finite and positive, got 0.0\n"),
+    (["compare", "--input", "{path}", "-t", "nan"],
+     "error: --time must be finite and positive, got nan\n"),
+    (["compute", "--input", "{empty}", "-t", "1"],
+     "error: {empty}: problem file must be a JSON object\n"),
 ])
-def test_negative_value_in_exponent_form_gets_its_own_error(mixed_file, capsys, argv,
-                                                            message):
-    assert main([arg.format(path=mixed_file) for arg in argv]) == 2
+def test_negative_value_in_exponent_form_gets_its_own_error(mixed_file, tmp_path, capsys,
+                                                            argv, message):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    paths = {"path": mixed_file, "empty": str(empty)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(message) and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(message.format(**paths))
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_help_before_a_negative_number_still_prints_help(capsys):

@@ -24,6 +24,7 @@ from mixedphase import (
 )
 from mixedphase import serialize
 from mixedphase.cli import main
+from mixedphase.linalg import close_eigenvalues
 from mixedphase.serialize import (
     _matrix_from_pairs,
     problem_from_dict,
@@ -166,8 +167,8 @@ def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path, capsys):
     # and every per-component column depend on the eigensolver
     problem = Problem(validate_density(np.diag([0.5, 0.3, 0.2])), np.eye(3))
     frame = prepare_problem(problem)
-    assert not problem.rho0.degenerate
-    assert np.ptp(frame.kappas) < 1e-12 and frame.degenerate
+    assert not close_eigenvalues(problem.rho0.lambdas)
+    assert np.ptp(frame.kappas) < 1e-12 and close_eigenvalues(frame.kappas)
     assert evaluate(problem, 1.0).degenerate_spectrum_warning
     path = tmp_path / "k_degenerate.json"
     save_problem(problem, path)

@@ -17,6 +17,7 @@ from mixedphase import (
     NotPSD,
     NotUnitTrace,
     Problem,
+    evaluate,
     load_problem,
     prepare_problem,
     random_instance,
@@ -24,7 +25,7 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase import cli, linalg
-from mixedphase.linalg import dagger, frobenius, unitary_from_hamiltonian
+from mixedphase.linalg import close_eigenvalues, dagger, frobenius, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.transport import diagonalizing_frame
 
@@ -186,8 +187,8 @@ def test_spectrum_sums_and_clamping():
 
 
 def test_degenerate_flag():
-    assert validate_density(np.eye(2) / 2).degenerate
-    assert not validate_density(np.diag([0.7, 0.3])).degenerate
+    assert close_eigenvalues(validate_density(np.eye(2) / 2).lambdas)
+    assert not close_eigenvalues(validate_density(np.diag([0.7, 0.3])).lambdas)
     # one rule for rho (descending) and K (ascending), strict at the gap;
     # each pair of neighbours differs exactly in binary
     gap = DEFAULT_TOL.degeneracy_gap
@@ -199,8 +200,8 @@ def test_degenerate_flag():
         np.testing.assert_array_equal(state.lambdas, values)
         frame = diagonalizing_frame(np.diag(values))
         np.testing.assert_array_equal(frame.kappas, values[::-1])
-        assert state.degenerate is frame.degenerate is flagged
-        assert replace(state, basis_e=-state.basis_e).degenerate is flagged
+        assert close_eigenvalues(state.lambdas) is close_eigenvalues(frame.kappas) is flagged
+        assert close_eigenvalues(replace(state, basis_e=-state.basis_e).lambdas) is flagged
 
 
 def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
@@ -289,6 +290,24 @@ def test_hamiltonian_rotation_preserves_spectrum():
 def test_problem_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Problem(validate_density(np.eye(2) / 2), np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        Problem(validate_density(np.eye(2) / 2), np.zeros((2, 3), dtype=complex))
+
+
+def test_problem_keeps_a_private_copy_of_the_hamiltonian(tmp_path):
+    # a complex H would be taken as it is by np.asarray: the check copies it
+    h = np.array([[0.4, 0.1 - 0.2j], [0.1 + 0.2j, -0.3]])
+    problem = Problem(validate_density(np.diag([0.7, 0.3])), h)
+    assert not np.shares_memory(problem.hamiltonian_lab, h)
+    lab, h_prime = problem.hamiltonian_lab.copy(), problem.h_prime.copy()
+    gamma = evaluate(problem, 2.0).gamma_total
+    h[0, 0] = 9
+    assert problem.hamiltonian_lab.tobytes() == lab.tobytes()
+    assert problem.h_prime.tobytes() == h_prime.tobytes()
+    assert evaluate(problem, 2.0).gamma_total.tobytes() == gamma.tobytes()
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    assert evaluate(load_problem(path), 2.0).gamma_total.tobytes() == gamma.tobytes()
 
 
 @pytest.mark.parametrize("h, norm", [
