@@ -154,7 +154,8 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     if not 256 <= args.holonomy_steps <= MAX_STEPS:
         return _fail_input(
-            f"--holonomy-steps must be in 256..2**52, got {args.holonomy_steps}"
+            f"--holonomy-steps must be in 256..2**{MAX_STEPS.bit_length() - 1}, "
+            f"got {args.holonomy_steps}"
         )
     if not (math.isfinite(args.time) and args.time > 0):
         return _fail_input(f"--time must be finite and positive, got {args.time}")

@@ -25,15 +25,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
-    return a
-
-
 def require_hermitian(a) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Check that a is Hermitian and return what was measured, (a, b, s,
     ||b||_F): a as a new complex array, a private copy that shares no
@@ -43,8 +34,13 @@ def require_hermitian(a) -> tuple[np.ndarray, np.ndarray, float, float]:
     s ||b||_F holds without overflow. Raises NotHermitian if a is not
     symmetric within the hermiticity tolerance, relative to
     max(1, ||a||_F); the test reads b, so it holds at every finite size.
+    Raises ValueError if a is not square or holds a non-finite entry.
     """
-    a = as_square(np.array(a, dtype=complex))
+    a = np.array(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
     with np.errstate(over="ignore"):
         norm = frobenius(a)
     b, scale = a, 1.0
@@ -108,10 +104,9 @@ def unitary_from_eig(w, q, t: float) -> np.ndarray:
 def polar_unitary(a) -> np.ndarray:
     """Unitary factor u of the left polar form a = p @ u with p PSD.
 
-    Computed as x @ yh from the SVD a = x @ diag(s) @ yh. For singular a
-    the SVD convention fixes the result deterministically.
+    Computed as x @ yh from the SVD a = x @ diag(s) @ yh of a as given;
+    for singular a the SVD convention fixes the result deterministically.
     """
-    a = as_square(a)
     x, _, yh = np.linalg.svd(a)
     return x @ yh
 

@@ -36,7 +36,7 @@ def _check_grid(t_end: float, steps: int) -> None:
     except TypeError:
         raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if not 2 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must be in 2..2**52, got {steps}")
+        raise ValueError(f"steps must be in 2..2**{MAX_STEPS.bit_length() - 1}, got {steps}")
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
 
@@ -104,14 +104,14 @@ def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     return principal_angle(total + energy * t)
 
 
-def random_instance(dim: int, rank: int, seed: int, h_scale: float = 1.0) -> Problem:
+def random_instance(dim: int, rank: int, seed: int) -> Problem:
     """Deterministic-in-seed random problem: a state of the given rank and
-    dimension dim and a Hermitian Hamiltonian of Frobenius norm h_scale.
+    dimension dim and a Hermitian Hamiltonian of unit Frobenius norm.
 
     The state is B B^dag / Tr for a dim x rank complex Gaussian factor B,
     redrawn (still from the same stream) in the rare event that its
     rank-th eigenvalue is not clearly positive; the Hamiltonian is a
-    complex Gaussian Hermitian matrix rescaled to Frobenius norm h_scale.
+    complex Gaussian Hermitian matrix rescaled to unit Frobenius norm.
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank {rank} outside 1..{dim}")
@@ -127,5 +127,5 @@ def random_instance(dim: int, rank: int, seed: int, h_scale: float = 1.0) -> Pro
         raise RuntimeError(f"could not draw a clearly rank-{rank} state for seed {seed}")
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + dagger(a)) / 2.0
-    h *= h_scale / frobenius(h)
+    h *= 1.0 / frobenius(h)
     return Problem(state, h)

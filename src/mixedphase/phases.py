@@ -52,16 +52,17 @@ from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
     solve_ancilla_hamiltonian
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseBatch:
     """Every phase of one instance on a grid of times.
 
     Arrays are real and indexed [time] or [time, component], except q,
     which is time-invariant and indexed [component]. The per-component
     arrays are the report's columns; the complex m_j(t) they are read
-    from is not kept. A headline phase at a nodal point (overlap
-    magnitude at or below the overlap tolerance) is nan, with
-    overlap_magnitude still recorded; negligible components carry the
+    from is not kept. A headline phase at a nodal point (the modulus of
+    its sum at or below the overlap tolerance) is nan, with that modulus
+    still recorded: overlap_magnitude for gamma_total and uhlmann,
+    sjoqvist_magnitude for sjoqvist. Negligible components carry the
     sentinel convention visibility = gamma = total_phase = 0. energy is
     the largest |eps_a| or |kappa_j|: |t| times it is the largest phase
     argument.
@@ -72,6 +73,7 @@ class PhaseBatch:
     uhlmann: np.ndarray
     sjoqvist: np.ndarray
     overlap_magnitude: np.ndarray
+    sjoqvist_magnitude: np.ndarray
     q: np.ndarray
     visibility: np.ndarray
     gamma: np.ndarray
@@ -189,6 +191,7 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
         uhlmann=angle_or_nan(trace),
         sjoqvist=angle_or_nan(interferometric),
         overlap_magnitude=np.abs(total),
+        sjoqvist_magnitude=np.abs(interferometric),
         q=weights,
         visibility=np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
                              where=live),

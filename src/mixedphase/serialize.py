@@ -102,14 +102,6 @@ def _matrices_from_dict(data) -> tuple[np.ndarray, np.ndarray]:
             _matrix_from_pairs(data["hamiltonian"], n, "hamiltonian"))
 
 
-def problem_from_dict(data: dict) -> Problem:
-    """Parse and validate a problem-file dictionary. Shape errors raise
-    ProblemFileError; density-matrix invariant violations propagate from
-    validation with the violated invariant named."""
-    rho, ham = _matrices_from_dict(data)
-    return Problem(validate_density(rho), ham)
-
-
 def problem_to_dict(problem: Problem) -> dict:
     return {
         "dimension": problem.dim,
@@ -119,6 +111,7 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def load_problem(path) -> Problem:
+    """The problem in the file at path: the problem-file schema's one reader."""
     # json.load builds a list per matrix entry (8,000 at n = 64), all
     # alive until the matrices are converted and the tree is freed: a
     # collection before then finds no garbage, yet about ten run per such
@@ -186,10 +179,12 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
     """Yield each row's report object as json.dumps(report, indent=2)
     writes it, every line prefixed with indent: t, the three headline phases
     (null where nan), overlap_magnitude, then per component j, q,
-    visibility, gamma, dyn_phase, total_phase, then the warnings. A row
-    whose resolution bound |t| E eps (E = batch.energy, eps the machine
-    epsilon) exceeds the overlap tolerance warns that its phases carry
-    roundoff of that size."""
+    visibility, gamma, dyn_phase, total_phase, then the warnings. A nan
+    phase warns with the modulus of its own sum (batch.sjoqvist_magnitude
+    for sjoqvist, overlap_magnitude for the others). A row whose
+    resolution bound |t| E eps (E = batch.energy, eps the machine epsilon)
+    exceeds the overlap tolerance warns that its phases carry roundoff of
+    that size."""
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
     # j and q_j formatted once; a float's str is its repr, as in json
     slots = ",\n".join(f'{i3}"{key}": %s'
@@ -202,11 +197,14 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
     degenerate = [] if not batch.degenerate_spectrum_warning else [
         "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
         "are not unique within degenerate blocks"]
-    for row in _rows(batch, batch.visibility, batch.gamma, batch.dyn_phase,
-                     batch.total_phase):
+    rows = _rows(batch, batch.visibility, batch.gamma, batch.dyn_phase, batch.total_phase)
+    for row, sjoqvist_magnitude in zip(rows, batch.sjoqvist_magnitude.tolist()):
+        # each nodal warning quotes the modulus of its own phase's sum
         warnings = degenerate + [
-            f"{name} undefined at a nodal point (overlap magnitude {row[4]:.3e})"
-            for name, phase in zip(_PHASES, row[1:4]) if math.isnan(phase)]
+            f"{name} undefined at a nodal point (overlap magnitude {magnitude:.3e})"
+            for name, phase, magnitude in zip(_PHASES, row[1:4],
+                                              (row[4], row[4], sjoqvist_magnitude))
+            if math.isnan(phase)]
         resolution = abs(row[0]) * batch.energy * _EPS
         if resolution > DEFAULT_TOL.overlap:
             warnings.append(f"resolution bound |t| E eps = {resolution:.3e} exceeds the "
@@ -223,14 +221,9 @@ def sweep_to_json(batch: PhaseBatch, out: TextIO) -> None:
     """Write the list of every row's report object, as json.dumps(reports,
     indent=2) writes it, to the text stream out, each report as soon as
     it is formatted."""
-    reports = reports_to_json(batch, "  ")
-    first = next(reports, None)
-    if first is None:
-        out.write("[]\n")
-        return
-    out.write("[\n")
-    out.write(first)
-    for report in reports:
-        out.write(",\n")
+    separator = "[\n"
+    for report in reports_to_json(batch, "  "):
+        out.write(separator)
         out.write(report)
-    out.write("\n]\n")
+        separator = ",\n"
+    out.write("[]\n" if separator == "[\n" else "\n]\n")

@@ -19,7 +19,7 @@ from .linalg import dagger, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density operator (Hermitian, PSD, unit trace) with its
     eigendecomposition.
@@ -44,7 +44,7 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """A state and the lab-frame Hamiltonian driving it (hbar = 1).
 
@@ -60,14 +60,14 @@ class Problem:
     eigenvalues. h' is Hermitian and Q unitary up to roundoff. The
     engine, gauge pairs and the holonomy oracle all read these; no
     eigendecomposition of h' is made. They are derived, so they take no
-    part in construction, repr or equality.
+    part in construction or repr.
     """
 
     rho0: DensityMatrix
     hamiltonian_lab: np.ndarray
-    h_eigvals: np.ndarray = field(init=False, repr=False, compare=False)
-    h_eigvecs: np.ndarray = field(init=False, repr=False, compare=False)
-    h_prime: np.ndarray = field(init=False, repr=False, compare=False)
+    h_eigvals: np.ndarray = field(init=False, repr=False)
+    h_eigvecs: np.ndarray = field(init=False, repr=False)
+    h_prime: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h, _, scale, norm = require_hermitian(self.hamiltonian_lab)

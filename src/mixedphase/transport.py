@@ -22,7 +22,7 @@ from .linalg import frobenius, hermitian_eig
 from .tolerances import DEFAULT_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AncillaFrame:
     """Ancilla Hamiltonian k, the unitary z with z k z^dag diagonal, and
     the eigenvalues kappas (ascending, energy units); for a stack of

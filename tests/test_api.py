@@ -1,6 +1,7 @@
 """The public surface: the pipeline in mixedphase; the literal references
 live with the tests, in tests/literal.py, and not in the package."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -75,3 +76,17 @@ def test_literal_definitions_live_in_one_module():
     for name in LITERAL:
         assert getattr(literal, name).__module__ == "literal"
         assert not any(hasattr(module, name) for module in modules)
+
+
+def test_records_compare_and_hash_by_identity():
+    # each record holds arrays, whose elementwise == has no truth value;
+    # equality and hashing are by identity, so records also go in sets
+    problem = mixedphase.random_instance(2, 2, 0)
+    assert problem != mixedphase.random_instance(2, 2, 0)  # an equal draw
+    records = [problem, problem.rho0, mixedphase.prepare_problem(problem),
+               mixedphase.evaluate(problem, [0.0, 1.0])]
+    for record in records:
+        assert type(record).__eq__ is object.__eq__, type(record).__name__
+        assert record == record and hash(record) == hash(record)
+        assert record != dataclasses.replace(record)
+    assert len(set(records + records)) == 4

@@ -359,7 +359,16 @@ def test_compare_steps_beyond_roundoff_cap_exits_2(mixed_file, capsys, steps):
                  "--holonomy-steps", str(steps)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--holonomy-steps" in captured.err and "Traceback" not in captured.err
+    assert captured.err == f"error: --holonomy-steps must be in 256..2**52, got {steps}\n"
+
+
+def test_compare_accepts_the_roundoff_cap(mixed_file, capsys):
+    # 2**52 written out, so that a lowered MAX_STEPS fails here
+    assert main(["compare", "--input", mixed_file, "-t", "1.0",
+                 "--holonomy-steps", str(2**52)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["holonomy_steps"] == 2**52
 
 
 def test_compare_orthogonal_endpoint_exits_3(pure_file, capsys):
@@ -566,6 +575,7 @@ def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
     (0.5, "1e17", 2),   # |t| E = 5e16 > 2**52 on a unit-norm qubit
     (0.5, "-1e17", 2),
     (0.5, "9e15", 0),   # |t| E = 4.5e15, just inside 2**52
+    (0.5, "1.2e16", 2),  # |t| E = 6e15, between 2**52 and 2**53
 ])
 def test_time_past_the_resolvable_range_exits_2(tmp_path, capsys, scale, t, code):
     path = _problem_file(tmp_path, [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-scale, 0.0]]])

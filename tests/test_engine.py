@@ -165,6 +165,7 @@ def eager_columns(problem, times):
         "uhlmann": angle_or_nan(trace),
         "sjoqvist": angle_or_nan(interferometric),
         "overlap_magnitude": np.abs(total),
+        "sjoqvist_magnitude": np.abs(interferometric),
         "q": weights,
         "visibility": np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
                                 where=live),

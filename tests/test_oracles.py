@@ -47,9 +47,11 @@ def test_path_sampling_validation():
 
 
 def test_path_sampling_rejects_steps_beyond_the_roundoff_cap():
-    assert math.isfinite(discrete_uhlmann_holonomy(COMMUTING, 1.0, MAX_STEPS))
-    with pytest.raises(ValueError):
-        discrete_uhlmann_holonomy(COMMUTING, 1.0, MAX_STEPS + 1)
+    # the cap is written out, so that a change to MAX_STEPS shows here
+    assert MAX_STEPS == 2**52
+    assert math.isfinite(discrete_uhlmann_holonomy(COMMUTING, 1.0, 2**52))
+    with pytest.raises(ValueError, match=r"^steps must be in 2\.\.2\*\*52, got 4503599627370497$"):
+        discrete_uhlmann_holonomy(COMMUTING, 1.0, 2**52 + 1)
     with pytest.raises(ValueError):
         discrete_uhlmann_holonomy(COMMUTING, 1.0, 10**400)
 
@@ -288,9 +290,11 @@ def test_random_instance_rank():
 
 
 def test_random_instance_validates_and_scales():
-    prob = random_instance(3, 3, 42, h_scale=2.5)
+    prob = random_instance(3, 3, 42)
     validate_density(prob.rho0.mat)  # revalidation accepts
-    assert abs(frobenius(prob.hamiltonian_lab) - 2.5) <= 1e-12
+    assert abs(frobenius(prob.hamiltonian_lab) - 1.0) <= 1e-15
+    scaled = Problem(prob.rho0, 2.5 * prob.hamiltonian_lab)
+    assert abs(frobenius(scaled.hamiltonian_lab) - 2.5) <= 1e-12
 
 
 def test_random_instance_spec_validation():

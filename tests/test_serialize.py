@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import re
 from itertools import chain
 
 import numpy as np
@@ -27,7 +28,6 @@ from mixedphase.cli import main
 from mixedphase.linalg import close_eigenvalues
 from mixedphase.serialize import (
     _matrix_from_pairs,
-    problem_from_dict,
     problem_to_dict,
     reports_to_json,
     sweep_header,
@@ -47,21 +47,27 @@ def test_round_trip_is_bitwise_exact(tmp_path):
     assert np.array_equal(back.hamiltonian_lab, prob.hamiltonian_lab)
 
 
-def test_shape_mismatch_names_the_field():
+def loaded(tmp_path, data):
+    """load_problem of a file in tmp_path that holds data as JSON."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    return load_problem(path)
+
+
+def test_shape_mismatch_names_the_field(tmp_path):
     data = problem_to_dict(random_instance(3, 3, 6))
     data["dimension"] = 2
     with pytest.raises(ProblemFileError, match="rho.*2 rows"):
-        problem_from_dict(data)
+        loaded(tmp_path, data)
 
 
-def test_missing_key_and_bad_entries():
+def test_missing_key_and_bad_entries(tmp_path):
     with pytest.raises(ProblemFileError, match="hamiltonian"):
-        problem_from_dict({"dimension": 1, "rho": [[[1.0, 0.0]]]})
+        loaded(tmp_path, {"dimension": 1, "rho": [[[1.0, 0.0]]]})
     with pytest.raises(ProblemFileError, match=r"\[re, im\]"):
-        problem_from_dict({"dimension": 1, "rho": [[1.0]],
-                           "hamiltonian": [[[0.0, 0.0]]]})
+        loaded(tmp_path, {"dimension": 1, "rho": [[1.0]], "hamiltonian": [[[0.0, 0.0]]]})
     with pytest.raises(ProblemFileError, match="dimension"):
-        problem_from_dict({"dimension": 0, "rho": [], "hamiltonian": []})
+        loaded(tmp_path, {"dimension": 0, "rho": [], "hamiltonian": []})
 
 
 NOT_PSD = {
@@ -71,9 +77,9 @@ NOT_PSD = {
 }
 
 
-def test_validation_errors_propagate():
+def test_validation_errors_propagate(tmp_path):
     with pytest.raises(NotPSD):
-        problem_from_dict(NOT_PSD)
+        loaded(tmp_path, NOT_PSD)
 
 
 def test_invalid_json_reported(tmp_path):
@@ -156,6 +162,17 @@ def test_report_dict_keys_and_null_for_undefined():
     json.dumps(nodal)  # undefined phases must serialize cleanly
 
 
+def test_the_sjoqvist_nodal_warning_quotes_the_interferometric_sum():
+    # at t = pi this qubit's interferometric sum, cos(t / 2), vanishes,
+    # while the total phase is defined with overlap magnitude 0.76
+    data = json.loads(next(reports_to_json(evaluate(nodal_qubit(), np.pi), "")))
+    assert data["sjoqvist"] is None and data["gamma_total"] is not None
+    [warning] = data["warnings"]
+    quoted = re.fullmatch(r"sjoqvist undefined at a nodal point \(overlap magnitude (.+)\)",
+                          warning)
+    assert float(quoted[1]) <= DEFAULT_TOL.overlap
+
+
 def test_degenerate_spectrum_warning_surfaces():
     problem = Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
     data = json.loads(next(reports_to_json(evaluate(problem, 0.7), "")))
@@ -223,11 +240,13 @@ def reference_report(batch, i):
             "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
             "are not unique within degenerate blocks"
         )
-    for name in ("gamma_total", "uhlmann", "sjoqvist"):
+    for name, magnitude in (("gamma_total", batch.overlap_magnitude),
+                            ("uhlmann", batch.overlap_magnitude),
+                            ("sjoqvist", batch.sjoqvist_magnitude)):
         if math.isnan(getattr(batch, name)[i]):
             warnings.append(
                 f"{name} undefined at a nodal point "
-                f"(overlap magnitude {batch.overlap_magnitude[i]:.3e})"
+                f"(overlap magnitude {magnitude[i]:.3e})"
             )
     resolution = abs(float(batch.t[i])) * batch.energy * np.finfo(float).eps
     if resolution > DEFAULT_TOL.overlap:
@@ -304,10 +323,11 @@ def _entries_problem(hamiltonian, rho=None):
     return {"dimension": len(hamiltonian), "rho": rho, "hamiltonian": hamiltonian}
 
 
-def test_matrix_parse_keeps_ints_tuples_and_signed_zeros_exact():
+def test_matrix_parse_keeps_ints_tuples_and_signed_zeros_exact(tmp_path):
+    # the file holds each tuple as a JSON array, ints and -0.0 as written
     hamiltonian = [[(2**70, -0.0), [1, 2.5]], [[1, -2.5], [-0.0, 0]]]
     rho = [[[1, 0], (0.0, -0.0)], [(-0.0, 0), [0, 0.0]]]
-    problem = problem_from_dict(_entries_problem(hamiltonian, rho))
+    problem = loaded(tmp_path, _entries_problem(hamiltonian, rho))
     for got, pairs in ((problem.hamiltonian_lab, hamiltonian), (problem.rho0.mat, rho)):
         want = np.array([[complex(re, im) for re, im in row] for row in pairs])
         assert got.tobytes() == want.tobytes()  # bitwise, signs of zero included
@@ -334,9 +354,9 @@ ZERO = [0.0, 0.0]
      "hamiltonian[1][1]: entry is too large for a double"),
     ([[ZERO, [float("nan"), 0.0]], [ZERO, ZERO]], "hamiltonian: non-finite entries"),
 ])
-def test_matrix_parse_rejections_name_the_entry(hamiltonian, message):
+def test_matrix_parse_rejections_name_the_entry(tmp_path, hamiltonian, message):
     with pytest.raises(ProblemFileError) as exc:
-        problem_from_dict(_entries_problem(hamiltonian))
+        loaded(tmp_path, _entries_problem(hamiltonian))
     assert str(exc.value) == message
 
 

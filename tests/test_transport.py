@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from mixedphase import (
     DEFAULT_TOL,
     DimensionMismatch,
+    Problem,
     prepare_problem,
     random_instance,
+    validate_density,
 )
 from mixedphase.linalg import dagger, frobenius, hermitian_eig, unitary_from_hamiltonian
 from mixedphase.transport import (
@@ -29,6 +31,20 @@ def test_equal_amplitudes_force_minus_transposed_hamiltonian():
     amps = np.array([1, 1]) / np.sqrt(2)
     k = solve_ancilla_hamiltonian(amps, SX)
     np.testing.assert_allclose(k, -SX, atol=1e-14)
+
+
+def test_a_small_pair_above_the_support_tolerance_keeps_its_closed_form():
+    # lambda_1 + lambda_2 = 4e-12 is above the support tolerance (1e-14), so
+    # the pair is in the support: K_21 = (K^T)_12 = -2 c_1 c_2 h'_12 /
+    # (lambda_1 + lambda_2), from the problem's own h', and not the kernel's 0
+    state = validate_density(np.diag([1.0 - 4e-12, 3e-12, 1e-12]))
+    h = np.array([[0.3, 0.2, 0.1], [0.2, -0.1, 0.4], [0.1, 0.4, 0.5]], dtype=complex)
+    problem = Problem(state, h)
+    c, lam, h_prime = state.amps, state.lambdas, problem.h_prime
+    want = -2.0 * c[1] * c[2] * h_prime[1, 2] / (lam[1] + lam[2])
+    k = prepare_problem(problem).k
+    assert abs(want) > 0.3
+    assert abs(k[2, 1] - want) <= 1e-12 * abs(want)
 
 
 def test_pure_state_keeps_only_top_entry():
@@ -81,7 +97,8 @@ def test_equation_residual_is_the_masked_dense_expression():
 def test_transport_residual_vanishes_for_the_solved_frame(dim, data, seed, h_scale):
     # E_j = -kappa_j holds in closed form; measured floor about 3.6e-16
     rank = data.draw(st.integers(1, dim), label="rank")
-    problem = random_instance(dim, rank, seed, h_scale)
+    drawn = random_instance(dim, rank, seed)
+    problem = Problem(drawn.rho0, h_scale * drawn.hamiltonian_lab)
     frame = prepare_problem(problem)
     resid = transport_residual(problem.rho0.amps, problem.h_prime, frame)
     assert resid <= 1e-13 * max(1.0, frobenius(problem.h_prime))
