@@ -78,10 +78,7 @@ def hermitian_eig(a):
     (B, n, n) eigenvectors in one call, each matrix bit for bit as alone.
     """
     a = np.asarray(a, dtype=complex)
-    sym_t = a.conj()  # the transpose of (a + a^dag) / 2, built in place
-    sym_t += a.swapaxes(-1, -2)
-    sym_t /= 2.0
-    return np.linalg.eigh(sym_t.swapaxes(-1, -2))
+    return np.linalg.eigh((a + dagger(a)) / 2.0)
 
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import frobenius, hermitian_eig
+from .linalg import dagger, frobenius, hermitian_eig
 from .tolerances import DEFAULT_TOL
 
 
@@ -51,19 +51,15 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
         raise DimensionMismatch(
             f"{amps.size} amplitudes for a {hp.shape[-1]}x{hp.shape[-1]} Hamiltonian"
         )
-    # K^T = factor * (h' + h'^dag) / 2 with factor symmetric, so K itself is
-    # factor times the transpose of that mean, built in place; exact
-    # symmetry of the mean makes K exactly Hermitian
-    k = hp.conj()
-    k += hp.swapaxes(-1, -2)
-    k /= 2.0
     lam = amps**2
     denom = lam[:, None] + lam[None, :]
     num = -2.0 * np.outer(amps, amps)
     factor = np.divide(num, denom, out=np.zeros_like(denom),
                        where=denom > DEFAULT_TOL.support)
-    k *= factor
-    return k
+    # K^T = factor * (h' + h'^dag) / 2 with factor symmetric, so K itself is
+    # factor times the transpose of that mean; exact symmetry of the mean
+    # makes K exactly Hermitian
+    return factor * ((hp.conj() + hp.swapaxes(-1, -2)) / 2.0)
 
 
 def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
@@ -93,8 +89,7 @@ def diagonalizing_frame(ancilla_h) -> AncillaFrame:
     one eigh call. k is taken to be Hermitian, as solve_ancilla_hamiltonian
     makes it, and is not checked."""
     kappas, q = hermitian_eig(ancilla_h)
-    z = np.conjugate(q, out=q).swapaxes(-1, -2)  # q^dag, in q's own memory
-    return AncillaFrame(k=np.asarray(ancilla_h, dtype=complex), z=z, kappas=kappas)
+    return AncillaFrame(k=np.asarray(ancilla_h, dtype=complex), z=dagger(q), kappas=kappas)
 
 
 def component_weights(amps, z) -> np.ndarray:
