@@ -53,8 +53,8 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
         )
     lam = amps**2
     denom = lam[:, None] + lam[None, :]
-    num = -2.0 * np.outer(amps, amps)
-    factor = np.divide(num, denom, out=np.zeros_like(denom),
+    num = -2.0 * (amps[:, None] * amps)
+    factor = np.divide(num, denom, out=np.zeros(denom.shape),
                        where=denom > DEFAULT_TOL.support)
     # K^T = factor * (h' + h'^dag) / 2 with factor symmetric, so K itself is
     # factor times the transpose of that mean; exact symmetry of the mean
@@ -71,7 +71,7 @@ def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
     lam = amps**2
     lam_sum = lam[:, None] + lam[None, :]
     resid = (lam_sum * np.asarray(ancilla_h).T
-             + 2.0 * np.outer(amps, amps) * np.asarray(h_prime))
+             + 2.0 * (amps[:, None] * amps) * np.asarray(h_prime))
     return frobenius(resid * (lam_sum > DEFAULT_TOL.support))
 
 

@@ -342,7 +342,8 @@ def test_compare_too_few_steps_exits_2(mixed_file):
 
 
 def test_compare_huge_step_count_is_cheap(mixed_file, capsys):
-    # the closed form costs O(log N): 1e12 steps is a matrix power, not a grid
+    # the closed form costs O(log N): 1e12 steps is 39 squarings and one
+    # product per further set bit of N, each written with @, not a grid
     assert main(["compare", "--input", mixed_file, "-t", str(CYCLIC_T),
                  "--holonomy-steps", str(10**12)]) == 0
     captured = capsys.readouterr()

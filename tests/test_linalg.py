@@ -1,6 +1,8 @@
 """Matrix-kernel tests: eigendecomposition, evolution operators, polar
 factors, and the PSD square root of tests/literal.py."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,18 @@ def test_require_hermitian_returns_a_private_copy():
         checked, scaled = require_hermitian(a)[:2]
         assert scaled is checked and not np.shares_memory(checked, a)
         np.testing.assert_array_equal(checked, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_frobenius_is_numpys_norm_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for a in (rng.standard_normal((n, n)), random_complex(rng, n)):
+        for view in (a, a.T):  # a.T is not C-contiguous
+            assert frobenius(view) == float(np.linalg.norm(view, "fro"))
+        # past about 1e154 per entry the sum of squares overflows
+        huge = 1e154 * (2.0 + np.abs(a)) * (a / np.abs(a))
+        with np.errstate(over="ignore"):
+            assert frobenius(huge) == float(np.linalg.norm(huge, "fro")) == math.inf
 
 
 def test_eig_rejects_non_finite():

@@ -21,8 +21,9 @@ from mixedphase import (
     random_instance,
     validate_density,
 )
+from mixedphase.angles import angle_or_nan
 from mixedphase.cli import VERIFY_HOLONOMY_STEPS, VERIFY_TIME
-from mixedphase.linalg import dagger, frobenius
+from mixedphase.linalg import dagger, frobenius, polar_unitary, unitary_from_eig
 from mixedphase.oracles import MAX_STEPS
 from mixedphase.transport import component_weights, diagonalizing_frame
 
@@ -122,6 +123,32 @@ def test_holonomy_never_reads_h_prime():
     for t_end, steps in [(1.7, VERIFY_HOLONOMY_STEPS), (0.4, 300)]:
         want = discrete_uhlmann_holonomy(problem, t_end, steps)
         assert discrete_uhlmann_holonomy(garbage, t_end, steps) == want, (t_end, want)
+
+
+def matrix_power_holonomy(problem, t_end, steps):
+    """The closed form as written with numpy's wrappers: np.outer for the
+    sandwich, np.linalg.matrix_power for (P^dag)^N, np.trace."""
+    w_h, q_h, amps = problem.h_eigvals, problem.h_eigvecs, problem.rho0.amps
+    sandwich = np.outer(amps, amps)
+    link = polar_unitary(sandwich * unitary_from_eig(w_h, q_h, t_end / steps))
+    transport = np.linalg.matrix_power(dagger(link), steps)
+    endpoint = sandwich * unitary_from_eig(w_h, q_h, t_end)
+    return angle_or_nan(complex(np.trace(endpoint @ transport)))
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4, 7, 256, 257, 2048, 12345, 2**16 - 1, 2**16,
+                                   2**40 + 1, 2**52])
+def test_holonomy_is_the_matrix_power_form_bit_for_bit(steps):
+    # the oracle forms (P^dag)^N by the products matrix_power makes, in its
+    # order, so every value is the same double (nan at the nodal endpoint)
+    problems = [(random_instance(dim, rank, 7 * dim + rank), 1.7)
+                for dim in (1, 2, 8) for rank in sorted({1, dim})]
+    problems.append((Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ), np.pi))
+    for problem, t_end in problems:
+        got = discrete_uhlmann_holonomy(problem, t_end, steps)
+        want = matrix_power_holonomy(problem, t_end, steps)
+        assert got == want or (math.isnan(got) and math.isnan(want)), \
+            (problem.dim, t_end, got, want)
 
 
 @pytest.mark.parametrize("steps", [2, 3, 255, 256])
