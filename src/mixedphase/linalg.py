@@ -81,7 +81,6 @@ def hermitian_eig(a):
     both triangles enter. A (B, n, n) stack gives (B, n) eigenvalues and
     (B, n, n) eigenvectors in one call, each matrix bit for bit as alone.
     """
-    a = np.asarray(a, dtype=complex)
     return np.linalg.eigh((a + dagger(a)) / 2.0)
 
 

@@ -112,7 +112,7 @@ def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     <psi0|U(t)|psi0> vanishes. Raises NotHermitian for a non-Hermitian
     h_lab."""
     psi0 = np.asarray(psi0, dtype=complex)
-    norm = float(np.linalg.norm(psi0))
+    norm = frobenius(psi0)
     if not abs(norm - 1.0) <= 1e-12:  # also rejects a nan or inf entry
         raise ValueError(f"state norm {norm} is not 1 within 1e-12")
     h_lab = require_hermitian(h_lab)[0]
@@ -137,7 +137,7 @@ def random_instance(dim: int, rank: int, seed: int) -> Problem:
     for _ in range(64):
         b = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
         rho = b @ dagger(b)
-        rho /= np.trace(rho).real
+        rho /= rho.trace().real
         state = validate_density(rho)
         if state.lambdas[rank - 1] > 1e-6:
             break

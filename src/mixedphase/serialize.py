@@ -38,7 +38,7 @@ def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
     if (type(obj) is list and len(obj) == n and set(map(type, obj)) == {list}
             and set(map(len, obj)) == {n}):
         entries = list(chain.from_iterable(obj))
-        if (set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) == {2}
+        if (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
                 and set(map(type, values := list(chain.from_iterable(entries))))
                 <= {int, float}):
             try:
@@ -69,7 +69,7 @@ def _raise_first_malformed(obj, n: int, name: str) -> NoReturn:
                 f"got {len(row) if type(row) is list else type(row).__name__}"
             )
         for j, entry in enumerate(row):
-            if (type(entry) not in (list, tuple) or len(entry) != 2
+            if (type(entry) is not list or len(entry) != 2
                     or not set(map(type, entry)) <= {int, float}):
                 raise ProblemFileError(
                     f"{name}[{i}][{j}]: complex entries must be [re, im] pairs"
@@ -83,7 +83,6 @@ def _raise_first_malformed(obj, n: int, name: str) -> NoReturn:
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
-    m = np.asarray(m, complex)
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 

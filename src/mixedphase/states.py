@@ -106,7 +106,7 @@ def validate_density(mat) -> DensityMatrix:
     tolerated but not mutated.
     """
     mat, b, scale, _ = require_hermitian(mat)
-    trace = complex(np.trace(b))
+    trace = complex(b.trace())
     if abs(trace - 1.0 / scale) * scale > DEFAULT_TOL.unit_trace:
         raise NotUnitTrace(trace, scale)
     w, q = hermitian_eig(b)

@@ -45,11 +45,9 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     constraint on K inside the kernel of the state, and zero is the
     minimal-norm completion.
     """
-    amps = np.asarray(amps, dtype=float)
-    hp = np.asarray(h_prime, dtype=complex)
-    if amps.size != hp.shape[-1]:
+    if amps.size != h_prime.shape[-1]:
         raise DimensionMismatch(
-            f"{amps.size} amplitudes for a {hp.shape[-1]}x{hp.shape[-1]} Hamiltonian"
+            f"{amps.size} amplitudes for a {h_prime.shape[-1]}x{h_prime.shape[-1]} Hamiltonian"
         )
     lam = amps**2
     denom = lam[:, None] + lam[None, :]
@@ -59,7 +57,7 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     # K^T = factor * (h' + h'^dag) / 2 with factor symmetric, so K itself is
     # factor times the transpose of that mean; exact symmetry of the mean
     # makes K exactly Hermitian
-    return factor * ((hp.conj() + hp.swapaxes(-1, -2)) / 2.0)
+    return factor * ((h_prime.conj() + h_prime.swapaxes(-1, -2)) / 2.0)
 
 
 def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
@@ -67,19 +65,17 @@ def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
     support (index pairs with c_k^2 + c_l^2 above the support tolerance).
     C is diagonal, so entry kl is (lambda_k + lambda_l) K^T_kl
     + 2 c_k c_l H_kl, formed entry by entry in O(n^2)."""
-    amps = np.asarray(amps, dtype=float)
     lam = amps**2
     lam_sum = lam[:, None] + lam[None, :]
-    resid = (lam_sum * np.asarray(ancilla_h).T
-             + 2.0 * (amps[:, None] * amps) * np.asarray(h_prime))
+    resid = lam_sum * ancilla_h.T + 2.0 * (amps[:, None] * amps) * h_prime
     return frobenius(resid * (lam_sum > DEFAULT_TOL.support))
 
 
 def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:
     """max_j |<psi_j|h'|psi_j> + kappa_j q_j| for psi_j = C z^T |e_j>: zero when every
     component's energy is -kappa_j, its parallel-transport condition (weighted by q_j)."""
-    psi = np.asarray(frame.z) * np.asarray(amps, dtype=float)  # row j is psi_j
-    energies = ((psi.conj() @ np.asarray(h_prime)) * psi).sum(axis=1).real
+    psi = frame.z * amps  # row j is psi_j
+    energies = ((psi.conj() @ h_prime) * psi).sum(axis=1).real
     return float(np.max(np.abs(energies + frame.kappas * component_weights(amps, frame.z))))
 
 
@@ -89,7 +85,7 @@ def diagonalizing_frame(ancilla_h) -> AncillaFrame:
     one eigh call. k is taken to be Hermitian, as solve_ancilla_hamiltonian
     makes it, and is not checked."""
     kappas, q = hermitian_eig(ancilla_h)
-    return AncillaFrame(k=np.asarray(ancilla_h, dtype=complex), z=dagger(q), kappas=kappas)
+    return AncillaFrame(k=ancilla_h, z=dagger(q), kappas=kappas)
 
 
 def component_weights(amps, z) -> np.ndarray:
@@ -98,8 +94,6 @@ def component_weights(amps, z) -> np.ndarray:
     Nonnegative and summing to one (the z rows redistribute the state
     eigenvalues without creating or destroying weight).
     """
-    amps = np.asarray(amps, dtype=float)
-    z = np.asarray(z)
     if z.shape != (amps.size, amps.size):
         raise DimensionMismatch(
             f"frame is {z.shape} but there are {amps.size} amplitudes"

@@ -86,6 +86,10 @@ def test_frobenius_is_numpys_norm_bit_for_bit(n):
     for a in (rng.standard_normal((n, n)), random_complex(rng, n)):
         for view in (a, a.T):  # a.T is not C-contiguous
             assert frobenius(view) == float(np.linalg.norm(view, "fro"))
+        # 1-D, the shape of pancharatnam_phase's psi0: as drawn and normalized
+        v = a[:, 0]
+        for vec in (v, v / np.linalg.norm(v)):
+            assert frobenius(vec) == float(np.linalg.norm(vec))
         # past about 1e154 per entry the sum of squares overflows
         huge = 1e154 * (2.0 + np.abs(a)) * (a / np.abs(a))
         with np.errstate(over="ignore"):

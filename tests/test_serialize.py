@@ -40,11 +40,16 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def test_round_trip_is_bitwise_exact(tmp_path):
     prob = random_instance(3, 3, 5)
+    # require_hermitian's copy keeps a Fortran-ordered input's order
+    fortran = Problem(validate_density(np.asfortranarray(prob.rho0.mat)),
+                      np.asfortranarray(prob.hamiltonian_lab))
+    assert fortran.hamiltonian_lab.flags.f_contiguous
     path = tmp_path / "instance.json"
-    save_problem(prob, path)
-    back = load_problem(path)
-    assert np.array_equal(back.rho0.mat, prob.rho0.mat)
-    assert np.array_equal(back.hamiltonian_lab, prob.hamiltonian_lab)
+    for p in (prob, fortran):
+        save_problem(p, path)
+        back = load_problem(path)
+        assert np.array_equal(back.rho0.mat, prob.rho0.mat)
+        assert np.array_equal(back.hamiltonian_lab, prob.hamiltonian_lab)
 
 
 def loaded(tmp_path, data):
@@ -323,10 +328,10 @@ def _entries_problem(hamiltonian, rho=None):
     return {"dimension": len(hamiltonian), "rho": rho, "hamiltonian": hamiltonian}
 
 
-def test_matrix_parse_keeps_ints_tuples_and_signed_zeros_exact(tmp_path):
-    # the file holds each tuple as a JSON array, ints and -0.0 as written
-    hamiltonian = [[(2**70, -0.0), [1, 2.5]], [[1, -2.5], [-0.0, 0]]]
-    rho = [[[1, 0], (0.0, -0.0)], [(-0.0, 0), [0, 0.0]]]
+def test_matrix_parse_keeps_ints_and_signed_zeros_exact(tmp_path):
+    # the file holds ints and -0.0 as written
+    hamiltonian = [[[2**70, -0.0], [1, 2.5]], [[1, -2.5], [-0.0, 0]]]
+    rho = [[[1, 0], [0.0, -0.0]], [[-0.0, 0], [0, 0.0]]]
     problem = loaded(tmp_path, _entries_problem(hamiltonian, rho))
     for got, pairs in ((problem.hamiltonian_lab, hamiltonian), (problem.rho0.mat, rho)):
         want = np.array([[complex(re, im) for re, im in row] for row in pairs])
@@ -364,8 +369,7 @@ def test_matrix_parse_rejections_name_the_entry(tmp_path, hamiltonian, message):
 NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.integers(-2**70, 2**70),
                     st.sampled_from([-0.0, 5e-324, -5e-324, 2**70, -2**70]))
-PAIRS = st.builds(lambda re, im, as_tuple: (re, im) if as_tuple else [re, im],
-                  NUMBERS, NUMBERS, st.booleans())
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)  # [re, im], the one form JSON gives
 
 
 @st.composite
@@ -388,6 +392,7 @@ ENTRY_CORRUPTIONS = {
     "bool": (lambda pair: [True, pair[1]], "complex entries must be [re, im] pairs"),
     "str": (lambda pair: [pair[0], "1.0"], "complex entries must be [re, im] pairs"),
     "triple": (lambda pair: [*pair, 0.0], "complex entries must be [re, im] pairs"),
+    "tuple": (lambda pair: tuple(pair), "complex entries must be [re, im] pairs"),
     "huge": (lambda pair: [10**400, pair[1]], "entry is too large for a double"),
     "nan": (lambda pair: [pair[0], float("nan")], None),
 }
