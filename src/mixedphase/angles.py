@@ -24,6 +24,7 @@ def circular_distance(a: float, b: float) -> float:
 
 def angle_or_nan(z):
     """arg z, or nan at nodal points, elementwise: an array for an array
-    z, a float for a scalar."""
-    out = np.where(np.abs(z) > DEFAULT_TOL.overlap, np.angle(z), np.nan)
+    z, a float for a scalar. arctan2(imag, real) is what np.angle runs
+    on a complex z, without its wrapper."""
+    out = np.where(np.abs(z) > DEFAULT_TOL.overlap, np.arctan2(z.imag, z.real), np.nan)
     return out if out.ndim else float(out)

@@ -326,14 +326,36 @@ def test_compare_pure_state_all_four_agree(pure_file, capsys):
         assert data["pairwise_distances"][key] <= 1e-12
 
 
-def test_compare_mixed_cyclic_point(mixed_file, capsys):
-    assert main(["compare", "--input", mixed_file, "-t", str(CYCLIC_T),
-                 "--holonomy-steps", "1024"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert circular_distance(data["gamma_total"], 0.0) <= 1e-12
-    assert circular_distance(data["holonomy"], 0.0) <= 1e-12
-    assert circular_distance(data["sjoqvist"], np.pi) <= 1e-12
-    assert abs(data["pairwise_distances"]["gamma_total_vs_sjoqvist"] - np.pi) <= 1e-12
+def _compare_report(tmp_path, capsys, want_exit, args) -> str:
+    """compare's report for args. Its stdout must be laid out as
+    json.dumps(report, indent=2) + "\\n" lays it out, and an --output run
+    must write the same bytes."""
+    assert main(["compare", *args]) == want_exit
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    path = tmp_path / "compare.json"
+    assert main(["compare", *args, "--output", str(path)]) == want_exit
+    assert path.read_bytes() == out.encode()
+    return out
+
+
+# want: phases in report order. A subnormal t, and 1e15, the largest
+# power of ten that repr writes as a decimal; at t = 1e15 doubles near the
+# phase arguments t/2 are 0.06 rad apart, so no phase is pinned there
+@pytest.mark.parametrize("t_text, want", [
+    (repr(CYCLIC_T), {"gamma_total": 0.0, "sjoqvist": np.pi, "holonomy": 0.0}),
+    ("1e-320", {"gamma_total": 0.0, "uhlmann": 0.0, "sjoqvist": 0.0, "holonomy": 0.0}),
+    ("1000000000000000.0", {}),
+], ids=["cyclic", "subnormal", "1e15"])
+def test_compare_mixed_cyclic_point(mixed_file, tmp_path, capsys, t_text, want):
+    out = _compare_report(tmp_path, capsys, 0, ["--input", mixed_file, "-t", t_text,
+                                                "--holonomy-steps", "1024"])
+    assert f'\n  "t": {t_text},\n' in out
+    data = json.loads(out)
+    for name, phase in want.items():
+        assert circular_distance(data[name], phase) <= 1e-12
+    for (a, x), (b, y) in itertools.combinations(want.items(), 2):
+        assert abs(data["pairwise_distances"][f"{a}_vs_{b}"] - circular_distance(x, y)) <= 1e-12
 
 
 def test_compare_too_few_steps_exits_2(mixed_file):
@@ -372,13 +394,19 @@ def test_compare_accepts_the_roundoff_cap(mixed_file, capsys):
     assert json.loads(captured.out)["holonomy_steps"] == 2**52
 
 
-def test_compare_orthogonal_endpoint_exits_3(pure_file, capsys):
-    # |+> reaches the orthogonal state at t = pi: holonomy undefined
-    assert main(["compare", "--input", pure_file, "-t", str(np.pi),
-                 "--holonomy-steps", "256"]) == 3
-    data = json.loads(capsys.readouterr().out)
-    assert data["holonomy"] is None
-    assert data["pairwise_distances"]["gamma_total_vs_holonomy"] is None
+@pytest.mark.parametrize("problem, t, defined",
+                         [("pure_file", np.pi, []), ("mixed_file", 5 * np.pi, ["holonomy"])],
+                         ids=["pure_plus_at_pi", "mixed_r06_at_5pi"])
+def test_compare_orthogonal_endpoint_exits_3(request, tmp_path, capsys, problem, t, defined):
+    # |+> reaches the orthogonal state at t = pi, and every phase is
+    # undefined; the r = 0.6 overlap crosses zero at t = 5 pi, which the
+    # 256-step holonomy reaches only as its grid is refined. Each distance
+    # from an undefined phase is undefined too.
+    data = json.loads(_compare_report(tmp_path, capsys, 3, [
+        "--input", request.getfixturevalue(problem), "-t", repr(t), "--holonomy-steps", "256"]))
+    phases = ["gamma_total", "uhlmann", "sjoqvist", "holonomy"]
+    assert [name for name in phases if data[name] is not None] == defined
+    assert list(data["pairwise_distances"].values()) == [None] * 6
 
 
 def test_compute_non_finite_time_exits_2(mixed_file):

@@ -21,7 +21,7 @@ from mixedphase import (
     random_instance,
     validate_density,
 )
-from mixedphase import linalg, states
+from mixedphase import angles, linalg, states
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
 from mixedphase.phases import gauge_pair
 from mixedphase.serialize import reports_to_json
@@ -254,6 +254,24 @@ def test_every_phase_is_nan_at_a_nodal_point(r, t):
         phases["holonomy"] = discrete_uhlmann_holonomy(problem, t, 256)
         phases["pancharatnam"] = pancharatnam_phase(PLUS, 0.5 * SZ, t)
     assert all(np.isnan(v) for v in phases.values()), phases
+
+
+def test_angle_or_nan_is_np_angle_bit_for_bit(monkeypatch):
+    """angle_or_nan runs np.angle's complex body, arctan2(imag, real): the
+    same bits on arrays and on Python complex scalars, signed zeros and
+    subnormals included, once no value counts as nodal. With the package's
+    tolerance those small values are nodal and stay nan."""
+    rng = np.random.default_rng(30)
+    small = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320]
+    edges = [complex(x, y) for x in small for y in small]
+    arrays = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in [(), (1,), (2, 8, 8)]]
+    scalars = [complex(z) for z in rng.normal(size=(8, 2)) @ [1, 1j]]
+    monkeypatch.setattr(angles, "DEFAULT_TOL", replace(angles.DEFAULT_TOL, overlap=-1.0))
+    for z in [*arrays, np.array(edges), *edges, *scalars]:
+        assert np.asarray(angles.angle_or_nan(z)).tobytes() == np.angle(z).tobytes(), z
+    monkeypatch.undo()
+    assert np.isnan(angles.angle_or_nan(np.array(edges))).all()
+    assert all(math.isnan(angles.angle_or_nan(z)) for z in edges)
 
 
 def test_uhlmann_trace_phase_zero_at_t0():
