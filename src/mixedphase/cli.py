@@ -12,8 +12,6 @@ import argparse
 import contextlib
 import functools
 import gc
-import itertools
-import json
 import math
 import re
 import sys
@@ -26,8 +24,8 @@ from .errors import GeometricPhaseError
 from .linalg import frobenius
 from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
 from .phases import evaluate, gauge_pair
-from .serialize import ProblemFileError, load_problem, reports_to_json, sweep_to_csv, \
-    sweep_to_json
+from .serialize import ProblemFileError, compare_to_json, load_problem, reports_to_json, \
+    sweep_to_csv, sweep_to_json
 from .states import Problem
 from .transport import ancilla_equation_residual, transport_residual
 
@@ -90,7 +88,12 @@ def cmd_sweep(args) -> int:
         return _fail_input(
             f"--t-start must be below --t-end, got {args.t_start} >= {args.t_end}"
         )
-    batch = evaluate(_load(args.input), np.linspace(args.t_start, args.t_end, args.steps))
+    try:  # main raises on overflow: the span, or a grid point near the double limit
+        times = np.linspace(args.t_start, args.t_end, args.steps)
+    except FloatingPointError:
+        return _fail_input(f"the grid from --t-start to --t-end exceeds the range of a "
+                           f"double, got {args.t_start} and {args.t_end}")
+    batch = evaluate(_load(args.input), times)
     with _destination(args.output) as dest:
         (sweep_to_csv if args.format == "csv" else sweep_to_json)(batch, dest)
     return EXIT_OK
@@ -160,43 +163,12 @@ def cmd_compare(args) -> int:
         return _fail_input(f"--time must be finite and positive, got {args.time}")
     problem = _load(args.input)
     batch = evaluate(problem, args.time)
-    phases = [
-        float(batch.gamma_total[0]),
-        float(batch.uhlmann[0]),
-        float(batch.sjoqvist[0]),
-        discrete_uhlmann_holonomy(problem, args.time, args.holonomy_steps),
-    ]
-    # a distance from a nan (nodal) phase is nan; both print as null
-    cells = ["null" if math.isnan(x) else x
-             for x in (*phases, *itertools.starmap(circular_distance,
-                                                   itertools.combinations(phases, 2)))]
-    report = _compare_layout() % (args.time, *cells[:4], args.holonomy_steps,
-                                  float(batch.overlap_magnitude[0]), *cells[4:])
+    holonomy = discrete_uhlmann_holonomy(problem, args.time, args.holonomy_steps)
     with _destination(args.output) as dest:
-        dest.write(report)
-    undefined = any(map(math.isnan, phases))
+        dest.write(compare_to_json(batch, holonomy, args.holonomy_steps))
+    undefined = any(map(math.isnan, (holonomy, batch.gamma_total[0], batch.uhlmann[0],
+                                     batch.sjoqvist[0])))
     return EXIT_UNDEFINED_PHASE if undefined else EXIT_OK
-
-
-@functools.cache
-def _compare_layout() -> str:
-    """compare's report as json.dumps(report, indent=2) + "\n" lays it
-    out, with %s in each value slot: t, the four phases, holonomy_steps,
-    overlap_magnitude and the six pairwise distances, in that order. Any
-    indent selects json's pure-Python encoder; filling the layout, where
-    %s writes a Python float or int as its repr and so as json does, costs
-    about a third of it."""
-    phases = ("gamma_total", "uhlmann", "sjoqvist", "holonomy")
-    slot = "%s"
-    report = {
-        "t": slot,
-        **dict.fromkeys(phases, slot),
-        "holonomy_steps": slot,
-        "overlap_magnitude": slot,
-        "pairwise_distances": {f"{a}_vs_{b}": slot
-                               for a, b in itertools.combinations(phases, 2)},
-    }
-    return json.dumps(report, indent=2).replace(json.dumps(slot), slot) + "\n"
 
 
 @functools.cache

@@ -4,11 +4,11 @@ Problem files are JSON with keys dimension, rho, hamiltonian; matrices
 are row-major nested arrays and every complex number is a two-element
 [re, im] array.
 
-Every report, CSV or JSON, fills a %-template per problem, holding j
-and q_j, with each time's row of numbers (_rows). An undefined (nan)
-phase is nan in CSV and null in JSON. The sweep writers write each row
-to a text stream as soon as it is formatted, so the report text is
-never held whole.
+Every report, CSV or JSON, fills a %-template with its numbers (sweep
+and compute: each time's row, _rows); a JSON template has the layout of
+json.dumps(report, indent=2), its "key": %s lines made by _slots. A nan
+(undefined) phase is nan in CSV and null in JSON. The sweep writers write
+each row to a text stream as it is formatted: the text is never held whole.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from __future__ import annotations
 import gc
 import json
 import math
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterator, NoReturn, TextIO
 
 import numpy as np
 
+from .angles import circular_distance
 from .errors import GeometricPhaseError
 from .phases import PhaseBatch
 from .states import Problem, validate_density
@@ -145,6 +146,18 @@ _PHASES = ("gamma_total", "uhlmann", "sjoqvist")
 _EPS = float(np.finfo(float).eps)
 
 
+def _slots(indent: str, keys) -> str:
+    """A JSON object's "key": %s lines at indent, as json.dumps(indent=2) joins them."""
+    return ",\n".join(f'{indent}"{key}": %s' for key in keys)
+
+
+# compare's report, with %s in each value slot
+_COMPARED = (*_PHASES, "holonomy")
+_COMPARE_TEMPLATE = '{\n%s,\n  "pairwise_distances": {\n%s\n  }\n}\n' % (
+    _slots("  ", ("t", *_COMPARED, "holonomy_steps", "overlap_magnitude")),
+    _slots("    ", (f"{a}_vs_{b}" for a, b in combinations(_COMPARED, 2))))
+
+
 def _rows(batch: PhaseBatch, *per_component):
     """Each time's row as a list of floats: t, the four headline values,
     then the given [time, component] arrays interleaved component by
@@ -187,11 +200,10 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
     # at n = 64 one report takes about 250 us, json.dumps(report, indent=2) 600 us
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
     # j and q_j formatted once; a float's str is its repr, as in json
-    slots = ",\n".join(f'{i3}"{key}": %s'
-                       for key in ("visibility", "gamma", "dyn_phase", "total_phase"))
+    slots = _slots(i3, ("visibility", "gamma", "dyn_phase", "total_phase"))
     components = ",\n".join(f'{i2}{{\n{i3}"j": {j},\n{i3}"q": {q!r},\n{slots}\n{i2}}}'
                             for j, q in enumerate(batch.q.tolist()))
-    head = ",\n".join(f'{i1}"{key}": %s' for key in ("t", *_PHASES, "overlap_magnitude"))
+    head = _slots(i1, ("t", *_PHASES, "overlap_magnitude"))
     template = (f'{indent}{{\n{head},\n{i1}"components": [\n{components}\n{i1}],\n'
                 f'{i1}"warnings": %s\n{indent}}}')
     degenerate = [] if not batch.degenerate_spectrum_warning else [
@@ -215,6 +227,21 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
         row.append("[\n" + ",\n".join(i2 + json.dumps(w) for w in warnings)
                    + f"\n{i1}]" if warnings else "[]")
         yield template % tuple(row)
+
+
+def compare_to_json(batch: PhaseBatch, holonomy: float, steps: int) -> str:
+    """compare's report on a batch of one time, as json.dumps(report,
+    indent=2) + "\n" writes it: t, the three headline phases, the
+    holonomy of the density-matrix path, the number of steps it was
+    taken in, overlap_magnitude, then the circular distance of each pair
+    of the four phases. A nan phase, and each distance from one, is null."""
+    t, *phases, overlap = [column.item() for column in (
+        batch.t, batch.gamma_total, batch.uhlmann, batch.sjoqvist, batch.overlap_magnitude)]
+    phases.append(holonomy)
+    # math.remainder keeps a nan, so a distance from a nan phase is nan
+    distances = [circular_distance(a, b) for a, b in combinations(phases, 2)]
+    cells = ["null" if math.isnan(x) else x for x in (*phases, *distances)]
+    return _COMPARE_TEMPLATE % (t, *cells[:4], steps, overlap, *cells[4:])
 
 
 def sweep_to_json(batch: PhaseBatch, out: TextIO) -> None:

@@ -160,6 +160,18 @@ def test_sweep_usage_errors(mixed_file, capsys):
                  "--t-end", "1.0", "--steps", "1"]) == 2
     assert main(["sweep", "--input", mixed_file, "--t-start", "2.0",
                  "--t-end", "1.0", "--steps", "10"]) == 2
+    # finite times whose grid overflows: the span itself (in subtract), or
+    # a grid point of a finite span at the double limit (in multiply)
+    for t_start, t_end, steps in (("-1e308", "1e308", "3"),
+                                  ("0", "1.7976931348623157e308", "7")):
+        capsys.readouterr()
+        assert main(["sweep", "--input", mixed_file, "--t-start", t_start,
+                     "--t-end", t_end, "--steps", steps]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert "--t-start" in line and "--t-end" in line
+        assert "overflow encountered" not in err and "Traceback" not in err
 
 
 def test_verify_small_batch_passes(capsys):
@@ -452,7 +464,8 @@ def test_negative_time_in_exponent_form_parses(mixed_file, capsys, exponent_form
     (["verify", "--dim", "2", "--tol", "-1e-9"], "error: --tol must be finite and at least 0"),
     # the grid's spacing t_end - t_start overflows inside np.linspace
     (["sweep", "--input", "{path}", "--t-start", "-1.7e308", "--t-end", "1.7e308",
-      "--steps", "3"], "error: input magnitudes exceed the range of a double"),
+      "--steps", "3"], "error: the grid from --t-start to --t-end exceeds the range of a "
+                       "double, got -1.7e+308 and 1.7e+308\n"),
     # the other bad times and a problem file that is not an object get
     # their own one-line errors too
     (["sweep", "--input", "{path}", "--t-start", "0", "--t-end", "inf", "--steps", "3"],

@@ -26,8 +26,10 @@ from mixedphase import (
 from mixedphase import serialize
 from mixedphase.cli import main
 from mixedphase.linalg import close_eigenvalues
+from mixedphase.oracles import discrete_uhlmann_holonomy
 from mixedphase.serialize import (
     _matrix_from_pairs,
+    compare_to_json,
     problem_to_dict,
     reports_to_json,
     sweep_header,
@@ -165,6 +167,20 @@ def test_report_dict_keys_and_null_for_undefined():
     assert nodal["gamma_total"] is None and nodal["sjoqvist"] is None
     assert any("nodal" in w for w in nodal["warnings"])
     json.dumps(nodal)  # undefined phases must serialize cleanly
+    # compare's report: the same layout, and a nan holonomy nulls exactly
+    # itself and its three distances
+    batch = evaluate(problem, 1.0)
+    text = compare_to_json(batch, discrete_uhlmann_holonomy(problem, 1.0, 256), 256)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    for holonomy, want in ((0.5, set()),
+                           (math.nan, {"holonomy", "gamma_total_vs_holonomy",
+                                       "uhlmann_vs_holonomy", "sjoqvist_vs_holonomy"})):
+        data = json.loads(compare_to_json(batch, holonomy, 256))
+        assert list(data) == ["t", "gamma_total", "uhlmann", "sjoqvist", "holonomy",
+                              "holonomy_steps", "overlap_magnitude", "pairwise_distances"]
+        assert (data["t"], data["holonomy_steps"]) == (1.0, 256)
+        assert {key for key, value in chain(data.items(), data["pairwise_distances"].items())
+                if value is None} == want
 
 
 def test_the_sjoqvist_nodal_warning_quotes_the_interferometric_sum():
