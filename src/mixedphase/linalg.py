@@ -61,6 +61,18 @@ def require_hermitian(a) -> tuple[np.ndarray, np.ndarray, float, float]:
     return a, b, scale, norm
 
 
+# Past |t| E = 2**52, E the largest energy, the doubles at the phase
+# arguments t E are 1 rad or more apart. t E itself may overflow, so a
+# time is compared as |t| > MAX_PHASE / E.
+MAX_PHASE = 2.0**52
+
+
+def past_resolvable_range(t: float, energy: float) -> ValueError:
+    """The error for a time t with |t| energy past MAX_PHASE."""
+    return ValueError(f"time {t:g} is past the resolvable range: |t| times "
+                      f"the largest energy {energy:.3e} exceeds 2**52")
+
+
 def close_eigenvalues(w) -> bool:
     """True when two neighbours of the sorted spectrum w (either order; in
     any row of a stack) are closer than the degeneracy gap: their
@@ -95,9 +107,14 @@ def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
 
 def unitary_from_eig(w, q, t: float) -> np.ndarray:
     """exp(-i h t) from an eigendecomposition (w, q) of h, as returned by
-    hermitian_eig, so that one decomposition serves every t."""
-    if not np.isfinite(t):
+    hermitian_eig (w ascending), so that one decomposition serves every t.
+    Raises ValueError for a t that is not finite, or past the resolvable
+    range of the largest |w_a| (past_resolvable_range, as evaluate)."""
+    if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t}")
+    energy = float(max(-w[0], w[-1]))
+    if energy and abs(t) > MAX_PHASE / energy:
+        raise past_resolvable_range(float(t), energy)
     return (q * np.exp(-1j * w * t)) @ dagger(q)
 
 

@@ -76,15 +76,17 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
     SVDs. Roundoff in the power grows like N times machine epsilon: for
     a unit-norm H and t_end near 1 that floor meets the O((t_end/N)^2)
     discretization error near N = 2^16 (about 1e-12), and MAX_STEPS caps
-    N where it reaches 1.
+    N where it reaches 1. A t_end past the resolvable range of H's
+    largest |eps_a| raises evaluate's ValueError (unitary_from_eig).
     """
     _check_grid(t_end, steps)
     w_h, q_h = problem.h_eigvals, problem.h_eigvecs
     amps = problem.rho0.amps
     sandwich = amps[:, None] * amps  # sqrt(rho0) X sqrt(rho0) = sandwich * X
+    # U(t_end) first: a t_end past the resolvable range is refused by name
+    endpoint = sandwich * unitary_from_eig(w_h, q_h, t_end)
     link = polar_unitary(sandwich * unitary_from_eig(w_h, q_h, t_end / steps))
     transport = _power(dagger(link), steps)
-    endpoint = sandwich * unitary_from_eig(w_h, q_h, t_end)
     return angle_or_nan(complex((endpoint @ transport).trace()))
 
 
@@ -110,7 +112,8 @@ def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     the dynamical phase -<psi0|H|psi0> t (constant integrand for a
     time-independent Hamiltonian). Reduced to (-pi, pi]; nan where
     <psi0|U(t)|psi0> vanishes. Raises NotHermitian for a non-Hermitian
-    h_lab."""
+    h_lab, and evaluate's ValueError for a t past the resolvable range
+    of h_lab's largest |eigenvalue| (unitary_from_eig)."""
     psi0 = np.asarray(psi0, dtype=complex)
     norm = frobenius(psi0)
     if not abs(norm - 1.0) <= 1e-12:  # also rejects a nan or inf entry

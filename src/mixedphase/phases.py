@@ -19,8 +19,9 @@ one helper for Phi's sum (_phi): once with the frame's kernel and
 kappas, once with z = I. Its uhlmann column, arg Tr[C U C V^T],
 contracts the frame's kernel over kappa first: the total phase again,
 not an independent check. The independent checks are the discretized
-holonomy oracle and the benchmark's scipy reference (solve_sylvester
-for K, expm for U and V).
+holonomy oracle, the 40-digit mpmath reference of tests/exact.py
+(gamma_total and sjoqvist from rho and the lab H alone) and the
+benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 
 One pipeline call: evaluate(problem, times) solves the ancilla frame
 (prepare_problem) and reads every phase off it; PhaseBatch is the only
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
-from .linalg import close_eigenvalues
+from .linalg import MAX_PHASE, close_eigenvalues, past_resolvable_range
 from .states import Problem
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
@@ -132,10 +133,9 @@ def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
     energy = float(max(np.abs(h_eigvals).max(), np.abs(kappas).max()))
-    late = t[np.abs(t) > 2.0**52 / energy] if energy else t[:0]  # t E itself may overflow
+    late = t[np.abs(t) > MAX_PHASE / energy] if energy else t[:0]
     if late.size:
-        raise ValueError(f"time {float(late[0]):g} is past the resolvable range: |t| times "
-                         f"the largest energy {energy:.3e} exceeds 2**52")
+        raise past_resolvable_range(float(late[0]), energy)
     # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
     # Q^dag C z^T is formed as the conjugate of Q^T conj(C z^T), conjugating the

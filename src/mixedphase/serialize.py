@@ -143,6 +143,9 @@ def save_problem(problem: Problem, path) -> None:
 
 
 _PHASES = ("gamma_total", "uhlmann", "sjoqvist")
+# the headline PhaseBatch columns, in the order sweep and compute write them;
+# compare reads the same five
+_HEADLINE = ("t", *_PHASES, "overlap_magnitude")
 _EPS = float(np.finfo(float).eps)
 
 
@@ -159,21 +162,20 @@ _COMPARE_TEMPLATE = '{\n%s,\n  "pairwise_distances": {\n%s\n  }\n}\n' % (
 
 
 def _rows(batch: PhaseBatch, *per_component):
-    """Each time's row as a list of floats: t, the four headline values,
-    then the given [time, component] arrays interleaved component by
+    """Each time's row as a list of floats: the _HEADLINE columns, then
+    the given [time, component] arrays interleaved component by
     component."""
-    k = len(per_component)
-    table = np.empty((len(batch), 5 + k * batch.q.size))
-    table[:, :5] = np.transpose((batch.t, batch.gamma_total, batch.uhlmann,
-                                 batch.sjoqvist, batch.overlap_magnitude))
-    for col, values in enumerate(per_component, 5):
+    k, head = len(per_component), len(_HEADLINE)
+    table = np.empty((len(batch), head + k * batch.q.size))
+    table[:, :head] = np.transpose([getattr(batch, name) for name in _HEADLINE])
+    for col, values in enumerate(per_component, head):
         table[:, col::k] = values
     for row in table:
         yield row.tolist()
 
 
 def sweep_header(dim: int) -> str:
-    cols = ["t", "gamma_total", "uhlmann", "sjoqvist", "overlap_magnitude"]
+    cols = list(_HEADLINE)
     for j in range(dim):
         cols += [f"q_{j}", f"nu_{j}", f"gamma_{j}"]
     return ",".join(cols)
@@ -182,7 +184,8 @@ def sweep_header(dim: int) -> str:
 def sweep_to_csv(batch: PhaseBatch, out: TextIO) -> None:
     """Write the header, then one row per time in the sweep_header column
     order, to the text stream out, each row as soon as it is formatted."""
-    template = ",".join(["%r"] * 5 + [f"{q!r},%r,%r" for q in batch.q.tolist()]) + "\n"
+    cells = ["%r"] * len(_HEADLINE) + [f"{q!r},%r,%r" for q in batch.q.tolist()]
+    template = ",".join(cells) + "\n"
     out.write(sweep_header(batch.q.size) + "\n")
     out.writelines(template % tuple(row) for row in _rows(batch, batch.visibility, batch.gamma))
 
@@ -203,7 +206,7 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
     slots = _slots(i3, ("visibility", "gamma", "dyn_phase", "total_phase"))
     components = ",\n".join(f'{i2}{{\n{i3}"j": {j},\n{i3}"q": {q!r},\n{slots}\n{i2}}}'
                             for j, q in enumerate(batch.q.tolist()))
-    head = _slots(i1, ("t", *_PHASES, "overlap_magnitude"))
+    head = _slots(i1, _HEADLINE)
     template = (f'{indent}{{\n{head},\n{i1}"components": [\n{components}\n{i1}],\n'
                 f'{i1}"warnings": %s\n{indent}}}')
     degenerate = [] if not batch.degenerate_spectrum_warning else [
@@ -235,8 +238,7 @@ def compare_to_json(batch: PhaseBatch, holonomy: float, steps: int) -> str:
     holonomy of the density-matrix path, the number of steps it was
     taken in, overlap_magnitude, then the circular distance of each pair
     of the four phases. A nan phase, and each distance from one, is null."""
-    t, *phases, overlap = [column.item() for column in (
-        batch.t, batch.gamma_total, batch.uhlmann, batch.sjoqvist, batch.overlap_magnitude)]
+    t, *phases, overlap = [getattr(batch, name).item() for name in _HEADLINE]
     phases.append(holonomy)
     # math.remainder keeps a nan, so a distance from a nan phase is nan
     distances = [circular_distance(a, b) for a, b in combinations(phases, 2)]

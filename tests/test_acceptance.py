@@ -18,7 +18,6 @@ from mixedphase import (
     pancharatnam_phase,
     prepare_problem,
     random_instance,
-    save_problem,
     validate_density,
 )
 from mixedphase.angles import principal_angle
@@ -40,9 +39,7 @@ from literal import (
     uhlmann_trace_phase,
 )
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+from cases import bloch_x, problem_file, pure_plus
 
 TIMES = (0.3, 1.7, 5.0)
 DIMS = (2, 3, 4, 6)
@@ -160,7 +157,7 @@ def test_criterion_5_pure_state_limit():
         worst = max(worst, circular_distance(gamma, sjo),
                     circular_distance(gamma, panch), circular_distance(sjo, panch))
     # concrete case: equatorial great circle accumulates half its solid angle
-    plus = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
+    plus = pure_plus()
     t_cyc = 2 * np.pi
     gamma_plus = total_geometric_phase(plus, prepare_problem(plus), t_cyc,
                                        evolution_operator(plus, t_cyc))
@@ -174,7 +171,7 @@ def test_criterion_5_pure_state_limit():
 
 def test_criterion_6_definitions_diverge_for_mixed_states():
     r = 0.6
-    problem = Problem(validate_density((np.eye(2) + r * SX) / 2), 0.5 * SZ)
+    problem = bloch_x(r)
     t = 2 * np.pi
     u = evolution_operator(problem, t)
     gamma = total_geometric_phase(problem, prepare_problem(problem), t, u)
@@ -275,9 +272,7 @@ def test_criterion_8_cli_contract(tmp_path):
         [sys.executable, "-m", "mixedphase", "compute", "--input", str(bad),
          "-t", "1.0"], capture_output=True, text=True, env=env)
     problem = random_instance(4, 4, 99)
-    path = tmp_path / "roundtrip.json"
-    save_problem(problem, path)
-    back = load_problem(path)
+    back = load_problem(problem_file(tmp_path, problem, "roundtrip.json"))
     exact = (np.array_equal(back.rho0.mat, problem.rho0.mat)
              and np.array_equal(back.hamiltonian_lab, problem.hamiltonian_lab))
     ok = verify.returncode == 0 and malformed.returncode == 2 and exact

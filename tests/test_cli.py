@@ -14,38 +14,29 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mixedphase import Problem, circular_distance, evaluate, load_problem, random_instance, \
-    save_problem, validate_density
+    validate_density
 from mixedphase import cli
 from mixedphase.cli import main
 from mixedphase.serialize import problem_to_dict
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+from cases import SX, bloch_x, entries_file, problem_file, pure_plus
+
 CYCLIC_T = 2 * np.pi
 
 
 @pytest.fixture
 def mixed_file(tmp_path):
-    rho = (np.eye(2) + 0.6 * SX) / 2
-    path = tmp_path / "mixed.json"
-    save_problem(Problem(validate_density(rho), 0.5 * SZ), path)
-    return str(path)
+    return problem_file(tmp_path, bloch_x(0.6), "mixed.json")
 
 
 @pytest.fixture
 def pure_file(tmp_path):
-    path = tmp_path / "pure.json"
-    save_problem(Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ),
-                 path)
-    return str(path)
+    return problem_file(tmp_path, pure_plus(), "pure.json")
 
 
 @pytest.fixture
 def maximally_mixed_file(tmp_path):
-    path = tmp_path / "mm.json"
-    save_problem(Problem(validate_density(np.eye(2) / 2), 0.8 * SX), path)
-    return str(path)
+    return problem_file(tmp_path, Problem(validate_density(np.eye(2) / 2), 0.8 * SX), "mm.json")
 
 
 def test_compute_maximally_mixed(maximally_mixed_file, capsys):
@@ -95,10 +86,9 @@ def test_compute_missing_file_exits_2(tmp_path, capsys):
 
 
 def test_sweep_commuting_all_zero(tmp_path, capsys):
-    path = tmp_path / "comm.json"
-    save_problem(Problem(validate_density(np.diag([0.7, 0.3])),
-                         np.diag([0.4, -0.2]).astype(complex)), path)
-    assert main(["sweep", "--input", str(path), "--t-start", "0.0",
+    path = problem_file(tmp_path, Problem(validate_density(np.diag([0.7, 0.3])),
+                                          np.diag([0.4, -0.2]).astype(complex)), "comm.json")
+    assert main(["sweep", "--input", path, "--t-start", "0.0",
                  "--t-end", "5.0", "--steps", "50"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("t,gamma_total,uhlmann,sjoqvist,overlap_magnitude")
@@ -135,9 +125,9 @@ def test_sweep_never_holds_its_report_text(tmp_path, fmt):
     CSV and a 1,572 KB JSON file. Writers that build every row's text and
     then join it peak at 1,188 KB (CSV) and 3,499 KB (JSON), past the
     bounds of 1,065 KB and 1,643 KB."""
-    path, output = tmp_path / "instance.json", tmp_path / f"sweep.{fmt}"
-    save_problem(random_instance(16, 16, 3), path)
-    argv = ["sweep", "--input", str(path), "--t-start", "0", "--t-end", "40",
+    path = problem_file(tmp_path, random_instance(16, 16, 3), "instance.json")
+    output = tmp_path / f"sweep.{fmt}"
+    argv = ["sweep", "--input", path, "--t-start", "0", "--t-end", "40",
             "--steps", "400", "--format", fmt, "--output", str(output)]
 
     def peak(run):
@@ -496,14 +486,6 @@ def test_help_before_a_negative_number_still_prints_help(capsys):
     assert capsys.readouterr().out.startswith("usage: mixedphase compute")
 
 
-def _problem_file(tmp_path, hamiltonian, rho=None):
-    rho = rho or [[[0.5, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.5, 0.0]]]
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"dimension": len(hamiltonian), "rho": rho,
-                                "hamiltonian": hamiltonian}))
-    return str(path)
-
-
 @pytest.mark.parametrize("argv", [
     ["compute", "-t", "1.0"],
     ["sweep", "--t-start", "0.0", "--t-end", "1.0", "--steps", "3"],
@@ -512,8 +494,7 @@ def _problem_file(tmp_path, hamiltonian, rho=None):
 def test_non_hermitian_hamiltonian_exits_2(tmp_path, capsys, argv):
     # at 1e200 both Frobenius norms of the check overflow a double
     for entry in (1.0, 1e200):
-        path = _problem_file(tmp_path,
-                             [[[0.0, 0.0], [entry, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+        path = entries_file(tmp_path, [[[0.0, 0.0], [entry, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
         assert main(argv[:1] + ["--input", path] + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -523,14 +504,14 @@ def test_non_hermitian_hamiltonian_exits_2(tmp_path, capsys, argv):
 
 
 def test_boolean_entry_exits_2(tmp_path, capsys):
-    path = _problem_file(tmp_path, [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    path = entries_file(tmp_path, [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
     assert main(["compute", "--input", path, "-t", "1.0"]) == 2
     assert "hamiltonian[0][0]" in capsys.readouterr().err
 
 
 def test_huge_integer_entry_exits_2(tmp_path, capsys):
     huge = 10**400  # written out as 401 digits: an int too large for a double
-    path = _problem_file(tmp_path, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, huge]]])
+    path = entries_file(tmp_path, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, huge]]])
     assert main(["compute", "--input", path, "-t", "1.0"]) == 2
     err = capsys.readouterr().err
     assert "hamiltonian[1][1]" in err and "too large" in err
@@ -567,7 +548,7 @@ def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
         "output_is_a_directory": (zero, None, tmp_path, "directory"),
     }[case]
     extra = ["--output", str(output)] if output else []
-    path = _problem_file(tmp_path, hamiltonian, rho)
+    path = entries_file(tmp_path, hamiltonian, rho)
     assert main(argv[:1] + ["--input", path] + argv[1:] + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -591,6 +572,18 @@ def test_unallocatable_size_exits_2(mixed_file, capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_overflow_inside_a_command_exits_2(mixed_file, monkeypatch, capsys):
+    # main runs each handler with numpy overflow raised; its net turns the
+    # FloatingPointError into one error line
+    monkeypatch.setattr(cli, "evaluate", lambda problem, t: np.float64(1e308) * 10)
+    assert main(["compute", "--input", mixed_file, "-t", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: input magnitudes exceed the range of a double")
+    assert "Traceback" not in captured.err
+
+
 def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
     # rho + rho^dag overflows; validation decomposes the scaled matrix. In
     # the 3x3 case the smallest eigenvalue itself lies past the double range.
@@ -600,7 +593,7 @@ def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
         ([[0.5, x, x], [x, 0.25, -x], [x, -x, 0.25]], "-3.400e+308"),
     ]:
         zero = [[[0.0, 0.0]] * len(rho)] * len(rho)
-        path = _problem_file(tmp_path, zero, [[[v, 0.0] for v in row] for row in rho])
+        path = entries_file(tmp_path, zero, [[[v, 0.0] for v in row] for row in rho])
         assert main(["compute", "--input", path, "-t", "1.0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -620,7 +613,7 @@ def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
     (0.5, "1.2e16", 2),  # |t| E = 6e15, between 2**52 and 2**53
 ])
 def test_time_past_the_resolvable_range_exits_2(tmp_path, capsys, scale, t, code):
-    path = _problem_file(tmp_path, [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-scale, 0.0]]])
+    path = entries_file(tmp_path, [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-scale, 0.0]]])
     assert main(["compute", "--input", path, f"--time={t}"]) == code
     captured = capsys.readouterr()
     if code == 2:

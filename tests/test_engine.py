@@ -18,12 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixedphase import (
-    Problem,
     circular_distance,
     evaluate,
     prepare_problem,
     random_instance,
-    validate_density,
 )
 from mixedphase import phases
 from mixedphase.angles import angle_or_nan
@@ -40,13 +38,9 @@ from literal import (
     uhlmann_trace_phase,
 )
 
+from cases import bloch_x
+
 TOL = 1e-12
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def bloch_x_problem(r):
-    return Problem(validate_density((np.eye(2) + r * SX) / 2), 0.5 * SZ)
 
 
 def assert_phase_close(got, want, magnitude, label):
@@ -99,7 +93,7 @@ def test_batch_matches_literal_definitions(case):
 
 def test_nodal_point_gives_nan_in_the_literal_columns():
     # r = 0.6 along x about z: the overlap crosses zero at t = 5 pi
-    problem = bloch_x_problem(0.6)
+    problem = bloch_x(0.6)
     frame = prepare_problem(problem)
     t = 5 * np.pi
     batch = evaluate(problem, [1.0, t])
@@ -118,14 +112,14 @@ def test_nodal_point_gives_nan_in_the_literal_columns():
 
 
 def test_evaluate_rejects_non_finite_times():
-    problem = bloch_x_problem(0.6)
+    problem = bloch_x(0.6)
     for bad in ([np.inf], [0.0, np.nan]):
         with pytest.raises(ValueError):
             evaluate(problem, bad)
 
 
 def test_sweep_csv_header_and_column_order():
-    batch = evaluate(bloch_x_problem(0.6), [0.0, 1.0, 5 * np.pi])
+    batch = evaluate(bloch_x(0.6), [0.0, 1.0, 5 * np.pi])
     out = io.StringIO()
     sweep_to_csv(batch, out)
     lines = out.getvalue().splitlines()
@@ -177,7 +171,7 @@ def eager_columns(problem, times):
 
 SPLIT_CASES = {
     # nodal at 5 pi, where every headline phase is nan
-    "nodal qubit": (bloch_x_problem(0.6), [5 * np.pi, -5 * np.pi, 1.0, 5 * np.pi, 0.0]),
+    "nodal qubit": (bloch_x(0.6), [5 * np.pi, -5 * np.pi, 1.0, 5 * np.pi, 0.0]),
     # rank 2 of 5: three zero-weight components carry the sentinels
     "rank-deficient": (random_instance(5, 2, 31), [-3.5, 2.0, -3.5, 0.0, 11.25]),
     "full rank": (random_instance(6, 6, 32), [-0.25, -0.25, 7.0]),
@@ -220,7 +214,7 @@ def test_every_array_of_a_batch_is_real():
 ])
 def test_gauge_pair_raises_as_evaluate_does(bad, message):
     """Both check their times in the same place, before any table."""
-    problem = bloch_x_problem(0.6)
+    problem = bloch_x(0.6)
     errors = []
     for call in (lambda: evaluate(problem, bad),
                  lambda: phases.gauge_pair(problem, [0.3, 1.1], bad)):

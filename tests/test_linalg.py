@@ -18,10 +18,8 @@ from mixedphase.linalg import (
     unitary_from_hamiltonian,
 )
 
+from cases import SX, SZ
 from literal import psd_sqrt
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def random_hermitian(rng, n, scale=1.0):

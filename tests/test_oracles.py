@@ -27,13 +27,9 @@ from mixedphase.linalg import dagger, frobenius, polar_unitary, unitary_from_eig
 from mixedphase.oracles import MAX_STEPS
 from mixedphase.transport import component_weights, diagonalizing_frame
 
+from cases import PLUS, SX, SZ, bloch_x, pure_plus
 from literal import amplitude_chain, evolution_operator, parallel_residual, \
     total_geometric_phase
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-
 
 COMMUTING = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
 
@@ -43,6 +39,14 @@ def test_path_sampling_validation():
         discrete_uhlmann_holonomy(COMMUTING, 1.0, 1)
     with pytest.raises(ValueError):
         discrete_uhlmann_holonomy(COMMUTING, 0.0, 16)
+    # |t| E = 5e16 > 2**52: refused with evaluate's message
+    with pytest.raises(ValueError) as want:
+        evaluate(COMMUTING, 1e17)
+    with pytest.raises(ValueError) as got:
+        discrete_uhlmann_holonomy(COMMUTING, 1e17, 4096)
+    assert str(got.value) == str(want.value) == (
+        "time 1e+17 is past the resolvable range: |t| times the largest energy 5.000e-01 "
+        "exceeds 2**52")
     with pytest.raises(ValueError):
         next(amplitude_chain(COMMUTING, 0.0, 16))
 
@@ -143,7 +147,7 @@ def test_holonomy_is_the_matrix_power_form_bit_for_bit(steps):
     # order, so every value is the same double (nan at the nodal endpoint)
     problems = [(random_instance(dim, rank, 7 * dim + rank), 1.7)
                 for dim in (1, 2, 8) for rank in sorted({1, dim})]
-    problems.append((Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ), np.pi))
+    problems.append((pure_plus(), np.pi))
     for problem, t_end in problems:
         got = discrete_uhlmann_holonomy(problem, t_end, steps)
         want = matrix_power_holonomy(problem, t_end, steps)
@@ -154,7 +158,7 @@ def test_holonomy_is_the_matrix_power_form_bit_for_bit(steps):
 @pytest.mark.parametrize("steps", [2, 3, 255, 256])
 def test_closed_form_and_chain_both_vanish_at_orthogonal_endpoint(steps):
     # |+> reaches the orthogonal |-> at t = pi on any grid
-    prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
+    prob = pure_plus()
     assert chain_phase_and_magnitude(prob, np.pi, steps)[1] <= 1e-12
     assert math.isnan(discrete_uhlmann_holonomy(prob, np.pi, steps))
 
@@ -168,15 +172,14 @@ def test_holonomy_constant_path_is_zero():
 
 
 def test_holonomy_pure_great_circle():
-    prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
+    prob = pure_plus()
     hol = discrete_uhlmann_holonomy(prob, 2 * np.pi, 4096)
     assert circular_distance(hol, np.pi) <= 1e-12
     assert circular_distance(hol, pancharatnam_phase(PLUS, 0.5 * SZ, 2 * np.pi)) <= 1e-12
 
 
 def test_holonomy_mixed_great_circle_confirms_zero():
-    rho = (np.eye(2) + 0.6 * SX) / 2
-    prob = Problem(validate_density(rho), 0.5 * SZ)
+    prob = bloch_x(0.6)
     hol = discrete_uhlmann_holonomy(prob, 2 * np.pi, 4096)
     assert circular_distance(hol, 0.0) <= 1e-12
 
@@ -210,7 +213,7 @@ def test_chain_links_are_hermitian_psd():
 def test_holonomy_raises_at_orthogonal_endpoint():
     # half a great circle takes |+> to the orthogonal |->; a nodal point
     # gives nan, not an exception
-    prob = Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * SZ)
+    prob = pure_plus()
     assert math.isnan(discrete_uhlmann_holonomy(prob, np.pi, 256))
 
 
@@ -251,6 +254,14 @@ def test_pancharatnam_invariant_under_global_phase():
 def test_pancharatnam_rejects_unnormalized_state():
     with pytest.raises(ValueError):
         pancharatnam_phase(np.array([1.0, 1.0]), 0.5 * SZ, 1.0)
+    # and a time past the resolvable range, with evaluate's message
+    with pytest.raises(ValueError) as want:
+        evaluate(pure_plus(), 1e17)
+    with pytest.raises(ValueError) as got:
+        pancharatnam_phase(PLUS, 0.5 * SZ, 1e17)
+    assert str(got.value) == str(want.value) == (
+        "time 1e+17 is past the resolvable range: |t| times the largest energy 5.000e-01 "
+        "exceeds 2**52")
 
 
 @pytest.mark.parametrize("psi", [[np.nan, 0, 0], [np.inf, 0, 0], [1.0, np.nan, 0],

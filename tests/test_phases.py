@@ -27,6 +27,7 @@ from mixedphase.phases import gauge_pair
 from mixedphase.serialize import reports_to_json
 from mixedphase.transport import component_weights, diagonalizing_frame
 
+from cases import PLUS, SX, SZ, bloch_x, pure_plus
 from literal import (
     component_report,
     component_state,
@@ -36,20 +37,6 @@ from literal import (
     total_geometric_phase,
     uhlmann_trace_phase,
 )
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-
-
-def bloch_x_problem(r, omega=1.0):
-    """Qubit with Bloch vector r along x, precessing about z."""
-    rho = (np.eye(2) + r * SX) / 2
-    return Problem(validate_density(rho), 0.5 * omega * SZ)
-
-
-def pure_plus_problem(omega=1.0):
-    return Problem(validate_density(np.outer(PLUS, PLUS.conj())), 0.5 * omega * SZ)
 
 
 def random_pure_problem(rng, n):
@@ -106,7 +93,7 @@ def test_overlap_pure_state_is_survival_amplitude():
 
 
 def test_overlap_index_bounds():
-    problem = bloch_x_problem(0.6)
+    problem = bloch_x(0.6)
     frame = prepare_problem(problem)
     with pytest.raises(IndexError):
         overlap_kernel(problem, frame, 2, np.eye(2))
@@ -125,7 +112,7 @@ def test_commuting_instance_components_have_zero_phase():
 
 
 def test_pure_plus_component_phase_is_pi_with_zero_dynamics():
-    problem = pure_plus_problem()
+    problem = pure_plus()
     frame = prepare_problem(problem)
     t = 2 * np.pi
     u = evolution_operator(problem, t)
@@ -201,7 +188,7 @@ def test_maximally_mixed_total_phase_vanishes():
 
 def test_pure_plus_total_phase_is_pi():
     # half the solid angle of the equatorial great circle
-    problem = pure_plus_problem()
+    problem = pure_plus()
     frame = prepare_problem(problem)
     t = 2 * np.pi
     gamma = total_geometric_phase(problem, frame, t, evolution_operator(problem, t))
@@ -211,7 +198,7 @@ def test_pure_plus_total_phase_is_pi():
 
 def test_mixed_qubit_matches_closed_form_trace():
     r = 0.6
-    problem = bloch_x_problem(r)
+    problem = bloch_x(r)
     frame = prepare_problem(problem)
     s = np.sqrt(1 - r**2)
     for t in (0.7, 1.9, 3.3, 5.1, 2 * np.pi):
@@ -222,7 +209,7 @@ def test_mixed_qubit_matches_closed_form_trace():
 
 
 def test_cyclic_point_gamma_zero_but_interferometric_pi():
-    problem = bloch_x_problem(0.6)
+    problem = bloch_x(0.6)
     frame = prepare_problem(problem)
     t = 2 * np.pi
     u = evolution_operator(problem, t)
@@ -239,7 +226,7 @@ def test_cyclic_point_gamma_zero_but_interferometric_pi():
 def test_every_phase_is_nan_at_a_nodal_point(r, t):
     # |+> (r = 1) reaches the orthogonal |-> at t = pi; for r = 0.6 the
     # overlap crosses zero at t = 5 pi
-    problem = bloch_x_problem(r)
+    problem = bloch_x(r)
     batch = evaluate(problem, t)
     assert batch.overlap_magnitude[0] <= 1e-12
     u = evolution_operator(problem, t)
@@ -407,7 +394,7 @@ def test_total_phase_ignores_ancilla_kernel_freedom():
 
 
 def test_phase_report_structure():
-    batch = evaluate(bloch_x_problem(0.6), 1.0)
+    batch = evaluate(bloch_x(0.6), 1.0)
     assert batch.t[0] == 1.0
     assert batch.visibility[0].shape == (2,)
     report = json.loads(next(reports_to_json(batch, "")))

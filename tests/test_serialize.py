@@ -1,5 +1,6 @@
 """Problem-file and report serialization tests."""
 
+import functools
 import gc
 import io
 import json
@@ -20,7 +21,6 @@ from mixedphase import (
     load_problem,
     prepare_problem,
     random_instance,
-    save_problem,
     validate_density,
 )
 from mixedphase import serialize
@@ -37,7 +37,7 @@ from mixedphase.serialize import (
     sweep_to_json,
 )
 
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+from cases import SZ, bloch_x, entries_file, problem_file
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -46,10 +46,8 @@ def test_round_trip_is_bitwise_exact(tmp_path):
     fortran = Problem(validate_density(np.asfortranarray(prob.rho0.mat)),
                       np.asfortranarray(prob.hamiltonian_lab))
     assert fortran.hamiltonian_lab.flags.f_contiguous
-    path = tmp_path / "instance.json"
     for p in (prob, fortran):
-        save_problem(p, path)
-        back = load_problem(path)
+        back = load_problem(problem_file(tmp_path, p, "instance.json"))
         assert np.array_equal(back.rho0.mat, prob.rho0.mat)
         assert np.array_equal(back.hamiltonian_lab, prob.hamiltonian_lab)
 
@@ -155,8 +153,7 @@ def test_load_problem_restores_the_collector_state(tmp_path, monkeypatch, enable
 
 
 def test_report_dict_keys_and_null_for_undefined():
-    rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
-    problem = Problem(validate_density(rho), 0.5 * SZ)
+    problem = bloch_x(0.6)
     data = json.loads(next(reports_to_json(evaluate(problem, 1.0), "")))
     assert list(data) == ["t", "gamma_total", "uhlmann", "sjoqvist",
                           "overlap_magnitude", "components", "warnings"]
@@ -186,7 +183,7 @@ def test_report_dict_keys_and_null_for_undefined():
 def test_the_sjoqvist_nodal_warning_quotes_the_interferometric_sum():
     # at t = pi this qubit's interferometric sum, cos(t / 2), vanishes,
     # while the total phase is defined with overlap magnitude 0.76
-    data = json.loads(next(reports_to_json(evaluate(nodal_qubit(), np.pi), "")))
+    data = json.loads(next(reports_to_json(evaluate(bloch_x(0.6), np.pi), "")))
     assert data["sjoqvist"] is None and data["gamma_total"] is not None
     [warning] = data["warnings"]
     quoted = re.fullmatch(r"sjoqvist undefined at a nodal point \(overlap magnitude (.+)\)",
@@ -195,8 +192,7 @@ def test_the_sjoqvist_nodal_warning_quotes_the_interferometric_sum():
 
 
 def test_degenerate_spectrum_warning_surfaces():
-    problem = Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
-    data = json.loads(next(reports_to_json(evaluate(problem, 0.7), "")))
+    data = json.loads(next(reports_to_json(evaluate(degenerate_qubit(), 0.7), "")))
     assert any("degenerate" in w for w in data["warnings"])
 
 
@@ -208,9 +204,8 @@ def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path, capsys):
     assert not close_eigenvalues(problem.rho0.lambdas)
     assert np.ptp(frame.kappas) < 1e-12 and close_eigenvalues(frame.kappas)
     assert evaluate(problem, 1.0).degenerate_spectrum_warning
-    path = tmp_path / "k_degenerate.json"
-    save_problem(problem, path)
-    assert main(["compute", "--input", str(path), "-t", "1"]) == 0
+    path = problem_file(tmp_path, problem, "k_degenerate.json")
+    assert main(["compute", "--input", path, "-t", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["warnings"] == [
         "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
         "are not unique within degenerate blocks"]
@@ -219,9 +214,7 @@ def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path, capsys):
 def test_sweep_header_and_nan_rows():
     assert sweep_header(2) == ("t,gamma_total,uhlmann,sjoqvist,overlap_magnitude,"
                                "q_0,nu_0,gamma_0,q_1,nu_1,gamma_1")
-    rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
-    problem = Problem(validate_density(rho), 0.5 * SZ)
-    row = written(sweep_to_csv, evaluate(problem, [5 * np.pi])).splitlines()[1]
+    row = written(sweep_to_csv, evaluate(bloch_x(0.6), [5 * np.pi])).splitlines()[1]
     fields = row.split(",")
     assert len(fields) == 11
     assert fields[1] == "nan"  # undefined phase serializes as the literal nan
@@ -300,12 +293,6 @@ def reference_report(batch, i):
     }
 
 
-def nodal_qubit():
-    """The r = 0.6 qubit under sz/2: its headline phases are nan at 5 pi."""
-    rho = (np.eye(2) + 0.6 * np.array([[0, 1], [1, 0]])) / 2
-    return Problem(validate_density(rho), 0.5 * SZ)
-
-
 def degenerate_qubit():
     """rho = I/2 under sz/2: every report warns of the degenerate spectrum."""
     return Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
@@ -315,7 +302,7 @@ def degenerate_qubit():
 def sweeps(draw):
     times = draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8))
     times += [times[0]]  # a repeated time in every batch
-    qubit = draw(st.sampled_from([None, nodal_qubit, degenerate_qubit]))
+    qubit = draw(st.sampled_from([None, functools.partial(bloch_x, 0.6), degenerate_qubit]))
     if qubit is not None:
         grid = np.linspace(0.0, 10 * np.pi, draw(st.sampled_from([3, 5, 11])))
         return qubit(), times + grid.tolist()
@@ -326,8 +313,8 @@ def sweeps(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(sweeps())
-@example((nodal_qubit(), np.linspace(-10 * np.pi, 10 * np.pi, 5).tolist()))
-@example((nodal_qubit(), [-1e4, 8e3, 1e4, 1e5]))  # rows past the resolution bound
+@example((bloch_x(0.6), np.linspace(-10 * np.pi, 10 * np.pi, 5).tolist()))
+@example((bloch_x(0.6), [-1e4, 8e3, 1e4, 1e5]))  # rows past the resolution bound
 def test_sweep_csv_matches_cell_by_cell_formatting(case):
     problem, times = case
     batch = evaluate(problem, times)
@@ -339,16 +326,11 @@ def test_sweep_csv_matches_cell_by_cell_formatting(case):
     assert reports == [json.dumps(reference, indent=2) for reference in references]
 
 
-def _entries_problem(hamiltonian, rho=None):
-    rho = rho or [[[0.5, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.5, 0.0]]]
-    return {"dimension": len(hamiltonian), "rho": rho, "hamiltonian": hamiltonian}
-
-
 def test_matrix_parse_keeps_ints_and_signed_zeros_exact(tmp_path):
     # the file holds ints and -0.0 as written
     hamiltonian = [[[2**70, -0.0], [1, 2.5]], [[1, -2.5], [-0.0, 0]]]
     rho = [[[1, 0], [0.0, -0.0]], [[-0.0, 0], [0, 0.0]]]
-    problem = loaded(tmp_path, _entries_problem(hamiltonian, rho))
+    problem = load_problem(entries_file(tmp_path, hamiltonian, rho))
     for got, pairs in ((problem.hamiltonian_lab, hamiltonian), (problem.rho0.mat, rho)):
         want = np.array([[complex(re, im) for re, im in row] for row in pairs])
         assert got.tobytes() == want.tobytes()  # bitwise, signs of zero included
@@ -377,7 +359,7 @@ ZERO = [0.0, 0.0]
 ])
 def test_matrix_parse_rejections_name_the_entry(tmp_path, hamiltonian, message):
     with pytest.raises(ProblemFileError) as exc:
-        loaded(tmp_path, _entries_problem(hamiltonian))
+        load_problem(entries_file(tmp_path, hamiltonian))
     assert str(exc.value) == message
 
 
@@ -453,8 +435,7 @@ def test_resolution_warning_past_the_bound(tmp_path, capsys):
     # a row warns when |t| E eps exceeds the overlap tolerance; the CSV has
     # no warnings and does not change
     problem = random_instance(3, 3, 5)
-    path = tmp_path / "instance.json"
-    save_problem(problem, path)
+    path = problem_file(tmp_path, problem, "instance.json")
     energy = evaluate(problem, 0.0).energy
     eps = float(np.finfo(float).eps)
     bound = DEFAULT_TOL.overlap / (energy * eps)
@@ -462,11 +443,11 @@ def test_resolution_warning_past_the_bound(tmp_path, capsys):
     warning = (f"resolution bound |t| E eps = {above * energy * eps:.3e} exceeds the "
                f"overlap tolerance 1.0e-12 (E = {energy:.3e}, the largest energy): the "
                "phases carry roundoff of that size")
-    assert main(["compute", "--input", str(path), "-t", repr(below)]) == 0
+    assert main(["compute", "--input", path, "-t", repr(below)]) == 0
     assert json.loads(capsys.readouterr().out)["warnings"] == []
-    assert main(["compute", "--input", str(path), "-t", repr(above)]) == 0
+    assert main(["compute", "--input", path, "-t", repr(above)]) == 0
     assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
-    sweep = ["sweep", "--input", str(path), "--t-start", repr(below), "--t-end",
+    sweep = ["sweep", "--input", path, "--t-start", repr(below), "--t-end",
              repr(above), "--steps", "2"]
     assert main(sweep + ["--format", "json"]) == 0
     assert [row["warnings"] for row in json.loads(capsys.readouterr().out)] == [[], [warning]]

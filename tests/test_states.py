@@ -21,7 +21,6 @@ from mixedphase import (
     load_problem,
     prepare_problem,
     random_instance,
-    save_problem,
     validate_density,
 )
 from mixedphase import cli, linalg
@@ -29,9 +28,9 @@ from mixedphase.linalg import close_eigenvalues, dagger, frobenius, unitary_from
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.transport import diagonalizing_frame
 
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+from cases import PLUS, SZ, problem_file
+
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
 def random_density(rng, n, rank=None):
@@ -205,8 +204,7 @@ def test_degenerate_flag():
 
 
 def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
-    path = tmp_path / "problem.json"
-    save_problem(random_instance(5, 3, 11), path)
+    path = problem_file(tmp_path, random_instance(5, 3, 11), "problem.json")
     calls = collections.Counter()
     for name in ("eigh", "eigvalsh", "svd"):
         def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
@@ -305,8 +303,7 @@ def test_problem_keeps_a_private_copy_of_the_hamiltonian(tmp_path):
     assert problem.hamiltonian_lab.tobytes() == lab.tobytes()
     assert problem.h_prime.tobytes() == h_prime.tobytes()
     assert evaluate(problem, 2.0).gamma_total.tobytes() == gamma.tobytes()
-    path = tmp_path / "problem.json"
-    save_problem(problem, path)
+    path = problem_file(tmp_path, problem, "problem.json")
     assert evaluate(load_problem(path), 2.0).gamma_total.tobytes() == gamma.tobytes()
 
 

@@ -22,9 +22,8 @@ from mixedphase.transport import (
     transport_residual,
 )
 
+from cases import SX
 from literal import component_state, parallel_residual
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def test_equal_amplitudes_force_minus_transposed_hamiltonian():
