@@ -44,11 +44,6 @@ VERIFY_HOLONOMY_STEPS = 2**16
 NEGATIVE_NUMBER = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.I)
 
 
-def _fail_input(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
-
-
 @contextlib.contextmanager
 def _destination(output: str | None) -> Iterator[TextIO]:
     """The --output file, opened for writing, or stdout. Each command
@@ -71,7 +66,7 @@ def _load(path: str) -> Problem:
 
 def cmd_compute(args) -> int:
     if not math.isfinite(args.time):
-        return _fail_input(f"--time must be finite, got {args.time}")
+        raise ValueError(f"--time must be finite, got {args.time}")
     batch = evaluate(_load(args.input), args.time)
     with _destination(args.output) as dest:
         dest.write(next(reports_to_json(batch, "")) + "\n")
@@ -81,18 +76,16 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.steps < 2:
-        return _fail_input(f"--steps must be at least 2, got {args.steps}")
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
     if not (math.isfinite(args.t_start) and math.isfinite(args.t_end)):
-        return _fail_input("--t-start and --t-end must be finite")
+        raise ValueError("--t-start and --t-end must be finite")
     if not args.t_start < args.t_end:
-        return _fail_input(
-            f"--t-start must be below --t-end, got {args.t_start} >= {args.t_end}"
-        )
+        raise ValueError(f"--t-start must be below --t-end, got {args.t_start} >= {args.t_end}")
     try:  # main raises on overflow: the span, or a grid point near the double limit
         times = np.linspace(args.t_start, args.t_end, args.steps)
     except FloatingPointError:
-        return _fail_input(f"the grid from --t-start to --t-end exceeds the range of a "
-                           f"double, got {args.t_start} and {args.t_end}")
+        raise ValueError(f"the grid from --t-start to --t-end exceeds the range of a "
+                         f"double, got {args.t_start} and {args.t_end}") from None
     batch = evaluate(_load(args.input), times)
     with _destination(args.output) as dest:
         (sweep_to_csv if args.format == "csv" else sweep_to_json)(batch, dest)
@@ -130,13 +123,13 @@ def _verify_trial(problem: Problem, rng, tol: float) -> str | None:
 
 def cmd_verify(args) -> int:
     if args.trials < 1:
-        return _fail_input(f"--trials must be at least 1, got {args.trials}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.dim < 1:
-        return _fail_input(f"--dim must be at least 1, got {args.dim}")
+        raise ValueError(f"--dim must be at least 1, got {args.dim}")
     if args.seed < 0:
-        return _fail_input(f"--seed must be at least 0, got {args.seed}")
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
-        return _fail_input(f"--tol must be finite and at least 0, got {args.tol}")
+        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     for passed in range(args.trials):
         inst_seed = int(rng.integers(0, 2**62))
@@ -155,12 +148,10 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     if not 256 <= args.holonomy_steps <= MAX_STEPS:
-        return _fail_input(
-            f"--holonomy-steps must be in 256..2**{MAX_STEPS.bit_length() - 1}, "
-            f"got {args.holonomy_steps}"
-        )
+        raise ValueError(f"--holonomy-steps must be in 256..2**{MAX_STEPS.bit_length() - 1}, "
+                         f"got {args.holonomy_steps}")
     if not (math.isfinite(args.time) and args.time > 0):
-        return _fail_input(f"--time must be finite and positive, got {args.time}")
+        raise ValueError(f"--time must be finite and positive, got {args.time}")
     problem = _load(args.input)
     batch = evaluate(problem, args.time)
     holonomy = discrete_uhlmann_holonomy(problem, args.time, args.holonomy_steps)
@@ -171,11 +162,16 @@ def cmd_compare(args) -> int:
     return EXIT_UNDEFINED_PHASE if undefined else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line: main reports it
+        raise ValueError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then reused: parsing
     leaves it unchanged, and building it costs more than a small op."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixedphase",
         description="Geometric phases of mixed states under unitary evolution",
     )
@@ -235,20 +231,19 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Bad input, including a problem whose numbers
-    overflow a double, a size whose arrays cannot be allocated and an
-    output path that cannot be written, exits 2 with one error line and
-    no traceback."""
+    """Run one subcommand. Bad input, including a malformed command line,
+    a problem whose numbers overflow a double, a size whose arrays cannot
+    be allocated and an output path that cannot be written, exits 2 with
+    one error line and no traceback; this is the one place that writes
+    it. Only -h/--help prints usage, and exits 0."""
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise"):
             return args.handler(args)
     except FloatingPointError as exc:
-        return _fail_input(f"input magnitudes exceed the range of a double ({exc})")
+        message = f"input magnitudes exceed the range of a double ({exc})"
     except (GeometricPhaseError, ValueError, OSError, MemoryError) as exc:
-        return _fail_input(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_INPUT_ERROR

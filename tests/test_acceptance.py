@@ -275,7 +275,11 @@ def test_criterion_8_cli_contract(tmp_path):
     back = load_problem(problem_file(tmp_path, problem, "roundtrip.json"))
     exact = (np.array_equal(back.rho0.mat, problem.rho0.mat)
              and np.array_equal(back.hamiltonian_lab, problem.hamiltonian_lab))
-    ok = verify.returncode == 0 and malformed.returncode == 2 and exact
+    # an input error: nothing on stdout, one error line on stderr
+    one_line = (malformed.stdout == "" and malformed.stderr.startswith("error: ")
+                and len(malformed.stderr.splitlines()) == 1)
+    ok = verify.returncode == 0 and malformed.returncode == 2 and one_line and exact
     _criterion(8, ok,
                f"verify exit {verify.returncode} (want 0), malformed input exit "
-               f"{malformed.returncode} (want 2), round-trip exact: {exact}")
+               f"{malformed.returncode} (want 2) with one error line: {one_line}, "
+               f"round-trip exact: {exact}")

@@ -1,9 +1,7 @@
 """CLI contract tests: subcommands, file handling, and exit codes
 (0 success, 1 verification failure, 2 input error, 3 undefined phase)."""
 
-import contextlib
 import gc
-import io
 import itertools
 import json
 import tracemalloc
@@ -19,7 +17,7 @@ from mixedphase import cli
 from mixedphase.cli import main
 from mixedphase.serialize import problem_to_dict
 
-from cases import SX, bloch_x, entries_file, problem_file, pure_plus
+from cases import SX, bloch_x, entries_file, problem_file, pure_plus, run
 
 CYCLIC_T = 2 * np.pi
 
@@ -39,16 +37,14 @@ def maximally_mixed_file(tmp_path):
     return problem_file(tmp_path, Problem(validate_density(np.eye(2) / 2), 0.8 * SX), "mm.json")
 
 
-def test_compute_maximally_mixed(maximally_mixed_file, capsys):
-    assert main(["compute", "--input", maximally_mixed_file, "-t", "1.0"]) == 0
-    data = json.loads(capsys.readouterr().out)
+def test_compute_maximally_mixed(maximally_mixed_file):
+    data = json.loads(run(["compute", "--input", maximally_mixed_file, "-t", "1.0"], 0))
     assert abs(data["gamma_total"]) <= 1e-9
     assert abs(data["uhlmann"]) <= 1e-9
 
 
-def test_compute_cyclic_mixed_point(mixed_file, capsys):
-    assert main(["compute", "--input", mixed_file, "-t", str(CYCLIC_T)]) == 0
-    data = json.loads(capsys.readouterr().out)
+def test_compute_cyclic_mixed_point(mixed_file):
+    data = json.loads(run(["compute", "--input", mixed_file, "-t", str(CYCLIC_T)], 0))
     assert circular_distance(data["gamma_total"], 0.0) <= 1e-9
     assert circular_distance(data["sjoqvist"], np.pi) <= 1e-9
     assert len(data["components"]) == 2
@@ -56,19 +52,17 @@ def test_compute_cyclic_mixed_point(mixed_file, capsys):
 
 def test_compute_writes_output_file(mixed_file, tmp_path):
     out = tmp_path / "report.json"
-    assert main(["compute", "--input", mixed_file, "-t", "0.4",
-                 "--output", str(out)]) == 0
+    assert run(["compute", "--input", mixed_file, "-t", "0.4", "--output", str(out)], 0) == ""
     assert "gamma_total" in json.loads(out.read_text())
 
 
-def test_compute_undefined_phase_exits_3(mixed_file, capsys):
-    assert main(["compute", "--input", mixed_file, "-t", str(5 * np.pi)]) == 3
-    data = json.loads(capsys.readouterr().out)
+def test_compute_undefined_phase_exits_3(mixed_file):
+    data = json.loads(run(["compute", "--input", mixed_file, "-t", str(5 * np.pi)], 3))
     assert data["gamma_total"] is None
     assert data["warnings"]
 
 
-def test_compute_malformed_file_exits_2(tmp_path, capsys):
+def test_compute_malformed_file_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     blob = {
         "dimension": 2,
@@ -76,31 +70,30 @@ def test_compute_malformed_file_exits_2(tmp_path, capsys):
         "hamiltonian": [[[0.0, 0.0]] * 2] * 2,
     }
     path.write_text(json.dumps(blob))
-    assert main(["compute", "--input", str(path), "-t", "1.0"]) == 2
-    err = capsys.readouterr().err
-    assert "rho" in err and "2" in err
+    assert run(["compute", "--input", str(path), "-t", "1.0"], 2) == (
+        f"error: {path}: rho: expected 2 rows to match dimension 2, got 3")
 
 
-def test_compute_missing_file_exits_2(tmp_path, capsys):
-    assert main(["compute", "--input", str(tmp_path / "nope.json"), "-t", "1.0"]) == 2
+def test_compute_missing_file_exits_2(tmp_path):
+    path = tmp_path / "nope.json"
+    assert run(["compute", "--input", str(path), "-t", "1.0"], 2).startswith(
+        f"error: {path}: [Errno 2] No such file")
 
 
-def test_sweep_commuting_all_zero(tmp_path, capsys):
+def test_sweep_commuting_all_zero(tmp_path):
     path = problem_file(tmp_path, Problem(validate_density(np.diag([0.7, 0.3])),
                                           np.diag([0.4, -0.2]).astype(complex)), "comm.json")
-    assert main(["sweep", "--input", path, "--t-start", "0.0",
-                 "--t-end", "5.0", "--steps", "50"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    lines = run(["sweep", "--input", path, "--t-start", "0.0", "--t-end", "5.0",
+                 "--steps", "50"], 0).strip().splitlines()
     assert lines[0].startswith("t,gamma_total,uhlmann,sjoqvist,overlap_magnitude")
     assert len(lines) == 51
     for line in lines[1:]:
         assert abs(float(line.split(",")[1])) <= 1e-9
 
 
-def test_sweep_pure_precession_ends_at_pi(pure_file, capsys):
-    assert main(["sweep", "--input", pure_file, "--t-start", "0.0",
-                 "--t-end", str(CYCLIC_T), "--steps", "100"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+def test_sweep_pure_precession_ends_at_pi(pure_file):
+    lines = run(["sweep", "--input", pure_file, "--t-start", "0.0", "--t-end", str(CYCLIC_T),
+                 "--steps", "100"], 0).strip().splitlines()
     assert len(lines) == 101
     last_gamma = float(lines[-1].split(",")[1])
     assert circular_distance(last_gamma, np.pi) <= 1e-9
@@ -108,9 +101,8 @@ def test_sweep_pure_precession_ends_at_pi(pure_file, capsys):
 
 def test_sweep_json_format(mixed_file, tmp_path):
     out = tmp_path / "rows.json"
-    assert main(["sweep", "--input", mixed_file, "--t-start", "0.0",
-                 "--t-end", "1.0", "--steps", "5", "--format", "json",
-                 "--output", str(out)]) == 0
+    assert run(["sweep", "--input", mixed_file, "--t-start", "0.0", "--t-end", "1.0",
+                "--steps", "5", "--format", "json", "--output", str(out)], 0) == ""
     rows = json.loads(out.read_text())
     assert len(rows) == 5
     assert rows[0]["t"] == 0.0 and rows[-1]["t"] == 1.0
@@ -145,45 +137,37 @@ def test_sweep_never_holds_its_report_text(tmp_path, fmt):
     assert op <= evaluation + size / 2, (op, evaluation, size)
 
 
-def test_sweep_usage_errors(mixed_file, capsys):
-    assert main(["sweep", "--input", mixed_file, "--t-start", "0.0",
-                 "--t-end", "1.0", "--steps", "1"]) == 2
-    assert main(["sweep", "--input", mixed_file, "--t-start", "2.0",
-                 "--t-end", "1.0", "--steps", "10"]) == 2
+def test_sweep_usage_errors(mixed_file):
+    sweep = ["sweep", "--input", mixed_file, "--t-start"]
+    assert run(sweep + ["0.0", "--t-end", "1.0", "--steps", "1"], 2) == (
+        "error: --steps must be at least 2, got 1")
+    assert run(sweep + ["2.0", "--t-end", "1.0", "--steps", "10"], 2) == (
+        "error: --t-start must be below --t-end, got 2.0 >= 1.0")
     # finite times whose grid overflows: the span itself (in subtract), or
     # a grid point of a finite span at the double limit (in multiply)
     for t_start, t_end, steps in (("-1e308", "1e308", "3"),
                                   ("0", "1.7976931348623157e308", "7")):
-        capsys.readouterr()
-        assert main(["sweep", "--input", mixed_file, "--t-start", t_start,
-                     "--t-end", t_end, "--steps", steps]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        [line] = err.splitlines()
+        line = run(sweep + [t_start, "--t-end", t_end, "--steps", steps], 2)
         assert "--t-start" in line and "--t-end" in line
-        assert "overflow encountered" not in err and "Traceback" not in err
+        assert "overflow encountered" not in line
 
 
-def test_verify_small_batch_passes(capsys):
-    assert main(["verify", "--dim", "2", "--trials", "5", "--seed", "7",
-                 "--tol", "1e-9"]) == 0
-    assert "verified 5/5" in capsys.readouterr().out
+def test_verify_small_batch_passes():
+    assert "verified 5/5" in run(["verify", "--dim", "2", "--trials", "5", "--seed", "7",
+                                  "--tol", "1e-9"], 0)
 
 
-def test_verify_dim6_batch_passes(capsys):
-    assert main(["verify", "--dim", "6", "--trials", "20", "--seed", "3",
-                 "--tol", "1e-9"]) == 0
-    assert "verified 20/20" in capsys.readouterr().out
+def test_verify_dim6_batch_passes():
+    assert "verified 20/20" in run(["verify", "--dim", "6", "--trials", "20", "--seed", "3",
+                                    "--tol", "1e-9"], 0)
 
 
-def test_verify_zero_tolerance_fails(capsys):
-    assert main(["verify", "--dim", "2", "--trials", "3", "--seed", "7",
-                 "--tol", "0"]) == 1
-    out = capsys.readouterr().out
-    assert "seed" in out
+def test_verify_zero_tolerance_fails():
+    assert "seed" in run(["verify", "--dim", "2", "--trials", "3", "--seed", "7",
+                          "--tol", "0"], 1)
 
 
-def test_verify_failure_counts_the_instances_that_passed(monkeypatch, capsys):
+def test_verify_failure_counts_the_instances_that_passed(monkeypatch):
     calls = itertools.count(1)
     original = cli._verify_trial
 
@@ -191,13 +175,12 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch, capsys):
         return "injected failure" if next(calls) == 3 else original(problem, rng, tol)
 
     monkeypatch.setattr(cli, "_verify_trial", fail_third)
-    assert main(["verify", "--dim", "2", "--trials", "5", "--seed", "7"]) == 1
-    out = capsys.readouterr().out
+    out = run(["verify", "--dim", "2", "--trials", "5", "--seed", "7"], 1)
     assert "injected failure" in out
     assert "passed 2 of 5 instances before first failure" in out
 
 
-def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch, capsys):
+def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch):
     """Negative control: the holonomy oracle evolves the state under
     H (1 + 1e-6) while the engine sees H. The ancilla, transport and
     gauge checks all read the problem's own h' and the engine's
@@ -209,13 +192,11 @@ def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch, cap
                         steps)
 
     monkeypatch.setattr(cli, "discrete_uhlmann_holonomy", perturbed)
-    assert main(["verify", "--dim", "4", "--trials", "5", "--seed", "7",
-                 "--tol", "1e-9"]) == 1
-    out = capsys.readouterr().out
-    assert "total phase vs holonomy" in out
+    assert "total phase vs holonomy" in run(["verify", "--dim", "4", "--trials", "5",
+                                             "--seed", "7", "--tol", "1e-9"], 1)
 
 
-def test_verify_checks_each_hamiltonian_once(monkeypatch, capsys):
+def test_verify_checks_each_hamiltonian_once(monkeypatch):
     """Per trial: the random state in validate_density and its Hamiltonian
     in Problem. The gauge-rephased copy changes only the eigenvectors and
     is not checked again."""
@@ -230,19 +211,19 @@ def test_verify_checks_each_hamiltonian_once(monkeypatch, capsys):
 
     for module in (linalg, oracles, states):
         monkeypatch.setattr(module, "require_hermitian", counted)
-    assert main(["verify", "--dim", "8", "--trials", "20", "--seed", "3"]) == 0
+    run(["verify", "--dim", "8", "--trials", "20", "--seed", "3"], 0)
     assert len(calls) == 40
 
 
-def test_verify_checks_the_total_phase_without_evaluate(monkeypatch, capsys):
+def test_verify_checks_the_total_phase_without_evaluate(monkeypatch):
     """verify reads only the total phase, through phases.gauge_pair; the
     full batch evaluate builds is never needed."""
     def refuse(*args):
         raise AssertionError("verify called evaluate")
 
     monkeypatch.setattr(cli, "evaluate", refuse)
-    assert main(["verify", "--dim", "3", "--trials", "4"]) == 0
-    assert "verified 4/4 random instances (dim 3)" in capsys.readouterr().out
+    assert "verified 4/4 random instances (dim 3)" in run(["verify", "--dim", "3",
+                                                           "--trials", "4"], 0)
 
 
 @pytest.mark.parametrize("corrupt, first_line", [
@@ -254,16 +235,13 @@ def test_verify_checks_the_total_phase_without_evaluate(monkeypatch, capsys):
     (lambda gammas, frame: (gammas + [[1e-6], [0.0]], frame),
      "gauge rephasing moved the total phase by 1.000e-06 > 1.000e-09"),
 ])
-def test_verify_catches_a_corrupted_gauge_pair(monkeypatch, capsys, corrupt, first_line):
+def test_verify_catches_a_corrupted_gauge_pair(monkeypatch, corrupt, first_line):
     """Negative controls for the two checks that read gauge_pair alone."""
     pair = cli.gauge_pair
     monkeypatch.setattr(cli, "gauge_pair", lambda *args: corrupt(*pair(*args)))
-    assert main(["verify", "--dim", "3", "--trials", "4", "--seed", "7"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out.splitlines() == [
+    assert run(["verify", "--dim", "3", "--trials", "4", "--seed", "7"], 1).splitlines() == [
         f"verification failed for instance seed 2882744023523087010: {first_line}",
         "passed 0 of 4 instances before first failure"]
-    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv, stdout, code", [
@@ -281,9 +259,8 @@ def test_verify_catches_a_corrupted_gauge_pair(monkeypatch, capsys, corrupt, fir
      "verified 3/3 random instances (dim 1): ancilla equation, holonomy, parallel "
      "transport, gauge invariance all within tolerance 1.0e-09\n", 0),
 ])
-def test_verify_output_is_pinned(capsys, argv, stdout, code):
-    assert main(["verify"] + argv) == code
-    assert capsys.readouterr() == (stdout, "")
+def test_verify_output_is_pinned(argv, stdout, code):
+    assert run(["verify"] + argv, code) == stdout
 
 
 def test_verify_memory_does_not_grow_with_trials(capsys):
@@ -304,39 +281,34 @@ def test_verify_memory_does_not_grow_with_trials(capsys):
     assert many <= few + 4096, (few, many)
 
 
-def test_verify_usage_error(capsys):
-    assert main(["verify", "--dim", "2", "--trials", "0"]) == 2
+def test_verify_usage_error():
+    assert run(["verify", "--dim", "2", "--trials", "0"], 2) == (
+        "error: --trials must be at least 1, got 0")
 
 
 @pytest.mark.parametrize("option", [
     ["--seed", "-1"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"],
 ])
-def test_verify_bad_seed_or_tolerance_exits_2(capsys, option):
-    assert main(["verify", "--dim", "2", "--trials", "1"] + option) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert option[0] in captured.err and "Traceback" not in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+def test_verify_bad_seed_or_tolerance_exits_2(option):
+    assert option[0] in run(["verify", "--dim", "2", "--trials", "1"] + option, 2)
 
 
-def test_compare_pure_state_all_four_agree(pure_file, capsys):
-    assert main(["compare", "--input", pure_file, "-t", str(CYCLIC_T),
-                 "--holonomy-steps", "1024"]) == 0
-    data = json.loads(capsys.readouterr().out)
+def test_compare_pure_state_all_four_agree(pure_file):
+    data = json.loads(run(["compare", "--input", pure_file, "-t", str(CYCLIC_T),
+                           "--holonomy-steps", "1024"], 0))
     for key in ("gamma_total_vs_uhlmann", "gamma_total_vs_sjoqvist",
                 "gamma_total_vs_holonomy"):
         assert data["pairwise_distances"][key] <= 1e-12
 
 
-def _compare_report(tmp_path, capsys, want_exit, args) -> str:
+def _compare_report(tmp_path, want_exit, args) -> str:
     """compare's report for args. Its stdout must be laid out as
     json.dumps(report, indent=2) + "\\n" lays it out, and an --output run
     must write the same bytes."""
-    assert main(["compare", *args]) == want_exit
-    out = capsys.readouterr().out
+    out = run(["compare", *args], want_exit)
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     path = tmp_path / "compare.json"
-    assert main(["compare", *args, "--output", str(path)]) == want_exit
+    assert run(["compare", *args, "--output", str(path)], want_exit) == ""
     assert path.read_bytes() == out.encode()
     return out
 
@@ -349,9 +321,9 @@ def _compare_report(tmp_path, capsys, want_exit, args) -> str:
     ("1e-320", {"gamma_total": 0.0, "uhlmann": 0.0, "sjoqvist": 0.0, "holonomy": 0.0}),
     ("1000000000000000.0", {}),
 ], ids=["cyclic", "subnormal", "1e15"])
-def test_compare_mixed_cyclic_point(mixed_file, tmp_path, capsys, t_text, want):
-    out = _compare_report(tmp_path, capsys, 0, ["--input", mixed_file, "-t", t_text,
-                                                "--holonomy-steps", "1024"])
+def test_compare_mixed_cyclic_point(mixed_file, tmp_path, t_text, want):
+    out = _compare_report(tmp_path, 0, ["--input", mixed_file, "-t", t_text,
+                                        "--holonomy-steps", "1024"])
     assert f'\n  "t": {t_text},\n' in out
     data = json.loads(out)
     for name, phase in want.items():
@@ -361,50 +333,41 @@ def test_compare_mixed_cyclic_point(mixed_file, tmp_path, capsys, t_text, want):
 
 
 def test_compare_too_few_steps_exits_2(mixed_file):
-    assert main(["compare", "--input", mixed_file, "-t", "1.0",
-                 "--holonomy-steps", "10"]) == 2
+    assert run(["compare", "--input", mixed_file, "-t", "1.0", "--holonomy-steps", "10"],
+               2) == "error: --holonomy-steps must be in 256..2**52, got 10"
 
 
-def test_compare_huge_step_count_is_cheap(mixed_file, capsys):
+def test_compare_huge_step_count_is_cheap(mixed_file):
     # the closed form costs O(log N): 1e12 steps is 39 squarings and one
     # product per further set bit of N, each written with @, not a grid
-    assert main(["compare", "--input", mixed_file, "-t", str(CYCLIC_T),
-                 "--holonomy-steps", str(10**12)]) == 0
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    data = json.loads(captured.out)
+    data = json.loads(run(["compare", "--input", mixed_file, "-t", str(CYCLIC_T),
+                           "--holonomy-steps", str(10**12)], 0))
     assert data["holonomy_steps"] == 10**12
     # roundoff grows like steps * machine epsilon (about 2e-4 here)
     assert circular_distance(data["holonomy"], 0.0) <= 1e-3
 
 
 @pytest.mark.parametrize("steps", [2**52 + 1, 10**400])
-def test_compare_steps_beyond_roundoff_cap_exits_2(mixed_file, capsys, steps):
-    assert main(["compare", "--input", mixed_file, "-t", "1.0",
-                 "--holonomy-steps", str(steps)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: --holonomy-steps must be in 256..2**52, got {steps}\n"
+def test_compare_steps_beyond_roundoff_cap_exits_2(mixed_file, steps):
+    assert run(["compare", "--input", mixed_file, "-t", "1.0", "--holonomy-steps", str(steps)],
+               2) == f"error: --holonomy-steps must be in 256..2**52, got {steps}"
 
 
-def test_compare_accepts_the_roundoff_cap(mixed_file, capsys):
+def test_compare_accepts_the_roundoff_cap(mixed_file):
     # 2**52 written out, so that a lowered MAX_STEPS fails here
-    assert main(["compare", "--input", mixed_file, "-t", "1.0",
-                 "--holonomy-steps", str(2**52)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out)["holonomy_steps"] == 2**52
+    assert json.loads(run(["compare", "--input", mixed_file, "-t", "1.0", "--holonomy-steps",
+                           str(2**52)], 0))["holonomy_steps"] == 2**52
 
 
 @pytest.mark.parametrize("problem, t, defined",
                          [("pure_file", np.pi, []), ("mixed_file", 5 * np.pi, ["holonomy"])],
                          ids=["pure_plus_at_pi", "mixed_r06_at_5pi"])
-def test_compare_orthogonal_endpoint_exits_3(request, tmp_path, capsys, problem, t, defined):
+def test_compare_orthogonal_endpoint_exits_3(request, tmp_path, problem, t, defined):
     # |+> reaches the orthogonal state at t = pi, and every phase is
     # undefined; the r = 0.6 overlap crosses zero at t = 5 pi, which the
     # 256-step holonomy reaches only as its grid is refined. Each distance
     # from an undefined phase is undefined too.
-    data = json.loads(_compare_report(tmp_path, capsys, 3, [
+    data = json.loads(_compare_report(tmp_path, 3, [
         "--input", request.getfixturevalue(problem), "-t", repr(t), "--holonomy-steps", "256"]))
     phases = ["gamma_total", "uhlmann", "sjoqvist", "holonomy"]
     assert [name for name in phases if data[name] is not None] == defined
@@ -412,7 +375,8 @@ def test_compare_orthogonal_endpoint_exits_3(request, tmp_path, capsys, problem,
 
 
 def test_compute_non_finite_time_exits_2(mixed_file):
-    assert main(["compute", "--input", mixed_file, "-t", "inf"]) == 2
+    assert run(["compute", "--input", mixed_file, "-t", "inf"], 2) == (
+        "error: --time must be finite, got inf")
 
 
 def test_building_the_parser_leaves_no_cyclic_garbage():
@@ -432,19 +396,16 @@ def test_building_the_parser_leaves_no_cyclic_garbage():
 
 
 def test_unknown_command_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    # argparse's own errors reach main's one error line, with the parser's name
+    assert run(["frobnicate"], 2).startswith(
+        "error: mixedphase: argument command: invalid choice: 'frobnicate'")
 
 
 @pytest.mark.parametrize("exponent_form, plain", [("-1e-3", "-0.001"), ("-2E1", "-20.0")])
-def test_negative_time_in_exponent_form_parses(mixed_file, capsys, exponent_form, plain):
+def test_negative_time_in_exponent_form_parses(mixed_file, exponent_form, plain):
     # argparse alone reads -1e-3 as an unknown option and exits 2
-    captured = []
-    for value in (exponent_form, plain):
-        assert main(["compute", "--input", mixed_file, "-t", value]) == 0
-        captured.append(capsys.readouterr())
-    assert captured[0] == captured[1]
+    compute = ["compute", "--input", mixed_file, "-t"]
+    assert run(compute + [exponent_form], 0) == run(compute + [plain], 0)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -467,16 +428,14 @@ def test_negative_time_in_exponent_form_parses(mixed_file, capsys, exponent_form
     (["compute", "--input", "{empty}", "-t", "1"],
      "error: {empty}: problem file must be a JSON object\n"),
 ])
-def test_negative_value_in_exponent_form_gets_its_own_error(mixed_file, tmp_path, capsys,
-                                                            argv, message):
+def test_negative_value_in_exponent_form_gets_its_own_error(mixed_file, tmp_path, argv,
+                                                            message):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
     paths = {"path": mixed_file, "empty": str(empty)}
-    assert main([arg.format(**paths) for arg in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(message.format(**paths))
-    assert len(captured.err.splitlines()) == 1
+    # a message that ends in a newline is the whole line
+    line = run([arg.format(**paths) for arg in argv], 2) + "\n"
+    assert line.startswith(message.format(**paths))
 
 
 def test_help_before_a_negative_number_still_prints_help(capsys):
@@ -491,31 +450,23 @@ def test_help_before_a_negative_number_still_prints_help(capsys):
     ["sweep", "--t-start", "0.0", "--t-end", "1.0", "--steps", "3"],
     ["compare", "-t", "1.0", "--holonomy-steps", "256"],
 ])
-def test_non_hermitian_hamiltonian_exits_2(tmp_path, capsys, argv):
+def test_non_hermitian_hamiltonian_exits_2(tmp_path, argv):
     # at 1e200 both Frobenius norms of the check overflow a double
     for entry in (1.0, 1e200):
         path = entries_file(tmp_path, [[[0.0, 0.0], [entry, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
-        assert main(argv[:1] + ["--input", path] + argv[1:]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "not Hermitian" in captured.err
-        assert "Traceback" not in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
+        assert "not Hermitian" in run(argv[:1] + ["--input", path] + argv[1:], 2)
 
 
-def test_boolean_entry_exits_2(tmp_path, capsys):
+def test_boolean_entry_exits_2(tmp_path):
     path = entries_file(tmp_path, [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
-    assert main(["compute", "--input", path, "-t", "1.0"]) == 2
-    assert "hamiltonian[0][0]" in capsys.readouterr().err
+    assert "hamiltonian[0][0]" in run(["compute", "--input", path, "-t", "1.0"], 2)
 
 
-def test_huge_integer_entry_exits_2(tmp_path, capsys):
+def test_huge_integer_entry_exits_2(tmp_path):
     huge = 10**400  # written out as 401 digits: an int too large for a double
     path = entries_file(tmp_path, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, huge]]])
-    assert main(["compute", "--input", path, "-t", "1.0"]) == 2
-    err = capsys.readouterr().err
-    assert "hamiltonian[1][1]" in err and "too large" in err
-    assert "Traceback" not in err
+    line = run(["compute", "--input", path, "-t", "1.0"], 2)
+    assert "hamiltonian[1][1]" in line and "too large" in line
 
 
 
@@ -527,7 +478,7 @@ def test_huge_integer_entry_exits_2(tmp_path, capsys):
     ["sweep", "--t-start", "0.0", "--t-end", "1.0", "--steps", "3"],
     ["compare", "-t", "1.0", "--holonomy-steps", "256"],
 ])
-def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
+def test_hostile_input_or_output_exits_2(tmp_path, argv, case):
     zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     # finite, but ||H||_F = 2.4e308: h' + h'^dag would overflow
     huge = 1.7e308
@@ -549,42 +500,30 @@ def test_hostile_input_or_output_exits_2(tmp_path, capsys, argv, case):
     }[case]
     extra = ["--output", str(output)] if output else []
     path = entries_file(tmp_path, hamiltonian, rho)
-    assert main(argv[:1] + ["--input", path] + argv[1:] + extra) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert message in captured.err and "Traceback" not in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+    assert message in run(argv[:1] + ["--input", path] + argv[1:] + extra, 2)
 
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--t-start", "0", "--t-end", "1", "--steps", str(10**15)],
     ["verify", "--dim", str(10**8), "--trials", "1"],
 ])
-def test_unallocatable_size_exits_2(mixed_file, capsys, argv):
+def test_unallocatable_size_exits_2(mixed_file, argv):
     # PiB-scale arrays, past a 47-bit address space: the allocation fails
     # at once, before any memory is touched
     if argv[0] == "sweep":
         argv = argv[:1] + ["--input", mixed_file] + argv[1:]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+    run(argv, 2)
 
 
-def test_overflow_inside_a_command_exits_2(mixed_file, monkeypatch, capsys):
+def test_overflow_inside_a_command_exits_2(mixed_file, monkeypatch):
     # main runs each handler with numpy overflow raised; its net turns the
     # FloatingPointError into one error line
     monkeypatch.setattr(cli, "evaluate", lambda problem, t: np.float64(1e308) * 10)
-    assert main(["compute", "--input", mixed_file, "-t", "1.0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: input magnitudes exceed the range of a double")
-    assert "Traceback" not in captured.err
+    assert run(["compute", "--input", mixed_file, "-t", "1.0"], 2).startswith(
+        "error: input magnitudes exceed the range of a double")
 
 
-def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
+def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path):
     # rho + rho^dag overflows; validation decomposes the scaled matrix. In
     # the 3x3 case the smallest eigenvalue itself lies past the double range.
     x = 1.7e308
@@ -594,13 +533,8 @@ def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
     ]:
         zero = [[[0.0, 0.0]] * len(rho)] * len(rho)
         path = entries_file(tmp_path, zero, [[[v, 0.0] for v in row] for row in rho])
-        assert main(["compute", "--input", path, "-t", "1.0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
         assert (f"not positive semidefinite: smallest eigenvalue {eigenvalue} "
-                in captured.err)
-        assert "Traceback" not in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
+                in run(["compute", "--input", path, "-t", "1.0"], 2))
 
 
 @pytest.mark.parametrize("scale, t, code", [
@@ -612,17 +546,11 @@ def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path, capsys):
     (0.5, "9e15", 0),   # |t| E = 4.5e15, just inside 2**52
     (0.5, "1.2e16", 2),  # |t| E = 6e15, between 2**52 and 2**53
 ])
-def test_time_past_the_resolvable_range_exits_2(tmp_path, capsys, scale, t, code):
+def test_time_past_the_resolvable_range_exits_2(tmp_path, scale, t, code):
     path = entries_file(tmp_path, [[[scale, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-scale, 0.0]]])
-    assert main(["compute", "--input", path, f"--time={t}"]) == code
-    captured = capsys.readouterr()
+    text = run(["compute", "--input", path, f"--time={t}"], code)
     if code == 2:
-        assert captured.out == ""
-        assert f"time {float(t):g} is past the resolvable range" in captured.err
-        assert "Traceback" not in captured.err
-        assert len(captured.err.strip().splitlines()) == 1
-    else:
-        assert captured.err == ""
+        assert f"time {float(t):g} is past the resolvable range" in text
 
 
 # Hypothesis fuzzing of the whole command line: small problem files,
@@ -637,6 +565,7 @@ JUNK = st.recursive(
 NUMBERS = st.one_of(st.floats(-20.0, 20.0), st.floats(), st.sampled_from(
     [0.0, -0.0, 5e-324, 1e-300, 5e3, 9e15, 1e17, 1e300, 1.7e308, -1e17, -1e300]))
 STEPS = st.one_of(st.integers(0, 4096), st.sampled_from([256, 2**52, 2**52 + 1, 10**30]))
+REQUIRED = ("--dim", "--input", "--t-start", "--t-end", "--steps", "-t")
 
 
 @st.composite
@@ -679,32 +608,43 @@ def problem_files(draw, directory):
 
 @st.composite
 def command_lines(draw, directory):
+    """A command line over small flag values and the exit codes it may
+    give, or one malformed for argparse, which must exit 2: a numeric
+    option given a non-number, a required option left out, an unknown
+    option or an unknown command."""
     command = draw(st.sampled_from(["compute", "sweep", "compare", "verify"]))
     if command == "verify":
-        return ["verify", "--dim", str(draw(st.integers(-1, 4))),
+        argv = ["verify", "--dim", str(draw(st.integers(-1, 4))),
                 "--trials", str(draw(st.integers(-1, 2))),
                 "--seed", str(draw(st.integers(-1, 2**64))),
                 "--tol", repr(draw(st.one_of(st.sampled_from([1e-9, 0.0]), NUMBERS)))]
-    argv = [command, "--input", draw(problem_files(directory))]
+    else:
+        argv = [command, "--input", draw(problem_files(directory))]
     if command == "sweep":
-        return argv + ["--t-start", repr(draw(NUMBERS)), "--t-end", repr(draw(NUMBERS)),
-                       "--steps", str(draw(st.integers(-1, 64))),
-                       "--format", draw(st.sampled_from(["csv", "json"]))]
-    argv += ["-t", repr(draw(NUMBERS))]
-    return argv + (["--holonomy-steps", str(draw(STEPS))] if command == "compare" else [])
+        argv += ["--t-start", repr(draw(NUMBERS)), "--t-end", repr(draw(NUMBERS)),
+                 "--steps", str(draw(st.integers(-1, 64))),
+                 "--format", draw(st.sampled_from(["csv", "json"]))]
+    elif command in ("compute", "compare"):
+        argv += ["-t", repr(draw(NUMBERS))]
+    if command == "compare":
+        argv += ["--holonomy-steps", str(draw(STEPS))]
+    pairs = range(1, len(argv), 2)  # argv[i] is an option and argv[i + 1] its value
+    edit = draw(st.sampled_from(["none"] * 12 + ["number", "required", "option", "command"]))
+    if edit == "number":
+        i = draw(st.sampled_from([i for i in pairs if argv[i] not in ("--input", "--format")]))
+        argv[i + 1] = draw(st.sampled_from(["", "abc", "1j", "0x10"]))
+    elif edit == "required":
+        i = draw(st.sampled_from([i for i in pairs if argv[i] in REQUIRED]))
+        del argv[i:i + 2]
+    elif edit == "option":
+        argv.insert(draw(st.integers(1, len(argv))), "--bogus")
+    elif edit == "command":
+        argv[0] = draw(st.sampled_from(["", "frobnicate", "Compute"]))
+    return argv, {0, 1, 2, 3} if edit == "none" else 2
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_fuzzed_command_lines_keep_the_exit_code_contract(tmp_path, data):
-    argv = data.draw(command_lines(tmp_path))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in {0, 1, 2, 3}
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
-    else:
-        assert err.getvalue() == ""
+    run(*data.draw(command_lines(tmp_path)))

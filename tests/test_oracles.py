@@ -27,11 +27,9 @@ from mixedphase.linalg import dagger, frobenius, polar_unitary, unitary_from_eig
 from mixedphase.oracles import MAX_STEPS
 from mixedphase.transport import component_weights, diagonalizing_frame
 
-from cases import PLUS, SX, SZ, bloch_x, pure_plus
+from cases import COMMUTING, PLUS, SX, SZ, bloch_x, pure_plus
 from literal import amplitude_chain, evolution_operator, parallel_residual, \
     total_geometric_phase
-
-COMMUTING = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
 
 
 def test_path_sampling_validation():

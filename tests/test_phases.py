@@ -27,7 +27,7 @@ from mixedphase.phases import gauge_pair
 from mixedphase.serialize import reports_to_json
 from mixedphase.transport import component_weights, diagonalizing_frame
 
-from cases import PLUS, SX, SZ, bloch_x, pure_plus
+from cases import PLUS, SX, SZ, bloch_x, degenerate_qubit, pure_plus
 from literal import (
     component_report,
     component_state,
@@ -401,5 +401,5 @@ def test_phase_report_structure():
     assert [c["j"] for c in report["components"]] == [0, 1]
     assert not batch.degenerate_spectrum_warning
     assert abs(batch.gamma_total[0] - batch.uhlmann[0]) <= 1e-9
-    degenerate = evaluate(Problem(validate_density(np.eye(2) / 2), 0.5 * SZ), 1.0)
+    degenerate = evaluate(degenerate_qubit(), 1.0)
     assert degenerate.degenerate_spectrum_warning

@@ -24,7 +24,6 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase import serialize
-from mixedphase.cli import main
 from mixedphase.linalg import close_eigenvalues
 from mixedphase.oracles import discrete_uhlmann_holonomy
 from mixedphase.serialize import (
@@ -37,7 +36,7 @@ from mixedphase.serialize import (
     sweep_to_json,
 )
 
-from cases import SZ, bloch_x, entries_file, problem_file
+from cases import bloch_x, degenerate_qubit, entries_file, problem_file, run
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -196,7 +195,7 @@ def test_degenerate_spectrum_warning_surfaces():
     assert any("degenerate" in w for w in data["warnings"])
 
 
-def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path, capsys):
+def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path):
     # rho's spectrum is far from degenerate, but H = I makes K = -I, so z
     # and every per-component column depend on the eigensolver
     problem = Problem(validate_density(np.diag([0.5, 0.3, 0.2])), np.eye(3))
@@ -205,8 +204,7 @@ def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path, capsys):
     assert np.ptp(frame.kappas) < 1e-12 and close_eigenvalues(frame.kappas)
     assert evaluate(problem, 1.0).degenerate_spectrum_warning
     path = problem_file(tmp_path, problem, "k_degenerate.json")
-    assert main(["compute", "--input", path, "-t", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["warnings"] == [
+    assert json.loads(run(["compute", "--input", path, "-t", "1"], 0))["warnings"] == [
         "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
         "are not unique within degenerate blocks"]
 
@@ -291,11 +289,6 @@ def reference_report(batch, i):
         ],
         "warnings": warnings,
     }
-
-
-def degenerate_qubit():
-    """rho = I/2 under sz/2: every report warns of the degenerate spectrum."""
-    return Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
 
 
 @st.composite
@@ -431,7 +424,7 @@ def test_malformed_entries_are_named_in_row_major_order(case):
     assert str(exc.value) == message
 
 
-def test_resolution_warning_past_the_bound(tmp_path, capsys):
+def test_resolution_warning_past_the_bound(tmp_path):
     # a row warns when |t| E eps exceeds the overlap tolerance; the CSV has
     # no warnings and does not change
     problem = random_instance(3, 3, 5)
@@ -443,14 +436,11 @@ def test_resolution_warning_past_the_bound(tmp_path, capsys):
     warning = (f"resolution bound |t| E eps = {above * energy * eps:.3e} exceeds the "
                f"overlap tolerance 1.0e-12 (E = {energy:.3e}, the largest energy): the "
                "phases carry roundoff of that size")
-    assert main(["compute", "--input", path, "-t", repr(below)]) == 0
-    assert json.loads(capsys.readouterr().out)["warnings"] == []
-    assert main(["compute", "--input", path, "-t", repr(above)]) == 0
-    assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
+    for t, want in ((below, []), (above, [warning])):
+        report = json.loads(run(["compute", "--input", path, "-t", repr(t)], 0))
+        assert report["warnings"] == want
     sweep = ["sweep", "--input", path, "--t-start", repr(below), "--t-end",
              repr(above), "--steps", "2"]
-    assert main(sweep + ["--format", "json"]) == 0
-    assert [row["warnings"] for row in json.loads(capsys.readouterr().out)] == [[], [warning]]
-    assert main(sweep) == 0
-    batch = evaluate(load_problem(path), [below, above])
-    assert capsys.readouterr().out == written(sweep_to_csv, batch)
+    rows = json.loads(run(sweep + ["--format", "json"], 0))
+    assert [row["warnings"] for row in rows] == [[], [warning]]
+    assert run(sweep, 0) == written(sweep_to_csv, evaluate(load_problem(path), [below, above]))

@@ -23,12 +23,12 @@ from mixedphase import (
     random_instance,
     validate_density,
 )
-from mixedphase import cli, linalg
+from mixedphase import linalg
 from mixedphase.linalg import close_eigenvalues, dagger, frobenius, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.transport import diagonalizing_frame
 
-from cases import PLUS, SZ, problem_file
+from cases import COMMUTING, PLUS, SZ, problem_file, run
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -218,7 +218,7 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
                  ["sweep", "--input", str(path), "--t-start", "0", "--t-end", "4",
                   "--steps", "50"]):
         calls.clear()
-        assert cli.main(argv) == 0
+        run(argv, 0)
         assert calls == {"eigh": 3}, argv
     calls.clear()
     random_instance(8, 8, 3)
@@ -226,11 +226,11 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
     # the holonomy oracle takes rho's and H's decompositions from the
     # Problem: one SVD and no eigendecomposition of its own
     calls.clear()
-    assert cli.main(["compare", "--input", str(path), "-t", "1"]) == 0
+    run(["compare", "--input", str(path), "-t", "1"], 0)
     assert calls == {"eigh": 3, "svd": 1}
     # a verify trial: rho, H, and the gauge pair's two K in one stacked call
     calls.clear()
-    assert cli.main(["verify", "--dim", "8", "--trials", "1"]) == 0
+    run(["verify", "--dim", "8", "--trials", "1"], 0)
     assert calls == {"eigh": 3, "svd": 1}
 
 
@@ -257,8 +257,7 @@ def test_carried_spectra_rebuild_their_inputs(dim, rank, seed, identity):
 
 
 def test_hamiltonian_rotation_identity_for_diagonal_state():
-    problem = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
-    np.testing.assert_allclose(problem.h_prime, 0.5 * SZ, atol=1e-14)
+    np.testing.assert_allclose(COMMUTING.h_prime, 0.5 * SZ, atol=1e-14)
 
 
 def test_hamiltonian_rotation_hadamard_swap():
