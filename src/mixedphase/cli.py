@@ -4,6 +4,10 @@ Subcommands: compute (one time point), sweep (time grid to CSV/JSON),
 verify (randomized invariant batches), compare (phase definitions
 against the brute-force holonomy). Exit codes: 0 success, 1
 verification failure, 2 input error, 3 undefined phase.
+
+Each command's options are defined once, in _add_arguments. A process
+builds only the parser of the command it runs; the full subcommand tree,
+built from the same definitions, parses any other command line.
 """
 
 from __future__ import annotations
@@ -167,51 +171,88 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+# each command and its line in the top-level help, in the order that
+# help and argparse's "invalid choice" message list them
+COMMANDS = {
+    "compute": "all phases of a problem file at one time",
+    "sweep": "phases over a uniform time grid",
+    "verify": "randomized invariant verification batches",
+    "compare": "phase definitions vs the brute-force holonomy",
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Define one command's options on parser and set its handler: the one
+    definition behind the command's own parser and its place in the tree."""
+    add = parser.add_argument
+    if command == "compute":
+        add("--input", required=True, help="problem file (JSON)")
+        add("--time", "-t", type=float, required=True, help="evolution time")
+        handler = cmd_compute
+    elif command == "sweep":
+        add("--input", required=True)
+        add("--t-start", type=float, required=True)
+        add("--t-end", type=float, required=True)
+        add("--steps", type=int, required=True, help="grid points (>= 2)")
+        add("--format", choices=("csv", "json"), default="csv")
+        handler = cmd_sweep
+    elif command == "verify":
+        add("--dim", type=int, required=True)
+        add("--trials", type=int, default=50)
+        add("--seed", type=int, default=7)
+        add("--tol", type=float, default=1e-9)
+        handler = cmd_verify
+    else:
+        add("--input", required=True)
+        add("--time", "-t", type=float, required=True)
+        add("--holonomy-steps", type=int, default=4096,
+            help="discretization steps (256 to 2**52)")
+        handler = cmd_compare
+    if command != "verify":
+        add("--output", help="output path (default: stdout)")
+    parser.set_defaults(handler=handler)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused: parsing
-    leaves it unchanged, and building it costs more than a small op."""
-    parser = _Parser(
-        prog="mixedphase",
-        description="Geometric phases of mixed states under unitary evolution",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="all phases of a problem file at one time")
-    p.add_argument("--input", required=True, help="problem file (JSON)")
-    p.add_argument("--time", "-t", type=float, required=True, help="evolution time")
-    p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(handler=cmd_compute)
-
-    p = sub.add_parser("sweep", help="phases over a uniform time grid")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t-start", type=float, required=True)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True, help="grid points (>= 2)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(handler=cmd_sweep)
-
-    p = sub.add_parser("verify", help="randomized invariant verification batches")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("compare",
-                       help="phase definitions vs the brute-force holonomy")
-    p.add_argument("--input", required=True)
-    p.add_argument("--time", "-t", type=float, required=True)
-    p.add_argument("--holonomy-steps", type=int, default=4096,
-                   help="discretization steps (256 to 2**52)")
-    p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(handler=cmd_compare)
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with no command the full subcommand
+    tree, built on first use and then reused: parsing leaves it unchanged,
+    and building it costs more than a small op. A run builds only the
+    parser of the command it runs; the tree serves every other command
+    line (-h, no command, an unknown command or option)."""
+    if command is not None:
+        parser = _Parser(prog=f"mixedphase {command}")
+        _add_arguments(parser, command)
+    else:
+        parser = _Parser(
+            prog="mixedphase",
+            description="Geometric phases of mixed states under unitary evolution",
+        )
+        # not required: _parse asks for a command only when no unknown
+        # option stands before it, so that the error names the option
+        sub = parser.add_subparsers(dest="command")
+        for name, help_line in COMMANDS.items():
+            _add_arguments(sub.add_parser(name, help=help_line), name)
     # Each add_argument leaves a throw-away HelpFormatter in a reference cycle; freeing
-    # them here takes 12 KB off a cold sweep or compute op's peak (0.916 -> 0.904 MB).
+    # them here takes 2-4 KB off a cold op's peak (compare 0.0468 -> 0.0440 MB).
     gc.collect(0)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its command's own parser when argv[0] names one,
+    else by the tree, so that the help and the errors of any other
+    command line are the tree's."""
+    if argv and argv[0] in COMMANDS:
+        parser, argv = build_parser(argv[0]), argv[1:]
+    else:
+        parser = build_parser()
+        # argparse would ask for the missing command before it names an
+        # unknown option; a lone -- is left unread, and is no option
+        args, extras = parser.parse_known_args(argv)
+        if args.command is None and extras in ([], ["--"]):
+            parser.error("the following arguments are required: command")
+    return parser.parse_args(argv)
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
@@ -238,7 +279,7 @@ def main(argv=None) -> int:
     it. Only -h/--help prints usage, and exits 0."""
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         with np.errstate(over="raise", invalid="raise"):
             return args.handler(args)
     except FloatingPointError as exc:

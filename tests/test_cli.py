@@ -379,26 +379,58 @@ def test_compute_non_finite_time_exits_2(mixed_file):
         "error: --time must be finite, got inf")
 
 
-def test_building_the_parser_leaves_no_cyclic_garbage():
+@pytest.mark.parametrize("command", [*cli.COMMANDS, None])
+def test_building_the_parser_leaves_no_cyclic_garbage(command):
     """argparse leaves a throw-away HelpFormatter in a reference cycle per
-    add_argument (73 objects); the cached build frees them itself, so
-    where the next collection falls does not move an op's peak."""
+    add_argument (73 objects for the tree); each cached build, of one
+    command's parser or of the tree, frees them itself, so where the next
+    collection falls does not move an op's peak."""
     cli.build_parser.cache_clear()
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        cli.build_parser()
+        cli.build_parser(command)
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_run_builds_only_its_commands_parser(mixed_file, command):
+    argv = {"compute": ["--input", mixed_file, "-t", "1"],
+            "sweep": ["--input", mixed_file, "--t-start", "0", "--t-end", "1", "--steps", "2"],
+            "verify": ["--dim", "1", "--trials", "1"],
+            "compare": ["--input", mixed_file, "-t", "1", "--holonomy-steps", "256"]}[command]
+    cli.build_parser.cache_clear()
+    run([command] + argv, 0)
+    assert cli.build_parser.cache_info().currsize == 1
+    cli.build_parser(command)  # the one parser built is this command's: a cache hit
+    assert cli.build_parser.cache_info()[:2] == (1, 1)
+
+
 def test_unknown_command_exits_2():
     # argparse's own errors reach main's one error line, with the parser's name
     assert run(["frobnicate"], 2).startswith(
         "error: mixedphase: argument command: invalid choice: 'frobnicate'")
+
+
+def test_unknown_option_is_named_under_its_command(mixed_file):
+    assert run(["compute", "--input", mixed_file, "-t", "1", "--bogus"], 2) == (
+        "error: mixedphase compute: unrecognized arguments: --bogus")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--bogus"], "error: mixedphase: unrecognized arguments: --bogus"),
+    (["--bogus", "compute"], "error: mixedphase compute: the following arguments are required: "
+                             "--input, --time/-t"),
+    ([], "error: mixedphase: the following arguments are required: command"),
+    (["--"], "error: mixedphase: the following arguments are required: command"),
+])
+def test_the_tree_names_an_unknown_option_before_asking_for_a_command(argv, line):
+    # such a line goes to the full subcommand tree
+    assert run(argv, 2) == line
 
 
 @pytest.mark.parametrize("exponent_form, plain", [("-1e-3", "-0.001"), ("-2E1", "-20.0")])
@@ -644,7 +676,8 @@ def command_lines(draw, directory):
 
 
 @settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_command_lines_keep_the_exit_code_contract(tmp_path, data):
     run(*data.draw(command_lines(tmp_path)))
