@@ -19,7 +19,7 @@ import gc
 import math
 import re
 import sys
-from typing import Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -48,16 +48,11 @@ VERIFY_HOLONOMY_STEPS = 2**16
 NEGATIVE_NUMBER = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.I)
 
 
-@contextlib.contextmanager
-def _destination(output: str | None) -> Iterator[TextIO]:
+def _destination(output: str | None) -> contextlib.AbstractContextManager[TextIO]:
     """The --output file, opened for writing, or stdout. Each command
     opens it only once its report is computed, so a run that fails
     before then writes nothing."""
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    return open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout)
 
 
 def _load(path: str) -> Problem:

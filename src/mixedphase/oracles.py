@@ -130,23 +130,18 @@ def random_instance(dim: int, rank: int, seed: int) -> Problem:
     dimension dim and a Hermitian Hamiltonian of unit Frobenius norm.
 
     The state is B B^dag / Tr for a dim x rank complex Gaussian factor B,
-    redrawn (still from the same stream) in the rare event that its
-    rank-th eigenvalue is not clearly positive; the Hamiltonian is a
-    complex Gaussian Hermitian matrix rescaled to unit Frobenius norm.
+    drawn once and never redrawn: B has full column rank with probability
+    one, so the state has exactly rank nonzero eigenvalues, however small
+    the least of them. The Hamiltonian is a complex Gaussian Hermitian
+    matrix rescaled to unit Frobenius norm.
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank {rank} outside 1..{dim}")
     rng = np.random.default_rng(seed)
-    for _ in range(64):
-        b = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        rho = b @ dagger(b)
-        rho /= rho.trace().real
-        state = validate_density(rho)
-        if state.lambdas[rank - 1] > 1e-6:
-            break
-    else:  # pragma: no cover - probability is negligible
-        raise RuntimeError(f"could not draw a clearly rank-{rank} state for seed {seed}")
+    b = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = b @ dagger(b)
+    rho /= rho.trace().real
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + dagger(a)) / 2.0
     h *= 1.0 / frobenius(h)
-    return Problem(state, h)
+    return Problem(validate_density(rho), h)

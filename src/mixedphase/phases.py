@@ -104,7 +104,7 @@ def gauge_pair(problem: Problem, theta, times):
     eigenvectors differ, so the Hamiltonian is neither checked,
     decomposed nor rotated again: row 0 takes h'_jk conj(d_j) d_k and
     Q_ja conj(d_j), and both rows H's eigenvalues; two separate passes
-    cost verify 8% of its items_per_s (1,930 -> 1,770). The stacked h', Q
+    cost verify 7% of its items_per_s (2,210 -> 2,050). The stacked h', Q
     and K are freed before the contraction, whose temporaries set the
     pass's peak memory; the frame's z and kappas are views of row 1.
     """
@@ -115,7 +115,7 @@ def gauge_pair(problem: Problem, theta, times):
     d = np.exp(1j * theta)
     frame = diagonalizing_frame(solve_ancilla_hamiltonian(
         amps, np.array([np.outer(d.conj(), d) * h_prime, h_prime])))
-    # freeing the K stack here keeps verify's peak_mem_mb 1.5% lower (0.0726 -> 0.0715 MB)
+    # freeing the K stack here keeps verify's cold peak_mem_mb at 0.0429, not 0.0443 MB
     k, z, kappas = frame.k[1].copy(), frame.z, frame.kappas
     del frame
     t, _, e, p = _setup(amps, problem.h_eigvals,
@@ -139,8 +139,8 @@ def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
     # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
     # Q^dag C z^T is formed as the conjugate of Q^T conj(C z^T), conjugating the
-    # one new array in place (a copy adds 2 KB to a warm dim-8 verify op's 30 KB
-    # peak, and 1.5 KB to verify's cold peak_mem_mb, 0.0697 -> 0.0712 MB); every
+    # one new array in place (a copy adds 1.5 KB to a warm dim-8 verify op's 29 KB
+    # peak, and 1.8 KB to verify's cold peak_mem_mb, 0.0429 -> 0.0446 MB); every
     # product and sum is the exact conjugate, so P is the same.
     czt = (z * amps).swapaxes(-1, -2)
     p = np.abs(h_eigvecs.swapaxes(-1, -2) @ np.conjugate(czt, out=czt)) ** 2

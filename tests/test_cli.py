@@ -162,6 +162,12 @@ def test_verify_dim6_batch_passes():
                                     "--tol", "1e-9"], 0)
 
 
+def test_verify_passes_at_a_dimension_whose_states_have_tiny_eigenvalues():
+    """At dim 192 the least eigenvalue of a full-rank random state is far
+    below 1e-6 on most draws; the instance is kept as drawn."""
+    assert "verified 1/1" in run(["verify", "--dim", "192", "--trials", "1"], 0)
+
+
 def test_verify_zero_tolerance_fails():
     assert "seed" in run(["verify", "--dim", "2", "--trials", "3", "--seed", "7",
                           "--tol", "0"], 1)

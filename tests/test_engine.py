@@ -175,6 +175,8 @@ SPLIT_CASES = {
     # rank 2 of 5: three zero-weight components carry the sentinels
     "rank-deficient": (random_instance(5, 2, 31), [-3.5, 2.0, -3.5, 0.0, 11.25]),
     "full rank": (random_instance(6, 6, 32), [-0.25, -0.25, 7.0]),
+    # full rank with a least eigenvalue of 3.6e-8
+    "tiny eigenvalue": (random_instance(16, 16, 351), [0.5, -2.0, 9.0]),
 }
 COLUMNS = list(eager_columns(*SPLIT_CASES["nodal qubit"]))
 

@@ -319,6 +319,18 @@ def test_random_instance_deterministic():
     assert np.array_equal(a.hamiltonian_lab, b.hamiltonian_lab)
 
 
+def test_random_instance_draws_the_state_once():
+    """The state is B B^dag / Tr for the stream's first dim x rank draw B,
+    however small its least eigenvalue (9.1e-7 here)."""
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    rho = b @ dagger(b)
+    rho /= rho.trace().real
+    prob = random_instance(32, 32, 3)
+    assert np.array_equal(prob.rho0.mat, rho)
+    assert 0 < prob.rho0.lambdas[-1] < 1e-6
+
+
 def test_random_instance_rank():
     prob = random_instance(4, 2, 7)
     evals = np.linalg.eigvalsh(prob.rho0.mat)
