@@ -1,18 +1,6 @@
 """Exception types raised across the package."""
 
-import math
-from decimal import Decimal
-
 from .tolerances import DEFAULT_TOL
-
-
-def magnitude(value: float, scale: float = 1.0) -> str:
-    """value * scale as %.3e, with scale the power of two a matrix past
-    the double range was divided by: formatted as a float, whose exponent
-    has at least two digits, or through Decimal where the product
-    overflows."""
-    product = value * scale
-    return f"{Decimal(value) * Decimal(scale) if math.isinf(product) else product:.3e}"
 
 
 class GeometricPhaseError(Exception):
@@ -20,33 +8,30 @@ class GeometricPhaseError(Exception):
 
 
 class NotHermitian(GeometricPhaseError):
-    """Matrix failed the Hermitian symmetry check; ||a - a^dag||_F is
-    residual * scale (see magnitude)."""
+    """Matrix failed the Hermitian symmetry check; residual is
+    ||a - a^dag||_F."""
 
-    def __init__(self, residual: float, scale: float = 1.0):
-        self.residual = residual * scale
-        super().__init__(f"not Hermitian: ||a - a^dag||_F = {magnitude(residual, scale)} "
+    def __init__(self, residual: float):
+        self.residual = residual
+        super().__init__(f"not Hermitian: ||a - a^dag||_F = {residual:.3e} "
                          f"exceeds {DEFAULT_TOL.hermiticity:.1e}")
 
 
 class NotPSD(GeometricPhaseError):
-    """Matrix has an eigenvalue below the positive-semidefinite floor;
-    the smallest is eigenvalue * scale (see magnitude)."""
+    """Matrix has an eigenvalue below the positive-semidefinite floor."""
 
-    def __init__(self, eigenvalue: float, scale: float = 1.0):
-        self.min_eigenvalue = eigenvalue * scale
+    def __init__(self, eigenvalue: float):
+        self.min_eigenvalue = eigenvalue
         super().__init__("not positive semidefinite: smallest eigenvalue "
-                         f"{magnitude(eigenvalue, scale)} is below -{DEFAULT_TOL.psd:.1e}")
+                         f"{eigenvalue:.3e} is below -{DEFAULT_TOL.psd:.1e}")
 
 
 class NotUnitTrace(GeometricPhaseError):
-    """Density matrix trace deviates from one; the trace is trace * scale
-    and |Tr - 1| is |trace - 1 / scale| * scale (see magnitude)."""
+    """Density matrix trace deviates from one."""
 
-    def __init__(self, trace: complex, scale: float = 1.0):
-        self.trace = trace * scale
-        residual = magnitude(abs(trace - 1.0 / scale), scale)
-        super().__init__(f"trace is not one: |Tr - 1| = {residual} "
+    def __init__(self, trace: complex):
+        self.trace = trace
+        super().__init__(f"trace is not one: |Tr - 1| = {abs(trace - 1.0):.3e} "
                          f"exceeds {DEFAULT_TOL.unit_trace:.1e}")
 
 

@@ -29,36 +29,33 @@ def frobenius(a: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def require_hermitian(a) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Check that a is Hermitian and return what was measured, (a, b, s,
-    ||b||_F): a as a new complex array, a private copy that shares no
-    memory with the argument, and b = a / s. s is 1 (b is a) up to
-    ||a||_F = 1e300 and above it the power of two at or just below
-    max |Re a_ij|, |Im a_ij|, so the division is exact and ||a||_F =
-    s ||b||_F holds without overflow. Raises NotHermitian if a is not
-    symmetric within the hermiticity tolerance, relative to
-    max(1, ||a||_F); the test reads b, so it holds at every finite size.
-    Raises ValueError if a is not square or holds a non-finite entry.
+# The largest Frobenius norm a matrix may enter with. Below it the sum of
+# squares in ||a||_F, h' + h'^dag and the norms of K and of verify's
+# residuals all stay finite; a Hamiltonian this large resolves no time
+# past about 4e-134 (2**52 over its largest energy, at n <= 64).
+MAX_NORM = 1e150
+
+
+def require_hermitian(a) -> np.ndarray:
+    """Check that a is a Hermitian matrix from outside and return it as a
+    new complex array, a private copy that shares no memory with the
+    argument. Raises ValueError if a is not square, or if ||a||_F is not
+    finite or exceeds MAX_NORM (so a nan or inf entry is refused too),
+    and NotHermitian if a is not symmetric within the hermiticity
+    tolerance, relative to max(1, ||a||_F).
     """
     a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
     with np.errstate(over="ignore"):
         norm = frobenius(a)
-    b, scale = a, 1.0
-    if norm > 1e300:
-        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
-        scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-        b = a / scale
-        norm = frobenius(b)
-    tol = DEFAULT_TOL.hermiticity
-    defect = frobenius(b - dagger(b))
-    # defect * scale > tol * max(1, norm * scale)
-    if defect > tol * norm and defect * scale > tol:
-        raise NotHermitian(defect, scale)
-    return a, b, scale, norm
+    if not norm <= MAX_NORM:
+        raise ValueError("matrix has a non-finite entry or a Frobenius norm "
+                         f"past {MAX_NORM:.0e}")
+    defect = frobenius(a - dagger(a))
+    if defect > DEFAULT_TOL.hermiticity * max(1.0, norm):
+        raise NotHermitian(defect)
+    return a
 
 
 # Past |t| E = 2**52, E the largest energy, the doubles at the phase

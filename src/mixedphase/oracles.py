@@ -111,14 +111,14 @@ def pancharatnam_phase(psi0, h_lab, t: float) -> float:
     """Pure-state geometric phase: total phase arg <psi0|U(t)|psi0> minus
     the dynamical phase -<psi0|H|psi0> t (constant integrand for a
     time-independent Hamiltonian). Reduced to (-pi, pi]; nan where
-    <psi0|U(t)|psi0> vanishes. Raises NotHermitian for a non-Hermitian
-    h_lab, and evaluate's ValueError for a t past the resolvable range
-    of h_lab's largest |eigenvalue| (unitary_from_eig)."""
+    <psi0|U(t)|psi0> vanishes. Raises require_hermitian's errors for h_lab,
+    and evaluate's ValueError for a t past the resolvable range of
+    h_lab's largest |eigenvalue| (unitary_from_eig)."""
     psi0 = np.asarray(psi0, dtype=complex)
     norm = frobenius(psi0)
     if not abs(norm - 1.0) <= 1e-12:  # also rejects a nan or inf entry
         raise ValueError(f"state norm {norm} is not 1 within 1e-12")
-    h_lab = require_hermitian(h_lab)[0]
+    h_lab = require_hermitian(h_lab)
     u = unitary_from_hamiltonian(h_lab, t)
     total = angle_or_nan(complex(np.vdot(psi0, u @ psi0)))
     energy = float(np.vdot(psi0, h_lab @ psi0).real)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, NotUnitTrace, magnitude
+from .errors import DimensionMismatch, NotPSD, NotUnitTrace
 from .linalg import dagger, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
 
@@ -48,9 +48,9 @@ class DensityMatrix:
 class Problem:
     """A state and the lab-frame Hamiltonian driving it (hbar = 1).
 
-    The Hamiltonian is checked once here: square, finite, the state's
-    dimension, Hermitian (NotHermitian otherwise), and of Frobenius norm
-    at most half the largest double, so that h' + h'^dag cannot overflow.
+    The Hamiltonian is checked once here, by require_hermitian (square,
+    of finite Frobenius norm at most MAX_NORM, Hermitian), and for the
+    state's dimension.
     hamiltonian_lab is the check's private copy, so a later write to the
     caller's array moves neither it nor anything derived from it.
     Then it is decomposed once, H = V diag(h_eigvals) V^dag with
@@ -70,10 +70,7 @@ class Problem:
     h_prime: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        h, _, scale, norm = require_hermitian(self.hamiltonian_lab)
-        if norm > np.finfo(float).max / 2 / scale:
-            raise ValueError(f"Hamiltonian norm ||H||_F = {magnitude(norm, scale)}"
-                             " exceeds half the range of a double")
+        h = require_hermitian(self.hamiltonian_lab)
         object.__setattr__(self, "hamiltonian_lab", h)
         if h.shape[0] != self.rho0.dim:
             raise DimensionMismatch(
@@ -96,22 +93,18 @@ def validate_density(mat) -> DensityMatrix:
     """Check the density-matrix invariants and decompose the matrix.
 
     The returned state holds require_hermitian's private copy of mat.
-    Raises NotHermitian (require_hermitian's test, which holds at any
-    finite magnitude, made here once: hermitian_eig does not check its
-    input), NotUnitTrace, or NotPSD naming the violated invariant with
-    the measured residual. The trace and the eigenvalues are those of the
-    scaled b the check returns, so both tests hold at any finite
-    magnitude too; b is mat itself below ||rho||_F = 1e300, and no
-    unit-trace PSD matrix lies above it. Eigenvalues in [-psd, 0) are
-    tolerated but not mutated.
+    Raises require_hermitian's ValueError or NotHermitian (the check is
+    made here once: hermitian_eig does not check its input), NotUnitTrace,
+    or NotPSD naming the violated invariant with the measured residual.
+    Eigenvalues in [-psd, 0) are tolerated but not mutated.
     """
-    mat, b, scale, _ = require_hermitian(mat)
-    trace = complex(b.trace())
-    if abs(trace - 1.0 / scale) * scale > DEFAULT_TOL.unit_trace:
-        raise NotUnitTrace(trace, scale)
-    w, q = hermitian_eig(b)
-    if float(w[0]) * scale < -DEFAULT_TOL.psd:
-        raise NotPSD(float(w[0]), scale)
+    mat = require_hermitian(mat)
+    trace = complex(mat.trace())
+    if abs(trace - 1.0) > DEFAULT_TOL.unit_trace:
+        raise NotUnitTrace(trace)
+    w, q = hermitian_eig(mat)
+    if float(w[0]) < -DEFAULT_TOL.psd:
+        raise NotPSD(float(w[0]))
     lambdas = np.clip(w[::-1], 0.0, 1.0)
     return DensityMatrix(mat, lambdas, q[:, ::-1], np.sqrt(lambdas))
 

@@ -18,6 +18,9 @@ from mixedphase import Problem, cli, save_problem, validate_density
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+# require_hermitian's one message for a matrix with a non-finite entry or
+# a Frobenius norm past MAX_NORM, at every entry point
+CAP_ERROR = "matrix has a non-finite entry or a Frobenius norm past 1e+150"
 # rho = diag(0.7, 0.3) under H = sz / 2: H commutes with rho
 COMMUTING = Problem(validate_density(np.diag([0.7, 0.3])), 0.5 * SZ)
 

@@ -17,7 +17,7 @@ from mixedphase import cli
 from mixedphase.cli import main
 from mixedphase.serialize import problem_to_dict
 
-from cases import SX, bloch_x, entries_file, problem_file, pure_plus, run
+from cases import CAP_ERROR, SX, bloch_x, entries_file, problem_file, pure_plus, run
 
 CYCLIC_T = 2 * np.pi
 
@@ -489,10 +489,10 @@ def test_help_before_a_negative_number_still_prints_help(capsys):
     ["compare", "-t", "1.0", "--holonomy-steps", "256"],
 ])
 def test_non_hermitian_hamiltonian_exits_2(tmp_path, argv):
-    # at 1e200 both Frobenius norms of the check overflow a double
-    for entry in (1.0, 1e200):
+    # at 1e200 the matrix is past the cap, which is checked first
+    for entry, message in ((1.0, "not Hermitian"), (1e200, CAP_ERROR)):
         path = entries_file(tmp_path, [[[0.0, 0.0], [entry, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
-        assert "not Hermitian" in run(argv[:1] + ["--input", path] + argv[1:], 2)
+        assert message in run(argv[:1] + ["--input", path] + argv[1:], 2)
 
 
 def test_boolean_entry_exits_2(tmp_path):
@@ -518,20 +518,18 @@ def test_huge_integer_entry_exits_2(tmp_path):
 ])
 def test_hostile_input_or_output_exits_2(tmp_path, argv, case):
     zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    # finite, but ||H||_F = 2.4e308: h' + h'^dag would overflow
+    # finite entries past the cap on ||a||_F, refused before any other
+    # check: h' + h'^dag, ||H - H^dag||_F and Tr rho would overflow
     huge = 1.7e308
     hamiltonian, rho, output, message = {
         "huge_hamiltonian": ([[[huge, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-huge, 0.0]]],
-                             None, None, "Hamiltonian norm ||H||_F = 2.404e+308 exceeds "
-                                         "half the range of a double"),
+                             None, None, CAP_ERROR),
         "huge_rho": (zero, [[[0.5, 0.0], [1e200, 0.0]], [[0.3, 0.0], [0.5, 0.0]]], None,
-                     "not Hermitian"),
-        # ||H - H^dag||_F = 2.4e308 is past the double range, named finitely
+                     CAP_ERROR),
         "huge_non_hermitian": ([[[0.0, 0.0], [huge, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], None,
-                               None, "not Hermitian: ||a - a^dag||_F = 2.404e+308 exceeds"),
-        # Tr rho = 3.4e308 is past the double range, named finitely
+                               None, CAP_ERROR),
         "huge_trace": (zero, [[[huge, 0.0], [0.0, 0.0]], [[0.0, 0.0], [huge, 0.0]]], None,
-                       "trace is not one: |Tr - 1| = 3.400e+308 exceeds"),
+                       CAP_ERROR),
         "output_in_missing_directory": (zero, None, tmp_path / "missing" / "out.txt",
                                         "No such file"),
         "output_is_a_directory": (zero, None, tmp_path, "directory"),
@@ -562,23 +560,20 @@ def test_overflow_inside_a_command_exits_2(mixed_file, monkeypatch):
 
 
 def test_non_psd_rho_beyond_the_symmetrization_range_exits_2(tmp_path):
-    # rho + rho^dag overflows; validation decomposes the scaled matrix. In
-    # the 3x3 case the smallest eigenvalue itself lies past the double range.
+    # rho + rho^dag would overflow, and in the 3x3 case the smallest
+    # eigenvalue lies past the double range: both are past the cap on
+    # ||rho||_F, refused before they are decomposed
     x = 1.7e308
-    for rho, eigenvalue in [
-        ([[0.5, 1e308], [1e308, 0.5]], "-1.000e+308"),
-        ([[0.5, x, x], [x, 0.25, -x], [x, -x, 0.25]], "-3.400e+308"),
-    ]:
+    for rho in ([[0.5, 1e308], [1e308, 0.5]], [[0.5, x, x], [x, 0.25, -x], [x, -x, 0.25]]):
         zero = [[[0.0, 0.0]] * len(rho)] * len(rho)
         path = entries_file(tmp_path, zero, [[[v, 0.0] for v in row] for row in rho])
-        assert (f"not positive semidefinite: smallest eigenvalue {eigenvalue} "
-                in run(["compute", "--input", path, "-t", "1.0"], 2))
+        assert CAP_ERROR in run(["compute", "--input", path, "-t", "1.0"], 2)
 
 
 @pytest.mark.parametrize("scale, t, code", [
-    (6e307, "0", 0),
-    (6e307, "1", 2),    # |t| E = 6e307: the phase arguments are unresolved
-    (6e307, "3", 2),    # t E itself overflows a double
+    (7e149, "0", 0),    # ||H||_F = 9.9e149, just inside the cap
+    (7e149, "1", 2),    # |t| E = 7e149: the phase arguments are unresolved
+    (7e149, "1e300", 2),  # t E itself overflows a double
     (0.5, "1e17", 2),   # |t| E = 5e16 > 2**52 on a unit-norm qubit
     (0.5, "-1e17", 2),
     (0.5, "9e15", 0),   # |t| E = 4.5e15, just inside 2**52

@@ -73,8 +73,8 @@ def test_eig_rejects_non_hermitian():
 def test_require_hermitian_returns_a_private_copy():
     # a complex array np.asarray would return as it is
     for a in (SZ.copy(), SX.real.copy(), [[1.0, 0.0], [0.0, 2.0]]):
-        checked, scaled = require_hermitian(a)[:2]
-        assert scaled is checked and not np.shares_memory(checked, a)
+        checked = require_hermitian(a)
+        assert checked.dtype == complex and not np.shares_memory(checked, a)
         np.testing.assert_array_equal(checked, a)
 
 

@@ -19,6 +19,7 @@ from mixedphase import (
     Problem,
     evaluate,
     load_problem,
+    pancharatnam_phase,
     prepare_problem,
     random_instance,
     validate_density,
@@ -28,7 +29,7 @@ from mixedphase.linalg import close_eigenvalues, dagger, frobenius, unitary_from
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.transport import diagonalizing_frame
 
-from cases import COMMUTING, PLUS, SZ, problem_file, run
+from cases import CAP_ERROR, COMMUTING, PLUS, SZ, problem_file, run
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -57,55 +58,36 @@ def test_negative_determinant_rejected_as_not_psd():
         validate_density(np.array([[0.6, 0.6], [0.6, 0.4]]))
 
 
-def test_non_psd_beyond_the_symmetrization_range_rejected():
-    # rho + rho^dag would overflow; the eigenvalues come from the scaled
-    # matrix (a RuntimeWarning is an error in this suite)
-    with pytest.raises(NotPSD, match=re.escape("smallest eigenvalue -1.000e+308 ")):
-        validate_density(np.array([[0.5, 1e308], [1e308, 0.5]]))
+HUGE = 1.7e308  # finite, near the largest double
 
 
-def test_non_psd_eigenvalue_past_the_double_range_named_finitely():
-    # every entry is finite, but the smallest eigenvalue, -3.78 times the
-    # scale 2**1022, is not: the message still prints its magnitude
-    x = 1.7e308
-    with pytest.raises(NotPSD) as exc:
-        validate_density(np.array([[0.5, x, x], [x, 0.25, -x], [x, -x, 0.25]]))
-    assert str(exc.value) == ("not positive semidefinite: smallest eigenvalue "
-                              "-3.400e+308 is below -1.0e-12")
-    assert exc.value.min_eigenvalue == -np.inf
-
-
-def test_trace_past_the_double_range_named_finitely():
-    # Hermitian through its scale 2**1023, but Tr rho = 3.4e308 is not a
-    # double: the trace is taken of the scaled matrix, so nothing overflows
-    x = 1.7e308
+@pytest.mark.parametrize("build", [
+    # a non-PSD state whose rho + rho^dag would overflow
+    lambda: validate_density(np.array([[0.5, 1e308], [1e308, 0.5]])),
+    # a non-PSD state whose smallest eigenvalue is past the double range
+    lambda: validate_density(np.array([[0.5, HUGE, HUGE], [HUGE, 0.25, -HUGE],
+                                       [HUGE, -HUGE, 0.25]])),
+    # a state whose trace is past the double range
+    lambda: validate_density(np.diag([HUGE, HUGE])),
+    # a non-Hermitian defect past the double range, through both entry points
+    lambda: Problem(validate_density(np.eye(2) / 2), np.array([[0.0, HUGE], [0.0, 0.0]])),
+    lambda: validate_density(np.array([[0.5, HUGE], [0.0, 0.5]])),
+], ids=["non_psd_symmetrization", "non_psd_eigenvalue", "trace", "non_hermitian_problem",
+        "non_hermitian_state"])
+def test_matrix_past_the_cap_is_refused_before_its_invariants(build):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(NotUnitTrace) as exc:
-            validate_density(np.diag([x, x]))
-    assert caught == []
-    assert str(exc.value) == "trace is not one: |Tr - 1| = 3.400e+308 exceeds 1.0e-10"
-    assert exc.value.trace == np.inf
-
-
-def test_non_hermitian_defect_past_the_double_range_named_finitely():
-    # ||a - a^dag||_F = 1.7e308 sqrt(2) is past the double range, through
-    # Problem and through validate_density alike
-    x = 1.7e308
-    state = validate_density(np.eye(2) / 2)
-    for build in (lambda: Problem(state, np.array([[0.0, x], [0.0, 0.0]])),
-                  lambda: validate_density(np.array([[0.5, x], [0.0, 0.5]]))):
-        with pytest.raises(NotHermitian) as exc:
+        with pytest.raises(ValueError) as exc:
             build()
-        assert str(exc.value) == ("not Hermitian: ||a - a^dag||_F = 2.404e+308 "
-                                  "exceeds 1.0e-10")
-        assert exc.value.residual == np.inf
+    assert caught == []
+    assert type(exc.value) is ValueError and str(exc.value) == CAP_ERROR
 
 
 def test_one_norm_pass_per_matrix(monkeypatch):
     """The Hermitian check measures each matrix once, and validation and
-    Problem reuse what it measured: the norm and the defect, plus the
-    rescaled norm past ||a||_F = 1e300."""
+    Problem reuse what it measured: every accepted matrix takes exactly
+    two norm passes (the norm and the defect), and one past the cap the
+    first alone."""
     calls = []
     norm = linalg.frobenius
 
@@ -117,14 +99,42 @@ def test_one_norm_pass_per_matrix(monkeypatch):
     state = validate_density(np.diag([0.7, 0.3]))
     for build, count in [(lambda: validate_density(np.diag([0.7, 0.3])), 2),
                          (lambda: Problem(state, 0.5 * SZ), 2),
-                         (lambda: validate_density(np.array([[0.5, 1e301], [1e301, 0.5]])), 3),
-                         (lambda: Problem(state, 1e301 * SZ), 3)]:
+                         (lambda: validate_density(np.array([[0.5, 7e149], [7e149, 0.5]])), 2),
+                         (lambda: Problem(state, 7e149 * SZ), 2),
+                         (lambda: validate_density(np.array([[0.5, 1e301], [1e301, 0.5]])), 1),
+                         (lambda: Problem(state, 1e301 * SZ), 1)]:
         calls.clear()
         try:
             build()
-        except NotPSD:  # the 1e301 state, decomposed after its one check
-            pass
+        except NotPSD:  # the 7e149 state, decomposed after its one check
+            assert count == 2
+        except ValueError as exc:  # past the cap
+            assert str(exc) == CAP_ERROR and count == 1
         assert len(calls) == count
+
+
+def test_one_rule_at_every_entry_point_just_under_and_over_the_cap():
+    """A Hamiltonian just under MAX_NORM enters Problem and
+    pancharatnam_phase, and validate_density refuses it for its trace;
+    just over, and with a nan or an inf entry, all three refuse it with
+    require_hermitian's one message."""
+    state = validate_density(np.diag([0.7, 0.3]))
+    under, over = np.diag([7.07e149, -7.07e149]), np.diag([7.08e149, -7.08e149])
+    assert frobenius(under) < linalg.MAX_NORM < frobenius(over)
+    problem = Problem(state, under)
+    np.testing.assert_allclose(problem.h_eigvals, [-7.07e149, 7.07e149], rtol=1e-12)
+    with pytest.raises(NotUnitTrace):
+        validate_density(under)
+    assert pancharatnam_phase(PLUS, under, 0.0) == 0.0
+    nan, inf = np.diag([0.5, 0.5]), np.diag([0.5, 0.5])
+    nan[0, 1] = nan[1, 0] = np.nan
+    inf[1, 1] = np.inf
+    for h in (over, nan, inf):
+        for enter in (lambda h: Problem(state, h), validate_density,
+                      lambda h: pancharatnam_phase(PLUS, h, 0.0)):
+            with pytest.raises(ValueError) as exc:
+                enter(h)
+            assert type(exc.value) is ValueError and str(exc.value) == CAP_ERROR
 
 
 def test_wrong_trace_rejected():
@@ -306,23 +316,24 @@ def test_problem_keeps_a_private_copy_of_the_hamiltonian(tmp_path):
     assert evaluate(load_problem(path), 2.0).gamma_total.tobytes() == gamma.tobytes()
 
 
-@pytest.mark.parametrize("h, norm", [
-    (np.diag([1e308, -1e308]), "1.414e+308"),
-    (np.diag([1.7e308, -1.7e308]), "2.404e+308"),
-    (np.array([[0, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0]]), "3.400e+308"),
+@pytest.mark.parametrize("h", [
+    np.diag([1e308, -1e308]),
+    np.diag([1.7e308, -1.7e308]),
+    np.array([[0, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0]]),
 ])
-def test_problem_rejects_hamiltonian_beyond_half_the_largest_double(h, norm):
+def test_problem_rejects_hamiltonian_past_the_cap(h):
     rho = validate_density(np.array([[0.5, 0.3], [0.3, 0.5]]))
-    with pytest.raises(ValueError, match=re.escape(f"Hamiltonian norm ||H||_F = {norm} ")):
+    with pytest.raises(ValueError, match=re.escape(CAP_ERROR)):
         Problem(rho, h.astype(complex))
 
 
-def test_hamiltonian_just_inside_half_the_largest_double_prepares():
-    # a RuntimeWarning is an error in this suite (pyproject.toml)
+def test_hamiltonian_just_inside_the_cap_prepares():
+    # ||H||_F = 9.9e149; a RuntimeWarning is an error in this suite
+    # (pyproject.toml)
     rho = validate_density(np.array([[0.5, 0.3], [0.3, 0.5]]))
-    problem = Problem(rho, np.diag([6e307, -6e307]).astype(complex))
+    problem = Problem(rho, np.diag([7e149, -7e149]).astype(complex))
     prepare_problem(problem)
-    np.testing.assert_allclose(problem.h_eigvals, [-6e307, 6e307], rtol=1e-12)
+    np.testing.assert_allclose(problem.h_eigvals, [-7e149, 7e149], rtol=1e-12)
 
 
 def test_evolved_state_stays_physical():
