@@ -112,21 +112,26 @@ def problem_to_dict(problem: Problem) -> dict:
 
 def load_problem(path) -> Problem:
     """The problem in the file at path: the problem-file schema's one reader."""
-    # json.load builds a list per matrix entry (8,000 at n = 64), all
+    # json.loads builds a list per matrix entry (8,000 at n = 64), all
     # alive until the matrices are converted and the tree is freed: a
     # collection before then finds no garbage, yet about ten run per such
     # file and push the lists toward full collections. So the collector
     # stays paused until the tree is gone: at n = 64, 2% off compute's op_p50_s.
+    # The file is closed, its reader's buffers freed, before the parse,
+    # and the text is dropped before the conversion: kept through it, the
+    # text would take compute's peak to 1.83 MB (+14.8%).
     enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ProblemFileError(f"invalid JSON: {exc}") from exc
-            except RecursionError:
-                raise ProblemFileError("invalid JSON: nested too deeply") from None
+            text = fh.read()
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ProblemFileError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ProblemFileError("invalid JSON: nested too deeply") from None
+        del text
         rho, ham = _matrices_from_dict(data)
         del data  # free the parsed tree before the collector resumes
     finally:

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import re
+import sys
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -93,6 +95,73 @@ def test_invalid_json_reported(tmp_path):
         path.write_text(text)
         with pytest.raises(ProblemFileError, match="invalid JSON"):
             load_problem(path)
+
+
+# the CI corpus's valid 2 x 2 problem
+VALID = {
+    "dimension": 2,
+    "rho": [[[0.5, 0.0], [0.3, 0.0]], [[0.3, 0.0], [0.5, 0.0]]],
+    "hamiltonian": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]],
+}
+CRLF = json.dumps(VALID, indent=2).replace("\n", "\r\n") + "\r\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param("\ufeff".encode() + json.dumps(VALID).encode(),
+                 "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                 "line 1 column 1 (char 0)", id="bom"),
+    pytest.param(b"\xff" + json.dumps(VALID).encode(),
+                 "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+                 id="bad_utf8"),
+    # the parser reads the text with its line ends translated: each CRLF
+    # counts as one character
+    pytest.param(CRLF[:60].encode(),
+                 "invalid JSON: Expecting ',' delimiter: line 6 column 10 (char 54)",
+                 id="crlf_cut"),
+])
+def test_read_errors_are_pinned(tmp_path, data, message):
+    path = tmp_path / "problem.json"
+    path.write_bytes(data)
+    assert run(["compute", "--input", str(path), "-t", "1"], 2) == f"error: {path}: {message}"
+
+
+def test_crlf_file_loads_as_its_lf_twin(tmp_path):
+    crlf, lf = tmp_path / "crlf.json", tmp_path / "lf.json"
+    crlf.write_bytes(CRLF.encode())
+    lf.write_text(CRLF.replace("\r\n", "\n"))
+    assert b"\r\n" in crlf.read_bytes() and b"\r" not in lf.read_bytes()
+    a, b = load_problem(crlf), load_problem(lf)
+    for got, want in ((a.rho0.mat, b.rho0.mat), (a.hamiltonian_lab, b.hamiltonian_lab),
+                      (a.h_prime, b.h_prime)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_load_peaks_at_the_parse_plus_the_text(tmp_path, n):
+    """The file is closed before the parse and its text dropped before the
+    conversion, so a warm load peaks at no more than the parse's own peak
+    plus the text, give or take 4 KB. On these files the bounds are
+    23,885 B (n = 8) and 1,578,020 B (n = 64), and the load peaks at
+    20,565 and 1,574,700 B. Parsed while the file is open, it peaked at
+    25,005 and 1,579,140 B; with the text kept through the conversion, at
+    24,597 and 1,810,412 B."""
+    # compact, as the benchmark writes its problem files
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_dict(random_instance(n, n, 7))))
+    text = path.read_text()
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    load_problem(path)  # warm
+    parse = peak(lambda: json.loads(text))
+    load = peak(lambda: load_problem(path))
+    assert load <= parse + sys.getsizeof(text) + 4096, (load, parse, sys.getsizeof(text))
 
 
 def _with_hamiltonian_entry(value):
