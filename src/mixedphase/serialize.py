@@ -87,12 +87,15 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
+_KEYS = ("dimension", "rho", "hamiltonian")
+
+
 def _matrices_from_dict(data) -> tuple[np.ndarray, np.ndarray]:
     """(rho, hamiltonian) of a problem-file dictionary; shape errors raise
     ProblemFileError."""
     if not isinstance(data, dict):
         raise ProblemFileError("problem file must be a JSON object")
-    for key in ("dimension", "rho", "hamiltonian"):
+    for key in _KEYS:
         if key not in data:
             raise ProblemFileError(f"missing required key: {key}")
     n = data["dimension"]
@@ -100,6 +103,48 @@ def _matrices_from_dict(data) -> tuple[np.ndarray, np.ndarray]:
         raise ProblemFileError(f"dimension must be a positive integer, got {n!r}")
     return (_matrix_from_pairs(data["rho"], n, "rho"),
             _matrix_from_pairs(data["hamiltonian"], n, "hamiltonian"))
+
+
+_SCAN = json.JSONDecoder().scan_once  # the C scanner json.loads uses
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _streamed_matrices(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rho, hamiltonian) of a problem file's text, each matrix converted
+    as soon as it is parsed; or None, for the whole-tree parse to judge,
+    if the text does not start with {, a key repeats or is unknown, a
+    matrix comes before a valid dimension, a separator is wrong, text
+    follows the object, or a scan or a conversion raises. An unknown
+    key's value is not scanned: scanned a few frames shallower than
+    json.loads scans it, a value nested near the recursion limit could
+    pass here and fail there."""
+    if not text.startswith("{"):
+        return None
+    out = {}
+    try:
+        end, close = _SPACE(text, 1).end(), ","
+        while close == ",":
+            if text[end] != '"':
+                return None
+            key, end = json.decoder.scanstring(text, end + 1)
+            end = _SPACE(text, end).end()
+            if key in out or key not in _KEYS or text[end] != ":":
+                return None
+            value, end = _SCAN(text, _SPACE(text, end + 1).end())
+            if key != "dimension":
+                n = out.get("dimension")
+                if type(n) is not int or n < 1:
+                    return None
+                value = _matrix_from_pairs(value, n, key)  # frees the tree
+            out[key] = value
+            end = _SPACE(text, end).end()
+            close = text[end]
+            end = _SPACE(text, end + 1).end()
+    except Exception:
+        return None
+    if close != "}" or end != len(text) or len(out) != 3:
+        return None
+    return out["rho"], out["hamiltonian"]
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -110,34 +155,50 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
+def _named(name: str, check, *args):
+    """check(*args), with name prefixed to the message of the error it
+    raises; the error keeps its type."""
+    try:
+        return check(*args)
+    except (GeometricPhaseError, ValueError) as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
+def _read_matrices(path) -> tuple[np.ndarray, np.ndarray]:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    matrices = _streamed_matrices(text)
+    if matrices is not None:
+        return matrices
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ProblemFileError("invalid JSON: nested too deeply") from None
+    del text  # kept through the conversion, it took compute's peak to 1.83 MB
+    return _matrices_from_dict(data)
+
+
 def load_problem(path) -> Problem:
     """The problem in the file at path: the problem-file schema's one reader."""
-    # json.loads builds a list per matrix entry (8,000 at n = 64), all
-    # alive until the matrices are converted and the tree is freed: a
-    # collection before then finds no garbage, yet about ten run per such
-    # file and push the lists toward full collections. So the collector
-    # stays paused until the tree is gone: at n = 64, 2% off compute's op_p50_s.
-    # The file is closed, its reader's buffers freed, before the parse,
-    # and the text is dropped before the conversion: kept through it, the
-    # text would take compute's peak to 1.83 MB (+14.8%).
+    # A file _streamed_matrices accepts peaks at the text plus one
+    # matrix's tree and conversion: 1.23 MB at n = 64, against 1.59 MB for
+    # the text plus the whole tree. Every other file goes to the whole-tree
+    # parse (json.loads, then _matrices_from_dict), which writes every
+    # error text. The collector stays paused until the parsed trees are
+    # gone: they hold a list per matrix entry, a collection before then
+    # finds no garbage, yet about ten run per n = 64 file and push the
+    # lists toward full collections (2% of compute's op_p50_s).
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(f"invalid JSON: {exc}") from exc
-        except RecursionError:
-            raise ProblemFileError("invalid JSON: nested too deeply") from None
-        del text
-        rho, ham = _matrices_from_dict(data)
-        del data  # free the parsed tree before the collector resumes
+        rho, ham = _read_matrices(path)
     finally:
         if enabled:
             gc.enable()
-    return Problem(validate_density(rho), ham)
+    return _named("hamiltonian", Problem, _named("rho", validate_density, rho), ham)
 
 
 def save_problem(problem: Problem, path) -> None:

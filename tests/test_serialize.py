@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -16,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from mixedphase import (
     DEFAULT_TOL,
+    NotHermitian,
     NotPSD,
+    NotUnitTrace,
     Problem,
     ProblemFileError,
     evaluate,
@@ -38,7 +41,7 @@ from mixedphase.serialize import (
     sweep_to_json,
 )
 
-from cases import bloch_x, degenerate_qubit, entries_file, problem_file, run
+from cases import CAP_ERROR, bloch_x, degenerate_qubit, entries_file, problem_file, run
 
 
 def test_round_trip_is_bitwise_exact(tmp_path):
@@ -136,21 +139,147 @@ def test_crlf_file_loads_as_its_lf_twin(tmp_path):
         assert got.tobytes() == want.tobytes()
 
 
+def outcome(path):
+    """load_problem's outcome on the file at path: the error's type and
+    message, or the bytes of rho and H."""
+    try:
+        problem = load_problem(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return problem.rho0.mat.tobytes(), problem.hamiltonian_lab.tobytes()
+
+
+def whole_tree_outcome(path):
+    """outcome(path) by the whole-tree parse: json.loads, then the
+    conversion and the two checks, each check's errors prefixed with the
+    matrix it checks."""
+    prefix = ""
+    try:
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ProblemFileError(f"invalid JSON: {exc}") from exc
+        rho, ham = serialize._matrices_from_dict(data)
+        prefix = "rho: "
+        state = validate_density(rho)
+        prefix = "hamiltonian: "
+        problem = Problem(state, ham)
+    except Exception as exc:
+        return type(exc), prefix + str(exc)
+    return problem.rho0.mat.tobytes(), problem.hamiltonian_lab.tobytes()
+
+
+COMPACT = json.dumps(VALID)
+
+
+def mutated(seed):
+    """COMPACT with one character replaced, inserted or deleted."""
+    rng = random.Random(seed)
+    at, char = rng.randrange(len(COMPACT)), rng.choice('{}[],:" \t\r\n-+.0123456789eEx\\u')
+    return COMPACT[:at] + rng.choice([char, char + COMPACT[at], ""]) + COMPACT[at + 1:]
+
+
+def test_every_prefix_and_mutation_loads_as_the_whole_tree_parse(tmp_path):
+    path = tmp_path / "problem.json"
+    files = [COMPACT[:k] for k in range(len(COMPACT) + 1)]
+    files += [mutated(seed) for seed in range(400)]
+    streamed = 0
+    for text in files:
+        path.write_bytes(text.encode())
+        assert outcome(path) == whole_tree_outcome(path), text
+        streamed += serialize._streamed_matrices(path.read_text()) is not None
+    # the mutations that keep the object's layout (a digit or whitespace
+    # changed: 61 of them) are converted as they are parsed
+    assert streamed >= 30
+
+
+ROWS = tuple(f'"{key}": {json.dumps(VALID[key])}' for key in ("rho", "hamiltonian"))
+OTHER_RHO = '"rho": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]]'
+
+
+@pytest.mark.parametrize("text, streamed", [
+    pytest.param(COMPACT, True, id="compact"),
+    pytest.param(CRLF, True, id="crlf"),
+    pytest.param(COMPACT + "\r\n", True, id="trailing_crlf"),
+    pytest.param(COMPACT.replace('"rho"', '"\\u0072ho"'), True, id="escaped_key"),
+    pytest.param('{"dimension": 2, %s, %s, "dimension": 3}' % ROWS, False,
+                 id="dimension_repeated_after_the_matrices"),
+    pytest.param('{"dimension": 2, %s, %s, %s}' % (*ROWS, OTHER_RHO), False,
+                 id="rho_repeated"),
+    pytest.param('{%s, %s, "dimension": 2}' % ROWS, False, id="rho_before_dimension"),
+    pytest.param('{"note": {"a": [1, {"b": null}]}, "dimension": 2, %s, %s, "more": [[]]}'
+                 % ROWS, False, id="extra_keys"),
+    pytest.param(" " + COMPACT, False, id="leading_space"),
+    pytest.param(COMPACT + "x", False, id="trailing_x"),
+    pytest.param("\ufeff" + COMPACT, False, id="bom"),
+    pytest.param("", False, id="empty"),
+    pytest.param("{}", False, id="empty_object"),
+    pytest.param("[%s]" % COMPACT, False, id="top_level_list"),
+    pytest.param('{"dimension": true, %s, %s}' % ROWS, False, id="dimension_true"),
+    pytest.param('{"dimension": 2.0, %s, %s}' % ROWS, False, id="dimension_float"),
+    # a 1 x 1 matrix passes every scan of the conversion with n = true
+    pytest.param('{"dimension": true, "rho": [[[1.0, 0.0]]], "hamiltonian": [[[0, 0]]]}',
+                 False, id="dimension_true_1x1"),
+    pytest.param('{"dimension": 1.0, "rho": [[[1.0, 0.0]]], "hamiltonian": [[[0, 0]]]}',
+                 False, id="dimension_float_1x1"),
+    pytest.param('{"dimension": 2, %s, %s,}' % ROWS, False, id="trailing_comma"),
+    pytest.param('{"dimension": 2, %s; %s}' % ROWS, False, id="wrong_separator"),
+])
+def test_named_files_load_as_the_whole_tree_parse(tmp_path, text, streamed):
+    # a file is converted as it is parsed only where nothing about it is
+    # odd; the whole-tree parse judges every other
+    path = tmp_path / "problem.json"
+    path.write_bytes(text.encode())
+    assert outcome(path) == whole_tree_outcome(path)
+    assert (serialize._streamed_matrices(path.read_text()) is not None) is streamed
+
+
+@pytest.mark.parametrize("rho, hamiltonian, error, message", [
+    pytest.param([[[1.7e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.7e308, 0.0]]], None,
+                 ValueError, f"rho: {CAP_ERROR}", id="rho_past_the_cap"),
+    pytest.param(None, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e151, 0.0]]],
+                 ValueError, f"hamiltonian: {CAP_ERROR}", id="hamiltonian_past_the_cap"),
+    pytest.param([[[0.5, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], None, NotHermitian,
+                 "rho: not Hermitian: ||a - a^dag||_F = 4.243e-01 exceeds 1.0e-10",
+                 id="rho_not_hermitian"),
+    pytest.param(None, [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], NotHermitian,
+                 "hamiltonian: not Hermitian: ||a - a^dag||_F = 1.414e+00 exceeds 1.0e-10",
+                 id="hamiltonian_not_hermitian"),
+    pytest.param([[[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.0]]], None, NotUnitTrace,
+                 "rho: trace is not one: |Tr - 1| = 2.000e-01 exceeds 1.0e-10",
+                 id="rho_trace"),
+    pytest.param(NOT_PSD["rho"], None, NotPSD,
+                 "rho: not positive semidefinite: smallest eigenvalue -1.083e-01 is below "
+                 "-1.0e-12", id="rho_not_psd"),
+])
+def test_check_errors_name_the_matrix(tmp_path, rho, hamiltonian, error, message):
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = entries_file(tmp_path, hamiltonian or zero, rho)
+    with pytest.raises(error) as exc:
+        load_problem(path)
+    assert type(exc.value) is error and str(exc.value) == message
+    assert run(["compute", "--input", path, "-t", "1"], 2) == f"error: {path}: {message}"
+
+
 @pytest.mark.parametrize("n", [8, 64])
 def test_load_peaks_at_the_parse_plus_the_text(tmp_path, n):
-    """The file is closed before the parse and its text dropped before the
-    conversion, so a warm load peaks at no more than the parse's own peak
-    plus the text, give or take 4 KB. On these files the bounds are
-    23,885 B (n = 8) and 1,578,020 B (n = 64), and the load peaks at
-    20,565 and 1,574,700 B. Parsed while the file is open, it peaked at
-    25,005 and 1,579,140 B; with the text kept through the conversion, at
-    24,597 and 1,810,412 B."""
+    """Each matrix is converted as soon as it is parsed, so a warm load
+    peaks at no more than the text, plus one matrix's parse, plus the
+    conversion of both matrices (the second beside the first's array),
+    give or take 4 KB. On these files the bounds are 26,413 B (n = 8) and
+    1,228,036 B (n = 64), and the load peaks at 22,841 and 1,224,304 B.
+    With the whole tree parsed before the conversion, it peaked at 28,749
+    and 1,582,836 B."""
     # compact, as the benchmark writes its problem files
+    data = problem_to_dict(random_instance(n, n, 7))
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem_to_dict(random_instance(n, n, 7))))
-    text = path.read_text()
+    path.write_text(json.dumps(data))
+    text, matrix = path.read_text(), json.dumps(data["hamiltonian"])
 
     def peak(call):
+        # a full collection empties the float and list free lists, so the
+        # call allocates every object it builds under tracing
+        gc.collect()
         tracemalloc.start()
         try:
             call()
@@ -159,9 +288,11 @@ def test_load_peaks_at_the_parse_plus_the_text(tmp_path, n):
             tracemalloc.stop()
 
     load_problem(path)  # warm
-    parse = peak(lambda: json.loads(text))
+    parse = peak(lambda: json.loads(matrix))
+    convert = peak(lambda: serialize._matrices_from_dict(data))
     load = peak(lambda: load_problem(path))
-    assert load <= parse + sys.getsizeof(text) + 4096, (load, parse, sys.getsizeof(text))
+    bound = sys.getsizeof(text) + parse + convert + 4096
+    assert load <= bound, (load, bound)
 
 
 def _with_hamiltonian_entry(value):
@@ -190,17 +321,17 @@ def test_load_problem_restores_the_collector_state(tmp_path, monkeypatch, enable
     # parsed tree is freed; validation runs under the caller's setting,
     # and every exit, by a return or an error, restores that setting
     seen = {}
-    convert, validate = serialize._matrices_from_dict, serialize.validate_density
+    convert, validate = serialize._matrix_from_pairs, serialize.validate_density
 
-    def spy_convert(data):
+    def spy_convert(obj, n, name):
         seen["convert"] = gc.isenabled()
-        return convert(data)
+        return convert(obj, n, name)
 
     def spy_validate(mat):
         seen["validate"] = gc.isenabled()
         return validate(mat)
 
-    monkeypatch.setattr(serialize, "_matrices_from_dict", spy_convert)
+    monkeypatch.setattr(serialize, "_matrix_from_pairs", spy_convert)
     monkeypatch.setattr(serialize, "validate_density", spy_validate)
     path = tmp_path / "problem.json"
     path.write_text(text)
