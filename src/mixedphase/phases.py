@@ -195,7 +195,7 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
         visibility=np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
                              where=live),
         gamma=np.where(live, np.angle(rotated), 0.0),
-        dyn_phase=np.outer(t, frame.kappas),
+        dyn_phase=t[:, None] * frame.kappas,  # np.outer's expression
         total_phase=np.where(live, np.angle(overlaps), 0.0),
         # close kappas leave z, and every per-component column, not unique
         # within the degenerate block, as close lambdas leave basis_e

@@ -13,9 +13,9 @@ each row to a text stream as it is formatted: the text is never held whole.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
+import sys
 from itertools import chain, combinations
 from typing import Iterator, NoReturn, TextIO
 
@@ -32,32 +32,39 @@ class ProblemFileError(GeometricPhaseError):
     """Problem file does not match the expected schema."""
 
 
+def _matrix_from_rows(rows, n: int) -> np.ndarray | None:
+    """The n x n matrix of rows, n lists of n [re, im] pairs taken one at
+    a time, so that one row's tree need be alive; or None if a row or an
+    entry has another form, a value is not an int or a float (exact
+    types: JSON true/false load as bool, an int subclass), or a value is
+    too large for a double or not finite."""
+    values = []
+    for row in rows:
+        if (type(row) is not list or len(row) != n or set(map(type, row)) != {list}
+                or set(map(len, row)) != {2}):
+            return None
+        values += chain.from_iterable(row)
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        # .view keeps the sign of a -0.0 real part; re + 1j*im would not
+        out = np.array(values, dtype=float).view(complex).reshape(n, n)
+    except OverflowError:  # an integer too large for a double
+        return None
+    return out if np.isfinite(out).all() else None
+
+
 def _matrix_from_pairs(obj, n: int, name: str) -> np.ndarray:
-    # C-level scans of the rows, entries and values, then one conversion
-    # of the flat value list. Exact types: JSON true/false load as bool,
-    # an int subclass.
-    if (type(obj) is list and len(obj) == n and set(map(type, obj)) == {list}
-            and set(map(len, obj)) == {n}):
-        entries = list(chain.from_iterable(obj))
-        if (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
-                and set(map(type, values := list(chain.from_iterable(entries))))
-                <= {int, float}):
-            try:
-                # .view keeps the sign of a -0.0 real part; re + 1j*im would not
-                out = np.array(values, dtype=float).view(complex).reshape(n, n)
-            except OverflowError:  # an integer too large for a double
-                pass
-            else:
-                if not np.isfinite(out).all():
-                    raise ProblemFileError(f"{name}: non-finite entries")
-                return out
-    _raise_first_malformed(obj, n, name)
+    out = _matrix_from_rows(obj, n) if type(obj) is list and len(obj) == n else None
+    if out is None:
+        _raise_first_malformed(obj, n, name)
+    return out
 
 
 def _raise_first_malformed(obj, n: int, name: str) -> NoReturn:
     """Raise ProblemFileError naming the first row or entry, in row-major
-    order, that fails the scans of _matrix_from_pairs or holds an
-    integer too large for a double."""
+    order, that fails the scans of _matrix_from_rows or holds an integer
+    too large for a double; or, if none does, the non-finite entries."""
     if type(obj) is not list or len(obj) != n:
         raise ProblemFileError(
             f"{name}: expected {n} rows to match dimension {n}, "
@@ -81,6 +88,7 @@ def _raise_first_malformed(obj, n: int, name: str) -> NoReturn:
                 raise ProblemFileError(
                     f"{name}[{i}][{j}]: entry is too large for a double"
                 ) from None
+    raise ProblemFileError(f"{name}: non-finite entries")
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
@@ -110,17 +118,30 @@ _SPACE = json.decoder.WHITESPACE.match
 
 
 def _streamed_matrices(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(rho, hamiltonian) of a problem file's text, each matrix converted
-    as soon as it is parsed; or None, for the whole-tree parse to judge,
-    if the text does not start with {, a key repeats or is unknown, a
-    matrix comes before a valid dimension, a separator is wrong, text
-    follows the object, or a scan or a conversion raises. An unknown
-    key's value is not scanned: scanned a few frames shallower than
-    json.loads scans it, a value nested near the recursion limit could
-    pass here and fail there."""
+    """(rho, hamiltonian) of a problem file's text, each matrix's rows
+    scanned one at a time and their values kept; or None, for the
+    whole-tree parse to judge, if the text does not start with {, a key
+    repeats or is unknown, a matrix comes before a valid dimension or is
+    not a list of dimension rows, a separator is wrong, text follows the
+    object, or a scan or a conversion raises or refuses. An unknown key's
+    value is not scanned: scanned a few frames shallower than json.loads
+    scans it, a value nested near the recursion limit could pass here and
+    fail there."""
     if not text.startswith("{"):
         return None
     out = {}
+
+    def rows(n):
+        # the n rows of the list whose [ is at text[end]; leaves end past its ]
+        nonlocal end
+        for i in range(n):
+            row, end = _SCAN(text, _SPACE(text, end + 1).end())
+            yield row
+            end = _SPACE(text, end).end()
+            if text[end] != ("]" if i == n - 1 else ","):
+                raise ValueError("not a list of n rows")
+        end += 1
+
     try:
         end, close = _SPACE(text, 1).end(), ","
         while close == ",":
@@ -130,12 +151,16 @@ def _streamed_matrices(text: str) -> tuple[np.ndarray, np.ndarray] | None:
             end = _SPACE(text, end).end()
             if key in out or key not in _KEYS or text[end] != ":":
                 return None
-            value, end = _SCAN(text, _SPACE(text, end + 1).end())
-            if key != "dimension":
+            end = _SPACE(text, end + 1).end()
+            if key == "dimension":
+                value, end = _SCAN(text, end)
+            else:
                 n = out.get("dimension")
-                if type(n) is not int or n < 1:
+                if type(n) is not int or n < 1 or text[end] != "[":
                     return None
-                value = _matrix_from_pairs(value, n, key)  # frees the tree
+                value = _matrix_from_rows(rows(n), n)
+                if value is None:
+                    return None
             out[key] = value
             end = _SPACE(text, end).end()
             close = text[end]
@@ -175,6 +200,9 @@ def _read_matrices(path) -> tuple[np.ndarray, np.ndarray]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"invalid JSON: {exc}") from exc
+    except ValueError:  # the one other: an integer past int's digit limit
+        raise ProblemFileError("invalid JSON: an integer has more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ProblemFileError("invalid JSON: nested too deeply") from None
     del text  # kept through the conversion, it took compute's peak to 1.83 MB
@@ -183,21 +211,13 @@ def _read_matrices(path) -> tuple[np.ndarray, np.ndarray]:
 
 def load_problem(path) -> Problem:
     """The problem in the file at path: the problem-file schema's one reader."""
-    # A file _streamed_matrices accepts peaks at the text plus one
-    # matrix's tree and conversion: 1.23 MB at n = 64, against 1.59 MB for
+    # A file _streamed_matrices accepts peaks at the file read (its bytes
+    # and the decoded text), or at the text plus one matrix's values, one
+    # row's parse and both arrays: 0.81 MB at n = 64, against 1.59 MB for
     # the text plus the whole tree. Every other file goes to the whole-tree
     # parse (json.loads, then _matrices_from_dict), which writes every
-    # error text. The collector stays paused until the parsed trees are
-    # gone: they hold a list per matrix entry, a collection before then
-    # finds no garbage, yet about ten run per n = 64 file and push the
-    # lists toward full collections (2% of compute's op_p50_s).
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        rho, ham = _read_matrices(path)
-    finally:
-        if enabled:
-            gc.enable()
+    # error text.
+    rho, ham = _read_matrices(path)
     return _named("hamiltonian", Problem, _named("rho", validate_density, rho), ham)
 
 

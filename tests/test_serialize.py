@@ -121,6 +121,9 @@ CRLF = json.dumps(VALID, indent=2).replace("\n", "\r\n") + "\r\n"
     pytest.param(CRLF[:60].encode(),
                  "invalid JSON: Expecting ',' delimiter: line 6 column 10 (char 54)",
                  id="crlf_cut"),
+    # int's digit limit, which json.loads reports as a bare ValueError
+    pytest.param(json.dumps(VALID).replace("-0.5", "1" * 5001).encode(),
+                 "invalid JSON: an integer has more than 4300 digits", id="long_integer"),
 ])
 def test_read_errors_are_pinned(tmp_path, data, message):
     path = tmp_path / "problem.json"
@@ -170,31 +173,48 @@ def whole_tree_outcome(path):
 
 
 COMPACT = json.dumps(VALID)
+# a valid 3 x 3 problem as save_problem lays it out: each row, entry and
+# value on lines of its own
+INDENTED = json.dumps({
+    "dimension": 3,
+    "rho": [[[0.5, 0.0], [0.1, 0.05], [0.0, 0.0]], [[0.1, -0.05], [0.3, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0], [0.2, 0.0]]],
+    "hamiltonian": [[[1.0, 0.0], [0.2, 0.0], [0.0, 0.0]], [[0.2, 0.0], [0.0, 0.0], [0.0, 0.1]],
+                    [[0.0, 0.0], [0.0, -0.1], [-1.0, 0.0]]],
+}, indent=2)
 
 
-def mutated(seed):
-    """COMPACT with one character replaced, inserted or deleted."""
+def mutated(text, seed):
+    """text with one character replaced, inserted or deleted."""
     rng = random.Random(seed)
-    at, char = rng.randrange(len(COMPACT)), rng.choice('{}[],:" \t\r\n-+.0123456789eEx\\u')
-    return COMPACT[:at] + rng.choice([char, char + COMPACT[at], ""]) + COMPACT[at + 1:]
+    at, char = rng.randrange(len(text)), rng.choice('{}[],:" \t\r\n-+.0123456789eEx\\u')
+    return text[:at] + rng.choice([char, char + text[at], ""]) + text[at + 1:]
 
 
 def test_every_prefix_and_mutation_loads_as_the_whole_tree_parse(tmp_path):
     path = tmp_path / "problem.json"
-    files = [COMPACT[:k] for k in range(len(COMPACT) + 1)]
-    files += [mutated(seed) for seed in range(400)]
-    streamed = 0
-    for text in files:
-        path.write_bytes(text.encode())
-        assert outcome(path) == whole_tree_outcome(path), text
-        streamed += serialize._streamed_matrices(path.read_text()) is not None
     # the mutations that keep the object's layout (a digit or whitespace
-    # changed: 61 of them) are converted as they are parsed
-    assert streamed >= 30
+    # changed: 61 of COMPACT's, 156 of INDENTED's) are converted as they
+    # are parsed
+    for valid, least in ((COMPACT, 30), (INDENTED, 75)):
+        files = [valid[:k] for k in range(len(valid) + 1)]
+        files += [mutated(valid, seed) for seed in range(400)]
+        streamed = 0
+        for text in files:
+            path.write_bytes(text.encode())
+            assert outcome(path) == whole_tree_outcome(path), text
+            streamed += serialize._streamed_matrices(path.read_text()) is not None
+        assert streamed >= least, valid
 
 
 ROWS = tuple(f'"{key}": {json.dumps(VALID[key])}' for key in ("rho", "hamiltonian"))
 OTHER_RHO = '"rho": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]]'
+H0, H1 = VALID["hamiltonian"]
+
+
+def with_hamiltonian(*rows):
+    """COMPACT with the hamiltonian's rows replaced by rows."""
+    return json.dumps({**VALID, "hamiltonian": list(rows)})
 
 
 @pytest.mark.parametrize("text, streamed", [
@@ -224,6 +244,19 @@ OTHER_RHO = '"rho": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]]'
                  False, id="dimension_float_1x1"),
     pytest.param('{"dimension": 2, %s, %s,}' % ROWS, False, id="trailing_comma"),
     pytest.param('{"dimension": 2, %s; %s}' % ROWS, False, id="wrong_separator"),
+    # each matrix is scanned row by row: n rows of n [re, im] pairs
+    pytest.param(with_hamiltonian(H0 + [[0.0, 0.0]], H1), False, id="row_of_n_plus_1_entries"),
+    pytest.param(with_hamiltonian(H0), False, id="n_minus_1_rows"),
+    pytest.param(with_hamiltonian(H0, H1, H1), False, id="n_plus_1_rows"),
+    pytest.param("]] [[".join(COMPACT.rsplit("]], [[", 1)), False, id="rows_without_a_comma"),
+    # the last row followed by a comma where the list's ] should be
+    pytest.param(COMPACT[:-2] + ",}", False, id="matrix_closed_by_a_comma"),
+    pytest.param(with_hamiltonian(H0, [H1[0], True]), False, id="true_in_a_row"),
+    pytest.param(with_hamiltonian(H0, [H1[0], [1, [2]]]), False, id="list_in_an_entry"),
+    # entries of length 2 that are not lists
+    pytest.param(with_hamiltonian(H0, [H1[0], "ab"]), False, id="two_character_entry"),
+    pytest.param(with_hamiltonian(H0, [H1[0], {"re": 0.0, "im": 0.0}]), False,
+                 id="two_key_entry"),
 ])
 def test_named_files_load_as_the_whole_tree_parse(tmp_path, text, streamed):
     # a file is converted as it is parsed only where nothing about it is
@@ -262,19 +295,26 @@ def test_check_errors_name_the_matrix(tmp_path, rho, hamiltonian, error, message
 
 
 @pytest.mark.parametrize("n", [8, 64])
-def test_load_peaks_at_the_parse_plus_the_text(tmp_path, n):
-    """Each matrix is converted as soon as it is parsed, so a warm load
-    peaks at no more than the text, plus one matrix's parse, plus the
-    conversion of both matrices (the second beside the first's array),
-    give or take 4 KB. On these files the bounds are 26,413 B (n = 8) and
-    1,228,036 B (n = 64), and the load peaks at 22,841 and 1,224,304 B.
-    With the whole tree parsed before the conversion, it peaked at 28,749
-    and 1,582,836 B."""
+def test_load_peaks_at_the_text_plus_one_matrix_of_values(tmp_path, n):
+    """Each matrix's rows are scanned one at a time and only their values
+    kept, so a warm load peaks at no more than the text, plus one
+    matrix's flat values, one row's parse, both matrices' arrays and the
+    finiteness mask of one (n * n bytes), give or take 4 KB. On these
+    files the bounds are 19,107 B (n = 8) and 807,098 B (n = 64), and the
+    load peaks at 18,658 and 805,724 B; the file read alone peaks at about
+    17,200 and 788,600 B. With each matrix's tree parsed whole, the load
+    peaked at 22,649 and 1,224,160 B."""
     # compact, as the benchmark writes its problem files
     data = problem_to_dict(random_instance(n, n, 7))
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data))
-    text, matrix = path.read_text(), json.dumps(data["hamiltonian"])
+    text, row = path.read_text(), json.dumps(data["hamiltonian"][0])
+    values = []
+    for pairs in data["hamiltonian"]:
+        values += chain.from_iterable(pairs)  # grown as the load grows it
+    # each value a float of its own, as the parse makes them
+    flat = sys.getsizeof(values) + len(values) * float.__basicsize__
+    array = sys.getsizeof(np.zeros((n, n), complex))
 
     def peak(call):
         # a full collection empties the float and list free lists, so the
@@ -288,67 +328,10 @@ def test_load_peaks_at_the_parse_plus_the_text(tmp_path, n):
             tracemalloc.stop()
 
     load_problem(path)  # warm
-    parse = peak(lambda: json.loads(matrix))
-    convert = peak(lambda: serialize._matrices_from_dict(data))
+    parse = peak(lambda: json.loads(row))
     load = peak(lambda: load_problem(path))
-    bound = sys.getsizeof(text) + parse + convert + 4096
+    bound = sys.getsizeof(text) + flat + parse + 2 * array + n * n + 4096
     assert load <= bound, (load, bound)
-
-
-def _with_hamiltonian_entry(value):
-    """A valid 2 x 2 problem file's text with hamiltonian[1][1] = [0, value]."""
-    data = problem_to_dict(random_instance(2, 2, 1))
-    data["hamiltonian"][1][1] = [0.0, value]
-    return json.dumps(data)
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
-@pytest.mark.parametrize("text, error, reached", [
-    pytest.param(json.dumps(problem_to_dict(random_instance(2, 2, 1))), None,
-                 {"convert", "validate"}, id="valid"),
-    pytest.param("{not json", ProblemFileError, set(), id="invalid_json"),
-    pytest.param(_with_hamiltonian_entry(True), ProblemFileError, {"convert"},
-                 id="bool_entry"),
-    pytest.param(_with_hamiltonian_entry(10**400), ProblemFileError, {"convert"},
-                 id="huge_integer"),
-    pytest.param(_with_hamiltonian_entry(float("nan")), ProblemFileError, {"convert"},
-                 id="nan_token"),
-    pytest.param(json.dumps(NOT_PSD), NotPSD, {"convert", "validate"}, id="not_psd"),
-])
-def test_load_problem_restores_the_collector_state(tmp_path, monkeypatch, enabled, text,
-                                                   error, reached):
-    # load_problem pauses garbage collection from the parse until the
-    # parsed tree is freed; validation runs under the caller's setting,
-    # and every exit, by a return or an error, restores that setting
-    seen = {}
-    convert, validate = serialize._matrix_from_pairs, serialize.validate_density
-
-    def spy_convert(obj, n, name):
-        seen["convert"] = gc.isenabled()
-        return convert(obj, n, name)
-
-    def spy_validate(mat):
-        seen["validate"] = gc.isenabled()
-        return validate(mat)
-
-    monkeypatch.setattr(serialize, "_matrix_from_pairs", spy_convert)
-    monkeypatch.setattr(serialize, "validate_density", spy_validate)
-    path = tmp_path / "problem.json"
-    path.write_text(text)
-    if not enabled:
-        gc.disable()
-    try:
-        if error is None:
-            load_problem(path)
-        else:
-            with pytest.raises(error):
-                load_problem(path)
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable()
-    assert set(seen) == reached
-    assert seen.get("convert") is not True
-    assert seen.get("validate", enabled) is enabled
 
 
 def test_report_dict_keys_and_null_for_undefined():
@@ -617,6 +600,10 @@ def corrupted_matrices(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(corrupted_matrices())
+# a tuple entry alone: a pair of numbers of another sequence type, which
+# only the row's entry type scan refuses
+@example((2, [[[0.0, 0.0], (0.5, 0.0)], [[0.0, 0.0], [0.0, 0.0]]],
+          "hamiltonian[0][1]: complex entries must be [re, im] pairs"))
 def test_malformed_entries_are_named_in_row_major_order(case):
     n, obj, message = case
     with pytest.raises(ProblemFileError) as exc:
