@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mixedphase import NotHermitian, NotPSD
 from mixedphase.linalg import (
+    close_eigenvalues,
     dagger,
     frobenius,
     hermitian_eig,
@@ -17,6 +18,7 @@ from mixedphase.linalg import (
     require_hermitian,
     unitary_from_hamiltonian,
 )
+from mixedphase.tolerances import DEFAULT_TOL
 
 from cases import SX, SZ
 from literal import psd_sqrt
@@ -92,6 +94,23 @@ def test_frobenius_is_numpys_norm_bit_for_bit(n):
         huge = 1e154 * (2.0 + np.abs(a)) * (a / np.abs(a))
         with np.errstate(over="ignore"):
             assert frobenius(huge) == float(np.linalg.norm(huge, "fro")) == math.inf
+
+
+def test_close_eigenvalues_reads_np_diffs_gaps():
+    # the gap rule on np.diff's gaps, for spectra of each order, stacks and
+    # gaps one ulp either side of the threshold
+    gap = DEFAULT_TOL.degeneracy_gap
+    rng = np.random.default_rng(9)
+    spectra = [np.zeros(0), np.zeros(1), np.array([0.0, gap]),
+               np.array([0.0, np.nextafter(gap, 0.0)]), np.array([0.3, 0.3 + gap])]
+    for n in (2, 3, 8, 64):
+        w = np.sort(rng.standard_normal(n))
+        spectra += [w, w[::-1], np.stack([w, w + rng.standard_normal(n) * gap])]
+    for w in spectra:
+        want = np.abs(np.diff(w))
+        assert close_eigenvalues(w) is bool(want.size and want.min() < gap)
+    assert not close_eigenvalues(np.array([0.0, gap]))
+    assert close_eigenvalues(np.array([0.0, np.nextafter(gap, 0.0)]))
 
 
 def test_eig_rejects_non_finite():

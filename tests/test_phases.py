@@ -221,6 +221,18 @@ def test_cyclic_point_gamma_zero_but_interferometric_pi():
     assert circular_distance(gamma, sjo) > 0.5
 
 
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_dyn_phase_is_np_outer_bit_for_bit(dim):
+    # the T x n table of kappa_j t, for a scalar time and for a grid with
+    # repeats, negative times and zero
+    problem = random_instance(dim, max(1, dim // 2), seed=dim)
+    kappas = prepare_problem(problem).kappas
+    for times in (1.3, [0.0, -2.5, 1.0, 1.0, 7 * math.pi]):
+        dyn = evaluate(problem, times).dyn_phase
+        assert dyn.tobytes() == np.outer(times, kappas).tobytes()
+        assert dyn.shape == (np.size(times), dim)
+
+
 @pytest.mark.parametrize("r, t", [(1.0, np.pi), (0.6, 5 * np.pi)],
                          ids=["pure_plus_at_pi", "mixed_r06_at_5pi"])
 def test_every_phase_is_nan_at_a_nodal_point(r, t):
