@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from itertools import chain, combinations
 from typing import Iterator, NoReturn, TextIO
@@ -95,15 +96,12 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-_KEYS = ("dimension", "rho", "hamiltonian")
-
-
 def _matrices_from_dict(data) -> tuple[np.ndarray, np.ndarray]:
     """(rho, hamiltonian) of a problem-file dictionary; shape errors raise
     ProblemFileError."""
     if not isinstance(data, dict):
         raise ProblemFileError("problem file must be a JSON object")
-    for key in _KEYS:
+    for key in ("dimension", "rho", "hamiltonian"):
         if key not in data:
             raise ProblemFileError(f"missing required key: {key}")
     n = data["dimension"]
@@ -114,62 +112,48 @@ def _matrices_from_dict(data) -> tuple[np.ndarray, np.ndarray]:
 
 
 _SCAN = json.JSONDecoder().scan_once  # the C scanner json.loads uses
-_SPACE = json.decoder.WHITESPACE.match
+_WS = "[ \t\n\r]*"  # JSON's whitespace, for each space in the patterns below
+# save_problem's layout, and its compact form, around the scanned values
+_OPEN = re.compile(r'\{ "dimension" : '.replace(" ", _WS))
+_RHO = re.compile(r' , "rho" : \[ '.replace(" ", _WS))
+_HAMILTONIAN = re.compile(r' , "hamiltonian" : \[ '.replace(" ", _WS))
+_CLOSE = re.compile(r" \} ".replace(" ", _WS))
+_SEPARATOR = re.compile(r" ([,\]]) ".replace(" ", _WS))  # after a row: "," or the list's "]"
 
 
 def _streamed_matrices(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(rho, hamiltonian) of a problem file's text, each matrix's rows
-    scanned one at a time and their values kept; or None, for the
-    whole-tree parse to judge, if the text does not start with {, a key
-    repeats or is unknown, a matrix comes before a valid dimension or is
-    not a list of dimension rows, a separator is wrong, text follows the
-    object, or a scan or a conversion raises or refuses. An unknown key's
-    value is not scanned: scanned a few frames shallower than json.loads
-    scans it, a value nested near the recursion limit could pass here and
-    fail there."""
-    if not text.startswith("{"):
-        return None
-    out = {}
+    """(rho, hamiltonian) of text in save_problem's layout, {"dimension":
+    n, "rho": [n rows], "hamiltonian": [n rows]} with JSON whitespace
+    between tokens and after the }, each matrix's rows scanned one at a
+    time and their values kept; or None, for the whole-tree parse to
+    judge, if the layout differs, n is not an int of at least 1, or a
+    scan or a conversion raises or refuses."""
 
     def rows(n):
-        # the n rows of the list whose [ is at text[end]; leaves end past its ]
+        # the n rows that start at text[end]; leaves end past the list's ]
         nonlocal end
         for i in range(n):
-            row, end = _SCAN(text, _SPACE(text, end + 1).end())
+            row, end = _SCAN(text, end)
             yield row
-            end = _SPACE(text, end).end()
-            if text[end] != ("]" if i == n - 1 else ","):
+            separator = _SEPARATOR.match(text, end)
+            if separator is None or separator[1] != ("]" if i == n - 1 else ","):
                 raise ValueError("not a list of n rows")
-        end += 1
+            end = separator.end()
 
     try:
-        end, close = _SPACE(text, 1).end(), ","
-        while close == ",":
-            if text[end] != '"':
-                return None
-            key, end = json.decoder.scanstring(text, end + 1)
-            end = _SPACE(text, end).end()
-            if key in out or key not in _KEYS or text[end] != ":":
-                return None
-            end = _SPACE(text, end + 1).end()
-            if key == "dimension":
-                value, end = _SCAN(text, end)
-            else:
-                n = out.get("dimension")
-                if type(n) is not int or n < 1 or text[end] != "[":
-                    return None
-                value = _matrix_from_rows(rows(n), n)
-                if value is None:
-                    return None
-            out[key] = value
-            end = _SPACE(text, end).end()
-            close = text[end]
-            end = _SPACE(text, end + 1).end()
+        # a token that does not match gives None, whose .end() raises
+        n, end = _SCAN(text, _OPEN.match(text).end())
+        if type(n) is not int or n < 1:
+            return None
+        end = _RHO.match(text, end).end()
+        rho = _matrix_from_rows(rows(n), n)
+        end = _HAMILTONIAN.match(text, end).end()
+        hamiltonian = _matrix_from_rows(rows(n), n)
     except Exception:
         return None
-    if close != "}" or end != len(text) or len(out) != 3:
+    if rho is None or hamiltonian is None or _CLOSE.fullmatch(text, end) is None:
         return None
-    return out["rho"], out["hamiltonian"]
+    return rho, hamiltonian
 
 
 def problem_to_dict(problem: Problem) -> dict:
@@ -211,10 +195,11 @@ def _read_matrices(path) -> tuple[np.ndarray, np.ndarray]:
 
 def load_problem(path) -> Problem:
     """The problem in the file at path: the problem-file schema's one reader."""
-    # A file _streamed_matrices accepts peaks at the file read (its bytes
-    # and the decoded text), or at the text plus one matrix's values, one
-    # row's parse and both arrays: 0.81 MB at n = 64, against 1.59 MB for
-    # the text plus the whole tree. Every other file goes to the whole-tree
+    # A file in save_problem's layout, indented or compact, is read by
+    # _streamed_matrices and peaks at the file read (its bytes and the
+    # decoded text), or at the text plus one matrix's values, one row's
+    # parse and both arrays: 0.81 MB at n = 64, against 1.59 MB for the
+    # text plus the whole tree. Every other file goes to the whole-tree
     # parse (json.loads, then _matrices_from_dict), which writes every
     # error text.
     rho, ham = _read_matrices(path)

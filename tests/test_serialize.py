@@ -50,10 +50,18 @@ def test_round_trip_is_bitwise_exact(tmp_path):
     fortran = Problem(validate_density(np.asfortranarray(prob.rho0.mat)),
                       np.asfortranarray(prob.hamiltonian_lab))
     assert fortran.hamiltonian_lab.flags.f_contiguous
+    compact = tmp_path / "compact.json"
     for p in (prob, fortran):
         back = load_problem(problem_file(tmp_path, p, "instance.json"))
         assert np.array_equal(back.rho0.mat, prob.rho0.mat)
         assert np.array_equal(back.hamiltonian_lab, prob.hamiltonian_lab)
+        # save_problem's indent=2 layout and its compact twin are both read
+        # row by row, not by the whole-tree parse
+        compact.write_text(json.dumps(problem_to_dict(p)))
+        for path in (tmp_path / "instance.json", compact):
+            rho, ham = serialize._streamed_matrices(path.read_text())
+            assert rho.tobytes() == back.rho0.mat.tobytes()
+            assert ham.tobytes() == back.hamiltonian_lab.tobytes()
 
 
 def loaded(tmp_path, data):
@@ -210,6 +218,10 @@ def test_every_prefix_and_mutation_loads_as_the_whole_tree_parse(tmp_path):
 ROWS = tuple(f'"{key}": {json.dumps(VALID[key])}' for key in ("rho", "hamiltonian"))
 OTHER_RHO = '"rho": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]]'
 H0, H1 = VALID["hamiltonian"]
+# COMPACT with spaces, tabs, CRs and LFs around each { : , [ ] }, but
+# none before the first {
+SPACED = "".join(f" \t\r\n{c}\n\r\t " if c in "{:,[]}" else c
+                 for c in COMPACT.replace(" ", "")).lstrip()
 
 
 def with_hamiltonian(*rows):
@@ -221,7 +233,11 @@ def with_hamiltonian(*rows):
     pytest.param(COMPACT, True, id="compact"),
     pytest.param(CRLF, True, id="crlf"),
     pytest.param(COMPACT + "\r\n", True, id="trailing_crlf"),
-    pytest.param(COMPACT.replace('"rho"', '"\\u0072ho"'), True, id="escaped_key"),
+    # only save_problem's layout is converted as it is parsed: its keys in
+    # their order, written plainly, and JSON whitespace between the tokens
+    pytest.param(COMPACT.replace('"rho"', '"\\u0072ho"'), False, id="escaped_key"),
+    pytest.param('{"dimension": 2, %s, %s}' % ROWS[::-1], False, id="hamiltonian_before_rho"),
+    pytest.param(SPACED, True, id="whitespace_around_every_token"),
     pytest.param('{"dimension": 2, %s, %s, "dimension": 3}' % ROWS, False,
                  id="dimension_repeated_after_the_matrices"),
     pytest.param('{"dimension": 2, %s, %s, %s}' % (*ROWS, OTHER_RHO), False,
