@@ -17,8 +17,8 @@ from .tolerances import DEFAULT_TOL
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return a.conj().swapaxes(-1, -2)
+    """Conjugate transpose of a matrix."""
+    return a.conj().T
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -71,10 +71,10 @@ def past_resolvable_range(t: float, energy: float) -> ValueError:
 
 
 def close_eigenvalues(w) -> bool:
-    """True when two neighbours of the sorted spectrum w (either order; in
-    any row of a stack) are closer than the degeneracy gap: their
-    eigenvectors, and all that is read from them, are then not unique."""
-    gaps = np.abs(w[..., 1:] - w[..., :-1])  # np.diff's expression, without its checks
+    """True when two neighbours of the sorted spectrum w (either order) are
+    closer than the degeneracy gap: their eigenvectors, and all that is
+    read from them, are then not unique."""
+    gaps = np.abs(w[1:] - w[:-1])  # np.diff's expression, without its checks
     return bool(gaps.size and gaps.min() < DEFAULT_TOL.degeneracy_gap)
 
 
@@ -87,8 +87,7 @@ def hermitian_eig(a):
     enters (Problem, validate_density, pancharatnam_phase), and every
     other caller builds a Hermitian one. np.linalg.eigh reads only the
     lower triangle; the matrix is symmetrized before the solve so that
-    both triangles enter. A (B, n, n) stack gives (B, n) eigenvalues and
-    (B, n, n) eigenvectors in one call, each matrix bit for bit as alone.
+    both triangles enter.
     """
     return np.linalg.eigh((a + dagger(a)) / 2.0)
 

@@ -29,14 +29,6 @@ result type, and a single t is row 0 of evaluate(problem, t). At a
 nodal point evaluate stores nan, and the literal per-t definitions it
 is checked against (tests/literal.py) and the oracles return nan there
 too: one convention, angles.angle_or_nan, and nothing raises.
-
-Gauge pairs: gauge_pair takes the total phase of one problem in two
-gauges of the state eigenbasis as a (2, n, n) stack, through the same
-functions as prepare_problem and evaluate (linalg's eigh and matmul
-take leading axes). The gauge e D, D = diag(e^{i theta}), needs no new
-rotation of H: h' becomes D^dag h' D and Q becomes D^dag Q, entry by
-entry. The problem's own member is bit for bit what prepare_problem and
-evaluate give for it alone; the gauges share H's eigenvalues.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
-from .linalg import MAX_PHASE, close_eigenvalues, past_resolvable_range
+from .linalg import MAX_PHASE, close_eigenvalues, dagger, past_resolvable_range
 from .states import Problem
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
@@ -94,41 +86,9 @@ def prepare_problem(problem: Problem) -> AncillaFrame:
     return diagonalizing_frame(solve_ancilla_hamiltonian(problem.rho0.amps, problem.h_prime))
 
 
-def gauge_pair(problem: Problem, theta, times):
-    """gamma_total at times of problem in two gauges, from one stacked
-    pass, with the problem's own ancilla frame.
-
-    Row 0 is the problem with column j of its state's eigenbasis times
-    d_j = e^{i theta_j}, row 1 the problem as it is; row 1 and the frame
-    are bit for bit what prepare_problem and evaluate give. Only the
-    eigenvectors differ, so the Hamiltonian is neither checked,
-    decomposed nor rotated again: row 0 takes h'_jk conj(d_j) d_k and
-    Q_ja conj(d_j), and both rows H's eigenvalues; two separate passes
-    cost verify 7% of its items_per_s (2,210 -> 2,050). The stacked h', Q
-    and K are freed before the contraction, whose temporaries set the
-    pass's peak memory; the frame's z and kappas are views of row 1.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (problem.dim,) or not np.isfinite(theta).all():
-        raise ValueError(f"expected {problem.dim} finite angles, got {theta}")
-    amps, h_prime, h_eigvecs = problem.rho0.amps, problem.h_prime, problem.h_eigvecs
-    d = np.exp(1j * theta)
-    frame = diagonalizing_frame(solve_ancilla_hamiltonian(
-        amps, np.array([np.outer(d.conj(), d) * h_prime, h_prime])))
-    # freeing the K stack here keeps verify's cold peak_mem_mb at 0.0429, not 0.0443 MB
-    k, z, kappas = frame.k[1].copy(), frame.z, frame.kappas
-    del frame
-    t, _, e, p = _setup(amps, problem.h_eigvals,
-                        np.array([d.conj()[:, None] * h_eigvecs, h_eigvecs]), z, kappas, times)
-    return angle_or_nan(_phi(t, e, p, kappas)[-1]), AncillaFrame(k, z[1], kappas[1])
-
-
 def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
-    """What evaluate and gauge_pair do before Phi's sum: the checked
-    times, the energy, the table e^{-i eps_a t} and the frame's kernel P.
-    For a stack of Q and frames (gauges of one problem), P has its
-    leading axis; t, the energy (the stack's largest) and the table,
-    which read only H's eigenvalues, do not."""
+    """What _evaluate does before Phi's sum: the checked times, the
+    energy, the table e^{-i eps_a t} and the frame's kernel P."""
     t = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
@@ -138,12 +98,7 @@ def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
         raise past_resolvable_range(float(late[0]), energy)
     # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
-    # Q^dag C z^T is formed as the conjugate of Q^T conj(C z^T), conjugating the
-    # one new array in place (a copy adds 1.5 KB to a warm dim-8 verify op's 29 KB
-    # peak, and 1.8 KB to verify's cold peak_mem_mb, 0.0429 -> 0.0446 MB); every
-    # product and sum is the exact conjugate, so P is the same.
-    czt = (z * amps).swapaxes(-1, -2)
-    p = np.abs(h_eigvecs.swapaxes(-1, -2) @ np.conjugate(czt, out=czt)) ** 2
+    p = np.abs(dagger(h_eigvecs) @ (z * amps).T) ** 2
     e = np.exp(-1j * (t[:, None] * h_eigvals))  # e^{-i eps_a t}, [time, a]
     return t, energy, e, p
 
@@ -151,9 +106,8 @@ def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
 def _phi(t, e, p, kappas):
     """Phi(z, t) before its arg, for the representation z with kernel p
     and energies kappas: e^{-i kappa_j t}, m_j = (e @ p)_j, m_j e^{-i kappa_j t}
-    and its sum over j, each [time, j] (the sum [time]) behind any
-    leading stack axis."""
-    d = np.exp(-1j * (t[:, None] * kappas[..., None, :]))  # e^{-i kappa_j t}, [time, j]
+    and its sum over j, each [time, j] (the sum [time])."""
+    d = np.exp(-1j * (t[:, None] * kappas))  # e^{-i kappa_j t}, [time, j]
     overlaps = e @ p
     rotated = overlaps * d
     return d, overlaps, rotated, rotated.sum(axis=-1)
@@ -173,7 +127,13 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
     is decided here alone: it is set when two eigenvalues of the state
     or of K are closer than the degeneracy gap (close_eigenvalues).
     """
-    frame = prepare_problem(problem)
+    return _evaluate(problem, prepare_problem(problem), times)
+
+
+def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
+    """evaluate's body, on the frame prepare_problem gave for problem:
+    verify reads the total phase off the frame whose residuals it checks,
+    so that K is solved and decomposed once per trial."""
     rho = problem.rho0
     weights = component_weights(rho.amps, frame.z)
     t, energy, e, p = _setup(rho.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,

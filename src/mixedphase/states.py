@@ -58,7 +58,7 @@ class Problem:
     eigenbasis e = rho0.basis_e: h_prime = e^dag H e and h_eigvecs =
     Q = e^dag V, so that h' = Q diag(h_eigvals) Q^dag with H's own
     eigenvalues. h' is Hermitian and Q unitary up to roundoff. The
-    engine, gauge pairs and the holonomy oracle all read these; no
+    engine and the holonomy oracle both read these; no
     eigendecomposition of h' is made. They are derived, so they take no
     part in construction or repr.
     """

@@ -25,9 +25,8 @@ from .tolerances import DEFAULT_TOL
 @dataclass(frozen=True, eq=False)
 class AncillaFrame:
     """Ancilla Hamiltonian k, the unitary z with z k z^dag diagonal, and
-    the eigenvalues kappas (ascending, energy units); for a stack of
-    ancilla Hamiltonians, each field has its leading axis. Whether kappas
-    are degenerate is evaluate's decision, made with the state's spectrum."""
+    the eigenvalues kappas (ascending, energy units). Whether kappas are
+    degenerate is evaluate's decision, made with the state's spectrum."""
 
     k: np.ndarray
     z: np.ndarray
@@ -38,16 +37,15 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     """Closed-form solution K of C^2 K^T + K^T C^2 = -2 C H C.
 
     amps is the 1-D vector of amplitudes c_j = sqrt(lambda_j) >= 0;
-    h_prime is the Hamiltonian in the state eigenbasis, or a (B, n, n)
-    stack of it in B gauges, which gives a stack of K. Entrywise,
+    h_prime is the Hamiltonian in the state eigenbasis. Entrywise,
     (K^T)_kl = -2 c_k c_l H'_kl / (c_k^2 + c_l^2) wherever the
     denominator exceeds the support tolerance, else 0: the equation puts no
     constraint on K inside the kernel of the state, and zero is the
     minimal-norm completion.
     """
-    if amps.size != h_prime.shape[-1]:
+    if amps.size != h_prime.shape[0]:
         raise DimensionMismatch(
-            f"{amps.size} amplitudes for a {h_prime.shape[-1]}x{h_prime.shape[-1]} Hamiltonian"
+            f"{amps.size} amplitudes for a {h_prime.shape[0]}x{h_prime.shape[0]} Hamiltonian"
         )
     lam = amps**2
     denom = lam[:, None] + lam[None, :]
@@ -57,7 +55,7 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     # K^T = factor * (h' + h'^dag) / 2 with factor symmetric, so K itself is
     # factor times the transpose of that mean; exact symmetry of the mean
     # makes K exactly Hermitian
-    return factor * ((h_prime.conj() + h_prime.swapaxes(-1, -2)) / 2.0)
+    return factor * ((h_prime.conj() + h_prime.T) / 2.0)
 
 
 def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
@@ -81,9 +79,8 @@ def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:
 
 def diagonalizing_frame(ancilla_h) -> AncillaFrame:
     """Diagonalize the ancilla Hamiltonian: z = q^dag for k = q diag(kappa) q^dag,
-    so z k z^dag = diag(kappa) with kappas ascending; a (B, n, n) stack in
-    one eigh call. k is taken to be Hermitian, as solve_ancilla_hamiltonian
-    makes it, and is not checked."""
+    so z k z^dag = diag(kappa) with kappas ascending. k is taken to be
+    Hermitian, as solve_ancilla_hamiltonian makes it, and is not checked."""
     kappas, q = hermitian_eig(ancilla_h)
     return AncillaFrame(k=ancilla_h, z=dagger(q), kappas=kappas)
 

@@ -43,6 +43,15 @@ def degenerate_qubit() -> Problem:
     return Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
 
 
+def haar_unitary(rng, n) -> np.ndarray:
+    """A Haar-random n x n unitary: Q of the QR of a complex Gaussian,
+    with the phases of R's diagonal divided out (Mezzadri, Notices of the
+    AMS 54, 592 (2007)); without that step Q is not Haar-distributed."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def problem_file(tmp_path, problem: Problem, name: str) -> str:
     """The path of the file tmp_path / name that save_problem writes."""
     path = tmp_path / name

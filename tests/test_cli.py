@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mixedphase import Problem, circular_distance, evaluate, load_problem, random_instance, \
     validate_density
-from mixedphase import cli
+from mixedphase import cli, phases
 from mixedphase.cli import main
 from mixedphase.serialize import problem_to_dict
 
@@ -177,8 +177,8 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch):
     calls = itertools.count(1)
     original = cli._verify_trial
 
-    def fail_third(problem, rng, tol):
-        return "injected failure" if next(calls) == 3 else original(problem, rng, tol)
+    def fail_third(problem, tol):
+        return "injected failure" if next(calls) == 3 else original(problem, tol)
 
     monkeypatch.setattr(cli, "_verify_trial", fail_third)
     out = run(["verify", "--dim", "2", "--trials", "5", "--seed", "7"], 1)
@@ -186,11 +186,45 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch):
     assert "passed 2 of 5 instances before first failure" in out
 
 
+SOLVE, SETUP, PHI = phases.solve_ancilla_hamiltonian, phases._setup, phases._phi
+ANCILLA, HOLONOMY = "ancilla-equation residual", "total phase vs holonomy"
+
+
+@pytest.mark.parametrize("site, mutant, check", [
+    ("solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h).T, ANCILLA),
+    ("solve_ancilla_hamiltonian", lambda a, h: -SOLVE(a, h), ANCILLA),
+    ("solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.conj()), ANCILLA),
+    ("solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.T), ANCILLA),
+    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.conj(), k, t), HOLONOMY),
+    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.T, k, t), HOLONOMY),
+    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q.conj(), z, k, t), HOLONOMY),
+    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q.T, z, k, t), HOLONOMY),
+    ("_setup", lambda a, w, q, z, k, t: SETUP(a**2, w, q, z, k, t), HOLONOMY),
+    ("_phi", lambda t, e, p, k: PHI(t, e, p, -k), HOLONOMY),
+], ids=["K-transposed", "K-negated", "h'-conjugated", "h'-transposed", "z-conjugated",
+        "z-transposed", "Q-conjugated", "Q-transposed", "lambda-for-c", "kappa-sign"])
+def test_verify_catches_each_engine_mutant(monkeypatch, site, mutant, check):
+    """Mutants of the ancilla solve, of the kernel P = |Q^dag C z^T|^2 and
+    of Phi's phases e^{-i kappa_j t}: each fails verify, and the check
+    that names it is the ancilla-equation residual (K and h' before the
+    solve) or the holonomy (all the others). This is the record behind
+    verify having no gauge-rephasing check: rephasing the eigenbasis by
+    diagonal phases is removed by the |.|^2 in P, and when verify still
+    ran that check, over seeds 0-19, it caught no mutant here that the
+    residuals or the holonomy missed."""
+    argv = ["verify", "--dim", "4", "--trials", "5"]
+    assert run(argv, 0).startswith("verified 5/5 ")  # the engine as it is
+    monkeypatch.setattr(phases, site, mutant)
+    first, last = run(argv, 1).splitlines()
+    assert first.startswith("verification failed for instance seed ") and check in first
+    assert last.endswith("of 5 instances before first failure")
+
+
 def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch):
     """Negative control: the holonomy oracle evolves the state under
-    H (1 + 1e-6) while the engine sees H. The ancilla, transport and
-    gauge checks all read the problem's own h' and the engine's
-    preparation of it, so only the holonomy can fail."""
+    H (1 + 1e-6) while the engine sees H. The ancilla and transport
+    checks read the problem's own h' and the engine's preparation of it,
+    so only the holonomy can fail."""
     holonomy = cli.discrete_uhlmann_holonomy
 
     def perturbed(problem, t_end, steps):
@@ -204,8 +238,8 @@ def test_verify_catches_an_engine_that_sees_another_hamiltonian(monkeypatch):
 
 def test_verify_checks_each_hamiltonian_once(monkeypatch):
     """Per trial: the random state in validate_density and its Hamiltonian
-    in Problem. The gauge-rephased copy changes only the eigenvectors and
-    is not checked again."""
+    in Problem. The frame and the total phase read the Problem as it is,
+    and check nothing again."""
     from mixedphase import linalg, oracles, states
 
     calls = []
@@ -221,32 +255,47 @@ def test_verify_checks_each_hamiltonian_once(monkeypatch):
     assert len(calls) == 40
 
 
-def test_verify_checks_the_total_phase_without_evaluate(monkeypatch):
-    """verify reads only the total phase, through phases.gauge_pair; the
-    full batch evaluate builds is never needed."""
-    def refuse(*args):
-        raise AssertionError("verify called evaluate")
+def test_verify_reads_the_total_phase_off_the_frame_it_checks(monkeypatch):
+    """Each trial prepares one frame, checks its residuals, and takes the
+    total phase from evaluate's own body on that frame: the engine code of
+    compute, sweep and compare, with K solved and decomposed once."""
+    prepared, evaluated = [], []
+    prepare, body = cli.prepare_problem, cli._evaluate
 
+    def record_frame(problem):
+        prepared.append(prepare(problem))
+        return prepared[-1]
+
+    def record_body(problem, frame, times):
+        evaluated.append(frame)
+        return body(problem, frame, times)
+
+    def refuse(*args):
+        raise AssertionError("verify prepared a second frame through evaluate")
+
+    monkeypatch.setattr(cli, "prepare_problem", record_frame)
+    monkeypatch.setattr(cli, "_evaluate", record_body)
     monkeypatch.setattr(cli, "evaluate", refuse)
     assert "verified 4/4 random instances (dim 3)" in run(["verify", "--dim", "3",
                                                            "--trials", "4"], 0)
+    assert len(prepared) == 4
+    assert all(got is want for got, want in zip(evaluated, prepared, strict=True))
 
 
-@pytest.mark.parametrize("corrupt, first_line", [
-    # kappas moved, k untouched: the ancilla equation still holds, and the
-    # transport check, which reads the kappas, must catch it
-    (lambda gammas, frame: (gammas, replace(frame, kappas=frame.kappas + 1e-6)),
-     "parallel-transport residual 5.505e-07 > 1.000e-09"),
-    # the rephased copy's phase moved: only the gauge check reads it
-    (lambda gammas, frame: (gammas + [[1e-6], [0.0]], frame),
-     "gauge rephasing moved the total phase by 1.000e-06 > 1.000e-09"),
-])
-def test_verify_catches_a_corrupted_gauge_pair(monkeypatch, corrupt, first_line):
-    """Negative controls for the two checks that read gauge_pair alone."""
-    pair = cli.gauge_pair
-    monkeypatch.setattr(cli, "gauge_pair", lambda *args: corrupt(*pair(*args)))
+def test_verify_catches_a_corrupted_frame(monkeypatch):
+    """Negative control for the transport check: the kappas moved, k
+    untouched, so the ancilla equation still holds and only the transport
+    check, which reads the kappas, must catch it."""
+    prepare = cli.prepare_problem
+
+    def corrupted(problem):
+        frame = prepare(problem)
+        return replace(frame, kappas=frame.kappas + 1e-6)
+
+    monkeypatch.setattr(cli, "prepare_problem", corrupted)
     assert run(["verify", "--dim", "3", "--trials", "4", "--seed", "7"], 1).splitlines() == [
-        f"verification failed for instance seed 2882744023523087010: {first_line}",
+        "verification failed for instance seed 2882744023523087010: "
+        "parallel-transport residual 5.505e-07 > 1.000e-09",
         "passed 0 of 4 instances before first failure"]
 
 
@@ -263,7 +312,7 @@ def test_verify_catches_a_corrupted_gauge_pair(monkeypatch, corrupt, first_line)
      "passed 0 of 4 instances before first failure\n", 1),
     (["--dim", "1", "--trials", "3", "--seed", "1"],
      "verified 3/3 random instances (dim 1): ancilla equation, holonomy, parallel "
-     "transport, gauge invariance all within tolerance 1.0e-09\n", 0),
+     "transport all within tolerance 1.0e-09\n", 0),
 ])
 def test_verify_output_is_pinned(argv, stdout, code):
     assert run(["verify"] + argv, code) == stdout

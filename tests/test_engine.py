@@ -214,12 +214,13 @@ def test_every_array_of_a_batch_is_real():
     (np.inf, "times must be finite"),
     ([1.0, 1e17], "time 1e+17 is past the resolvable range"),  # |t| E = 5e16 > 2**52
 ])
-def test_gauge_pair_raises_as_evaluate_does(bad, message):
-    """Both check their times in the same place, before any table."""
+def test_evaluate_on_a_prepared_frame_raises_as_evaluate_does(bad, message):
+    """evaluate and verify's _evaluate on a frame it prepared check their
+    times in the same place, before any table."""
     problem = bloch_x(0.6)
     errors = []
     for call in (lambda: evaluate(problem, bad),
-                 lambda: phases.gauge_pair(problem, [0.3, 1.1], bad)):
+                 lambda: phases._evaluate(problem, prepare_problem(problem), bad)):
         with pytest.raises(ValueError, match=re.escape(message)) as exc:
             call()
         errors.append(str(exc.value))

@@ -97,15 +97,15 @@ def test_frobenius_is_numpys_norm_bit_for_bit(n):
 
 
 def test_close_eigenvalues_reads_np_diffs_gaps():
-    # the gap rule on np.diff's gaps, for spectra of each order, stacks and
-    # gaps one ulp either side of the threshold
+    # the gap rule on np.diff's gaps, for spectra of each order and gaps
+    # one ulp either side of the threshold
     gap = DEFAULT_TOL.degeneracy_gap
     rng = np.random.default_rng(9)
     spectra = [np.zeros(0), np.zeros(1), np.array([0.0, gap]),
                np.array([0.0, np.nextafter(gap, 0.0)]), np.array([0.3, 0.3 + gap])]
     for n in (2, 3, 8, 64):
         w = np.sort(rng.standard_normal(n))
-        spectra += [w, w[::-1], np.stack([w, w + rng.standard_normal(n) * gap])]
+        spectra += [w, w[::-1]]
     for w in spectra:
         want = np.abs(np.diff(w))
         assert close_eigenvalues(w) is bool(want.size and want.min() < gap)
@@ -155,20 +155,6 @@ def test_unitary_group_law(seed, t1, t2):
     u12 = unitary_from_hamiltonian(h, t1 + t2)
     assert frobenius(u1 @ u2 - u12) <= 1e-12
     assert frobenius(dagger(u1) @ u1 - np.eye(3)) <= 1e-12
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 4))
-def test_dagger_and_eig_of_a_stack_are_those_of_each_matrix(seed, n, batch):
-    rng = np.random.default_rng(seed)
-    stack = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
-    w, q = hermitian_eig(stack)
-    assert w.shape == (batch, n) and q.shape == (batch, n, n)
-    for i, a in enumerate(stack):
-        np.testing.assert_array_equal(dagger(stack)[i], a.conj().T)
-        w_i, q_i = hermitian_eig(a)
-        np.testing.assert_array_equal(w[i], w_i)
-        np.testing.assert_array_equal(q[i], q_i)
 
 
 def test_polar_of_unitary_is_input():

@@ -2,7 +2,6 @@
 purification trace phase, the interferometric phase, and the identities
 connecting them."""
 
-import copy
 import json
 import math
 from dataclasses import replace
@@ -21,9 +20,8 @@ from mixedphase import (
     random_instance,
     validate_density,
 )
-from mixedphase import angles, linalg, states
+from mixedphase import angles
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
-from mixedphase.phases import gauge_pair
 from mixedphase.serialize import reports_to_json
 from mixedphase.transport import component_weights, diagonalizing_frame
 
@@ -331,57 +329,24 @@ def test_gauge_invariance_under_eigenvector_rephasing():
 
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_gauge_pair_equals_two_separate_passes(dim, data, seed):
-    """The stacked pass gives exactly, with == and no tolerance, what
-    prepare_problem and evaluate give for each member alone: the problem
-    with its state's eigenvectors rephased by D = diag(e^{i theta}), and
-    h' and Q rephased entry by entry as D^dag h' D and D^dag Q, then the
-    problem itself, whose K, kappas and z it also returns. Rotating H
-    into the rephased basis by matmul instead agrees to roundoff."""
+def test_rephased_eigenbasis_gives_the_total_phase_to_roundoff(dim, data, seed):
+    """Column j of the state's eigenbasis times e^{i theta_j} is another
+    eigenbasis of the same rho. A Problem built on it, which rotates H
+    into that basis by matmul, gives evaluate's total phase to roundoff:
+    the diagonal phases leave K's and z's through |.|^2 in P."""
     rank = data.draw(st.integers(1, dim), label="rank")
     theta = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=dim,
                                         max_size=dim), label="theta"))
     problem = random_instance(dim, rank, seed)
     rho = problem.rho0
     times = [1.7, -0.4, 5.0]
-    gammas, frame = gauge_pair(problem, theta, times)
-    d = np.exp(1j * theta)
-    rephased = copy.copy(problem)  # set as Problem.__post_init__ sets its derived fields
-    for name, value in [("rho0", replace(rho, basis_e=rho.basis_e * d)),
-                        ("h_prime", np.outer(d.conj(), d) * problem.h_prime),
-                        ("h_eigvecs", d.conj()[:, None] * problem.h_eigvecs)]:
-        object.__setattr__(rephased, name, value)
-    own = prepare_problem(problem)
-    assert gammas.shape == (2, 3)
-    np.testing.assert_array_equal(gammas[0], evaluate(rephased, times).gamma_total)
-    np.testing.assert_array_equal(gammas[1], evaluate(problem, times).gamma_total)
-    for name in ("k", "kappas", "z"):
-        np.testing.assert_array_equal(getattr(frame, name), getattr(own, name))
-    rotated = evaluate(Problem(rephased.rho0, problem.hamiltonian_lab), times)
-    for got, want, overlap in zip(gammas[0], rotated.gamma_total, rotated.overlap_magnitude):
+    rephased = Problem(replace(rho, basis_e=rho.basis_e * np.exp(1j * theta)),
+                       problem.hamiltonian_lab)
+    own, rotated = evaluate(problem, times), evaluate(rephased, times)
+    for got, want, overlap in zip(own.gamma_total, rotated.gamma_total,
+                                  rotated.overlap_magnitude):
         if not (math.isnan(got) and math.isnan(want)):
             assert circular_distance(got, want) * overlap <= 1e-13, (got, want, overlap)
-
-
-def test_gauge_pair_rephases_only_the_eigenvectors(monkeypatch):
-    """The problem is left as it is, and its Hamiltonian, checked when it
-    was built, is not checked again."""
-    problem = random_instance(4, 3, 12)
-    rho = problem.rho0
-    before = {name: getattr(rho, name).tobytes() for name in ("mat", "lambdas", "basis_e", "amps")}
-
-    def refuse(a):
-        raise AssertionError("a Hamiltonian was checked again")
-
-    for module in (linalg, states):
-        monkeypatch.setattr(module, "require_hermitian", refuse)
-    gauge_pair(problem, [0.3, -2.0, 6.0, 1e-3], 1.7)
-    monkeypatch.undo()
-    assert problem.rho0 is rho
-    assert {name: getattr(rho, name).tobytes() for name in before} == before
-    for bad in ([0.0] * 3, [0.0, 0.0, np.nan, 0.0], [[0.0] * 4]):
-        with pytest.raises(ValueError, match="4 finite angles"):
-            gauge_pair(problem, bad, 1.7)
 
 
 def test_total_phase_ignores_ancilla_kernel_freedom():

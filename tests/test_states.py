@@ -238,7 +238,7 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
     calls.clear()
     run(["compare", "--input", str(path), "-t", "1"], 0)
     assert calls == {"eigh": 3, "svd": 1}
-    # a verify trial: rho, H, and the gauge pair's two K in one stacked call
+    # a verify trial: rho, H, and K once, for the residuals and the phase
     calls.clear()
     run(["verify", "--dim", "8", "--trials", "1"], 0)
     assert calls == {"eigh": 3, "svd": 1}

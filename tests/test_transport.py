@@ -183,8 +183,7 @@ def test_weights_dimension_mismatch():
     (np.sqrt([0.5, 0.5]), np.eye(3)),
     # one amplitude would broadcast over a 2 x 2 h' without the check
     (np.array([1.0]), SX),
-    (np.sqrt([0.5, 0.5]), np.stack([np.eye(3), np.eye(3)])),
-], ids=["2-amps-3x3", "1-amp-2x2", "2-amps-2x3x3-stack"])
+], ids=["2-amps-3x3", "1-amp-2x2"])
 def test_ancilla_solve_dimension_mismatch(amps, h_prime):
     with pytest.raises(DimensionMismatch):
         solve_ancilla_hamiltonian(amps, h_prime)
