@@ -19,13 +19,13 @@ from mixedphase.transport import ancilla_equation_residual, component_weights, \
 def evolved_components(problem, frame, t):
     """U(t) and the unnormalized components U(t) C z^T |e_j>, one per column."""
     u = unitary_from_eig(problem.h_eigvals, problem.h_eigvecs, t)
-    return u, u @ (frame.z * problem.rho0.amps).T
+    return u, u @ (frame.z * problem.amps).T
 
 
 def main():
     problem = mp.random_instance(3, 3, 2024)
     frame = mp.prepare_problem(problem)
-    amps, h_prime = problem.rho0.amps, problem.h_prime
+    amps, h_prime = problem.amps, problem.h_prime
 
     print("1. spectral decomposition")
     print(f"   eigenvalues of the state: {np.round(problem.rho0.lambdas, 6)}")

@@ -95,7 +95,7 @@ def _verify_trial(problem: Problem, tol: float) -> str | None:
     """Run the invariant checks on one instance; return the violated
     invariant's description or None. The residuals and the total phase
     read one frame, prepared once, through the engine code of compute."""
-    amps, h_prime = problem.rho0.amps, problem.h_prime
+    amps, h_prime = problem.amps, problem.h_prime
     frame = prepare_problem(problem)
     resid = ancilla_equation_residual(amps, h_prime, frame.k)
     bound = tol * max(1.0, frobenius(h_prime))

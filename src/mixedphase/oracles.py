@@ -54,12 +54,12 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
         Tr[w_0^dag w_N] = Tr[sqrt(rho0) U(t_end) sqrt(rho0) (P^dag)^N].
 
     The reduction needs only a time-independent H and a uniform grid.
-    It also holds at deficient rank: sqrt(rho0) U(dt) sqrt(rho0) maps
-    the range of sqrt(rho0) into itself (onto it while the overlap does
-    not vanish), so P is fixed there; the free part of the polar factor
-    acts on the kernel, which the trace never sees.
+    Every factor is r x r, on the support of rho0 the Problem carries:
+    a sandwich sqrt(rho0) X sqrt(rho0) vanishes outside it, and the
+    polar factor of the full matrix is P there and free only on the
+    kernel, which the trace never sees.
 
-    It reads only the density-matrix path, in the state eigenbasis e
+    It reads only the density-matrix path, in the support's eigenbasis e
     where sqrt(rho0) is diag(amps): U(t) from the problem's one
     eigendecomposition of H (h_eigvals, and h_eigvecs = e^dag V), so
     that it is e^dag U(t) e, and the sandwich sqrt(rho0) X sqrt(rho0) is
@@ -72,7 +72,7 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
     The phase converges to the engine's total geometric phase at second
     order in t_end/N (the error falls by 4.00 per step doubling). One
     SVD, floor(log2 N) squarings and one product per further set bit of
-    N, each written with @ and no wrapper, cost O(n^3 log N), not N
+    N, each written with @ and no wrapper, cost O(r^3 log N), not N
     SVDs. Roundoff in the power grows like N times machine epsilon: for
     a unit-norm H and t_end near 1 that floor meets the O((t_end/N)^2)
     discretization error near N = 2^16 (about 1e-12), and MAX_STEPS caps
@@ -81,7 +81,7 @@ def discrete_uhlmann_holonomy(problem: Problem, t_end: float, steps: int) -> flo
     """
     _check_grid(t_end, steps)
     w_h, q_h = problem.h_eigvals, problem.h_eigvecs
-    amps = problem.rho0.amps
+    amps = problem.amps
     sandwich = amps[:, None] * amps  # sqrt(rho0) X sqrt(rho0) = sandwich * X
     # U(t_end) first: a t_end past the resolvable range is refused by name
     endpoint = sandwich * unitary_from_eig(w_h, q_h, t_end)
@@ -131,9 +131,10 @@ def random_instance(dim: int, rank: int, seed: int) -> Problem:
 
     The state is B B^dag / Tr for a dim x rank complex Gaussian factor B,
     drawn once and never redrawn: B has full column rank with probability
-    one, so the state has exactly rank nonzero eigenvalues, however small
-    the least of them. The Hamiltonian is a complex Gaussian Hermitian
-    matrix rescaled to unit Frobenius norm.
+    one, so the state has rank nonzero eigenvalues, however small the
+    least of them, and dim - rank that are zero up to roundoff. The
+    Hamiltonian is a complex Gaussian Hermitian matrix rescaled to unit
+    Frobenius norm.
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank {rank} outside 1..{dim}")

@@ -7,7 +7,7 @@ representations z (unitary frames) of the ancilla's Hilbert space:
     m_j(z, t) = <e_j| z* C U(t) C z^T |e_j> = sum_a P_aj e^{-i eps_a t},
 
 with P = |Q^dag C z^T|^2 for h' = Q diag(eps) Q^dag (H's decomposition,
-made once by Problem, rotated into the state eigenbasis: eps are H's
+made once by Problem, carried on the state's support: eps are H's
 eigenvalues and Q = e^dag V) and kappa_j(z) = -<psi_j|h'|psi_j> / q_j, the
 negated energy of component psi_j = C z^T |e_j> of weight q_j. The frame
 that diagonalizes the ancilla Hamiltonian K (kappa_j its eigenvalues;
@@ -55,10 +55,10 @@ class PhaseBatch:
     from is not kept. A headline phase at a nodal point (the modulus of
     its sum at or below the overlap tolerance) is nan, with that modulus
     still recorded: overlap_magnitude for gamma_total and uhlmann,
-    sjoqvist_magnitude for sjoqvist. Negligible components carry the
-    sentinel convention visibility = gamma = total_phase = 0. energy is
-    the largest |eps_a| or |kappa_j|: |t| times it is the largest phase
-    argument.
+    sjoqvist_magnitude for sjoqvist. Negligible components, those of the
+    state's kernel (q = 0) among them, carry the sentinels visibility =
+    gamma = total_phase = 0. energy is the largest |eps_a| or |kappa_j|:
+    |t| times it is the largest phase argument.
     """
 
     t: np.ndarray
@@ -80,10 +80,9 @@ class PhaseBatch:
 
 
 def prepare_problem(problem: Problem) -> AncillaFrame:
-    """The frame that diagonalizes K, solved in the eigenbasis
-    problem.rho0 carries; the Hamiltonian in that basis (h_prime, and
-    its spectrum h_eigvals, h_eigvecs) is the problem's own."""
-    return diagonalizing_frame(solve_ancilla_hamiltonian(problem.rho0.amps, problem.h_prime))
+    """The frame that diagonalizes K, solved on the support the problem
+    carries: its amps and its h_prime, r x r."""
+    return diagonalizing_frame(solve_ancilla_hamiltonian(problem.amps, problem.h_prime))
 
 
 def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
@@ -96,7 +95,7 @@ def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
     late = t[np.abs(t) > MAX_PHASE / energy] if energy else t[:0]
     if late.size:
         raise past_resolvable_range(float(late[0]), energy)
-    # P_aj = |<eps_a| C z^T |e_j>|^2. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
+    # P_aj = |<eps_a| C z^T |e_j>|^2, n x r. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
     # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
     p = np.abs(dagger(h_eigvecs) @ (z * amps).T) ** 2
     e = np.exp(-1j * (t[:, None] * h_eigvals))  # e^{-i eps_a t}, [time, a]
@@ -117,33 +116,40 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
     """Every phase and per-component report at each of times (a scalar
     or a 1-D sequence; repeats and negative times are allowed).
 
-    Costs the ancilla solve and K's one eigendecomposition
-    (prepare_problem), then three T x n exponential tables and three
-    T x n by n x n products; nothing of size T x n x n is formed, and
-    the complex tables, m_j(t) among them, are released on return.
-    Raises ValueError past |t| E = 2**52, E the largest |eps_a| or
-    |kappa_j| (the batch's energy), where doubles at the phase
+    Costs the ancilla solve and K's one eigendecomposition, r x r at
+    rank r (prepare_problem), then exponential tables of T x n and T x r
+    and three products with the n x r kernel; nothing of size T x n x n
+    is formed, and the complex tables, m_j(t) among them, are released
+    on return. Raises ValueError past |t| E = 2**52, E the largest
+    |eps_a| or |kappa_j| (the batch's energy), where doubles at the phase
     arguments t E are 1 rad or more apart. The degenerate-spectrum flag
-    is decided here alone: it is set when two eigenvalues of the state
-    or of K are closer than the degeneracy gap (close_eigenvalues).
+    is decided here alone: it is set when two eigenvalues of the state's
+    support or of K are closer than the degeneracy gap (close_eigenvalues).
     """
     return _evaluate(problem, prepare_problem(problem), times)
 
 
 def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
-    """evaluate's body, on the frame prepare_problem gave for problem:
-    verify reads the total phase off the frame whose residuals it checks,
-    so that K is solved and decomposed once per trial."""
-    rho = problem.rho0
-    weights = component_weights(rho.amps, frame.z)
-    t, energy, e, p = _setup(rho.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,
+    """evaluate's body, on the frame prepare_problem gave for problem
+    (verify checks that frame's residuals, so K is solved and decomposed
+    once per trial); the one place that restores n components from r."""
+    weights = component_weights(problem.amps, frame.z)
+    t, energy, e, p = _setup(problem.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,
                              frame.kappas, times)
     d, overlaps, rotated, total = _phi(t, e, p, frame.kappas)
     trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
     # z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
-    p_i = (np.abs(problem.h_eigvecs) ** 2).T * rho.lambdas
+    p_i = (np.abs(problem.h_eigvecs) ** 2).T * problem.lambdas
     interferometric = _phi(t, e, p_i, -np.diag(problem.h_prime).real)[-1]
     live = weights > DEFAULT_TOL.weight
+    columns = [weights, frame.kappas,
+               np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape), where=live),
+               np.where(live, np.angle(rotated), 0.0), np.where(live, np.angle(overlaps), 0.0)]
+    if problem.dim > frame.kappas.size:  # the state's kernel: q = kappa = 0, sentinels
+        at, kernel = np.searchsorted(frame.kappas, 0.0), problem.dim - frame.kappas.size
+        columns = [np.concatenate([c[..., :at], np.zeros(c.shape[:-1] + (kernel,)), c[..., at:]],
+                                  axis=-1) for c in columns]
+    q, kappas, visibility, gamma, total_phase = columns
     return PhaseBatch(
         t=t,
         gamma_total=angle_or_nan(total),
@@ -151,15 +157,14 @@ def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
         sjoqvist=angle_or_nan(interferometric),
         overlap_magnitude=np.abs(total),
         sjoqvist_magnitude=np.abs(interferometric),
-        q=weights,
-        visibility=np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
-                             where=live),
-        gamma=np.where(live, np.angle(rotated), 0.0),
-        dyn_phase=t[:, None] * frame.kappas,  # np.outer's expression
-        total_phase=np.where(live, np.angle(overlaps), 0.0),
+        q=q,
+        visibility=visibility,
+        gamma=gamma,
+        dyn_phase=t[:, None] * kappas,  # np.outer's expression
+        total_phase=total_phase,
         # close kappas leave z, and every per-component column, not unique
         # within the degenerate block, as close lambdas leave basis_e
-        degenerate_spectrum_warning=(close_eigenvalues(rho.lambdas)
+        degenerate_spectrum_warning=(close_eigenvalues(problem.lambdas)
                                      or close_eigenvalues(frame.kappas)),
         energy=energy,
     )

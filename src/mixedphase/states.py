@@ -2,10 +2,10 @@
 
 Density-matrix validation and the Problem record, which make the one
 eigendecomposition of the state and of the Hamiltonian. Problem also
-rotates the Hamiltonian and its eigenvectors into the state eigenbasis,
-once. Everything downstream works in that basis, where the state is
-diag(lambdas) and the amplitude matrix is diag(sqrt(lambdas)), and reads
-both spectra from here; nothing decomposes or rotates rho or H again.
+decides the state's support and rotates H and its eigenvectors onto it,
+once. Everything downstream works there, where the state is
+diag(lambdas) and the amplitude matrix diag(amps), and reads both
+spectra from here; nothing decomposes or rotates rho or H again.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class DensityMatrix:
     eigendecomposition.
 
     lambdas are descending and clamped to [0, 1]; column j of basis_e is
-    the eigenvector for lambdas[j]; amps = sqrt(lambdas). Construct
+    the eigenvector for lambdas[j]. Construct
     through validate_density, or from a validated state with basis_e
     rephased column by column (a gauge change). mat is require_hermitian's
     private copy of the input and is never mutated (tiny negative
@@ -37,7 +37,6 @@ class DensityMatrix:
     mat: np.ndarray
     lambdas: np.ndarray
     basis_e: np.ndarray
-    amps: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -53,18 +52,23 @@ class Problem:
     state's dimension.
     hamiltonian_lab is the check's private copy, so a later write to the
     caller's array moves neither it nor anything derived from it.
-    Then it is decomposed once, H = V diag(h_eigvals) V^dag with
-    h_eigvals ascending (hermitian_eig), and carried in the state
-    eigenbasis e = rho0.basis_e: h_prime = e^dag H e and h_eigvecs =
-    Q = e^dag V, so that h' = Q diag(h_eigvals) Q^dag with H's own
-    eigenvalues. h' is Hermitian and Q unitary up to roundoff. The
-    engine and the holonomy oracle both read these; no
-    eigendecomposition of h' is made. They are derived, so they take no
-    part in construction or repr.
+    Here alone the state's support is decided: the first r columns e of
+    rho0.basis_e, whose eigenvalues exceed support / 2 (r >= 1). The
+    purification sum_k c_k |e_k>|e_k> has terms only there, so no later
+    stage sees the kernel. The problem carries their eigenvalues lambdas,
+    amplitudes amps = sqrt(lambdas), and H, decomposed once as
+    V diag(h_eigvals) V^dag (all n h_eigvals, ascending; hermitian_eig),
+    on the support: h_prime = e^dag H e (r x r) and h_eigvecs = Q = e^dag V
+    (r x n), so h' = Q diag(h_eigvals) Q^dag, Hermitian, with Q's rows
+    orthonormal up to roundoff. The engine and the holonomy oracle both
+    read these; no eigendecomposition of h' is made. They are derived, so
+    they take no part in construction or repr.
     """
 
     rho0: DensityMatrix
     hamiltonian_lab: np.ndarray
+    lambdas: np.ndarray = field(init=False, repr=False)
+    amps: np.ndarray = field(init=False, repr=False)
     h_eigvals: np.ndarray = field(init=False, repr=False)
     h_eigvecs: np.ndarray = field(init=False, repr=False)
     h_prime: np.ndarray = field(init=False, repr=False)
@@ -78,8 +82,11 @@ class Problem:
                 f"is {h.shape[0]}x{h.shape[0]}"
             )
         w, v = hermitian_eig(h)
-        e = self.rho0.basis_e
+        r = int(np.count_nonzero(self.rho0.lambdas > DEFAULT_TOL.support / 2))
+        lambdas, e = self.rho0.lambdas[:r], self.rho0.basis_e[:, :r]
         e_dag = dagger(e)
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "amps", np.sqrt(lambdas))
         object.__setattr__(self, "h_eigvals", w)
         object.__setattr__(self, "h_eigvecs", e_dag @ v)
         object.__setattr__(self, "h_prime", e_dag @ h @ e)
@@ -106,5 +113,5 @@ def validate_density(mat) -> DensityMatrix:
     if float(w[0]) < -DEFAULT_TOL.psd:
         raise NotPSD(float(w[0]))
     lambdas = np.clip(w[::-1], 0.0, 1.0)
-    return DensityMatrix(mat, lambdas, q[:, ::-1], np.sqrt(lambdas))
+    return DensityMatrix(mat, lambdas, q[:, ::-1])
 

@@ -13,7 +13,7 @@ class Tolerances:
     hermiticity: float = 1e-10
     unit_trace: float = 1e-10
     psd: float = 1e-12            # eigenvalues >= -psd accepted
-    support: float = 1e-14        # c_k^2 + c_l^2 at or below this is kernel
+    support: float = 1e-14        # sets the state's support (Problem)
     weight: float = 1e-10         # component weights at or below this get sentinel reports
     overlap: float = 1e-12        # phase undefined when overlap magnitude <= this
     degeneracy_gap: float = 1e-9

@@ -3,8 +3,8 @@
 Solves the ancilla Hamiltonian that makes every pure component of the
 evolving ensemble parallel-transported, builds the unitary frame that
 diagonalizes it, and produces the time-invariant component weights. All
-of it lives in the initial-state eigenbasis, so the amplitude matrix is
-diagonal and the defining equation
+of it lives on the state's support (Problem's), in its eigenbasis, so the
+amplitude matrix is diagonal and positive and the defining equation
 
     C^2 K^T + K^T C^2 = -2 C H C
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import dagger, frobenius, hermitian_eig
-from .tolerances import DEFAULT_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,22 +35,17 @@ class AncillaFrame:
 def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
     """Closed-form solution K of C^2 K^T + K^T C^2 = -2 C H C.
 
-    amps is the 1-D vector of amplitudes c_j = sqrt(lambda_j) >= 0;
-    h_prime is the Hamiltonian in the state eigenbasis. Entrywise,
-    (K^T)_kl = -2 c_k c_l H'_kl / (c_k^2 + c_l^2) wherever the
-    denominator exceeds the support tolerance, else 0: the equation puts no
-    constraint on K inside the kernel of the state, and zero is the
-    minimal-norm completion.
+    amps holds the amplitudes c_j = sqrt(lambda_j) on the state's support
+    and h_prime the Hamiltonian there, as Problem carries them. Entrywise,
+    (K^T)_kl = -2 c_k c_l H'_kl / (c_k^2 + c_l^2), the one solution: every
+    denominator on the support exceeds the support tolerance.
     """
     if amps.size != h_prime.shape[0]:
         raise DimensionMismatch(
             f"{amps.size} amplitudes for a {h_prime.shape[0]}x{h_prime.shape[0]} Hamiltonian"
         )
     lam = amps**2
-    denom = lam[:, None] + lam[None, :]
-    num = -2.0 * (amps[:, None] * amps)
-    factor = np.divide(num, denom, out=np.zeros(denom.shape),
-                       where=denom > DEFAULT_TOL.support)
+    factor = -2.0 * (amps[:, None] * amps) / (lam[:, None] + lam[None, :])
     # K^T = factor * (h' + h'^dag) / 2 with factor symmetric, so K itself is
     # factor times the transpose of that mean; exact symmetry of the mean
     # makes K exactly Hermitian
@@ -59,14 +53,12 @@ def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
 
 
 def ancilla_equation_residual(amps, h_prime, ancilla_h) -> float:
-    """Frobenius norm of C^2 K^T + K^T C^2 + 2 C H C restricted to the
-    support (index pairs with c_k^2 + c_l^2 above the support tolerance).
-    C is diagonal, so entry kl is (lambda_k + lambda_l) K^T_kl
-    + 2 c_k c_l H_kl, formed entry by entry in O(n^2)."""
+    """Frobenius norm of C^2 K^T + K^T C^2 + 2 C H C on the state's support
+    (Problem's). C is diagonal, so entry kl is (lambda_k + lambda_l) K^T_kl
+    + 2 c_k c_l H_kl, formed entry by entry in O(r^2)."""
     lam = amps**2
     lam_sum = lam[:, None] + lam[None, :]
-    resid = lam_sum * ancilla_h.T + 2.0 * (amps[:, None] * amps) * h_prime
-    return frobenius(resid * (lam_sum > DEFAULT_TOL.support))
+    return frobenius(lam_sum * ancilla_h.T + 2.0 * (amps[:, None] * amps) * h_prime)
 
 
 def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:

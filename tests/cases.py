@@ -43,6 +43,18 @@ def degenerate_qubit() -> Problem:
     return Problem(validate_density(np.eye(2) / 2), 0.5 * SZ)
 
 
+def kron_sum(h1, h2) -> np.ndarray:
+    """H1 (x) I + I (x) H2: each Hamiltonian acting on its own factor."""
+    return np.kron(h1, np.eye(len(h2))) + np.kron(np.eye(len(h1)), h2)
+
+
+def product(a: Problem, b: Problem) -> Problem:
+    """The product system of two problems, rho_a (x) rho_b under
+    kron_sum(H_a, H_b), through the public constructors."""
+    return Problem(validate_density(np.kron(a.rho0.mat, b.rho0.mat)),
+                   kron_sum(a.hamiltonian_lab, b.hamiltonian_lab))
+
+
 def haar_unitary(rng, n) -> np.ndarray:
     """A Haar-random n x n unitary: Q of the QR of a complex Gaussian,
     with the phases of R's diagonal divided out (Mezzadri, Notices of the

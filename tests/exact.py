@@ -11,11 +11,14 @@ double rounding with the engine:
 with rho = e diag(lambda) e^dag from mpmath's eighe, C = diag(c),
 c_k = sqrt(lambda_k), h' = e^dag H e, U' = exp(-i h' t) and
 V = exp(-i K t) from mpmath's expm, and K from the closed form of
-transport.solve_ancilla_hamiltonian with the engine's support rule:
-(K^T)_kl = -2 c_k c_l h'_kl / (lambda_k + lambda_l) where that sum
-exceeds the support tolerance, else 0. The input matrices are taken as
-their Hermitian parts, and negative eigenvalues of rho (roundoff of a
-rank-deficient state) as 0, as validate_density clamps them. For a
+transport.solve_ancilla_hamiltonian, (K^T)_kl = -2 c_k c_l h'_kl /
+(lambda_k + lambda_l), wherever that sum is not 0. The input matrices
+are taken as their Hermitian parts, and negative eigenvalues of rho
+(roundoff of a rank-deficient state) as 0, as validate_density clamps
+them. It takes no support cut: the eigenvalues a rank-deficient state's
+roundoff leaves in its kernel enter as they are, so the engine's
+removal of the kernel (Problem) is held to this reference, not copied
+into it. For a
 degenerate rho the Sjoqvist value depends on eighe's basis within the
 block, as the engine's does on LAPACK's; the tests leave it out.
 """
@@ -25,7 +28,6 @@ from __future__ import annotations
 import mpmath as mp
 
 from mixedphase.states import Problem
-from mixedphase.tolerances import DEFAULT_TOL
 
 DIGITS = 40
 
@@ -47,7 +49,7 @@ def headline_phases(problem: Problem, t: float) -> tuple[float, float]:
         k = mp.matrix(n, n)
         for a in range(n):
             for b in range(n):
-                if lambdas[a] + lambdas[b] > DEFAULT_TOL.support:
+                if lambdas[a] + lambdas[b]:
                     # K_ba = (K^T)_ab
                     k[b, a] = -2 * amps[a] * amps[b] * h[a, b] / (lambdas[a] + lambdas[b])
         t = mp.mpf(t)

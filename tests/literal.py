@@ -10,11 +10,13 @@ phases, the component states, the finite-difference parallel-transport
 residual, and the discretized parallel amplitude chain with the PSD
 square root it starts from, each from its own eigendecompositions of
 rho0 and H rather than those the Problem carries. The per-t
-functions take the problem, the ancilla frame to read it in
-(phases.prepare_problem's, or any other) and an explicit evolution
-operator u_t, so a caller can pass one built independently of the
-cached eigendecomposition (evolution_operator builds it from that
-decomposition). The tests compare phases.evaluate and
+functions work, as the engine does, on the state's support that the
+Problem carries (r of the n eigenvectors, r x r frames). They take the
+problem, the ancilla frame to read it in (phases.prepare_problem's, or
+any other) and an explicit evolution operator u_t on that support, so
+a caller can pass one built independently of the cached
+eigendecomposition (support_evolution; evolution_operator builds it
+from that decomposition). The tests compare phases.evaluate and
 oracles.discrete_uhlmann_holonomy against them. At a nodal point
 the literal phases are nan, as evaluate's are (angles.angle_or_nan).
 """
@@ -37,9 +39,18 @@ from mixedphase.transport import AncillaFrame
 
 
 def evolution_operator(problem: Problem, t: float) -> np.ndarray:
-    """exp(-i h' t) in the state eigenbasis, from the decomposition of h'
-    that the problem carries: H's eigenvalues and Q = e^dag V."""
+    """e^dag exp(-i H t) e on the support e, r x r, from the decomposition
+    of h' that the problem carries: H's eigenvalues and Q = e^dag V. It is
+    unitary at full rank only; below, it is the support block of the
+    evolution in the state eigenbasis."""
     return unitary_from_eig(problem.h_eigvals, problem.h_eigvecs, t)
+
+
+def support_evolution(problem: Problem, t: float) -> np.ndarray:
+    """evolution_operator's matrix from the lab-frame H's own
+    eigendecomposition, and the first r columns of rho0.basis_e."""
+    e = problem.rho0.basis_e[:, :problem.amps.size]
+    return dagger(e) @ unitary_from_hamiltonian(problem.hamiltonian_lab, t) @ e
 
 
 @dataclass(frozen=True)
@@ -64,9 +75,9 @@ class ComponentReport:
 def overlap_kernel(problem: Problem, frame: AncillaFrame, j: int, u_t) -> complex:
     """m_j(t) = <e_j| z* C u_t C z^T |e_j>, the unnormalized overlap of
     component j between times 0 and t. m_j(0) = q_j and |m_j| <= q_j."""
-    if not 0 <= j < problem.dim:
-        raise IndexError(f"component {j} outside 0..{problem.dim - 1}")
-    w = problem.rho0.amps * frame.z[j, :]
+    if not 0 <= j < problem.amps.size:
+        raise IndexError(f"component {j} outside 0..{problem.amps.size - 1}")
+    w = problem.amps * frame.z[j, :]
     return complex(np.vdot(w, np.asarray(u_t) @ w))
 
 
@@ -76,7 +87,7 @@ def component_report(problem: Problem, frame: AncillaFrame, j: int, t: float,
     component of the given frame. gamma == total_phase - dyn_phase
     modulo 2*pi. The weight q_j = sum_k |z_jk|^2 lambda_k is read off
     the frame's own row."""
-    q_j = float(np.abs(frame.z[j, :]) ** 2 @ problem.rho0.lambdas)
+    q_j = float(np.abs(frame.z[j, :]) ** 2 @ problem.lambdas)
     dyn = float(frame.kappas[j]) * t
     if q_j <= DEFAULT_TOL.weight:
         return ComponentReport(j, q_j, 0.0, 0.0, dyn, 0.0)
@@ -91,7 +102,7 @@ def total_geometric_phase(problem: Problem, frame: AncillaFrame, t: float, u_t) 
     stabler). nan at nodal points."""
     kappas = frame.kappas
     return angle_or_nan(sum(overlap_kernel(problem, frame, j, u_t)
-                            * np.exp(-1j * kappas[j] * t) for j in range(problem.dim)))
+                            * np.exp(-1j * kappas[j] * t) for j in range(kappas.size)))
 
 
 def uhlmann_trace_phase(problem: Problem, frame: AncillaFrame, t: float, u_t) -> float:
@@ -100,7 +111,7 @@ def uhlmann_trace_phase(problem: Problem, frame: AncillaFrame, t: float, u_t) ->
     is computed without the diagonalizing frame: v_t comes from its own
     eigendecomposition of k."""
     v_t = unitary_from_hamiltonian(frame.k, t)
-    c = np.diag(problem.rho0.amps)
+    c = np.diag(problem.amps)
     return angle_or_nan(complex(np.trace(c @ np.asarray(u_t) @ c @ v_t.T)))
 
 
@@ -111,7 +122,7 @@ def sjoqvist_phase(problem: Problem, t: float, u_t) -> float:
     the total geometric phase for pure states only."""
     phases = np.exp(1j * np.diag(problem.h_prime).real * t)
     return angle_or_nan(complex(
-        (problem.rho0.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
+        (problem.lambdas * np.diag(np.asarray(u_t)) * phases).sum()))
 
 
 def component_state(j: int, u_t, amps, z) -> np.ndarray:
@@ -138,7 +149,7 @@ def parallel_residual(problem: Problem, frame: AncillaFrame, j: int, t: float,
     """
     if not 1e-8 <= delta <= 1e-4:
         raise ValueError(f"delta {delta} outside [1e-8, 1e-4]")
-    amps = problem.rho0.amps
+    amps = problem.amps
     chi_t = component_state(j, evolution_operator(problem, t), amps, frame.z)
     chi_dt = component_state(j, evolution_operator(problem, t + delta), amps, frame.z)
     q_j = float(np.vdot(chi_t, chi_t).real)

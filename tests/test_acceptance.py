@@ -77,7 +77,7 @@ def test_criterion_1_total_phase_equals_trace_phase():
 def test_criterion_2_ancilla_equation_solver():
     worst_resid = worst_herm = 0.0
     for problem, frame in _instances():
-        resid = ancilla_equation_residual(problem.rho0.amps, problem.h_prime, frame.k)
+        resid = ancilla_equation_residual(problem.amps, problem.h_prime, frame.k)
         worst_resid = max(worst_resid, resid / max(1.0, frobenius(problem.h_prime)))
         worst_herm = max(worst_herm, frobenius(frame.k - dagger(frame.k)))
     ok = worst_resid <= 1e-10 and worst_herm <= 1e-12
@@ -89,9 +89,9 @@ def test_criterion_2_ancilla_equation_solver():
 def test_criterion_3_parallel_transport():
     worst = worst_exact = 0.0
     for problem, frame in _instances():
-        exact = transport_residual(problem.rho0.amps, problem.h_prime, frame)
+        exact = transport_residual(problem.amps, problem.h_prime, frame)
         worst_exact = max(worst_exact, exact / max(1.0, frobenius(problem.h_prime)))
-        q = component_weights(problem.rho0.amps, frame.z)
+        q = component_weights(problem.amps, frame.z)
         for t in (0.3, 1.7):
             for j in range(problem.dim):
                 if q[j] > 1e-10:
@@ -233,16 +233,16 @@ def test_criterion_7_structural_invariants():
     # weights, visibilities, and completeness of the decomposition
     worst_q = worst_nu = worst_rebuild = 0.0
     for problem, frame in _instances()[::7]:
-        worst_q = max(worst_q, abs(component_weights(problem.rho0.amps, frame.z).sum() - 1.0))
+        worst_q = max(worst_q, abs(component_weights(problem.amps, frame.z).sum() - 1.0))
         for t in TIMES:
             u = evolution_operator(problem, t)
             for j in range(problem.dim):
                 rep = component_report(problem, frame, j, t, u)
                 worst_nu = max(worst_nu, rep.visibility - (1.0 + 1e-10))
             total = sum(np.outer(chi, chi.conj()) for chi in
-                        (component_state(j, u, problem.rho0.amps, frame.z)
+                        (component_state(j, u, problem.amps, frame.z)
                          for j in range(problem.dim)))
-            rho_t = u @ np.diag(problem.rho0.lambdas) @ dagger(u)
+            rho_t = u @ np.diag(problem.lambdas) @ dagger(u)
             worst_rebuild = max(worst_rebuild, frobenius(total - rho_t))
     if worst_q > 1e-10:
         failures.append(f"weight sum off by {worst_q:.2e}")

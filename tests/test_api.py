@@ -65,7 +65,7 @@ def test_evaluate_alone_decides_degeneracy(monkeypatch):
     frame = mixedphase.prepare_problem(problem)
     assert not mixedphase.evaluate(problem, 1.0).degenerate_spectrum_warning
     assert len(spectra) == 2
-    assert spectra[0] is problem.rho0.lambdas
+    assert spectra[0] is problem.lambdas
     assert spectra[1].tobytes() == frame.kappas.tobytes()
 
 

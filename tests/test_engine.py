@@ -1,6 +1,6 @@
 """Batch engine tests: evaluate() against the literal per-t definitions,
 each fed an evolution operator built independently of the engine's
-cached eigendecomposition.
+cached eigendecomposition, and the kernel components evaluate restores.
 
 Complex quantities are compared absolutely. A phase is compared as its
 circular distance times the magnitude of the complex number it is the
@@ -10,6 +10,7 @@ only the scaled distance is held to a fixed bound near nodal points.
 
 import dataclasses
 import io
+import json
 import math
 import re
 
@@ -27,13 +28,14 @@ from mixedphase import phases
 from mixedphase.angles import angle_or_nan
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
-from mixedphase.serialize import sweep_header, sweep_to_csv
+from mixedphase.serialize import sweep_header, sweep_to_csv, sweep_to_json
 from mixedphase.transport import component_weights
 
 from literal import (
     component_report,
     overlap_kernel,
     sjoqvist_phase,
+    support_evolution,
     total_geometric_phase,
     uhlmann_trace_phase,
 )
@@ -60,6 +62,24 @@ def instances(draw):
     return random_instance(n, rank, seed), times + [0.0, times[0]]
 
 
+def support_columns(batch, frame) -> np.ndarray:
+    """The columns of batch that are frame's r components, in its order,
+    after checking its n - r others, the kernel's: each is exactly
+    q = 0, visibility = gamma = total_phase = 0 and dyn_phase = t * 0.0,
+    and they stand together where ascending kappa puts 0."""
+    n, r = batch.q.size, frame.kappas.size
+    at = int(np.count_nonzero(frame.kappas < 0.0))
+    kernel = np.arange(at, at + n - r)
+    support = np.setdiff1d(np.arange(n), kernel)
+    assert np.flatnonzero(batch.q == 0.0).tolist() == kernel.tolist()
+    zeros = np.zeros((len(batch), n - r))
+    for name in ("visibility", "gamma", "total_phase"):
+        assert getattr(batch, name)[:, kernel].tobytes() == zeros.tobytes(), name
+    assert batch.dyn_phase[:, kernel].tobytes() == (batch.t[:, None] * zeros).tobytes()
+    assert batch.dyn_phase[:, support].tobytes() == (batch.t[:, None] * frame.kappas).tobytes()
+    return support
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_batch_matches_literal_definitions(case):
@@ -67,16 +87,17 @@ def test_batch_matches_literal_definitions(case):
     frame = prepare_problem(problem)
     batch = evaluate(problem, times)
     assert len(batch) == len(times)
-    assert np.array_equal(batch.q, component_weights(problem.rho0.amps, frame.z))
+    support = support_columns(batch, frame)
+    assert np.array_equal(batch.q[support], component_weights(problem.amps, frame.z))
     for i, t in enumerate(times):
-        u = unitary_from_hamiltonian(problem.h_prime, t)
-        for j in range(problem.dim):
+        u = support_evolution(problem, t)
+        for j, col in enumerate(support):
             m = overlap_kernel(problem, frame, j, u)
             rep = component_report(problem, frame, j, t, u)
-            assert abs(batch.visibility[i, j] - rep.visibility) * rep.q <= TOL
-            assert batch.dyn_phase[i, j] == rep.dyn_phase
-            assert_phase_close(batch.gamma[i, j], rep.gamma, abs(m), f"gamma_{j}")
-            assert_phase_close(batch.total_phase[i, j], rep.total_phase, abs(m),
+            assert abs(batch.visibility[i, col] - rep.visibility) * rep.q <= TOL
+            assert batch.dyn_phase[i, col] == rep.dyn_phase
+            assert_phase_close(batch.gamma[i, col], rep.gamma, abs(m), f"gamma_{j}")
+            assert_phase_close(batch.total_phase[i, col], rep.total_phase, abs(m),
                                f"total_phase_{j}")
         magnitude = batch.overlap_magnitude[i]
         assert_phase_close(batch.gamma_total[i],
@@ -85,7 +106,7 @@ def test_batch_matches_literal_definitions(case):
         # the literal trace phase builds exp(-iKt) from K itself
         assert_phase_close(batch.uhlmann[i],
                            uhlmann_trace_phase(problem, frame, t, u), magnitude, "uhlmann")
-        sjo_magnitude = abs(np.sum(problem.rho0.lambdas * np.diag(u)
+        sjo_magnitude = abs(np.sum(problem.lambdas * np.diag(u)
                                    * np.exp(1j * np.diag(problem.h_prime).real * t)))
         assert_phase_close(batch.sjoqvist[i], sjoqvist_phase(problem, t, u), sjo_magnitude,
                            "sjoqvist")
@@ -138,21 +159,29 @@ def test_sweep_csv_header_and_column_order():
 
 def eager_columns(problem, times):
     """Every PhaseBatch column by the expressions evaluate uses, written
-    out here once more: the reference for evaluate."""
+    out here once more: the reference for evaluate. The r support columns
+    are computed; the kernel's n - r are q = kappa = 0 and the sentinels,
+    spliced in where ascending kappa puts 0."""
     t = np.asarray(times, dtype=float).reshape(-1)
-    rho, frame, q_h = problem.rho0, prepare_problem(problem), problem.h_eigvecs
-    weights = component_weights(rho.amps, frame.z)
+    frame, q_h, amps = prepare_problem(problem), problem.h_eigvecs, problem.amps
+    weights = component_weights(amps, frame.z)
     e = np.exp(-1j * np.outer(t, problem.h_eigvals))
     d = np.exp(-1j * np.outer(t, frame.kappas))
-    p = np.abs(dagger(q_h) @ (frame.z * rho.amps).T) ** 2
+    p = np.abs(dagger(q_h) @ (frame.z * amps).T) ** 2
     overlaps = e @ p
     rotated = overlaps * d
     total = rotated.sum(axis=1)
     trace = np.einsum("ta,ta->t", e, d @ p.T)
-    p_i = (np.abs(q_h) ** 2).T * rho.lambdas
+    p_i = (np.abs(q_h) ** 2).T * problem.lambdas
     d_i = np.exp(-1j * np.outer(t, -np.diag(problem.h_prime).real))
     interferometric = ((e @ p_i) * d_i).sum(axis=1)
     live = weights > DEFAULT_TOL.weight
+    at, kernel = int(np.count_nonzero(frame.kappas < 0.0)), problem.dim - amps.size
+
+    def spliced(a):
+        return np.concatenate([a[..., :at], np.zeros(a.shape[:-1] + (kernel,)), a[..., at:]],
+                              axis=-1)
+
     return {
         "t": t,
         "gamma_total": angle_or_nan(total),
@@ -160,12 +189,12 @@ def eager_columns(problem, times):
         "sjoqvist": angle_or_nan(interferometric),
         "overlap_magnitude": np.abs(total),
         "sjoqvist_magnitude": np.abs(interferometric),
-        "q": weights,
-        "visibility": np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape),
-                                where=live),
-        "gamma": np.where(live, np.angle(rotated), 0.0),
-        "dyn_phase": np.outer(t, frame.kappas),
-        "total_phase": np.where(live, np.angle(overlaps), 0.0),
+        "q": spliced(weights),
+        "visibility": spliced(np.divide(np.abs(overlaps), weights,
+                                        out=np.zeros(overlaps.shape), where=live)),
+        "gamma": spliced(np.where(live, np.angle(rotated), 0.0)),
+        "dyn_phase": np.outer(t, spliced(frame.kappas)),
+        "total_phase": spliced(np.where(live, np.angle(overlaps), 0.0)),
     }
 
 
@@ -225,3 +254,32 @@ def test_evaluate_on_a_prepared_frame_raises_as_evaluate_does(bad, message):
             call()
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("dim, rank, seed", [(5, 2, 31), (16, 3, 3)])
+def test_kernel_components_are_exact_zeros_in_every_report(dim, rank, seed):
+    """The n - r kernel components of a rank-r state: exactly q = 0,
+    visibility = gamma = total_phase = 0 and dyn_phase = t * 0.0 (signed
+    as t), where ascending kappa puts 0; the CSV still writes n q_j,
+    nu_j, gamma_j triples and the JSON n components."""
+    problem = random_instance(dim, rank, seed)
+    times = [-3.5, 0.0, 2.0, -0.0, 11.25]
+    batch = evaluate(problem, times)
+    assert problem.amps.size == rank and batch.q.shape == (dim,)
+    support = support_columns(batch, prepare_problem(problem))
+    assert support.size == rank
+    out = io.StringIO()
+    sweep_to_csv(batch, out)
+    header, *rows = out.getvalue().splitlines()
+    assert header == sweep_header(dim) and len(rows) == len(times)
+    assert all(len(row.split(",")) == 5 + 3 * dim for row in rows)
+    out = io.StringIO()
+    sweep_to_json(batch, out)
+    reports = json.loads(out.getvalue())
+    assert [len(report["components"]) for report in reports] == [dim] * len(times)
+    kernel = np.setdiff1d(np.arange(dim), support)
+    for report, t in zip(reports, times):
+        for j in kernel:
+            c = report["components"][j]
+            assert (c["q"], c["visibility"], c["gamma"], c["total_phase"]) == (0, 0, 0, 0)
+            assert math.copysign(1.0, c["dyn_phase"]) == math.copysign(1.0, t)

@@ -130,7 +130,7 @@ def test_holonomy_never_reads_h_prime():
 def matrix_power_holonomy(problem, t_end, steps):
     """The closed form as written with numpy's wrappers: np.outer for the
     sandwich, np.linalg.matrix_power for (P^dag)^N, np.trace."""
-    w_h, q_h, amps = problem.h_eigvals, problem.h_eigvecs, problem.rho0.amps
+    w_h, q_h, amps = problem.h_eigvals, problem.h_eigvecs, problem.amps
     sandwich = np.outer(amps, amps)
     link = polar_unitary(sandwich * unitary_from_eig(w_h, q_h, t_end / steps))
     transport = np.linalg.matrix_power(dagger(link), steps)
@@ -303,11 +303,14 @@ def test_parallel_residual_zero_hamiltonian():
 
 
 def test_parallel_residual_argument_validation():
-    problem = random_instance(3, 1, 96)
+    # lambda = 1e-12 is on the support, and its component's weight is
+    # below the weight tolerance
+    h = np.array([[0.5, 0.1], [0.1, -0.5]], dtype=complex)
+    problem = Problem(validate_density(np.diag([1.0 - 1e-12, 1e-12])), h)
     frame = prepare_problem(problem)
     with pytest.raises(ValueError):
         parallel_residual(problem, frame, 0, 0.3, 1e-2)
-    negligible = int(np.argmin(component_weights(problem.rho0.amps, frame.z)))
+    negligible = int(np.argmin(component_weights(problem.amps, frame.z)))
     with pytest.raises(ValueError):
         parallel_residual(problem, frame, negligible, 0.3, 1e-6)
 

@@ -48,7 +48,7 @@ def random_pure_problem(rng, n):
 def test_overlap_at_zero_is_the_weight():
     problem = random_instance(4, 4, 70)
     frame = prepare_problem(problem)
-    q = component_weights(problem.rho0.amps, frame.z)
+    q = component_weights(problem.amps, frame.z)
     for j in range(4):
         m0 = overlap_kernel(problem, frame, j, np.eye(4))
         assert abs(m0.imag) <= 1e-14
@@ -58,10 +58,10 @@ def test_overlap_at_zero_is_the_weight():
 def test_overlap_magnitude_bounded_by_weight():
     problem = random_instance(5, 3, 71)
     frame = prepare_problem(problem)
-    q = component_weights(problem.rho0.amps, frame.z)
+    q = component_weights(problem.amps, frame.z)
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(problem, t)
-        for j in range(5):
+        for j in range(q.size):
             m = overlap_kernel(problem, frame, j, u)
             assert abs(m) <= q[j] + 1e-12
 
@@ -70,7 +70,7 @@ def test_overlap_equals_direct_component_inner_product():
     # maximally mixed qubit driven along x: kernel vs explicit states
     prob = Problem(validate_density(np.eye(2) / 2), 0.5 * SX)
     frame = prepare_problem(prob)
-    amps, z = prob.rho0.amps, frame.z
+    amps, z = prob.amps, frame.z
     for t in (0.4, 1.3, 2.9):
         u = evolution_operator(prob, t)
         for j in range(2):
@@ -83,7 +83,7 @@ def test_overlap_equals_direct_component_inner_product():
 def test_overlap_pure_state_is_survival_amplitude():
     prob, psi = random_pure_problem(np.random.default_rng(72), 3)
     frame = prepare_problem(prob)
-    j_star = int(np.argmax(component_weights(prob.rho0.amps, frame.z)))
+    j_star = int(np.argmax(component_weights(prob.amps, frame.z)))
     for t in (0.6, 2.2):
         m = overlap_kernel(prob, frame, j_star, evolution_operator(prob, t))
         direct = np.vdot(psi, unitary_from_hamiltonian(prob.hamiltonian_lab, t) @ psi)
@@ -114,7 +114,7 @@ def test_pure_plus_component_phase_is_pi_with_zero_dynamics():
     frame = prepare_problem(problem)
     t = 2 * np.pi
     u = evolution_operator(problem, t)
-    j_star = int(np.argmax(component_weights(problem.rho0.amps, frame.z)))
+    j_star = int(np.argmax(component_weights(problem.amps, frame.z)))
     rep = component_report(problem, frame, j_star, t, u)
     assert circular_distance(rep.gamma, np.pi) <= 1e-9
     assert abs(rep.dyn_phase) <= 1e-9
@@ -135,8 +135,8 @@ def test_component_report_reads_the_weights_of_the_frame_it_is_given():
     # solved frame's, so a report that kept those would be stale
     problem = random_instance(3, 3, 11)
     zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    want = component_weights(problem.rho0.amps, zeroed.z)
-    solved = component_weights(problem.rho0.amps, prepare_problem(problem).z)
+    want = component_weights(problem.amps, zeroed.z)
+    solved = component_weights(problem.amps, prepare_problem(problem).z)
     np.testing.assert_allclose(want, [0.879, 0.096, 0.026], atol=1e-3)
     np.testing.assert_allclose(solved, [0.071, 0.691, 0.237], atol=1e-3)
     for j in range(3):
@@ -146,12 +146,15 @@ def test_component_report_reads_the_weights_of_the_frame_it_is_given():
 
 
 def test_zero_weight_components_use_sentinel_convention():
-    problem = random_instance(3, 1, 74)
+    # eigenvalues of 2e-14 and 1e-14 are on the support, and weigh too
+    # little for a phase
+    h = random_instance(3, 1, 74).hamiltonian_lab
+    problem = Problem(validate_density(np.diag([1.0 - 3e-14, 2e-14, 1e-14])), h)
     frame = prepare_problem(problem)
     u = evolution_operator(problem, 1.0)
-    q = component_weights(problem.rho0.amps, frame.z)
+    q = component_weights(problem.amps, frame.z)
     small = [j for j in range(3) if q[j] <= 1e-10]
-    assert small  # rank-1 state must have negligible components
+    assert len(small) == 2
     for j in small:
         rep = component_report(problem, frame, j, 1.0, u)
         assert rep.visibility == 0.0 and rep.gamma == 0.0 and rep.total_phase == 0.0
@@ -222,9 +225,11 @@ def test_cyclic_point_gamma_zero_but_interferometric_pi():
 @pytest.mark.parametrize("dim", [1, 2, 8])
 def test_dyn_phase_is_np_outer_bit_for_bit(dim):
     # the T x n table of kappa_j t, for a scalar time and for a grid with
-    # repeats, negative times and zero
+    # repeats, negative times and zero; the kernel's kappas are 0, in
+    # ascending order with the support's
     problem = random_instance(dim, max(1, dim // 2), seed=dim)
-    kappas = prepare_problem(problem).kappas
+    kappas = np.sort(np.concatenate([prepare_problem(problem).kappas,
+                                     np.zeros(dim - problem.amps.size)]))
     for times in (1.3, [0.0, -2.5, 1.0, 1.0, 7 * math.pi]):
         dyn = evaluate(problem, times).dyn_phase
         assert dyn.tobytes() == np.outer(times, kappas).tobytes()
@@ -350,24 +355,37 @@ def test_rephased_eigenbasis_gives_the_total_phase_to_roundoff(dim, data, seed):
 
 
 def test_total_phase_ignores_ancilla_kernel_freedom():
-    # for singular states the ancilla Hamiltonian is free on the kernel;
-    # the phase must not see it (checked empirically)
+    # for singular states the defining equation leaves the ancilla
+    # Hamiltonian free on the kernel, and the engine solves it on the
+    # support alone: arg Tr[C U C V^T] of the full n x n space, with the
+    # support's K and any Hermitian block on the kernel, is its phase
     rng = np.random.default_rng(81)
     problem = random_instance(4, 2, 82)
-    frame = prepare_problem(problem)
-    kernel = np.where(problem.rho0.lambdas < 1e-12)[0]
-    assert kernel.size == 2
-    x = np.zeros((4, 4), dtype=complex)
+    full = np.zeros((4, 4), dtype=complex)
+    full[:2, :2] = prepare_problem(problem).k
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    x[np.ix_(kernel, kernel)] = (block + dagger(block)) / 2
-    shifted = diagonalizing_frame(frame.k + x)
+    full[2:, 2:] = (block + dagger(block)) / 2
+    c = np.diag(np.concatenate([problem.amps, np.zeros(2)]))
+    e = problem.rho0.basis_e
     for t in (0.3, 1.7):
-        u = evolution_operator(problem, t)
-        gamma = total_geometric_phase(problem, frame, t, u)
-        gamma2 = total_geometric_phase(problem, shifted, t, u)
-        trace2 = uhlmann_trace_phase(problem, shifted, t, u)
-        assert circular_distance(gamma, gamma2) <= 1e-9
-        assert circular_distance(gamma, trace2) <= 1e-9
+        u = dagger(e) @ unitary_from_hamiltonian(problem.hamiltonian_lab, t) @ e
+        trace = complex(np.trace(c @ u @ c @ unitary_from_hamiltonian(full, t).T))
+        assert circular_distance(evaluate(problem, t).gamma_total[0], np.angle(trace)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, rank", [(8, 2), (16, 1), (64, 4), (64, 16)])
+def test_the_kernel_raises_no_degeneracy_flag(dim, rank):
+    # the flag reads the state's spectrum on its support and the kappas
+    # of K there; the kernel's repeated zeros are neither
+    assert not evaluate(random_instance(dim, rank, 3), 1.0).degenerate_spectrum_warning
+
+
+def test_a_degenerate_k_still_raises_the_flag():
+    # H = I gives K = -I on a full-rank state; tests/test_relations.py's
+    # degenerate_draw (a repeated nonzero lambda) is flagged on every draw
+    problem = Problem(validate_density(np.diag([0.5, 0.3, 0.2])), np.eye(3))
+    np.testing.assert_allclose(prepare_problem(problem).kappas, [-1.0, -1.0, -1.0])
+    assert evaluate(problem, 1.0).degenerate_spectrum_warning
 
 
 def test_phase_report_structure():

@@ -10,7 +10,9 @@ all three headline phases and any t:
   for any unitary W;
 - complex conjugation: (rho*, H*) at t gives minus the phases at -t;
 - sign of H: (rho, -H) at t gives the phases at -t;
-- time scale: (rho, s H) at t / s gives the phases at t, for s > 0.
+- time scale: (rho, s H) at t / s gives the phases at t, for s > 0;
+- product: (rho_1 (x) rho_2, H_1 (x) I + I (x) H_2) gives the sum of
+  the two factors' phases, mod 2 pi.
 
 Conjugation and scaling by a power of two hold bit for bit, and are
 asserted so. The other bounds were set from draws 0 to 19,999 of draw()
@@ -20,7 +22,8 @@ and 3.2e-12 (time scale, s log-uniform in [0.1, 10]), each at a draw
 whose interferometric sum was small (|sum| 6e-4 to 1.5e-3). Each bound
 is that worst value times 10 or less, rounded down. The degenerate
 states' bound was set the same way, from draws 0 to 9,999 of
-degenerate_draw() (worst 8.0e-13).
+degenerate_draw() (worst 8.0e-13). The product bounds were set from the
+test's own draws, as each bound, times 10, rounded down.
 """
 
 import math
@@ -31,11 +34,14 @@ from mixedphase import Problem, circular_distance, evaluate, random_instance, \
     validate_density
 from mixedphase.linalg import dagger
 
-from cases import haar_unitary
+from cases import haar_unitary, product
 
 HEADLINE = ("gamma_total", "uhlmann", "sjoqvist")
 DRAWS = 200
 JOINT_BOUND, SIGN_BOUND, SCALE_BOUND, DEGENERATE_BOUND = 5e-11, 1e-12, 3e-11, 5e-12
+# the worst of the 200 product draws: 1.2e-13 (total and Uhlmann phases),
+# 1.2e-12 (interferometric phase)
+PRODUCT_BOUND, PRODUCT_SJOQVIST_BOUND = 1e-12, 1e-11
 
 
 def draw(i):
@@ -144,3 +150,40 @@ def test_joint_basis_change_at_degenerate_states_keeps_the_total_phase():
         worst = max(worst, worst_distance(batch, evaluate(rotated(problem, w), times),
                                           ("gamma_total", "uhlmann")))
     assert worst <= DEGENERATE_BOUND, worst
+
+
+def product_draw(i):
+    """Draw i of a product system: two random_instance factors, each with
+    n in 1..8 and rank in 1..n, and 4 times in [-20, 20]."""
+    rng = np.random.default_rng(i)
+    factors = []
+    for _ in range(2):
+        n = int(rng.integers(1, 9))
+        factors.append(random_instance(n, int(rng.integers(1, n + 1)),
+                                       int(rng.integers(0, 2**62))))
+    return factors, rng.uniform(-20.0, 20.0, 4)
+
+
+def test_a_product_system_adds_its_factors_phases():
+    """Every phase of rho_1 (x) rho_2 under H_1 (x) I + I (x) H_2 is the
+    sum of its factors' phases: the purification, K on the support and
+    each phase's sum factor. The interferometric sum factors only in the
+    product eigenbasis, which the eigensolver picks only where the
+    state's support spectrum is not degenerate, so sjoqvist is held to it
+    on unflagged draws. The repeated zeros of a rank-deficient product
+    raise no flag, and no draw here is flagged. rho_1 (x) rho_1, whose
+    cross terms coincide, is left out: its sjoqvist is the eigensolver's
+    choice."""
+    worst = dict.fromkeys(HEADLINE, 0.0)
+    for i in range(DRAWS):
+        factors, times = product_draw(i)
+        whole = evaluate(product(*factors), times)
+        assert not whole.degenerate_spectrum_warning, i
+        first, second = (evaluate(factor, times) for factor in factors)
+        for name in HEADLINE:
+            got, want = getattr(whole, name), getattr(first, name) + getattr(second, name)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want), err_msg=name)
+            live = ~np.isnan(got)
+            worst[name] = max([worst[name], *map(circular_distance, got[live], want[live])])
+    assert max(worst["gamma_total"], worst["uhlmann"]) <= PRODUCT_BOUND, worst
+    assert worst["sjoqvist"] <= PRODUCT_SJOQVIST_BOUND, worst

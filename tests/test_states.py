@@ -164,8 +164,8 @@ def test_validate_density_decomposes_diagonal():
     spec = validate_density(np.diag([0.75, 0.25]))
     np.testing.assert_allclose(spec.lambdas, [0.75, 0.25])
     np.testing.assert_allclose(np.abs(spec.basis_e), np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(np.diag(spec.amps), np.diag(np.sqrt([0.75, 0.25])),
-                               atol=1e-15)
+    amps = Problem(spec, np.eye(2)).amps
+    np.testing.assert_allclose(np.diag(amps), np.diag(np.sqrt([0.75, 0.25])), atol=1e-15)
 
 
 def test_validate_density_decomposes_pure_projector():
@@ -181,7 +181,7 @@ def test_spectral_reconstruction_random():
     rebuilt = (spec.basis_e * spec.lambdas) @ dagger(spec.basis_e)
     assert frobenius(rebuilt - rho) <= 1e-10
     # C C^dag reproduces the state in its own eigenbasis
-    c = np.diag(spec.amps)
+    c = np.diag(Problem(spec, np.eye(4)).amps)
     assert frobenius(c @ c - np.diag(spec.lambdas)) <= 1e-15
 
 
@@ -190,7 +190,9 @@ def test_spectrum_sums_and_clamping():
     for n, rank in ((2, 2), (4, 2), (6, 6)):
         spec = validate_density(random_density(rng, n, rank))
         assert abs(spec.lambdas.sum() - 1.0) <= 1e-10
-        assert abs((spec.amps**2).sum() - 1.0) <= 1e-10
+        # the kernel Problem leaves out carries no weight
+        amps = Problem(spec, np.eye(n)).amps
+        assert amps.size == rank and abs((amps**2).sum() - 1.0) <= 1e-10
         assert np.all(spec.lambdas >= 0.0) and np.all(spec.lambdas <= 1.0)
         assert np.all(np.diff(spec.lambdas) <= 0)
 
@@ -251,19 +253,23 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
 @example(dim=1, rank=1, seed=0, identity=False)
 def test_carried_spectra_rebuild_their_inputs(dim, rank, seed, identity):
     # the one decomposition of rho and of H that every reader takes, and
-    # H carried in the state eigenbasis E: h' = E^dag H E = Q diag(w) Q^dag
-    problem = random_instance(dim, min(rank, dim), seed)
+    # H carried on the support E of the state, its first r eigenvectors:
+    # h' = E^dag H E = Q diag(w) Q^dag, and the state is E diag(lambdas) E^dag
+    rank = min(rank, dim)
+    problem = random_instance(dim, rank, seed)
     if identity:
         problem = Problem(problem.rho0, np.eye(dim, dtype=complex))
     rho, h = problem.rho0, problem.hamiltonian_lab
-    e = rho.basis_e
-    assert frobenius((e * rho.lambdas) @ dagger(e) - rho.mat) <= 1e-13
+    assert frobenius((rho.basis_e * rho.lambdas) @ dagger(rho.basis_e) - rho.mat) <= 1e-13
+    assert problem.amps.size == problem.lambdas.size == rank
+    e = rho.basis_e[:, :rank]
+    assert frobenius((e * problem.lambdas) @ dagger(e) - rho.mat) <= 1e-13
     q, w, h_prime = problem.h_eigvecs, problem.h_eigvals, problem.h_prime
     assert np.all(np.diff(w) >= 0)
     bound = 1e-13 * max(1.0, frobenius(h))
     assert frobenius((q * w) @ dagger(q) - h_prime) <= bound
-    assert frobenius(e @ h_prime @ dagger(e) - h) <= bound
-    assert frobenius(dagger(q) @ q - np.eye(dim)) <= bound
+    assert frobenius(dagger(e) @ h @ e - h_prime) <= bound
+    assert frobenius(q @ dagger(q) - np.eye(rank)) <= bound
 
 
 def test_hamiltonian_rotation_identity_for_diagonal_state():

@@ -39,7 +39,7 @@ def test_a_small_pair_above_the_support_tolerance_keeps_its_closed_form():
     state = validate_density(np.diag([1.0 - 4e-12, 3e-12, 1e-12]))
     h = np.array([[0.3, 0.2, 0.1], [0.2, -0.1, 0.4], [0.1, 0.4, 0.5]], dtype=complex)
     problem = Problem(state, h)
-    c, lam, h_prime = state.amps, state.lambdas, problem.h_prime
+    c, lam, h_prime = problem.amps, problem.lambdas, problem.h_prime
     want = -2.0 * c[1] * c[2] * h_prime[1, 2] / (lam[1] + lam[2])
     k = prepare_problem(problem).k
     assert abs(want) > 0.3
@@ -47,11 +47,12 @@ def test_a_small_pair_above_the_support_tolerance_keeps_its_closed_form():
 
 
 def test_pure_state_keeps_only_top_entry():
-    amps = np.array([1.0, 0.0])
-    h_prime = np.array([[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]])
-    k = solve_ancilla_hamiltonian(amps, h_prime)
-    # off-diagonals vanish with the amplitude; the (1,1) slot is the 0/0 rule
-    np.testing.assert_allclose(k, np.diag([-0.4, 0.0]), atol=1e-14)
+    # the support of a pure state is its one eigenvector, so K is 1 x 1:
+    # -h'_00, with no entry for the kernel to fill
+    h = np.array([[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]])
+    problem = Problem(validate_density(np.diag([1.0, 0.0])), h)
+    assert problem.amps.tolist() == [1.0]
+    np.testing.assert_allclose(prepare_problem(problem).k, [[-0.4]], atol=1e-14)
 
 
 def test_mixed_qubit_closed_form_value():
@@ -62,31 +63,29 @@ def test_mixed_qubit_closed_form_value():
 
 
 def test_solver_residual_random_instances():
-    # includes rank-deficient states, where the residual is restricted
-    # to the support
+    # includes rank-deficient states, solved and checked on the support
     for n, rank, seed in ((2, 2, 0), (3, 3, 1), (4, 2, 2), (6, 6, 3), (6, 3, 4)):
         problem = random_instance(n, rank, seed)
         frame = prepare_problem(problem)
-        resid = ancilla_equation_residual(problem.rho0.amps, problem.h_prime, frame.k)
+        resid = ancilla_equation_residual(problem.amps, problem.h_prime, frame.k)
         assert resid <= 1e-10 * max(1.0, frobenius(problem.h_prime))
         assert frobenius(frame.k - dagger(frame.k)) <= 1e-12
 
 
-def test_equation_residual_is_the_masked_dense_expression():
-    # K is not a solution, and is large between the near-zero amplitudes,
-    # where c_k^2 + c_l^2 is below the support tolerance and the mask must
-    # drop its entries
+def test_equation_residual_is_the_dense_expression():
+    # K is not a solution. The amplitudes of 1e-7 are the support's least
+    # (lambda = 1e-14, just above half the support tolerance), and K is
+    # large between them: every entry counts, as no kernel is left to drop
     rng = np.random.default_rng(96)
     for n in (1, 2, 5):
-        kernel = np.arange(n) % 3 == 1
-        amps = np.where(kernel, 1e-9, np.sqrt(rng.dirichlet(np.ones(n))))
+        small = np.arange(n) % 3 == 1
+        amps = np.where(small, 1e-7, np.sqrt(rng.dirichlet(np.ones(n))))
+        assert np.all(amps**2 > DEFAULT_TOL.support / 2)
         h, k = (dagger(a) + a for a in (rng.standard_normal((2, n, n))
                                         + 1j * rng.standard_normal((2, n, n))))
-        k[np.ix_(kernel, kernel)] *= 1e16
+        k[np.ix_(small, small)] *= 1e16
         c = np.diag(amps)
-        dense = c @ c @ k.T + k.T @ c @ c + 2.0 * c @ h @ c
-        mask = (amps[:, None] ** 2 + amps[None, :] ** 2) > DEFAULT_TOL.support
-        want = frobenius(dense * mask)
+        want = frobenius(c @ c @ k.T + k.T @ c @ c + 2.0 * c @ h @ c)
         assert abs(ancilla_equation_residual(amps, h, k) - want) <= 1e-13 * want
 
 
@@ -99,7 +98,7 @@ def test_transport_residual_vanishes_for_the_solved_frame(dim, data, seed, h_sca
     drawn = random_instance(dim, rank, seed)
     problem = Problem(drawn.rho0, h_scale * drawn.hamiltonian_lab)
     frame = prepare_problem(problem)
-    resid = transport_residual(problem.rho0.amps, problem.h_prime, frame)
+    resid = transport_residual(problem.amps, problem.h_prime, frame)
     assert resid <= 1e-13 * max(1.0, frobenius(problem.h_prime))
 
 
@@ -111,12 +110,12 @@ def test_transport_residual_negative_controls():
     k[0, 0] += 1e-7
     perturbed = diagonalizing_frame(k)
     assert frobenius(problem.h_prime) <= 1.0 + 1e-12
-    assert transport_residual(problem.rho0.amps, problem.h_prime, perturbed) > 1e-9
+    assert transport_residual(problem.amps, problem.h_prime, perturbed) > 1e-9
     assert max(parallel_residual(problem, perturbed, j, 0.3, 1e-6) for j in range(8)) < 1e-6
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
     problem = random_instance(3, 3, 11)
     zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    assert transport_residual(problem.rho0.amps, problem.h_prime, zeroed) > 1e-3
+    assert transport_residual(problem.amps, problem.h_prime, zeroed) > 1e-3
 
 
 def test_frame_of_pauli_x_multiple():
@@ -169,7 +168,7 @@ def test_weights_for_balanced_frame():
 def test_weights_sum_and_range_random():
     for seed in range(6):
         problem = random_instance(5, 4, seed + 50)
-        q = component_weights(problem.rho0.amps, prepare_problem(problem).z)
+        q = component_weights(problem.amps, prepare_problem(problem).z)
         assert abs(q.sum() - 1.0) <= 1e-10
         assert np.all(q >= 0.0) and np.all(q <= 1.0 + 1e-12)
 
@@ -198,7 +197,7 @@ def test_component_state_at_zero_with_identity_frame():
 
 def test_component_norm_invariant_under_evolution():
     problem = random_instance(4, 4, 60)
-    amps, z = problem.rho0.amps, prepare_problem(problem).z
+    amps, z = problem.amps, prepare_problem(problem).z
     for j in range(4):
         n0 = np.vdot(component_state(j, np.eye(4), amps, z),
                      component_state(j, np.eye(4), amps, z)).real
@@ -212,12 +211,12 @@ def test_component_norm_invariant_under_evolution():
 
 def test_components_reassemble_evolved_state():
     problem = random_instance(3, 3, 61)
-    amps, z = problem.rho0.amps, prepare_problem(problem).z
+    amps, z = problem.amps, prepare_problem(problem).z
     for t in (0.0, 0.8, 3.0):
         u = unitary_from_hamiltonian(problem.h_prime, t)
         total = sum(np.outer(chi, chi.conj()) for chi in
                     (component_state(j, u, amps, z) for j in range(3)))
-        rho_t = u @ np.diag(problem.rho0.lambdas) @ dagger(u)
+        rho_t = u @ np.diag(problem.lambdas) @ dagger(u)
         assert frobenius(total - rho_t) <= 1e-10
 
 
