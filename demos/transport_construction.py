@@ -12,8 +12,8 @@ import numpy as np
 
 import mixedphase as mp
 from mixedphase.linalg import unitary_from_eig
-from mixedphase.transport import ancilla_equation_residual, component_weights, \
-    diagonalizing_frame, transport_residual
+from mixedphase.transport import ancilla_equation_residual, diagonalizing_frame, \
+    transport_residual
 
 
 def evolved_components(problem, frame, t):
@@ -29,15 +29,17 @@ def main():
 
     print("1. spectral decomposition")
     print(f"   eigenvalues of the state: {np.round(problem.rho0.lambdas, 6)}")
-    print(f"   amplitudes sqrt(lambda):  {np.round(amps, 6)}\n")
+    print(f"   amplitudes sqrt(lambda):  {np.round(amps, 6)}")
+    print(f"   eigenspace bounds: {problem.blocks}\n")
 
     print("2. ancilla Hamiltonian from the closed form")
     resid = ancilla_equation_residual(amps, h_prime, frame.k)
     print(f"   defining-equation residual: {resid:.2e}")
-    print(f"   eigenvalues kappa: {np.round(frame.kappas, 6)}\n")
+    print(f"   eigenvalues kappa: {np.round(frame.kappas, 6)}")
+    print(f"   eigenspace bounds: {frame.blocks}\n")
 
-    print("3. invariant component weights")
-    q = component_weights(amps, frame.z)
+    print("3. invariant component weights, carried by the frame")
+    q = frame.q
     print(f"   q = {np.round(q, 6)}   (sum = {q.sum():.12f})")
     for t in (0.0, 0.9, 2.7):
         norms = (np.abs(evolved_components(problem, frame, t)[1]) ** 2).sum(axis=0)
@@ -51,7 +53,7 @@ def main():
         print(f"   component {j}: <chi_j|h'|chi_j> = {energies[j]:+.9f}, "
               f"-kappa_j q_j = {-frame.kappas[j] * q[j]:+.9f}")
     print(f"   largest violation: {transport_residual(amps, h_prime, frame):.2e}")
-    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex), amps)
     control = transport_residual(amps, h_prime, wrong)
     print(f"   negative control (ancilla Hamiltonian zeroed): {control:.2e}\n")
 

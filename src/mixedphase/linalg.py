@@ -70,12 +70,13 @@ def past_resolvable_range(t: float, energy: float) -> ValueError:
                       f"the largest energy {energy:.3e} exceeds 2**52")
 
 
-def close_eigenvalues(w) -> bool:
-    """True when two neighbours of the sorted spectrum w (either order) are
-    closer than the degeneracy gap: their eigenvectors, and all that is
-    read from them, are then not unique."""
-    gaps = np.abs(w[1:] - w[:-1])  # np.diff's expression, without its checks
-    return bool(gaps.size and gaps.min() < DEFAULT_TOL.degeneracy_gap)
+def eigenspace_blocks(w) -> tuple:
+    """The eigenspaces of the sorted spectrum w (either order), as the bounds
+    0 = b_0 < b_1 < ... < b_m = len(w) of its m blocks, block i the slice
+    b_i:b_{i+1}: neighbours closer than the degeneracy gap share a block,
+    whose eigenvectors, and all read from them, are unique up to a unitary."""
+    gaps = np.abs(w[1:] - w[:-1]).tolist()  # np.diff's expression, without its checks
+    return (0, *[i for i, g in enumerate(gaps, 1) if g >= DEFAULT_TOL.degeneracy_gap], len(w))
 
 
 def hermitian_eig(a):
@@ -83,11 +84,11 @@ def hermitian_eig(a):
 
     Returns (w, q): eigenvalues w ascending, eigenvector columns q
     orthonormal, with a @ q = q @ diag(w) up to roundoff. The input is
-    not checked: a matrix from outside passes require_hermitian where it
-    enters (Problem, validate_density, pancharatnam_phase), and every
-    other caller builds a Hermitian one. np.linalg.eigh reads only the
-    lower triangle; the matrix is symmetrized before the solve so that
-    both triangles enter.
+    not checked: each matrix passed require_hermitian where it entered
+    (Problem, validate_density, pancharatnam_phase); K, exactly Hermitian,
+    goes to np.linalg.eigh directly. np.linalg.eigh reads only the lower
+    triangle; the matrix is symmetrized before the solve so that both
+    triangles enter.
     """
     return np.linalg.eigh((a + dagger(a)) / 2.0)
 

@@ -38,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import angle_or_nan
-from .linalg import MAX_PHASE, close_eigenvalues, dagger, past_resolvable_range
+from .linalg import MAX_PHASE, dagger, past_resolvable_range
 from .states import Problem
 from .tolerances import DEFAULT_TOL
-from .transport import AncillaFrame, component_weights, diagonalizing_frame, \
-    solve_ancilla_hamiltonian
+from .transport import AncillaFrame, diagonalizing_frame, solve_ancilla_hamiltonian
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +79,10 @@ class PhaseBatch:
 
 
 def prepare_problem(problem: Problem) -> AncillaFrame:
-    """The frame that diagonalizes K, solved on the support the problem
-    carries: its amps and its h_prime, r x r."""
-    return diagonalizing_frame(solve_ancilla_hamiltonian(problem.amps, problem.h_prime))
+    """The frame that diagonalizes K, with its weights q and blocks, solved
+    on the support the problem carries: its amps and its h_prime, r x r."""
+    return diagonalizing_frame(solve_ancilla_hamiltonian(problem.amps, problem.h_prime),
+                               problem.amps)
 
 
 def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
@@ -123,17 +123,16 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
     on return. Raises ValueError past |t| E = 2**52, E the largest
     |eps_a| or |kappa_j| (the batch's energy), where doubles at the phase
     arguments t E are 1 rad or more apart. The degenerate-spectrum flag
-    is decided here alone: it is set when two eigenvalues of the state's
-    support or of K are closer than the degeneracy gap (close_eigenvalues).
+    is decided here alone, from the records' blocks: it is set when an
+    eigenspace of the state's support or of K holds two eigenvalues or more.
     """
     return _evaluate(problem, prepare_problem(problem), times)
 
 
 def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
-    """evaluate's body, on the frame prepare_problem gave for problem
-    (verify checks that frame's residuals, so K is solved and decomposed
-    once per trial); the one place that restores n components from r."""
-    weights = component_weights(problem.amps, frame.z)
+    """evaluate's body on prepare_problem's frame for problem, whose q and
+    blocks it reads (verify checks that frame's residuals, so K is solved
+    and decomposed once per trial); it alone restores n components from r."""
     t, energy, e, p = _setup(problem.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,
                              frame.kappas, times)
     d, overlaps, rotated, total = _phi(t, e, p, frame.kappas)
@@ -141,9 +140,9 @@ def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
     # z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
     p_i = (np.abs(problem.h_eigvecs) ** 2).T * problem.lambdas
     interferometric = _phi(t, e, p_i, -np.diag(problem.h_prime).real)[-1]
-    live = weights > DEFAULT_TOL.weight
-    columns = [weights, frame.kappas,
-               np.divide(np.abs(overlaps), weights, out=np.zeros(overlaps.shape), where=live),
+    live = frame.q > DEFAULT_TOL.weight
+    columns = [frame.q, frame.kappas,
+               np.divide(np.abs(overlaps), frame.q, out=np.zeros(overlaps.shape), where=live),
                np.where(live, np.angle(rotated), 0.0), np.where(live, np.angle(overlaps), 0.0)]
     if problem.dim > frame.kappas.size:  # the state's kernel: q = kappa = 0, sentinels
         at, kernel = np.searchsorted(frame.kappas, 0.0), problem.dim - frame.kappas.size
@@ -162,9 +161,10 @@ def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
         gamma=gamma,
         dyn_phase=t[:, None] * kappas,  # np.outer's expression
         total_phase=total_phase,
-        # close kappas leave z, and every per-component column, not unique
-        # within the degenerate block, as close lambdas leave basis_e
-        degenerate_spectrum_warning=(close_eigenvalues(problem.lambdas)
-                                     or close_eigenvalues(frame.kappas)),
+        # a block of close kappas leaves z, and every per-component column,
+        # not unique within it, as a block of close lambdas leaves basis_e;
+        # fewer blocks than eigenvalues means some block holds two or more
+        degenerate_spectrum_warning=any(len(blocks) - 1 < blocks[-1]
+                                        for blocks in (problem.blocks, frame.blocks)),
         energy=energy,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, NotUnitTrace
-from .linalg import dagger, hermitian_eig, require_hermitian
+from .linalg import dagger, eigenspace_blocks, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
 
 
@@ -25,13 +25,13 @@ class DensityMatrix:
     eigendecomposition.
 
     lambdas are descending and clamped to [0, 1]; column j of basis_e is
-    the eigenvector for lambdas[j]. Construct
-    through validate_density, or from a validated state with basis_e
-    rephased column by column (a gauge change). mat is require_hermitian's
-    private copy of the input and is never mutated (tiny negative
-    eigenvalues within the PSD floor are tolerated, not repaired).
-    Whether lambdas are degenerate is evaluate's decision, made with K's
-    spectrum.
+    the eigenvector for lambdas[j]. Construct through validate_density,
+    or from a validated state with basis_e rotated by a unitary within
+    each eigenspace (a gauge change; Problem.blocks are those on the
+    support, and a rephased column is a block of one). mat is
+    require_hermitian's private copy of the input and is never mutated
+    (tiny negative eigenvalues within the PSD floor are tolerated, not
+    repaired).
     """
 
     mat: np.ndarray
@@ -56,6 +56,7 @@ class Problem:
     rho0.basis_e, whose eigenvalues exceed support / 2 (r >= 1). The
     purification sum_k c_k |e_k>|e_k> has terms only there, so no later
     stage sees the kernel. The problem carries their eigenvalues lambdas,
+    the eigenspaces of lambdas as blocks (linalg.eigenspace_blocks), the
     amplitudes amps = sqrt(lambdas), and H, decomposed once as
     V diag(h_eigvals) V^dag (all n h_eigvals, ascending; hermitian_eig),
     on the support: h_prime = e^dag H e (r x r) and h_eigvecs = Q = e^dag V
@@ -68,6 +69,7 @@ class Problem:
     rho0: DensityMatrix
     hamiltonian_lab: np.ndarray
     lambdas: np.ndarray = field(init=False, repr=False)
+    blocks: tuple = field(init=False, repr=False)
     amps: np.ndarray = field(init=False, repr=False)
     h_eigvals: np.ndarray = field(init=False, repr=False)
     h_eigvecs: np.ndarray = field(init=False, repr=False)
@@ -86,6 +88,7 @@ class Problem:
         lambdas, e = self.rho0.lambdas[:r], self.rho0.basis_e[:, :r]
         e_dag = dagger(e)
         object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "blocks", eigenspace_blocks(lambdas))
         object.__setattr__(self, "amps", np.sqrt(lambdas))
         object.__setattr__(self, "h_eigvals", w)
         object.__setattr__(self, "h_eigvecs", e_dag @ v)

@@ -1,9 +1,9 @@
 """Parallel-transport construction for mixed states.
 
 Solves the ancilla Hamiltonian that makes every pure component of the
-evolving ensemble parallel-transported, builds the unitary frame that
-diagonalizes it, and produces the time-invariant component weights. All
-of it lives on the state's support (Problem's), in its eigenbasis, so the
+evolving ensemble parallel-transported, and builds the frame that
+diagonalizes it, with the eigenspaces and the component weights. All of
+it lives on the state's support (Problem's), in its eigenbasis, so the
 amplitude matrix is diagonal and positive and the defining equation
 
     C^2 K^T + K^T C^2 = -2 C H C
@@ -18,18 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import dagger, frobenius, hermitian_eig
+from .linalg import dagger, eigenspace_blocks, frobenius
 
 
 @dataclass(frozen=True, eq=False)
 class AncillaFrame:
-    """Ancilla Hamiltonian k, the unitary z with z k z^dag diagonal, and
-    the eigenvalues kappas (ascending, energy units). Whether kappas are
-    degenerate is evaluate's decision, made with the state's spectrum."""
+    """Ancilla Hamiltonian k, the unitary z with z k z^dag diagonal, the
+    eigenvalues kappas (ascending, energy units), their eigenspaces as
+    blocks (linalg.eigenspace_blocks), and the time-invariant component
+    weights q_j = sum_k |z_jk|^2 c_k^2, nonnegative and summing to one (z's
+    rows redistribute the state's eigenvalues, creating no weight)."""
 
     k: np.ndarray
     z: np.ndarray
     kappas: np.ndarray
+    q: np.ndarray
+    blocks: tuple
 
 
 def solve_ancilla_hamiltonian(amps, h_prime) -> np.ndarray:
@@ -66,25 +70,16 @@ def transport_residual(amps, h_prime, frame: AncillaFrame) -> float:
     component's energy is -kappa_j, its parallel-transport condition (weighted by q_j)."""
     psi = frame.z * amps  # row j is psi_j
     energies = ((psi.conj() @ h_prime) * psi).sum(axis=1).real
-    return float(np.max(np.abs(energies + frame.kappas * component_weights(amps, frame.z))))
+    return float(np.max(np.abs(energies + frame.kappas * frame.q)))
 
 
-def diagonalizing_frame(ancilla_h) -> AncillaFrame:
-    """Diagonalize the ancilla Hamiltonian: z = q^dag for k = q diag(kappa) q^dag,
-    so z k z^dag = diag(kappa) with kappas ascending. k is taken to be
-    Hermitian, as solve_ancilla_hamiltonian makes it, and is not checked."""
-    kappas, q = hermitian_eig(ancilla_h)
-    return AncillaFrame(k=ancilla_h, z=dagger(q), kappas=kappas)
-
-
-def component_weights(amps, z) -> np.ndarray:
-    """Time-invariant component weights q_j = sum_k |z_jk|^2 c_k^2.
-
-    Nonnegative and summing to one (the z rows redistribute the state
-    eigenvalues without creating or destroying weight).
-    """
-    if z.shape != (amps.size, amps.size):
-        raise DimensionMismatch(
-            f"frame is {z.shape} but there are {amps.size} amplitudes"
-        )
-    return np.abs(z) ** 2 @ amps**2
+def diagonalizing_frame(ancilla_h, amps) -> AncillaFrame:
+    """Diagonalize the ancilla Hamiltonian: z = v^dag for k = v diag(kappa) v^dag,
+    so z k z^dag = diag(kappa) with kappas ascending, and the weights q from
+    the amplitudes amps. k is taken to be exactly Hermitian, as
+    solve_ancilla_hamiltonian makes it, and is not checked: np.linalg.eigh
+    then gives what hermitian_eig's symmetrized solve would."""
+    kappas, v = np.linalg.eigh(ancilla_h)
+    z = dagger(v)
+    return AncillaFrame(k=ancilla_h, z=z, kappas=kappas, q=np.abs(z) ** 2 @ amps**2,
+                        blocks=eigenspace_blocks(kappas))

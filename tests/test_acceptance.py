@@ -24,7 +24,6 @@ from mixedphase.angles import principal_angle
 from mixedphase.linalg import dagger, frobenius
 from mixedphase.transport import (
     ancilla_equation_residual,
-    component_weights,
     diagonalizing_frame,
     transport_residual,
 )
@@ -91,7 +90,7 @@ def test_criterion_3_parallel_transport():
     for problem, frame in _instances():
         exact = transport_residual(problem.amps, problem.h_prime, frame)
         worst_exact = max(worst_exact, exact / max(1.0, frobenius(problem.h_prime)))
-        q = component_weights(problem.amps, frame.z)
+        q = frame.q
         for t in (0.3, 1.7):
             for j in range(problem.dim):
                 if q[j] > 1e-10:
@@ -99,7 +98,7 @@ def test_criterion_3_parallel_transport():
     # negative control: zeroed ancilla Hamiltonian on a noncommuting
     # full-rank mixed instance
     problem = random_instance(3, 3, 11)
-    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex), problem.amps)
     control = max(parallel_residual(problem, wrong, j, 0.3, 1e-6) for j in range(3))
     ok = worst <= 1e-6 and worst_exact <= 1e-13 and control > 1e-3
     _criterion(3, ok,
@@ -233,7 +232,7 @@ def test_criterion_7_structural_invariants():
     # weights, visibilities, and completeness of the decomposition
     worst_q = worst_nu = worst_rebuild = 0.0
     for problem, frame in _instances()[::7]:
-        worst_q = max(worst_q, abs(component_weights(problem.amps, frame.z).sum() - 1.0))
+        worst_q = max(worst_q, abs(frame.q.sum() - 1.0))
         for t in TIMES:
             u = evolution_operator(problem, t)
             for j in range(problem.dim):

@@ -1,14 +1,17 @@
 """The public surface: the pipeline in mixedphase; the literal references
 live with the tests, in tests/literal.py, and not in the package."""
 
+import copy
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
+import re
 import types
 
 import mixedphase
-from mixedphase import phases
+from mixedphase import linalg, phases, transport
 from mixedphase.transport import AncillaFrame
 
 import literal
@@ -50,23 +53,44 @@ def test_no_module_defines_a_prepared_problem():
         assert not hasattr(module, "hamiltonian_in_eigenbasis"), info.name
 
 
-def test_evaluate_alone_decides_degeneracy(monkeypatch):
-    # no record carries a degeneracy flag of its own; evaluate reads both
-    # spectra through the one gap rule, linalg.close_eigenvalues
+def test_evaluate_alone_decides_degeneracy():
+    # no record carries a degeneracy flag of its own; evaluate reads the
+    # partitions Problem and AncillaFrame carry, and nothing else
     for info in pkgutil.iter_modules(mixedphase.__path__):
         module = importlib.import_module(f"mixedphase.{info.name}")
         for name, value in vars(module).items():
             if isinstance(value, type):
                 assert not hasattr(value, "degenerate"), f"{info.name}.{name}"
-    spectra = []
-    rule = phases.close_eigenvalues
-    monkeypatch.setattr(phases, "close_eigenvalues", lambda w: spectra.append(w) or rule(w))
     problem = mixedphase.random_instance(3, 3, 0)
     frame = mixedphase.prepare_problem(problem)
+    assert problem.blocks == frame.blocks == (0, 1, 2, 3)
     assert not mixedphase.evaluate(problem, 1.0).degenerate_spectrum_warning
-    assert len(spectra) == 2
-    assert spectra[0] is problem.lambdas
-    assert spectra[1].tobytes() == frame.kappas.tobytes()
+    # the same spectra under a joined partition, of either record, set it
+    joined = copy.copy(problem)
+    object.__setattr__(joined, "blocks", (0, 3))
+    assert phases._evaluate(joined, frame, 1.0).degenerate_spectrum_warning
+    joined = dataclasses.replace(frame, blocks=(0, 1, 3))
+    assert phases._evaluate(problem, joined, 1.0).degenerate_spectrum_warning
+
+
+def test_each_derived_quantity_has_one_owner():
+    # the gap is read in linalg.eigenspace_blocks alone, which runs where a
+    # spectrum is made (Problem's lambdas, diagonalizing_frame's kappas);
+    # q is made in diagonalizing_frame alone, and K never reaches hermitian_eig
+    sources = {info.name: inspect.getsource(importlib.import_module(f"mixedphase.{info.name}"))
+               for info in pkgutil.iter_modules(mixedphase.__path__)}
+    gap = {name for name, source in sources.items() if ".degeneracy_gap" in source}
+    assert gap == {"linalg"}
+    assert ".degeneracy_gap" in inspect.getsource(linalg.eigenspace_blocks)
+    calls = {name: len(re.findall(r"(?<!def )eigenspace_blocks\(", source))
+             for name, source in sources.items()}
+    assert {name for name, count in calls.items() if count} == {"states", "transport"}
+    assert calls["states"] == calls["transport"] == 1
+    for name in ("close_eigenvalues", "component_weights"):
+        assert not any(name in source for source in sources.values()), name
+    assert "hermitian_eig(" not in sources["transport"]
+    assert [source.count("@ amps**2") for source in sources.values()].count(1) == 1
+    assert "@ amps**2" in inspect.getsource(transport.diagonalizing_frame)
 
 
 def test_literal_definitions_live_in_one_module():

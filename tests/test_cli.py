@@ -187,7 +187,15 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch):
 
 
 SOLVE, SETUP, PHI = phases.solve_ancilla_hamiltonian, phases._setup, phases._phi
+FRAME = phases.diagonalizing_frame
 ANCILLA, HOLONOMY = "ancilla-equation residual", "total phase vs holonomy"
+PARALLEL = "parallel-transport residual"
+
+
+def weights_from_c(k, amps):
+    """The frame of k with its weights q built from c in place of c^2."""
+    frame = FRAME(k, amps)
+    return replace(frame, q=np.abs(frame.z) ** 2 @ amps)
 
 
 @pytest.mark.parametrize("site, mutant, check", [
@@ -201,17 +209,20 @@ ANCILLA, HOLONOMY = "ancilla-equation residual", "total phase vs holonomy"
     ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q.T, z, k, t), HOLONOMY),
     ("_setup", lambda a, w, q, z, k, t: SETUP(a**2, w, q, z, k, t), HOLONOMY),
     ("_phi", lambda t, e, p, k: PHI(t, e, p, -k), HOLONOMY),
+    ("diagonalizing_frame", weights_from_c, PARALLEL),
 ], ids=["K-transposed", "K-negated", "h'-conjugated", "h'-transposed", "z-conjugated",
-        "z-transposed", "Q-conjugated", "Q-transposed", "lambda-for-c", "kappa-sign"])
+        "z-transposed", "Q-conjugated", "Q-transposed", "lambda-for-c", "kappa-sign",
+        "q-from-c"])
 def test_verify_catches_each_engine_mutant(monkeypatch, site, mutant, check):
     """Mutants of the ancilla solve, of the kernel P = |Q^dag C z^T|^2 and
-    of Phi's phases e^{-i kappa_j t}: each fails verify, and the check
-    that names it is the ancilla-equation residual (K and h' before the
-    solve) or the holonomy (all the others). This is the record behind
-    verify having no gauge-rephasing check: rephasing the eigenbasis by
-    diagonal phases is removed by the |.|^2 in P, and when verify still
-    ran that check, over seeds 0-19, it caught no mutant here that the
-    residuals or the holonomy missed."""
+    of Phi's phases e^{-i kappa_j t}, and of the frame's weights q: each
+    fails verify, and the check that names it is the ancilla-equation
+    residual (K and h' before the solve), the parallel-transport residual
+    (q, which the frame carries) or the holonomy (all the others). This is
+    the record behind verify having no gauge-rephasing check: rephasing
+    the eigenbasis by diagonal phases is removed by the |.|^2 in P, and
+    when verify still ran that check, over seeds 0-19, it caught no mutant
+    here that the residuals or the holonomy missed."""
     argv = ["verify", "--dim", "4", "--trials", "5"]
     assert run(argv, 0).startswith("verified 5/5 ")  # the engine as it is
     monkeypatch.setattr(phases, site, mutant)

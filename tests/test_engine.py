@@ -29,7 +29,6 @@ from mixedphase.angles import angle_or_nan
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.serialize import sweep_header, sweep_to_csv, sweep_to_json
-from mixedphase.transport import component_weights
 
 from literal import (
     component_report,
@@ -88,7 +87,7 @@ def test_batch_matches_literal_definitions(case):
     batch = evaluate(problem, times)
     assert len(batch) == len(times)
     support = support_columns(batch, frame)
-    assert np.array_equal(batch.q[support], component_weights(problem.amps, frame.z))
+    assert np.array_equal(batch.q[support], np.abs(frame.z) ** 2 @ problem.amps**2)
     for i, t in enumerate(times):
         u = support_evolution(problem, t)
         for j, col in enumerate(support):
@@ -164,7 +163,7 @@ def eager_columns(problem, times):
     spliced in where ascending kappa puts 0."""
     t = np.asarray(times, dtype=float).reshape(-1)
     frame, q_h, amps = prepare_problem(problem), problem.h_eigvecs, problem.amps
-    weights = component_weights(amps, frame.z)
+    weights = np.abs(frame.z) ** 2 @ amps**2
     e = np.exp(-1j * np.outer(t, problem.h_eigvals))
     d = np.exp(-1j * np.outer(t, frame.kappas))
     p = np.abs(dagger(q_h) @ (frame.z * amps).T) ** 2

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from mixedphase import NotHermitian, NotPSD
 from mixedphase.linalg import (
-    close_eigenvalues,
     dagger,
+    eigenspace_blocks,
     frobenius,
     hermitian_eig,
     polar_unitary,
@@ -96,21 +96,58 @@ def test_frobenius_is_numpys_norm_bit_for_bit(n):
             assert frobenius(huge) == float(np.linalg.norm(huge, "fro")) == math.inf
 
 
-def test_close_eigenvalues_reads_np_diffs_gaps():
-    # the gap rule on np.diff's gaps, for spectra of each order and gaps
-    # one ulp either side of the threshold
+def tiling(blocks, n):
+    """True when blocks are int bounds 0 = b_0 < ... < b_m = n: m nonempty
+    blocks b_i:b_{i+1} that tile 0..n in order."""
+    return (type(blocks) is tuple and all(type(b) is int for b in blocks)
+            and blocks[0] == 0 and blocks[-1] == n
+            and all(a < b for a, b in zip(blocks, blocks[1:])))
+
+
+def test_eigenspace_blocks_read_np_diffs_gaps():
+    # a bound after index i exactly where np.diff's gap |w[i+1] - w[i]| is
+    # at least the degeneracy gap, for spectra of each order, with clusters
     gap = DEFAULT_TOL.degeneracy_gap
     rng = np.random.default_rng(9)
-    spectra = [np.zeros(0), np.zeros(1), np.array([0.0, gap]),
-               np.array([0.0, np.nextafter(gap, 0.0)]), np.array([0.3, 0.3 + gap])]
+    spectra = [np.zeros(1), np.array([0.3, 0.3 + gap]), np.array([0.3, 0.3 + 2 * gap])]
     for n in (2, 3, 8, 64):
         w = np.sort(rng.standard_normal(n))
-        spectra += [w, w[::-1]]
+        clustered = np.sort(np.repeat(w[: (n + 1) // 2], 2)[:n] + gap * rng.uniform(-1, 1, n))
+        spectra += [w, w[::-1], clustered, clustered[::-1]]
     for w in spectra:
-        want = np.abs(np.diff(w))
-        assert close_eigenvalues(w) is bool(want.size and want.min() < gap)
-    assert not close_eigenvalues(np.array([0.0, gap]))
-    assert close_eigenvalues(np.array([0.0, np.nextafter(gap, 0.0)]))
+        bounds = [0] + [i + 1 for i, g in enumerate(np.abs(np.diff(w))) if g >= gap] + [w.size]
+        blocks = eigenspace_blocks(w)
+        assert blocks == tuple(bounds)
+        assert tiling(blocks, w.size)
+    assert any(len(eigenspace_blocks(w)) - 1 < w.size for w in spectra)
+
+
+def test_a_gap_at_the_threshold_splits_and_one_ulp_below_joins():
+    gap = DEFAULT_TOL.degeneracy_gap
+    assert eigenspace_blocks(np.array([0.0, gap])) == (0, 1, 2)
+    assert eigenspace_blocks(np.array([0.0, np.nextafter(gap, 0.0)])) == (0, 2)
+    assert eigenspace_blocks(np.array([gap, 0.0])) == (0, 1, 2)
+    assert eigenspace_blocks(np.array([np.nextafter(gap, 0.0), 0.0])) == (0, 2)
+
+
+def test_chained_close_gaps_make_one_block():
+    # each neighbour is 0.6e-9 from the next, though the ends are 1.2e-9 apart
+    w = np.array([0.0, 0.6e-9, 1.2e-9])
+    assert np.all(np.abs(np.diff(w)) < DEFAULT_TOL.degeneracy_gap)
+    assert w[-1] - w[0] >= DEFAULT_TOL.degeneracy_gap
+    assert eigenspace_blocks(w) == (0, 3)
+    assert eigenspace_blocks(np.append(w, 1.0)) == (0, 3, 4)
+    assert eigenspace_blocks(np.append(-1.0, w)) == (0, 1, 4)
+
+
+def test_eigenspace_blocks_of_descending_lambdas_and_ascending_kappas():
+    lambdas = np.array([0.4, 0.2, 0.2, 0.2])  # a state's spectrum, descending
+    assert eigenspace_blocks(lambdas) == (0, 1, 4)
+    assert eigenspace_blocks(-lambdas) == (0, 1, 4)
+    kappas = lambdas[::-1]  # K's, ascending
+    assert eigenspace_blocks(kappas) == (0, 3, 4)
+    for w in (lambdas, kappas):
+        assert tiling(eigenspace_blocks(w), 4)
 
 
 def test_eig_rejects_non_finite():

@@ -25,7 +25,7 @@ from mixedphase.angles import angle_or_nan
 from mixedphase.cli import VERIFY_HOLONOMY_STEPS, VERIFY_TIME
 from mixedphase.linalg import dagger, frobenius, polar_unitary, unitary_from_eig
 from mixedphase.oracles import MAX_STEPS
-from mixedphase.transport import component_weights, diagonalizing_frame
+from mixedphase.transport import diagonalizing_frame
 
 from cases import COMMUTING, PLUS, SX, SZ, bloch_x, pure_plus
 from literal import amplitude_chain, evolution_operator, parallel_residual, \
@@ -290,7 +290,7 @@ def test_parallel_residual_small_for_solved_frame():
 def test_parallel_residual_negative_control():
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
     problem = random_instance(3, 3, 11)
-    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    wrong = diagonalizing_frame(np.zeros((3, 3), dtype=complex), problem.amps)
     worst = max(parallel_residual(problem, wrong, j, 0.3, 1e-6) for j in range(3))
     assert worst > 1e-3
 
@@ -310,7 +310,7 @@ def test_parallel_residual_argument_validation():
     frame = prepare_problem(problem)
     with pytest.raises(ValueError):
         parallel_residual(problem, frame, 0, 0.3, 1e-2)
-    negligible = int(np.argmin(component_weights(problem.amps, frame.z)))
+    negligible = int(np.argmin(frame.q))
     with pytest.raises(ValueError):
         parallel_residual(problem, frame, negligible, 0.3, 1e-6)
 

@@ -23,7 +23,7 @@ from mixedphase import (
 from mixedphase import angles
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
 from mixedphase.serialize import reports_to_json
-from mixedphase.transport import component_weights, diagonalizing_frame
+from mixedphase.transport import diagonalizing_frame
 
 from cases import PLUS, SX, SZ, bloch_x, degenerate_qubit, pure_plus
 from literal import (
@@ -48,7 +48,7 @@ def random_pure_problem(rng, n):
 def test_overlap_at_zero_is_the_weight():
     problem = random_instance(4, 4, 70)
     frame = prepare_problem(problem)
-    q = component_weights(problem.amps, frame.z)
+    q = frame.q
     for j in range(4):
         m0 = overlap_kernel(problem, frame, j, np.eye(4))
         assert abs(m0.imag) <= 1e-14
@@ -58,7 +58,7 @@ def test_overlap_at_zero_is_the_weight():
 def test_overlap_magnitude_bounded_by_weight():
     problem = random_instance(5, 3, 71)
     frame = prepare_problem(problem)
-    q = component_weights(problem.amps, frame.z)
+    q = frame.q
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(problem, t)
         for j in range(q.size):
@@ -83,7 +83,7 @@ def test_overlap_equals_direct_component_inner_product():
 def test_overlap_pure_state_is_survival_amplitude():
     prob, psi = random_pure_problem(np.random.default_rng(72), 3)
     frame = prepare_problem(prob)
-    j_star = int(np.argmax(component_weights(prob.amps, frame.z)))
+    j_star = int(np.argmax(frame.q))
     for t in (0.6, 2.2):
         m = overlap_kernel(prob, frame, j_star, evolution_operator(prob, t))
         direct = np.vdot(psi, unitary_from_hamiltonian(prob.hamiltonian_lab, t) @ psi)
@@ -114,7 +114,7 @@ def test_pure_plus_component_phase_is_pi_with_zero_dynamics():
     frame = prepare_problem(problem)
     t = 2 * np.pi
     u = evolution_operator(problem, t)
-    j_star = int(np.argmax(component_weights(problem.amps, frame.z)))
+    j_star = int(np.argmax(frame.q))
     rep = component_report(problem, frame, j_star, t, u)
     assert circular_distance(rep.gamma, np.pi) <= 1e-9
     assert abs(rep.dyn_phase) <= 1e-9
@@ -134,9 +134,8 @@ def test_component_report_reads_the_weights_of_the_frame_it_is_given():
     # zeroing K substitutes another frame (z = I); its weights are not the
     # solved frame's, so a report that kept those would be stale
     problem = random_instance(3, 3, 11)
-    zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
-    want = component_weights(problem.amps, zeroed.z)
-    solved = component_weights(problem.amps, prepare_problem(problem).z)
+    zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex), problem.amps)
+    want, solved = zeroed.q, prepare_problem(problem).q
     np.testing.assert_allclose(want, [0.879, 0.096, 0.026], atol=1e-3)
     np.testing.assert_allclose(solved, [0.071, 0.691, 0.237], atol=1e-3)
     for j in range(3):
@@ -152,7 +151,7 @@ def test_zero_weight_components_use_sentinel_convention():
     problem = Problem(validate_density(np.diag([1.0 - 3e-14, 2e-14, 1e-14])), h)
     frame = prepare_problem(problem)
     u = evolution_operator(problem, 1.0)
-    q = component_weights(problem.amps, frame.z)
+    q = frame.q
     small = [j for j in range(3) if q[j] <= 1e-10]
     assert len(small) == 2
     for j in small:

@@ -25,7 +25,7 @@ from mixedphase import (
     validate_density,
 )
 from mixedphase import linalg
-from mixedphase.linalg import close_eigenvalues, dagger, frobenius, unitary_from_hamiltonian
+from mixedphase.linalg import dagger, eigenspace_blocks, frobenius, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.transport import diagonalizing_frame
 
@@ -197,9 +197,14 @@ def test_spectrum_sums_and_clamping():
         assert np.all(np.diff(spec.lambdas) <= 0)
 
 
+def degenerate(blocks) -> bool:
+    """Some block b_i:b_{i+1} of the bounds blocks holds two indices or more."""
+    return any(b - a > 1 for a, b in zip(blocks, blocks[1:]))
+
+
 def test_degenerate_flag():
-    assert close_eigenvalues(validate_density(np.eye(2) / 2).lambdas)
-    assert not close_eigenvalues(validate_density(np.diag([0.7, 0.3])).lambdas)
+    assert Problem(validate_density(np.eye(2) / 2), SZ).blocks == (0, 2)
+    assert Problem(validate_density(np.diag([0.7, 0.3])), SZ).blocks == (0, 1, 2)
     # one rule for rho (descending) and K (ascending), strict at the gap;
     # each pair of neighbours differs exactly in binary
     gap = DEFAULT_TOL.degeneracy_gap
@@ -209,10 +214,16 @@ def test_degenerate_flag():
                             ([1.0], False)]:
         state = validate_density(np.diag(values))
         np.testing.assert_array_equal(state.lambdas, values)
-        frame = diagonalizing_frame(np.diag(values))
+        frame = diagonalizing_frame(np.diag(values).astype(complex), np.sqrt(values[::-1]))
         np.testing.assert_array_equal(frame.kappas, values[::-1])
-        assert close_eigenvalues(state.lambdas) is close_eigenvalues(frame.kappas) is flagged
-        assert close_eigenvalues(replace(state, basis_e=-state.basis_e).lambdas) is flagged
+        blocks = eigenspace_blocks(state.lambdas)
+        assert degenerate(blocks) is degenerate(frame.blocks) is flagged
+        assert frame.blocks == tuple(len(values) - b for b in reversed(blocks))
+        # Problem partitions the support alone, which below is past
+        problem = Problem(state, np.eye(len(values)))
+        assert problem.blocks == eigenspace_blocks(state.lambdas[:problem.amps.size])
+        assert Problem(replace(state, basis_e=-state.basis_e), np.eye(len(values))).blocks \
+            == problem.blocks
 
 
 def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from mixedphase import (
 from mixedphase.linalg import dagger, frobenius, hermitian_eig, unitary_from_hamiltonian
 from mixedphase.transport import (
     ancilla_equation_residual,
-    component_weights,
     diagonalizing_frame,
     solve_ancilla_hamiltonian,
     transport_residual,
@@ -108,18 +107,18 @@ def test_transport_residual_negative_controls():
     problem = random_instance(8, 8, 3)
     k = prepare_problem(problem).k.copy()
     k[0, 0] += 1e-7
-    perturbed = diagonalizing_frame(k)
+    perturbed = diagonalizing_frame(k, problem.amps)
     assert frobenius(problem.h_prime) <= 1.0 + 1e-12
     assert transport_residual(problem.amps, problem.h_prime, perturbed) > 1e-9
     assert max(parallel_residual(problem, perturbed, j, 0.3, 1e-6) for j in range(8)) < 1e-6
     # zeroed ancilla Hamiltonian on a noncommuting full-rank instance
     problem = random_instance(3, 3, 11)
-    zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex))
+    zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex), problem.amps)
     assert transport_residual(problem.amps, problem.h_prime, zeroed) > 1e-3
 
 
 def test_frame_of_pauli_x_multiple():
-    frame = diagonalizing_frame(-SX)
+    frame = diagonalizing_frame(-SX, np.sqrt([0.5, 0.5]))
     np.testing.assert_allclose(frame.kappas, [-1.0, 1.0], atol=1e-14)
     assert frobenius(frame.z @ (-SX) @ dagger(frame.z) - np.diag(frame.kappas)) <= 1e-10
     # rows are the eigenvectors up to phase
@@ -128,7 +127,8 @@ def test_frame_of_pauli_x_multiple():
 
 
 def test_frame_of_ascending_diagonal_is_identity():
-    frame = diagonalizing_frame(np.diag([-2.0, 0.5, 3.0]).astype(complex))
+    k = np.diag([-2.0, 0.5, 3.0]).astype(complex)
+    frame = diagonalizing_frame(k, np.sqrt([0.5, 0.3, 0.2]))
     np.testing.assert_allclose(frame.z, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(frame.kappas, [-2.0, 0.5, 3.0])
 
@@ -137,30 +137,48 @@ def test_frame_residual_random():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     k = (a + dagger(a)) / 2
-    frame = diagonalizing_frame(k)
+    frame = diagonalizing_frame(k, np.sqrt(np.full(5, 0.2)))
     assert frobenius(frame.z @ k @ dagger(frame.z) - np.diag(frame.kappas)) <= 1e-10
     assert frobenius(dagger(frame.z) @ frame.z - np.eye(5)) <= 1e-12
     assert np.all(np.diff(frame.kappas) >= 0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 64])
+def test_k_is_exactly_hermitian_so_the_frame_needs_no_symmetrizing(dim):
+    # diagonalizing_frame hands K to np.linalg.eigh as it is, where
+    # hermitian_eig would first form (K + K^dag) / 2: that is K itself when
+    # K = K^dag entry for entry, so kappas and z are hermitian_eig's bit for
+    # bit. (Only the signs of the diagonal's imaginary zeros differ, and
+    # eigh reads no imaginary part on the diagonal.)
+    for rank in sorted({1, max(1, dim // 2), dim}):
+        for seed in (0, 1):
+            problem = random_instance(dim, rank, seed)
+            k = solve_ancilla_hamiltonian(problem.amps, problem.h_prime)
+            np.testing.assert_array_equal(k, dagger(k))
+            assert k.real.tobytes() == dagger(k).real.tobytes()
+            frame = diagonalizing_frame(k, problem.amps)
+            kappas, v = hermitian_eig(k)
+            assert frame.kappas.tobytes() == kappas.tobytes()
+            assert frame.z.tobytes() == dagger(v).tobytes()
+
+
 def test_weights_identity_frame_returns_eigenvalues():
     lam = np.array([0.5, 0.3, 0.2])
-    q = component_weights(np.sqrt(lam), np.eye(3))
-    np.testing.assert_allclose(q, lam, atol=1e-15)
+    frame = diagonalizing_frame(np.diag([-2.0, 0.5, 3.0]).astype(complex), np.sqrt(lam))
+    np.testing.assert_array_equal(frame.z, np.eye(3))
+    np.testing.assert_allclose(frame.q, lam, atol=1e-15)
 
 
 def test_weights_flat_for_maximally_mixed():
     rng = np.random.default_rng(32)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    z = dagger(hermitian_eig((a + dagger(a)) / 2)[1])
-    q = component_weights(np.full(4, 0.5), z)  # amps = 1/sqrt(n)
+    q = diagonalizing_frame((a + dagger(a)) / 2, np.full(4, 0.5)).q  # amps = 1/sqrt(n)
     np.testing.assert_allclose(q, 0.25, atol=1e-12)
 
 
 def test_weights_for_balanced_frame():
     amps = np.sqrt([0.8, 0.2])
-    frame = diagonalizing_frame(solve_ancilla_hamiltonian(amps, SX))
-    q = component_weights(amps, frame.z)
+    q = diagonalizing_frame(solve_ancilla_hamiltonian(amps, SX), amps).q
     np.testing.assert_allclose(q, [0.5, 0.5], atol=1e-12)
     assert abs(q.sum() - 1.0) <= 1e-10
 
@@ -168,14 +186,16 @@ def test_weights_for_balanced_frame():
 def test_weights_sum_and_range_random():
     for seed in range(6):
         problem = random_instance(5, 4, seed + 50)
-        q = component_weights(problem.amps, prepare_problem(problem).z)
+        q = prepare_problem(problem).q
         assert abs(q.sum() - 1.0) <= 1e-10
         assert np.all(q >= 0.0) and np.all(q <= 1.0 + 1e-12)
 
 
 def test_weights_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        component_weights(np.array([1.0]), np.eye(2))
+    # the frame's one caller checks the sizes in the ancilla solve; a frame
+    # weighed by amplitudes of another size is refused, never broadcast
+    with pytest.raises(ValueError):
+        diagonalizing_frame(np.eye(2, dtype=complex), np.array([1.0]))
 
 
 @pytest.mark.parametrize("amps, h_prime", [
@@ -197,7 +217,8 @@ def test_component_state_at_zero_with_identity_frame():
 
 def test_component_norm_invariant_under_evolution():
     problem = random_instance(4, 4, 60)
-    amps, z = problem.amps, prepare_problem(problem).z
+    frame = prepare_problem(problem)
+    amps, z = problem.amps, frame.z
     for j in range(4):
         n0 = np.vdot(component_state(j, np.eye(4), amps, z),
                      component_state(j, np.eye(4), amps, z)).real
@@ -206,7 +227,7 @@ def test_component_norm_invariant_under_evolution():
             nt = np.vdot(component_state(j, u, amps, z),
                          component_state(j, u, amps, z)).real
             assert abs(nt - n0) <= 1e-12
-            assert abs(nt - component_weights(amps, z)[j]) <= 1e-12
+            assert abs(nt - frame.q[j]) <= 1e-12
 
 
 def test_components_reassemble_evolved_state():
