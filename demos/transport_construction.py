@@ -2,7 +2,8 @@
 
 Starting from a random mixed qutrit and Hamiltonian, this walks through
 every stage the phase engine uses: the eigenbasis rotation, the
-closed-form ancilla Hamiltonian, its diagonalizing frame, the invariant
+closed-form ancilla Hamiltonian, its diagonalizing frame (the problem's
+own, problem.frame, solved on first read and kept), the invariant
 component weights, the parallel-transport condition (with a negative
 control), the reassembly of the evolved state from its components, and
 the phase routes that agree on the result.
@@ -24,7 +25,7 @@ def evolved_components(problem, frame, t):
 
 def main():
     problem = mp.random_instance(3, 3, 2024)
-    frame = mp.prepare_problem(problem)
+    frame = problem.frame
     amps, h_prime = problem.amps, problem.h_prime
 
     print("1. spectral decomposition")

@@ -7,10 +7,10 @@ which the purification trace phase equals, and z = I gives the
 interferometric phase that agrees only for pure states. Brute-force
 oracles (a discretized holonomy chain, the pure-state limit) cross-check.
 
-The package exports the pipeline: a Problem and evaluate, which
-prepares the problem's ancilla frame and returns every phase on a time
-grid as a PhaseBatch; prepare_problem, which returns that frame alone;
-the oracles; and the errors. The stages of the construction are in the
+The package exports the pipeline: a Problem, whose ancilla frame
+(Problem.frame) is solved on first read, and evaluate, which reads every
+phase off that frame on a time grid and returns a PhaseBatch; the
+oracles; and the errors. The stages of the construction are in the
 modules states, transport, linalg and serialize. The literal per-time
 definitions the engine is tested against are not part of the package:
 they live with the tests, in tests/literal.py.
@@ -25,7 +25,7 @@ from .errors import (
     NotUnitTrace,
 )
 from .oracles import discrete_uhlmann_holonomy, pancharatnam_phase, random_instance
-from .phases import PhaseBatch, evaluate, prepare_problem
+from .phases import PhaseBatch, evaluate
 from .serialize import ProblemFileError, load_problem, save_problem
 from .states import Problem, validate_density
 from .tolerances import DEFAULT_TOL

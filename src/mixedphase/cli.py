@@ -27,7 +27,7 @@ from .angles import circular_distance
 from .errors import GeometricPhaseError
 from .linalg import frobenius
 from .oracles import MAX_STEPS, discrete_uhlmann_holonomy, random_instance
-from .phases import _evaluate, evaluate, prepare_problem
+from .phases import evaluate
 from .serialize import ProblemFileError, compare_to_json, load_problem, reports_to_json, \
     sweep_to_csv, sweep_to_json
 from .states import Problem
@@ -93,10 +93,9 @@ def cmd_sweep(args) -> int:
 
 def _verify_trial(problem: Problem, tol: float) -> str | None:
     """Run the invariant checks on one instance; return the violated
-    invariant's description or None. The residuals and the total phase
-    read one frame, prepared once, through the engine code of compute."""
-    amps, h_prime = problem.amps, problem.h_prime
-    frame = prepare_problem(problem)
+    invariant's description or None. The residuals and evaluate's total
+    phase read the problem's one frame, solved once."""
+    amps, h_prime, frame = problem.amps, problem.h_prime, problem.frame
     resid = ancilla_equation_residual(amps, h_prime, frame.k)
     bound = tol * max(1.0, frobenius(h_prime))
     if resid > bound:
@@ -106,7 +105,7 @@ def _verify_trial(problem: Problem, tol: float) -> str | None:
         return f"parallel-transport residual {resid:.3e} > {bound:.3e}"
     # the engine's total phase against the holonomy of the density-matrix
     # path, which never sees the ancilla
-    gamma = _evaluate(problem, frame, VERIFY_TIME).gamma_total[0]
+    gamma = evaluate(problem, VERIFY_TIME).gamma_total[0]
     holonomy = discrete_uhlmann_holonomy(problem, VERIFY_TIME, VERIFY_HOLONOMY_STEPS)
     dist = circular_distance(gamma, holonomy)
     if not dist <= tol:  # also catches a nan (nodal) phase
@@ -147,8 +146,9 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.time) and args.time > 0):
         raise ValueError(f"--time must be finite and positive, got {args.time}")
     problem = _load(args.input)
-    batch = evaluate(problem, args.time)
+    # the holonomy, compare's peak, before evaluate solves the frame the problem keeps
     holonomy = discrete_uhlmann_holonomy(problem, args.time, args.holonomy_steps)
+    batch = evaluate(problem, args.time)
     with _destination(args.output) as dest:
         dest.write(compare_to_json(batch, holonomy, args.holonomy_steps))
     undefined = any(map(math.isnan, (holonomy, batch.gamma_total[0], batch.uhlmann[0],

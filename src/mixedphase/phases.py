@@ -23,11 +23,11 @@ holonomy oracle, the 40-digit mpmath reference of tests/exact.py
 (gamma_total and sjoqvist from rho and the lab H alone) and the
 benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 
-One pipeline call: evaluate(problem, times) solves the ancilla frame
-(prepare_problem) and reads every phase off it; PhaseBatch is the only
-result type, and a single t is row 0 of evaluate(problem, t). At a
-nodal point evaluate stores nan, and the literal per-t definitions it
-is checked against (tests/literal.py) and the oracles return nan there
+One pipeline call: evaluate(problem, times) reads every phase off the
+problem's ancilla frame (Problem.frame); PhaseBatch is the only result
+type, and a single t is row 0 of evaluate(problem, t). At a nodal
+point evaluate stores nan, and the literal per-t definitions it is
+checked against (tests/literal.py) and the oracles return nan there
 too: one convention, angles.angle_or_nan, and nothing raises.
 """
 
@@ -41,7 +41,7 @@ from .angles import angle_or_nan
 from .linalg import MAX_PHASE, dagger, past_resolvable_range
 from .states import Problem
 from .tolerances import DEFAULT_TOL
-from .transport import AncillaFrame, diagonalizing_frame, solve_ancilla_hamiltonian
+from .transport import AncillaFrame
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +57,8 @@ class PhaseBatch:
     sjoqvist_magnitude for sjoqvist. Negligible components, those of the
     state's kernel (q = 0) among them, carry the sentinels visibility =
     gamma = total_phase = 0. energy is the largest |eps_a| or |kappa_j|:
-    |t| times it is the largest phase argument.
+    |t| times it is the largest phase argument, and resolution, |t| energy
+    eps (eps the machine epsilon), bounds each row's roundoff in the phases.
     """
 
     t: np.ndarray
@@ -71,6 +72,7 @@ class PhaseBatch:
     gamma: np.ndarray
     dyn_phase: np.ndarray
     total_phase: np.ndarray
+    resolution: np.ndarray
     degenerate_spectrum_warning: bool
     energy: float
 
@@ -79,16 +81,16 @@ class PhaseBatch:
 
 
 def prepare_problem(problem: Problem) -> AncillaFrame:
-    """The frame that diagonalizes K, with its weights q and blocks, solved
-    on the support the problem carries: its amps and its h_prime, r x r."""
-    return diagonalizing_frame(solve_ancilla_hamiltonian(problem.amps, problem.h_prime),
-                               problem.amps)
+    """problem.frame, by the name the benchmark's set-up probe reads."""
+    return problem.frame
 
 
 def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
-    """What _evaluate does before Phi's sum: the checked times, the
+    """What evaluate does before Phi's sum: the checked times, the
     energy, the table e^{-i eps_a t} and the frame's kernel P."""
-    t = np.asarray(times, dtype=float).reshape(-1)
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if t.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D sequence, got shape {t.shape}")
     if not np.isfinite(t).all():
         raise ValueError(f"times must be finite, got {times}")
     energy = float(max(np.abs(h_eigvals).max(), np.abs(kappas).max()))
@@ -116,23 +118,18 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
     """Every phase and per-component report at each of times (a scalar
     or a 1-D sequence; repeats and negative times are allowed).
 
-    Costs the ancilla solve and K's one eigendecomposition, r x r at
-    rank r (prepare_problem), then exponential tables of T x n and T x r
-    and three products with the n x r kernel; nothing of size T x n x n
-    is formed, and the complex tables, m_j(t) among them, are released
-    on return. Raises ValueError past |t| E = 2**52, E the largest
-    |eps_a| or |kappa_j| (the batch's energy), where doubles at the phase
-    arguments t E are 1 rad or more apart. The degenerate-spectrum flag
-    is decided here alone, from the records' blocks: it is set when an
-    eigenspace of the state's support or of K holds two eigenvalues or more.
+    Costs problem.frame's first read (the ancilla solve and K's r x r
+    eigendecomposition), then exponential tables of T x n and T x r and
+    three products with the n x r kernel; nothing of size T x n x n is
+    formed, and the complex tables, m_j(t) among them, are released on
+    return. Raises ValueError for times of two or more dimensions, and past
+    |t| E = 2**52, E the largest |eps_a| or |kappa_j| (the batch's energy),
+    where doubles at the phase arguments t E are 1 rad or more apart. Here
+    alone the n components are restored from the support's r, and the
+    degeneracy flag set, when a block of the support's or K's spectrum
+    holds two eigenvalues.
     """
-    return _evaluate(problem, prepare_problem(problem), times)
-
-
-def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
-    """evaluate's body on prepare_problem's frame for problem, whose q and
-    blocks it reads (verify checks that frame's residuals, so K is solved
-    and decomposed once per trial); it alone restores n components from r."""
+    frame = problem.frame
     t, energy, e, p = _setup(problem.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,
                              frame.kappas, times)
     d, overlaps, rotated, total = _phi(t, e, p, frame.kappas)
@@ -161,6 +158,7 @@ def _evaluate(problem: Problem, frame: AncillaFrame, times) -> PhaseBatch:
         gamma=gamma,
         dyn_phase=t[:, None] * kappas,  # np.outer's expression
         total_phase=total_phase,
+        resolution=np.abs(t) * energy * np.finfo(float).eps,
         # a block of close kappas leaves z, and every per-component column,
         # not unique within it, as a block of close lambdas leaves basis_e;
         # fewer blocks than eigenvalues means some block holds two or more

@@ -217,7 +217,6 @@ _PHASES = ("gamma_total", "uhlmann", "sjoqvist")
 # the headline PhaseBatch columns, in the order sweep and compute write them;
 # compare reads the same five
 _HEADLINE = ("t", *_PHASES, "overlap_magnitude")
-_EPS = float(np.finfo(float).eps)
 
 
 def _slots(indent: str, keys) -> str:
@@ -268,9 +267,8 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
     visibility, gamma, dyn_phase, total_phase, then the warnings. A nan
     phase warns with the modulus of its own sum (batch.sjoqvist_magnitude
     for sjoqvist, overlap_magnitude for the others). A row whose
-    resolution bound |t| E eps (E = batch.energy, eps the machine epsilon)
-    exceeds the overlap tolerance warns that its phases carry roundoff of
-    that size."""
+    resolution bound |t| E eps (batch.resolution) exceeds the overlap
+    tolerance warns that its phases carry roundoff of that size."""
     # at n = 64 one report takes about 250 us, json.dumps(report, indent=2) 600 us
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
     # j and q_j formatted once; a float's str is its repr, as in json
@@ -284,14 +282,14 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
         "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
         "are not unique within degenerate blocks"]
     rows = _rows(batch, batch.visibility, batch.gamma, batch.dyn_phase, batch.total_phase)
-    for row, sjoqvist_magnitude in zip(rows, batch.sjoqvist_magnitude.tolist()):
+    for row, sjoqvist_magnitude, resolution in zip(rows, batch.sjoqvist_magnitude.tolist(),
+                                                   batch.resolution.tolist()):
         # each nodal warning quotes the modulus of its own phase's sum
         warnings = degenerate + [
             f"{name} undefined at a nodal point (overlap magnitude {magnitude:.3e})"
             for name, phase, magnitude in zip(_PHASES, row[1:4],
                                               (row[4], row[4], sjoqvist_magnitude))
             if math.isnan(phase)]
-        resolution = abs(row[0]) * batch.energy * _EPS
         if resolution > DEFAULT_TOL.overlap:
             warnings.append(f"resolution bound |t| E eps = {resolution:.3e} exceeds the "
                             f"overlap tolerance {DEFAULT_TOL.overlap:.1e} (E = "

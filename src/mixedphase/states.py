@@ -1,22 +1,24 @@
 """Typed quantum-state layer.
 
 Density-matrix validation and the Problem record, which make the one
-eigendecomposition of the state and of the Hamiltonian. Problem also
-decides the state's support and rotates H and its eigenvectors onto it,
-once. Everything downstream works there, where the state is
-diag(lambdas) and the amplitude matrix diag(amps), and reads both
-spectra from here; nothing decomposes or rotates rho or H again.
+eigendecomposition of the state and of the Hamiltonian. Problem decides
+the state's support, rotates H and its eigenvectors onto it and solves
+the ancilla frame there, once each. Everything downstream works there,
+where the state is diag(lambdas) and the amplitude matrix diag(amps),
+and reads it all from here; nothing decomposes or rotates rho or H again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, NotUnitTrace
 from .linalg import dagger, eigenspace_blocks, hermitian_eig, require_hermitian
 from .tolerances import DEFAULT_TOL
+from .transport import AncillaFrame, diagonalizing_frame, solve_ancilla_hamiltonian
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +78,9 @@ class Problem:
     h_prime: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.rho0, DensityMatrix):
+            raise TypeError(f"rho0 must be validate_density's DensityMatrix, got "
+                            f"{type(self.rho0).__name__}")
         h = require_hermitian(self.hamiltonian_lab)
         object.__setattr__(self, "hamiltonian_lab", h)
         if h.shape[0] != self.rho0.dim:
@@ -97,6 +102,12 @@ class Problem:
     @property
     def dim(self) -> int:
         return self.rho0.dim
+
+    @cached_property
+    def frame(self) -> AncillaFrame:
+        """K's diagonalizing AncillaFrame on the support, with q and blocks: solved
+        on first read, not at construction (compare's holonomy runs without it)."""
+        return diagonalizing_frame(solve_ancilla_hamiltonian(self.amps, self.h_prime), self.amps)
 
 
 def validate_density(mat) -> DensityMatrix:

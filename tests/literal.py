@@ -12,8 +12,8 @@ square root it starts from, each from its own eigendecompositions of
 rho0 and H rather than those the Problem carries. The per-t
 functions work, as the engine does, on the state's support that the
 Problem carries (r of the n eigenvectors, r x r frames). They take the
-problem, the ancilla frame to read it in (phases.prepare_problem's, or
-any other) and an explicit evolution operator u_t on that support, so
+problem, the ancilla frame to read it in (the problem's own,
+Problem.frame, or any other) and an explicit evolution operator u_t on that support, so
 a caller can pass one built independently of the cached
 eigendecomposition (support_evolution; evolution_operator builds it
 from that decomposition). The tests compare phases.evaluate and

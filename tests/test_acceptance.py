@@ -16,7 +16,6 @@ from mixedphase import (
     discrete_uhlmann_holonomy,
     load_problem,
     pancharatnam_phase,
-    prepare_problem,
     random_instance,
     validate_density,
 )
@@ -56,7 +55,7 @@ def _instances():
     for n in DIMS:
         for i in range(PER_DIM):
             problem = random_instance(n, n, 1000 * n + i)
-            out.append((problem, prepare_problem(problem)))
+            out.append((problem, problem.frame))
     return out
 
 
@@ -116,7 +115,7 @@ def test_criterion_4_holonomy_oracle_convergence():
     shrinks = True
     for spec in specs:
         problem = random_instance(*spec)
-        gamma = total_geometric_phase(problem, prepare_problem(problem), t_end,
+        gamma = total_geometric_phase(problem, problem.frame, t_end,
                                       evolution_operator(problem, t_end))
         hols = {n: discrete_uhlmann_holonomy(problem, t_end, n)
                 for n in (256, 512, 1024, 2048, 4096)}
@@ -149,7 +148,7 @@ def test_criterion_5_pure_state_limit():
         n = 2 if i % 2 == 0 else 3
         problem = random_instance(n, 1, 8500 + i)
         u = evolution_operator(problem, t)
-        gamma = total_geometric_phase(problem, prepare_problem(problem), t, u)
+        gamma = total_geometric_phase(problem, problem.frame, t, u)
         sjo = sjoqvist_phase(problem, t, u)
         psi = problem.rho0.basis_e[:, 0]
         panch = pancharatnam_phase(psi, problem.hamiltonian_lab, t)
@@ -158,7 +157,7 @@ def test_criterion_5_pure_state_limit():
     # concrete case: equatorial great circle accumulates half its solid angle
     plus = pure_plus()
     t_cyc = 2 * np.pi
-    gamma_plus = total_geometric_phase(plus, prepare_problem(plus), t_cyc,
+    gamma_plus = total_geometric_phase(plus, plus.frame, t_cyc,
                                        evolution_operator(plus, t_cyc))
     plus_err = circular_distance(gamma_plus, np.pi)
     ok = worst <= 1e-8 and plus_err <= 1e-9
@@ -173,7 +172,7 @@ def test_criterion_6_definitions_diverge_for_mixed_states():
     problem = bloch_x(r)
     t = 2 * np.pi
     u = evolution_operator(problem, t)
-    gamma = total_geometric_phase(problem, prepare_problem(problem), t, u)
+    gamma = total_geometric_phase(problem, problem.frame, t, u)
     sjo = sjoqvist_phase(problem, t, u)
     hol = discrete_uhlmann_holonomy(problem, t, 4096)
     closed = float(np.angle(-np.cos(np.pi * np.sqrt(1 - r**2))))
@@ -196,7 +195,7 @@ def test_criterion_7_structural_invariants():
     for n in (2, 3):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         problem = Problem(validate_density(np.eye(n) / n), (a + dagger(a)) / 2)
-        frame = prepare_problem(problem)
+        frame = problem.frame
         for t in np.linspace(0.2, 6.0, 7):
             u = evolution_operator(problem, t)
             g = total_geometric_phase(problem, frame, t, u)
@@ -208,7 +207,7 @@ def test_criterion_7_structural_invariants():
     rho = q @ np.diag([0.4, 0.3, 0.2, 0.1]) @ dagger(q)
     h = q @ np.diag([1.2, -0.7, 0.3, 0.9]) @ dagger(q)
     problem = Problem(validate_density(rho), h)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     for t in TIMES:
         u = evolution_operator(problem, t)
         g = total_geometric_phase(problem, frame, t, u)
@@ -224,7 +223,7 @@ def test_criterion_7_structural_invariants():
         rephased = replace(rho, basis_e=rho.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi,
                                                                               problem.dim)))
         problem2 = Problem(rephased, problem.hamiltonian_lab)
-        gamma2 = total_geometric_phase(problem2, prepare_problem(problem2), t,
+        gamma2 = total_geometric_phase(problem2, problem2.frame, t,
                                        evolution_operator(problem2, t))
         worst_gauge = max(worst_gauge, circular_distance(gamma, gamma2))
     if worst_gauge > 1e-9:

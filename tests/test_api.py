@@ -11,14 +11,14 @@ import re
 import types
 
 import mixedphase
-from mixedphase import linalg, phases, transport
+from mixedphase import cli, linalg, states, transport
 from mixedphase.transport import AncillaFrame
 
 import literal
 
 PUBLIC = {
     "Problem", "validate_density", "load_problem", "save_problem", "random_instance",
-    "prepare_problem", "evaluate", "PhaseBatch",
+    "evaluate", "PhaseBatch",
     "discrete_uhlmann_holonomy", "pancharatnam_phase", "circular_distance", "DEFAULT_TOL",
     "GeometricPhaseError", "NotHermitian", "NotPSD", "NotUnitTrace", "DimensionMismatch",
     "ProblemFileError",
@@ -35,17 +35,17 @@ def test_package_exports_exactly_the_pipeline():
     exported = {name for name, value in vars(mixedphase).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC
-    assert len(PUBLIC) == 18
+    assert len(PUBLIC) == 17
     errors = [name for name in PUBLIC if isinstance(getattr(mixedphase, name), type)
               and issubclass(getattr(mixedphase, name), mixedphase.GeometricPhaseError)]
     assert len(errors) == 6
 
 
 def test_no_module_defines_a_prepared_problem():
-    # evaluate takes the Problem and prepares its own ancilla frame, which
-    # is all prepare_problem returns; the Hamiltonian in the state
-    # eigenbasis is the Problem's alone, and no module rotates it again
-    frame = mixedphase.prepare_problem(mixedphase.random_instance(3, 2, 0))
+    # the Problem is the prepared problem: it solves its own ancilla frame,
+    # which evaluate reads; the Hamiltonian in the state eigenbasis is the
+    # Problem's alone, and no module rotates it again
+    frame = mixedphase.random_instance(3, 2, 0).frame
     assert type(frame) is AncillaFrame
     for info in pkgutil.iter_modules(mixedphase.__path__):
         module = importlib.import_module(f"mixedphase.{info.name}")
@@ -62,15 +62,17 @@ def test_evaluate_alone_decides_degeneracy():
             if isinstance(value, type):
                 assert not hasattr(value, "degenerate"), f"{info.name}.{name}"
     problem = mixedphase.random_instance(3, 3, 0)
-    frame = mixedphase.prepare_problem(problem)
+    frame = problem.frame
     assert problem.blocks == frame.blocks == (0, 1, 2, 3)
     assert not mixedphase.evaluate(problem, 1.0).degenerate_spectrum_warning
     # the same spectra under a joined partition, of either record, set it
+    # (copy.copy keeps the frame already solved)
     joined = copy.copy(problem)
     object.__setattr__(joined, "blocks", (0, 3))
-    assert phases._evaluate(joined, frame, 1.0).degenerate_spectrum_warning
-    joined = dataclasses.replace(frame, blocks=(0, 1, 3))
-    assert phases._evaluate(problem, joined, 1.0).degenerate_spectrum_warning
+    assert vars(joined)["frame"] is frame
+    assert mixedphase.evaluate(joined, 1.0).degenerate_spectrum_warning
+    vars(problem)["frame"] = dataclasses.replace(frame, blocks=(0, 1, 3))
+    assert mixedphase.evaluate(problem, 1.0).degenerate_spectrum_warning
 
 
 def test_each_derived_quantity_has_one_owner():
@@ -93,6 +95,22 @@ def test_each_derived_quantity_has_one_owner():
     assert "@ amps**2" in inspect.getsource(transport.diagonalizing_frame)
 
 
+def test_problem_alone_solves_its_frame():
+    # K is solved and diagonalized in Problem.frame alone; evaluate is the
+    # engine's one entry, and the CLI reaches the engine through it
+    sources = {info.name: inspect.getsource(importlib.import_module(f"mixedphase.{info.name}"))
+               for info in pkgutil.iter_modules(mixedphase.__path__)}
+    for name in ("solve_ancilla_hamiltonian", "diagonalizing_frame"):
+        callers = {module for module, source in sources.items()
+                   if re.search(rf"(?<!def ){name}\(", source)}
+        assert callers == {"states"}, name
+        assert f"{name}(" in inspect.getsource(states.Problem.frame.func)
+    assert not any("_evaluate" in source for source in sources.values())
+    imported = re.search(r"from \.phases import (.*)", sources["cli"])[1]
+    assert imported == "evaluate"
+    assert not hasattr(cli, "prepare_problem")
+
+
 def test_literal_definitions_live_in_one_module():
     assert importlib.util.find_spec("mixedphase.literal") is None
     modules = [mixedphase] + [importlib.import_module(f"mixedphase.{info.name}")
@@ -107,7 +125,7 @@ def test_records_compare_and_hash_by_identity():
     # equality and hashing are by identity, so records also go in sets
     problem = mixedphase.random_instance(2, 2, 0)
     assert problem != mixedphase.random_instance(2, 2, 0)  # an equal draw
-    records = [problem, problem.rho0, mixedphase.prepare_problem(problem),
+    records = [problem, problem.rho0, problem.frame,
                mixedphase.evaluate(problem, [0.0, 1.0])]
     for record in records:
         assert type(record).__eq__ is object.__eq__, type(record).__name__

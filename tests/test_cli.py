@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mixedphase import Problem, circular_distance, evaluate, load_problem, random_instance, \
     validate_density
-from mixedphase import cli, phases
+from mixedphase import cli, phases, states
 from mixedphase.cli import main
 from mixedphase.serialize import problem_to_dict
 
@@ -186,8 +186,8 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch):
     assert "passed 2 of 5 instances before first failure" in out
 
 
-SOLVE, SETUP, PHI = phases.solve_ancilla_hamiltonian, phases._setup, phases._phi
-FRAME = phases.diagonalizing_frame
+SOLVE, FRAME = states.solve_ancilla_hamiltonian, states.diagonalizing_frame
+SETUP, PHI = phases._setup, phases._phi
 ANCILLA, HOLONOMY = "ancilla-equation residual", "total phase vs holonomy"
 PARALLEL = "parallel-transport residual"
 
@@ -199,17 +199,17 @@ def weights_from_c(k, amps):
 
 
 @pytest.mark.parametrize("site, mutant, check", [
-    ("solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h).T, ANCILLA),
-    ("solve_ancilla_hamiltonian", lambda a, h: -SOLVE(a, h), ANCILLA),
-    ("solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.conj()), ANCILLA),
-    ("solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.T), ANCILLA),
-    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.conj(), k, t), HOLONOMY),
-    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.T, k, t), HOLONOMY),
-    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q.conj(), z, k, t), HOLONOMY),
-    ("_setup", lambda a, w, q, z, k, t: SETUP(a, w, q.T, z, k, t), HOLONOMY),
-    ("_setup", lambda a, w, q, z, k, t: SETUP(a**2, w, q, z, k, t), HOLONOMY),
-    ("_phi", lambda t, e, p, k: PHI(t, e, p, -k), HOLONOMY),
-    ("diagonalizing_frame", weights_from_c, PARALLEL),
+    ("states.solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h).T, ANCILLA),
+    ("states.solve_ancilla_hamiltonian", lambda a, h: -SOLVE(a, h), ANCILLA),
+    ("states.solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.conj()), ANCILLA),
+    ("states.solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.T), ANCILLA),
+    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.conj(), k, t), HOLONOMY),
+    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.T, k, t), HOLONOMY),
+    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q.conj(), z, k, t), HOLONOMY),
+    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q.T, z, k, t), HOLONOMY),
+    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a**2, w, q, z, k, t), HOLONOMY),
+    ("phases._phi", lambda t, e, p, k: PHI(t, e, p, -k), HOLONOMY),
+    ("states.diagonalizing_frame", weights_from_c, PARALLEL),
 ], ids=["K-transposed", "K-negated", "h'-conjugated", "h'-transposed", "z-conjugated",
         "z-transposed", "Q-conjugated", "Q-transposed", "lambda-for-c", "kappa-sign",
         "q-from-c"])
@@ -225,7 +225,7 @@ def test_verify_catches_each_engine_mutant(monkeypatch, site, mutant, check):
     here that the residuals or the holonomy missed."""
     argv = ["verify", "--dim", "4", "--trials", "5"]
     assert run(argv, 0).startswith("verified 5/5 ")  # the engine as it is
-    monkeypatch.setattr(phases, site, mutant)
+    monkeypatch.setattr(f"mixedphase.{site}", mutant)
     first, last = run(argv, 1).splitlines()
     assert first.startswith("verification failed for instance seed ") and check in first
     assert last.endswith("of 5 instances before first failure")
@@ -267,43 +267,40 @@ def test_verify_checks_each_hamiltonian_once(monkeypatch):
 
 
 def test_verify_reads_the_total_phase_off_the_frame_it_checks(monkeypatch):
-    """Each trial prepares one frame, checks its residuals, and takes the
-    total phase from evaluate's own body on that frame: the engine code of
-    compute, sweep and compare, with K solved and decomposed once."""
-    prepared, evaluated = [], []
-    prepare, body = cli.prepare_problem, cli._evaluate
+    """Each trial solves one frame, the problem's, checks its residuals,
+    and takes the total phase from evaluate, the engine code of compute,
+    sweep and compare, which reads that same frame: K is solved and
+    decomposed once per trial."""
+    solved, evaluated = [], []
+    solve, engine = states.diagonalizing_frame, cli.evaluate
 
-    def record_frame(problem):
-        prepared.append(prepare(problem))
-        return prepared[-1]
+    def record_frame(k, amps):
+        solved.append(solve(k, amps))
+        return solved[-1]
 
-    def record_body(problem, frame, times):
-        evaluated.append(frame)
-        return body(problem, frame, times)
+    def record_engine(problem, times):
+        evaluated.append(vars(problem).get("frame"))  # read before evaluate runs
+        return engine(problem, times)
 
-    def refuse(*args):
-        raise AssertionError("verify prepared a second frame through evaluate")
-
-    monkeypatch.setattr(cli, "prepare_problem", record_frame)
-    monkeypatch.setattr(cli, "_evaluate", record_body)
-    monkeypatch.setattr(cli, "evaluate", refuse)
+    monkeypatch.setattr(states, "diagonalizing_frame", record_frame)
+    monkeypatch.setattr(cli, "evaluate", record_engine)
     assert "verified 4/4 random instances (dim 3)" in run(["verify", "--dim", "3",
                                                            "--trials", "4"], 0)
-    assert len(prepared) == 4
-    assert all(got is want for got, want in zip(evaluated, prepared, strict=True))
+    assert len(solved) == 4
+    assert all(got is want for got, want in zip(evaluated, solved, strict=True))
 
 
 def test_verify_catches_a_corrupted_frame(monkeypatch):
     """Negative control for the transport check: the kappas moved, k
     untouched, so the ancilla equation still holds and only the transport
     check, which reads the kappas, must catch it."""
-    prepare = cli.prepare_problem
+    solve = states.diagonalizing_frame
 
-    def corrupted(problem):
-        frame = prepare(problem)
+    def corrupted(k, amps):
+        frame = solve(k, amps)
         return replace(frame, kappas=frame.kappas + 1e-6)
 
-    monkeypatch.setattr(cli, "prepare_problem", corrupted)
+    monkeypatch.setattr(states, "diagonalizing_frame", corrupted)
     assert run(["verify", "--dim", "3", "--trials", "4", "--seed", "7"], 1).splitlines() == [
         "verification failed for instance seed 2882744023523087010: "
         "parallel-transport residual 5.505e-07 > 1.000e-09",
@@ -396,6 +393,20 @@ def test_compare_mixed_cyclic_point(mixed_file, tmp_path, t_text, want):
         assert circular_distance(data[name], phase) <= 1e-12
     for (a, x), (b, y) in itertools.combinations(want.items(), 2):
         assert abs(data["pairwise_distances"][f"{a}_vs_{b}"] - circular_distance(x, y)) <= 1e-12
+
+
+def test_compare_takes_the_holonomy_before_the_frame(mixed_file, monkeypatch):
+    """The holonomy, where compare peaks in memory, runs while the problem
+    holds no frame; evaluate solves it afterwards."""
+    holonomy, held = cli.discrete_uhlmann_holonomy, []
+
+    def record(problem, t_end, steps):
+        held.append("frame" in vars(problem))
+        return holonomy(problem, t_end, steps)
+
+    monkeypatch.setattr(cli, "discrete_uhlmann_holonomy", record)
+    run(["compare", "--input", mixed_file, "-t", "1"], 0)
+    assert held == [False]
 
 
 def test_compare_too_few_steps_exits_2(mixed_file):

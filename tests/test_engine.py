@@ -21,10 +21,8 @@ from hypothesis import given, settings, strategies as st
 from mixedphase import (
     circular_distance,
     evaluate,
-    prepare_problem,
     random_instance,
 )
-from mixedphase import phases
 from mixedphase.angles import angle_or_nan
 from mixedphase.linalg import dagger, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
@@ -83,7 +81,7 @@ def support_columns(batch, frame) -> np.ndarray:
 @given(instances())
 def test_batch_matches_literal_definitions(case):
     problem, times = case
-    frame = prepare_problem(problem)
+    frame = problem.frame
     batch = evaluate(problem, times)
     assert len(batch) == len(times)
     support = support_columns(batch, frame)
@@ -114,7 +112,7 @@ def test_batch_matches_literal_definitions(case):
 def test_nodal_point_gives_nan_in_the_literal_columns():
     # r = 0.6 along x about z: the overlap crosses zero at t = 5 pi
     problem = bloch_x(0.6)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     t = 5 * np.pi
     batch = evaluate(problem, [1.0, t])
     u = unitary_from_hamiltonian(problem.h_prime, t)
@@ -136,6 +134,16 @@ def test_evaluate_rejects_non_finite_times():
     for bad in ([np.inf], [0.0, np.nan]):
         with pytest.raises(ValueError):
             evaluate(problem, bad)
+
+
+@pytest.mark.parametrize("times", [np.zeros((2, 2)), [[0.0, 1.0]], np.ones((1, 1, 3))])
+def test_evaluate_refuses_times_of_two_or_more_dimensions(times):
+    """A 2-D grid is not read as its rows run together: a (2, 2) array
+    would otherwise be a batch of four times."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"times must be a scalar or a 1-D sequence, got shape {np.shape(times)}")):
+        evaluate(bloch_x(0.6), times)
+    assert len(evaluate(bloch_x(0.6), np.zeros(4))) == 4
 
 
 def test_sweep_csv_header_and_column_order():
@@ -162,7 +170,7 @@ def eager_columns(problem, times):
     are computed; the kernel's n - r are q = kappa = 0 and the sentinels,
     spliced in where ascending kappa puts 0."""
     t = np.asarray(times, dtype=float).reshape(-1)
-    frame, q_h, amps = prepare_problem(problem), problem.h_eigvecs, problem.amps
+    frame, q_h, amps = problem.frame, problem.h_eigvecs, problem.amps
     weights = np.abs(frame.z) ** 2 @ amps**2
     e = np.exp(-1j * np.outer(t, problem.h_eigvals))
     d = np.exp(-1j * np.outer(t, frame.kappas))
@@ -175,6 +183,7 @@ def eager_columns(problem, times):
     d_i = np.exp(-1j * np.outer(t, -np.diag(problem.h_prime).real))
     interferometric = ((e @ p_i) * d_i).sum(axis=1)
     live = weights > DEFAULT_TOL.weight
+    energy = max(np.abs(problem.h_eigvals).max(), np.abs(frame.kappas).max())
     at, kernel = int(np.count_nonzero(frame.kappas < 0.0)), problem.dim - amps.size
 
     def spliced(a):
@@ -194,6 +203,7 @@ def eager_columns(problem, times):
         "gamma": spliced(np.where(live, np.angle(rotated), 0.0)),
         "dyn_phase": np.outer(t, spliced(frame.kappas)),
         "total_phase": spliced(np.where(live, np.angle(overlaps), 0.0)),
+        "resolution": np.abs(t) * energy * np.finfo(float).eps,
     }
 
 
@@ -242,15 +252,17 @@ def test_every_array_of_a_batch_is_real():
     (np.inf, "times must be finite"),
     ([1.0, 1e17], "time 1e+17 is past the resolvable range"),  # |t| E = 5e16 > 2**52
 ])
-def test_evaluate_on_a_prepared_frame_raises_as_evaluate_does(bad, message):
-    """evaluate and verify's _evaluate on a frame it prepared check their
-    times in the same place, before any table."""
-    problem = bloch_x(0.6)
+def test_evaluate_on_a_solved_frame_raises_as_on_a_fresh_problem(bad, message):
+    """evaluate checks its times in the same place, before any table,
+    whether the problem's frame is solved by this call or was solved
+    before and injected (as verify's residual checks leave it solved)."""
     errors = []
-    for call in (lambda: evaluate(problem, bad),
-                 lambda: phases._evaluate(problem, prepare_problem(problem), bad)):
+    for solved in (False, True):
+        problem = bloch_x(0.6)
+        if solved:
+            vars(problem)["frame"] = bloch_x(0.6).frame
         with pytest.raises(ValueError, match=re.escape(message)) as exc:
-            call()
+            evaluate(problem, bad)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
 
@@ -265,7 +277,7 @@ def test_kernel_components_are_exact_zeros_in_every_report(dim, rank, seed):
     times = [-3.5, 0.0, 2.0, -0.0, 11.25]
     batch = evaluate(problem, times)
     assert problem.amps.size == rank and batch.q.shape == (dim,)
-    support = support_columns(batch, prepare_problem(problem))
+    support = support_columns(batch, problem.frame)
     assert support.size == rank
     out = io.StringIO()
     sweep_to_csv(batch, out)

@@ -17,7 +17,6 @@ from mixedphase import (
     discrete_uhlmann_holonomy,
     evaluate,
     pancharatnam_phase,
-    prepare_problem,
     random_instance,
     validate_density,
 )
@@ -184,7 +183,7 @@ def test_holonomy_mixed_great_circle_confirms_zero():
 
 def test_holonomy_matches_engine_on_random_instance():
     prob = random_instance(3, 3, 90)
-    frame = prepare_problem(prob)
+    frame = prob.frame
     t_end = 1.7
     gamma = total_geometric_phase(prob, frame, t_end, evolution_operator(prob, t_end))
     hol = discrete_uhlmann_holonomy(prob, t_end, 4096)
@@ -232,7 +231,7 @@ def test_pancharatnam_matches_engine_for_pure_qutrit():
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = (a + dagger(a)) / 2
     prob = Problem(validate_density(np.outer(psi, psi.conj())), h)
-    frame = prepare_problem(prob)
+    frame = prob.frame
     t = 1.3
     gamma = total_geometric_phase(prob, frame, t, evolution_operator(prob, t))
     assert circular_distance(gamma, pancharatnam_phase(psi, h, t)) <= 1e-8
@@ -280,7 +279,7 @@ def test_pancharatnam_raises_at_orthogonal_endpoint():
 def test_parallel_residual_small_for_solved_frame():
     for seed in (94, 95):
         problem = random_instance(4, 4, seed)
-        frame = prepare_problem(problem)
+        frame = problem.frame
         for t in (0.0, 0.3, 1.7):
             for j in range(4):
                 resid = parallel_residual(problem, frame, j, t, 1e-6)
@@ -297,7 +296,7 @@ def test_parallel_residual_negative_control():
 
 def test_parallel_residual_zero_hamiltonian():
     problem = Problem(validate_density(np.diag([0.7, 0.3])), np.zeros((2, 2), dtype=complex))
-    frame = prepare_problem(problem)
+    frame = problem.frame
     for j in range(2):
         assert parallel_residual(problem, frame, j, 0.5, 1e-6) <= 1e-9
 
@@ -307,7 +306,7 @@ def test_parallel_residual_argument_validation():
     # below the weight tolerance
     h = np.array([[0.5, 0.1], [0.1, -0.5]], dtype=complex)
     problem = Problem(validate_density(np.diag([1.0 - 1e-12, 1e-12])), h)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     with pytest.raises(ValueError):
         parallel_residual(problem, frame, 0, 0.3, 1e-2)
     negligible = int(np.argmin(frame.q))

@@ -16,7 +16,6 @@ from mixedphase import (
     discrete_uhlmann_holonomy,
     evaluate,
     pancharatnam_phase,
-    prepare_problem,
     random_instance,
     validate_density,
 )
@@ -47,7 +46,7 @@ def random_pure_problem(rng, n):
 
 def test_overlap_at_zero_is_the_weight():
     problem = random_instance(4, 4, 70)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     q = frame.q
     for j in range(4):
         m0 = overlap_kernel(problem, frame, j, np.eye(4))
@@ -57,7 +56,7 @@ def test_overlap_at_zero_is_the_weight():
 
 def test_overlap_magnitude_bounded_by_weight():
     problem = random_instance(5, 3, 71)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     q = frame.q
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(problem, t)
@@ -69,7 +68,7 @@ def test_overlap_magnitude_bounded_by_weight():
 def test_overlap_equals_direct_component_inner_product():
     # maximally mixed qubit driven along x: kernel vs explicit states
     prob = Problem(validate_density(np.eye(2) / 2), 0.5 * SX)
-    frame = prepare_problem(prob)
+    frame = prob.frame
     amps, z = prob.amps, frame.z
     for t in (0.4, 1.3, 2.9):
         u = evolution_operator(prob, t)
@@ -82,7 +81,7 @@ def test_overlap_equals_direct_component_inner_product():
 
 def test_overlap_pure_state_is_survival_amplitude():
     prob, psi = random_pure_problem(np.random.default_rng(72), 3)
-    frame = prepare_problem(prob)
+    frame = prob.frame
     j_star = int(np.argmax(frame.q))
     for t in (0.6, 2.2):
         m = overlap_kernel(prob, frame, j_star, evolution_operator(prob, t))
@@ -92,7 +91,7 @@ def test_overlap_pure_state_is_survival_amplitude():
 
 def test_overlap_index_bounds():
     problem = bloch_x(0.6)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     with pytest.raises(IndexError):
         overlap_kernel(problem, frame, 2, np.eye(2))
 
@@ -100,7 +99,7 @@ def test_overlap_index_bounds():
 def test_commuting_instance_components_have_zero_phase():
     prob = Problem(validate_density(np.diag([0.7, 0.3])),
                    np.diag([0.5, -0.25]).astype(complex))
-    frame = prepare_problem(prob)
+    frame = prob.frame
     for t in (0.5, 1.7, 4.0):
         u = evolution_operator(prob, t)
         for j in range(2):
@@ -111,7 +110,7 @@ def test_commuting_instance_components_have_zero_phase():
 
 def test_pure_plus_component_phase_is_pi_with_zero_dynamics():
     problem = pure_plus()
-    frame = prepare_problem(problem)
+    frame = problem.frame
     t = 2 * np.pi
     u = evolution_operator(problem, t)
     j_star = int(np.argmax(frame.q))
@@ -122,7 +121,7 @@ def test_pure_plus_component_phase_is_pi_with_zero_dynamics():
 
 def test_gamma_is_total_minus_dynamical_mod_2pi():
     problem = random_instance(3, 3, 73)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     for t in (0.3, 1.7, 5.0):
         u = evolution_operator(problem, t)
         for j in range(3):
@@ -135,7 +134,7 @@ def test_component_report_reads_the_weights_of_the_frame_it_is_given():
     # solved frame's, so a report that kept those would be stale
     problem = random_instance(3, 3, 11)
     zeroed = diagonalizing_frame(np.zeros((3, 3), dtype=complex), problem.amps)
-    want, solved = zeroed.q, prepare_problem(problem).q
+    want, solved = zeroed.q, problem.frame.q
     np.testing.assert_allclose(want, [0.879, 0.096, 0.026], atol=1e-3)
     np.testing.assert_allclose(solved, [0.071, 0.691, 0.237], atol=1e-3)
     for j in range(3):
@@ -149,7 +148,7 @@ def test_zero_weight_components_use_sentinel_convention():
     # little for a phase
     h = random_instance(3, 1, 74).hamiltonian_lab
     problem = Problem(validate_density(np.diag([1.0 - 3e-14, 2e-14, 1e-14])), h)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     u = evolution_operator(problem, 1.0)
     q = frame.q
     small = [j for j in range(3) if q[j] <= 1e-10]
@@ -162,7 +161,7 @@ def test_zero_weight_components_use_sentinel_convention():
 def test_visibility_bounds_and_unity_at_zero():
     for seed in (75, 76):
         problem = random_instance(4, 4, seed)
-        frame = prepare_problem(problem)
+        frame = problem.frame
         u0 = evolution_operator(problem, 0.0)
         for j in range(4):
             rep0 = component_report(problem, frame, j, 0.0, u0)
@@ -179,7 +178,7 @@ def test_maximally_mixed_total_phase_vanishes():
     for n in (2, 3, 4):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         prob = Problem(validate_density(np.eye(n) / n), (a + dagger(a)) / 2)
-        frame = prepare_problem(prob)
+        frame = prob.frame
         for t in (0.3, 1.7, 5.0):
             u = evolution_operator(prob, t)
             gamma = total_geometric_phase(prob, frame, t, u)
@@ -189,7 +188,7 @@ def test_maximally_mixed_total_phase_vanishes():
 def test_pure_plus_total_phase_is_pi():
     # half the solid angle of the equatorial great circle
     problem = pure_plus()
-    frame = prepare_problem(problem)
+    frame = problem.frame
     t = 2 * np.pi
     gamma = total_geometric_phase(problem, frame, t, evolution_operator(problem, t))
     assert circular_distance(gamma, np.pi) <= 1e-9
@@ -199,7 +198,7 @@ def test_pure_plus_total_phase_is_pi():
 def test_mixed_qubit_matches_closed_form_trace():
     r = 0.6
     problem = bloch_x(r)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     s = np.sqrt(1 - r**2)
     for t in (0.7, 1.9, 3.3, 5.1, 2 * np.pi):
         a, b = t / 2, t / 2 * s
@@ -210,7 +209,7 @@ def test_mixed_qubit_matches_closed_form_trace():
 
 def test_cyclic_point_gamma_zero_but_interferometric_pi():
     problem = bloch_x(0.6)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     t = 2 * np.pi
     u = evolution_operator(problem, t)
     gamma = total_geometric_phase(problem, frame, t, u)
@@ -227,7 +226,7 @@ def test_dyn_phase_is_np_outer_bit_for_bit(dim):
     # repeats, negative times and zero; the kernel's kappas are 0, in
     # ascending order with the support's
     problem = random_instance(dim, max(1, dim // 2), seed=dim)
-    kappas = np.sort(np.concatenate([prepare_problem(problem).kappas,
+    kappas = np.sort(np.concatenate([problem.frame.kappas,
                                      np.zeros(dim - problem.amps.size)]))
     for times in (1.3, [0.0, -2.5, 1.0, 1.0, 7 * math.pi]):
         dyn = evaluate(problem, times).dyn_phase
@@ -245,7 +244,7 @@ def test_every_phase_is_nan_at_a_nodal_point(r, t):
     assert batch.overlap_magnitude[0] <= 1e-12
     u = evolution_operator(problem, t)
     phases = {name: getattr(batch, name)[0] for name in ("gamma_total", "uhlmann", "sjoqvist")}
-    frame = prepare_problem(problem)
+    frame = problem.frame
     phases |= {fn.__name__: fn(problem, frame, t, u)
                for fn in (total_geometric_phase, uhlmann_trace_phase)}
     phases["sjoqvist_phase"] = sjoqvist_phase(problem, t, u)
@@ -277,7 +276,7 @@ def test_angle_or_nan_is_np_angle_bit_for_bit(monkeypatch):
 
 def test_uhlmann_trace_phase_zero_at_t0():
     problem = random_instance(4, 4, 78)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     assert abs(uhlmann_trace_phase(problem, frame, 0.0, np.eye(4))) <= 1e-14
 
 
@@ -287,7 +286,7 @@ def test_total_phase_equals_trace_phase_random():
     for seed in range(20):
         n = (2, 3, 4, 6)[seed % 4]
         problem = random_instance(n, n, 200 + seed)
-        frame = prepare_problem(problem)
+        frame = problem.frame
         for t in (0.3, 1.7, 5.0):
             u = evolution_operator(problem, t)
             gamma = total_geometric_phase(problem, frame, t, u)
@@ -308,7 +307,7 @@ def test_interferometric_equals_total_for_pure_states():
     for n in (2, 3):
         for _ in range(10):
             prob, _ = random_pure_problem(rng, n)
-            frame = prepare_problem(prob)
+            frame = prob.frame
             t = 1.1
             u = evolution_operator(prob, t)
             gamma = total_geometric_phase(prob, frame, t, u)
@@ -320,13 +319,13 @@ def test_gauge_invariance_under_eigenvector_rephasing():
     rng = np.random.default_rng(80)
     for seed in (300, 301, 302):
         problem = random_instance(4, 4, seed)
-        frame = prepare_problem(problem)
+        frame = problem.frame
         t = 1.7
         gamma = total_geometric_phase(problem, frame, t, evolution_operator(problem, t))
         rho = problem.rho0
         rephased = replace(rho, basis_e=rho.basis_e * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
         problem2 = Problem(rephased, problem.hamiltonian_lab)
-        gamma2 = total_geometric_phase(problem2, prepare_problem(problem2), t,
+        gamma2 = total_geometric_phase(problem2, problem2.frame, t,
                                        evolution_operator(problem2, t))
         assert circular_distance(gamma, gamma2) <= 1e-9
 
@@ -361,7 +360,7 @@ def test_total_phase_ignores_ancilla_kernel_freedom():
     rng = np.random.default_rng(81)
     problem = random_instance(4, 2, 82)
     full = np.zeros((4, 4), dtype=complex)
-    full[:2, :2] = prepare_problem(problem).k
+    full[:2, :2] = problem.frame.k
     block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     full[2:, 2:] = (block + dagger(block)) / 2
     c = np.diag(np.concatenate([problem.amps, np.zeros(2)]))
@@ -383,7 +382,7 @@ def test_a_degenerate_k_still_raises_the_flag():
     # H = I gives K = -I on a full-rank state; tests/test_relations.py's
     # degenerate_draw (a repeated nonzero lambda) is flagged on every draw
     problem = Problem(validate_density(np.diag([0.5, 0.3, 0.2])), np.eye(3))
-    np.testing.assert_allclose(prepare_problem(problem).kappas, [-1.0, -1.0, -1.0])
+    np.testing.assert_allclose(problem.frame.kappas, [-1.0, -1.0, -1.0])
     assert evaluate(problem, 1.0).degenerate_spectrum_warning
 
 

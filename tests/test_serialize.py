@@ -24,7 +24,6 @@ from mixedphase import (
     ProblemFileError,
     evaluate,
     load_problem,
-    prepare_problem,
     random_instance,
     validate_density,
 )
@@ -399,7 +398,7 @@ def test_degenerate_ancilla_spectrum_warning_surfaces(tmp_path):
     # rho's spectrum is far from degenerate, but H = I makes K = -I, so z
     # and every per-component column depend on the eigensolver
     problem = Problem(validate_density(np.diag([0.5, 0.3, 0.2])), np.eye(3))
-    frame = prepare_problem(problem)
+    frame = problem.frame
     assert problem.blocks == (0, 1, 2, 3)
     assert np.ptp(frame.kappas) < 1e-12 and frame.blocks == (0, 3)
     assert evaluate(problem, 1.0).degenerate_spectrum_warning

@@ -20,11 +20,11 @@ from mixedphase import (
     evaluate,
     load_problem,
     pancharatnam_phase,
-    prepare_problem,
     random_instance,
+    save_problem,
     validate_density,
 )
-from mixedphase import linalg
+from mixedphase import linalg, states
 from mixedphase.linalg import dagger, eigenspace_blocks, frobenius, unitary_from_hamiltonian
 from mixedphase.tolerances import DEFAULT_TOL
 from mixedphase.transport import diagonalizing_frame
@@ -234,9 +234,9 @@ def test_one_eigendecomposition_of_rho(tmp_path, monkeypatch):
             calls[_name] += 1
             return _solve(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    prepare_problem(load_problem(path))
+    load_problem(path).frame
     assert calls == {"eigh": 3}  # rho, H (both in validation) and K
-    # evaluate prepares the frame itself: K is still decomposed once
+    # the problem solves its frame on evaluate's read: K is still decomposed once
     for argv in (["compute", "--input", str(path), "-t", "1"],
                  ["sweep", "--input", str(path), "--t-start", "0", "--t-end", "4",
                   "--steps", "50"]):
@@ -318,6 +318,46 @@ def test_problem_dimension_mismatch():
         Problem(validate_density(np.eye(2) / 2), np.zeros((2, 3), dtype=complex))
 
 
+@pytest.mark.parametrize("rho", [np.eye(2) / 2, [[0.5, 0.0], [0.0, 0.5]]],
+                         ids=["ndarray", "nested-list"])
+def test_problem_refuses_a_state_that_was_not_validated(rho):
+    with pytest.raises(TypeError, match=r"rho0 must be validate_density's DensityMatrix, got "
+                                        r"(ndarray|list)"):
+        Problem(rho, np.eye(2, dtype=complex))
+
+
+def test_problem_solves_its_frame_once_on_first_read(tmp_path, monkeypatch):
+    """K is solved and diagonalized when the frame is first read, and the
+    frame is kept: two evaluate calls on one problem solve it once, and
+    writing and reading a problem file solve it not at all."""
+    solved = []
+    solve = states.diagonalizing_frame
+
+    def counted(k, amps):
+        solved.append(solve(k, amps))
+        return solved[-1]
+
+    monkeypatch.setattr(states, "diagonalizing_frame", counted)
+    problem = load_problem(problem_file(tmp_path, random_instance(5, 3, 11), "problem.json"))
+    save_problem(problem, tmp_path / "again.json")
+    assert solved == [] and "frame" not in vars(problem)
+    first, second = evaluate(problem, 1.0), evaluate(problem, 1.0)
+    assert len(solved) == 1 and problem.frame is solved[0]
+    assert first.gamma_total.tobytes() == second.gamma_total.tobytes()
+
+
+def test_a_replaced_problem_solves_its_own_frame():
+    """dataclasses.replace builds a new Problem, whose frame is solved for
+    its own Hamiltonian, never copied from the cached one: K is linear in
+    H, so doubling H doubles every kappa."""
+    problem = random_instance(4, 4, 2)
+    frame = problem.frame
+    doubled = replace(problem, hamiltonian_lab=2 * problem.hamiltonian_lab)
+    assert "frame" not in vars(doubled)
+    assert doubled.frame is not frame and problem.frame is frame
+    np.testing.assert_allclose(doubled.frame.kappas, 2 * frame.kappas, rtol=0, atol=1e-15)
+
+
 def test_problem_keeps_a_private_copy_of_the_hamiltonian(tmp_path):
     # a complex H would be taken as it is by np.asarray: the check copies it
     h = np.array([[0.4, 0.1 - 0.2j], [0.1 + 0.2j, -0.3]])
@@ -349,7 +389,7 @@ def test_hamiltonian_just_inside_the_cap_prepares():
     # (pyproject.toml)
     rho = validate_density(np.array([[0.5, 0.3], [0.3, 0.5]]))
     problem = Problem(rho, np.diag([7e149, -7e149]).astype(complex))
-    prepare_problem(problem)
+    problem.frame
     np.testing.assert_allclose(problem.h_eigvals, [-7e149, 7e149], rtol=1e-12)
 
 

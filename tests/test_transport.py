@@ -9,7 +9,6 @@ from mixedphase import (
     DEFAULT_TOL,
     DimensionMismatch,
     Problem,
-    prepare_problem,
     random_instance,
     validate_density,
 )
@@ -40,7 +39,7 @@ def test_a_small_pair_above_the_support_tolerance_keeps_its_closed_form():
     problem = Problem(state, h)
     c, lam, h_prime = problem.amps, problem.lambdas, problem.h_prime
     want = -2.0 * c[1] * c[2] * h_prime[1, 2] / (lam[1] + lam[2])
-    k = prepare_problem(problem).k
+    k = problem.frame.k
     assert abs(want) > 0.3
     assert abs(k[2, 1] - want) <= 1e-12 * abs(want)
 
@@ -51,7 +50,7 @@ def test_pure_state_keeps_only_top_entry():
     h = np.array([[0.4, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]])
     problem = Problem(validate_density(np.diag([1.0, 0.0])), h)
     assert problem.amps.tolist() == [1.0]
-    np.testing.assert_allclose(prepare_problem(problem).k, [[-0.4]], atol=1e-14)
+    np.testing.assert_allclose(problem.frame.k, [[-0.4]], atol=1e-14)
 
 
 def test_mixed_qubit_closed_form_value():
@@ -65,7 +64,7 @@ def test_solver_residual_random_instances():
     # includes rank-deficient states, solved and checked on the support
     for n, rank, seed in ((2, 2, 0), (3, 3, 1), (4, 2, 2), (6, 6, 3), (6, 3, 4)):
         problem = random_instance(n, rank, seed)
-        frame = prepare_problem(problem)
+        frame = problem.frame
         resid = ancilla_equation_residual(problem.amps, problem.h_prime, frame.k)
         assert resid <= 1e-10 * max(1.0, frobenius(problem.h_prime))
         assert frobenius(frame.k - dagger(frame.k)) <= 1e-12
@@ -96,7 +95,7 @@ def test_transport_residual_vanishes_for_the_solved_frame(dim, data, seed, h_sca
     rank = data.draw(st.integers(1, dim), label="rank")
     drawn = random_instance(dim, rank, seed)
     problem = Problem(drawn.rho0, h_scale * drawn.hamiltonian_lab)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     resid = transport_residual(problem.amps, problem.h_prime, frame)
     assert resid <= 1e-13 * max(1.0, frobenius(problem.h_prime))
 
@@ -105,7 +104,7 @@ def test_transport_residual_negative_controls():
     # K off by 1e-7 in one entry: verify's default bound (1e-9 here) catches
     # it, where the finite-difference oracle stays below its 1e-6 bound
     problem = random_instance(8, 8, 3)
-    k = prepare_problem(problem).k.copy()
+    k = problem.frame.k.copy()
     k[0, 0] += 1e-7
     perturbed = diagonalizing_frame(k, problem.amps)
     assert frobenius(problem.h_prime) <= 1.0 + 1e-12
@@ -186,7 +185,7 @@ def test_weights_for_balanced_frame():
 def test_weights_sum_and_range_random():
     for seed in range(6):
         problem = random_instance(5, 4, seed + 50)
-        q = prepare_problem(problem).q
+        q = problem.frame.q
         assert abs(q.sum() - 1.0) <= 1e-10
         assert np.all(q >= 0.0) and np.all(q <= 1.0 + 1e-12)
 
@@ -217,7 +216,7 @@ def test_component_state_at_zero_with_identity_frame():
 
 def test_component_norm_invariant_under_evolution():
     problem = random_instance(4, 4, 60)
-    frame = prepare_problem(problem)
+    frame = problem.frame
     amps, z = problem.amps, frame.z
     for j in range(4):
         n0 = np.vdot(component_state(j, np.eye(4), amps, z),
@@ -232,7 +231,7 @@ def test_component_norm_invariant_under_evolution():
 
 def test_components_reassemble_evolved_state():
     problem = random_instance(3, 3, 61)
-    amps, z = problem.amps, prepare_problem(problem).z
+    amps, z = problem.amps, problem.frame.z
     for t in (0.0, 0.8, 3.0):
         u = unitary_from_hamiltonian(problem.h_prime, t)
         total = sum(np.outer(chi, chi.conj()) for chi in
