@@ -33,6 +33,7 @@ too: one convention, angles.angle_or_nan, and nothing raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ from .linalg import MAX_PHASE, dagger, past_resolvable_range
 from .states import Problem
 from .tolerances import DEFAULT_TOL
 from .transport import AncillaFrame
+
+_PHASES = ("gamma_total", "uhlmann", "sjoqvist")  # in the order every report writes them
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +81,21 @@ class PhaseBatch:
 
     def __len__(self) -> int:
         return self.t.size
+
+    def warnings(self) -> list[list[str]]:
+        """Each row's warnings, in report order: the degeneracy sentence, a
+        nodal warning per nan headline phase quoting its own sum's modulus,
+        and the roundoff warning where resolution exceeds the overlap tolerance."""
+        tol = DEFAULT_TOL.overlap
+        degenerate = ["spectrum is (near-)degenerate: eigenbasis-dependent quantities are not "
+                      "unique within degenerate blocks"] * self.degenerate_spectrum_warning
+        columns = (*_PHASES, "overlap_magnitude", "overlap_magnitude", "sjoqvist_magnitude")
+        return [degenerate + [f"{name} undefined at a nodal point (overlap magnitude {m:.3e})"
+                              for name, x, m in zip(_PHASES, row, row[3:]) if math.isnan(x)]
+                + ([f"resolution bound |t| E eps = {r:.3e} exceeds the overlap tolerance "
+                    f"{tol:.1e} (E = {self.energy:.3e}, the largest energy): the phases carry "
+                    "roundoff of that size"] if r > tol else [])
+                for *row, r in zip(*(getattr(self, c).tolist() for c in (*columns, "resolution")))]
 
 
 def prepare_problem(problem: Problem) -> AncillaFrame:

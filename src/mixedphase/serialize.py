@@ -24,9 +24,8 @@ import numpy as np
 
 from .angles import circular_distance
 from .errors import GeometricPhaseError
-from .phases import PhaseBatch
+from .phases import _PHASES, PhaseBatch
 from .states import Problem, validate_density
-from .tolerances import DEFAULT_TOL
 
 
 class ProblemFileError(GeometricPhaseError):
@@ -213,9 +212,7 @@ def save_problem(problem: Problem, path) -> None:
         fh.write("\n")
 
 
-_PHASES = ("gamma_total", "uhlmann", "sjoqvist")
-# the headline PhaseBatch columns, in the order sweep and compute write them;
-# compare reads the same five
+# the headline PhaseBatch columns, as sweep and compute write them and compare reads them
 _HEADLINE = ("t", *_PHASES, "overlap_magnitude")
 
 
@@ -224,9 +221,14 @@ def _slots(indent: str, keys) -> str:
     return ",\n".join(f'{indent}"{key}": %s' for key in keys)
 
 
+def _strings(items: list[str], indent: str) -> str:
+    """A list of strings as json.dumps(indent=2) writes it, its closing ] at indent."""
+    return json.dumps(items, indent=2).replace("\n", "\n" + indent) if items else "[]"
+
+
 # compare's report, with %s in each value slot
 _COMPARED = (*_PHASES, "holonomy")
-_COMPARE_TEMPLATE = '{\n%s,\n  "pairwise_distances": {\n%s\n  }\n}\n' % (
+_COMPARE_TEMPLATE = '{\n%s,\n  "pairwise_distances": {\n%s\n  },\n  "warnings": %%s\n}\n' % (
     _slots("  ", ("t", *_COMPARED, "holonomy_steps", "overlap_magnitude")),
     _slots("    ", (f"{a}_vs_{b}" for a, b in combinations(_COMPARED, 2))))
 
@@ -261,14 +263,10 @@ def sweep_to_csv(batch: PhaseBatch, out: TextIO) -> None:
 
 
 def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
-    """Yield each row's report object as json.dumps(report, indent=2)
-    writes it, every line prefixed with indent: t, the three headline phases
-    (null where nan), overlap_magnitude, then per component j, q,
-    visibility, gamma, dyn_phase, total_phase, then the warnings. A nan
-    phase warns with the modulus of its own sum (batch.sjoqvist_magnitude
-    for sjoqvist, overlap_magnitude for the others). A row whose
-    resolution bound |t| E eps (batch.resolution) exceeds the overlap
-    tolerance warns that its phases carry roundoff of that size."""
+    """Yield each row's report object as json.dumps(report, indent=2) writes it,
+    every line prefixed with indent: t, the three headline phases (null where nan),
+    overlap_magnitude, per component j, q, visibility, gamma, dyn_phase and
+    total_phase, then the row's list of batch.warnings()."""
     # at n = 64 one report takes about 250 us, json.dumps(report, indent=2) 600 us
     i1, i2, i3 = indent + "  ", indent + "    ", indent + "      "
     # j and q_j formatted once; a float's str is its repr, as in json
@@ -278,41 +276,26 @@ def reports_to_json(batch: PhaseBatch, indent: str) -> Iterator[str]:
     head = _slots(i1, _HEADLINE)
     template = (f'{indent}{{\n{head},\n{i1}"components": [\n{components}\n{i1}],\n'
                 f'{i1}"warnings": %s\n{indent}}}')
-    degenerate = [] if not batch.degenerate_spectrum_warning else [
-        "spectrum is (near-)degenerate: eigenbasis-dependent quantities "
-        "are not unique within degenerate blocks"]
     rows = _rows(batch, batch.visibility, batch.gamma, batch.dyn_phase, batch.total_phase)
-    for row, sjoqvist_magnitude, resolution in zip(rows, batch.sjoqvist_magnitude.tolist(),
-                                                   batch.resolution.tolist()):
-        # each nodal warning quotes the modulus of its own phase's sum
-        warnings = degenerate + [
-            f"{name} undefined at a nodal point (overlap magnitude {magnitude:.3e})"
-            for name, phase, magnitude in zip(_PHASES, row[1:4],
-                                              (row[4], row[4], sjoqvist_magnitude))
-            if math.isnan(phase)]
-        if resolution > DEFAULT_TOL.overlap:
-            warnings.append(f"resolution bound |t| E eps = {resolution:.3e} exceeds the "
-                            f"overlap tolerance {DEFAULT_TOL.overlap:.1e} (E = "
-                            f"{batch.energy:.3e}, the largest energy): the phases carry "
-                            "roundoff of that size")
+    for row, warnings in zip(rows, batch.warnings()):
         row[1:4] = ["null" if math.isnan(x) else x for x in row[1:4]]
-        row.append("[\n" + ",\n".join(i2 + json.dumps(w) for w in warnings)
-                   + f"\n{i1}]" if warnings else "[]")
+        row.append(_strings(warnings, i1))
         yield template % tuple(row)
 
 
 def compare_to_json(batch: PhaseBatch, holonomy: float, steps: int) -> str:
-    """compare's report on a batch of one time, as json.dumps(report,
-    indent=2) + "\n" writes it: t, the three headline phases, the
-    holonomy of the density-matrix path, the number of steps it was
-    taken in, overlap_magnitude, then the circular distance of each pair
-    of the four phases. A nan phase, and each distance from one, is null."""
+    """compare's report on a batch of one time, as json.dumps(report, indent=2)
+    + "\n" writes it: t, the three headline phases, the holonomy of the
+    density-matrix path, the number of steps it was taken in, overlap_magnitude,
+    the circular distance of each pair of the four phases, then the time's
+    batch.warnings(). A nan phase, and each distance from one, is null."""
     t, *phases, overlap = [getattr(batch, name).item() for name in _HEADLINE]
     phases.append(holonomy)
     # math.remainder keeps a nan, so a distance from a nan phase is nan
     distances = [circular_distance(a, b) for a, b in combinations(phases, 2)]
     cells = ["null" if math.isnan(x) else x for x in (*phases, *distances)]
-    return _COMPARE_TEMPLATE % (t, *cells[:4], steps, overlap, *cells[4:])
+    return _COMPARE_TEMPLATE % (t, *cells[:4], steps, overlap, *cells[4:],
+                                _strings(batch.warnings()[0], "  "))
 
 
 def sweep_to_json(batch: PhaseBatch, out: TextIO) -> None:

@@ -6,6 +6,7 @@ the state's support, rotates H and its eigenvectors onto it and solves
 the ancilla frame there, once each. Everything downstream works there,
 where the state is diag(lambdas) and the amplitude matrix diag(amps),
 and reads it all from here; nothing decomposes or rotates rho or H again.
+Every array made here is read-only.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ class Problem:
         object.__setattr__(self, "h_eigvals", w)
         object.__setattr__(self, "h_eigvecs", e_dag @ v)
         object.__setattr__(self, "h_prime", e_dag @ h @ e)
+        _read_only(self)
 
     @property
     def dim(self) -> int:
@@ -107,7 +109,17 @@ class Problem:
     def frame(self) -> AncillaFrame:
         """K's diagonalizing AncillaFrame on the support, with q and blocks: solved
         on first read, not at construction (compare's holonomy runs without it)."""
-        return diagonalizing_frame(solve_ancilla_hamiltonian(self.amps, self.h_prime), self.amps)
+        return _read_only(diagonalizing_frame(solve_ancilla_hamiltonian(self.amps, self.h_prime),
+                                              self.amps))
+
+
+def _read_only(record):
+    """record, each array it holds flagged read-only, so that a write into one
+    raises instead of moving every result later read from it."""
+    for value in vars(record).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return record
 
 
 def validate_density(mat) -> DensityMatrix:
@@ -127,5 +139,5 @@ def validate_density(mat) -> DensityMatrix:
     if float(w[0]) < -DEFAULT_TOL.psd:
         raise NotPSD(float(w[0]))
     lambdas = np.clip(w[::-1], 0.0, 1.0)
-    return DensityMatrix(mat, lambdas, q[:, ::-1])
+    return _read_only(DensityMatrix(mat, lambdas, q[:, ::-1]))
 

@@ -111,6 +111,25 @@ def test_problem_alone_solves_its_frame():
     assert not hasattr(cli, "prepare_problem")
 
 
+def test_the_batch_alone_writes_the_warnings():
+    # PhaseBatch.warnings holds every warning's text and the one comparison
+    # of the resolution bound with the overlap tolerance; the writers only
+    # lay its lists out, and serialize reads no tolerance
+    sources = {info.name: inspect.getsource(importlib.import_module(f"mixedphase.{info.name}"))
+               for info in pkgutil.iter_modules(mixedphase.__path__)}
+    assert "DEFAULT_TOL" not in sources["serialize"]
+    assert "tolerances" not in sources["serialize"]
+    owner = inspect.getsource(mixedphase.PhaseBatch.warnings)
+    for text in ("resolution bound", "undefined at a nodal point", "(near-)degenerate"):
+        assert {name for name, source in sources.items() if text in source} == {"phases"}, text
+        assert text in owner, text
+    # angle_or_nan's nodal rule is the one other reader of the overlap tolerance
+    assert {name for name, source in sources.items()
+            if "DEFAULT_TOL.overlap" in source} == {"angles", "phases"}
+    assert sources["phases"].count("DEFAULT_TOL.overlap") == 1
+    assert "DEFAULT_TOL.overlap" in owner
+
+
 def test_literal_definitions_live_in_one_module():
     assert importlib.util.find_spec("mixedphase.literal") is None
     modules = [mixedphase] + [importlib.import_module(f"mixedphase.{info.name}")

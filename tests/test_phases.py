@@ -396,3 +396,51 @@ def test_phase_report_structure():
     assert abs(batch.gamma_total[0] - batch.uhlmann[0]) <= 1e-9
     degenerate = evaluate(degenerate_qubit(), 1.0)
     assert degenerate.degenerate_spectrum_warning
+
+
+DEGENERATE = ("spectrum is (near-)degenerate: eigenbasis-dependent quantities are not "
+              "unique within degenerate blocks")
+
+
+def test_warnings_are_empty_for_an_ordinary_row_and_start_with_the_degeneracy_sentence():
+    assert evaluate(bloch_x(0.6), [0.0, 1.0, 2 * np.pi]).warnings() == [[], [], []]
+    # rho = I / 2 is degenerate; at t = 1e4 its row is also past the resolution bound
+    rows = evaluate(degenerate_qubit(), [1.0, 1e4]).warnings()
+    assert rows[0] == [DEGENERATE]
+    assert rows[1][0] == DEGENERATE and rows[1][1].startswith("resolution bound")
+
+
+def test_each_nan_phase_warns_with_the_modulus_of_its_own_sum():
+    batch = evaluate(bloch_x(0.6), 5 * np.pi)
+    assert np.isnan([batch.gamma_total, batch.uhlmann, batch.sjoqvist]).all()
+    assert batch.warnings() == [[
+        f"{name} undefined at a nodal point (overlap magnitude {magnitude})"
+        for name, magnitude in (("gamma_total", "1.311e-15"), ("uhlmann", "1.311e-15"),
+                                ("sjoqvist", "3.062e-16"))]]
+    # the order of a row that carries every kind: degeneracy, nodal, resolution
+    flagged = replace(batch, degenerate_spectrum_warning=True, resolution=np.array([2e-12]))
+    [row] = flagged.warnings()
+    assert row[0] == DEGENERATE and row[1:4] == batch.warnings()[0]
+    assert row[4] == ("resolution bound |t| E eps = 2.000e-12 exceeds the overlap tolerance "
+                      "1.0e-12 (E = 5.000e-01, the largest energy): the phases carry "
+                      "roundoff of that size")
+
+
+def test_the_resolution_warning_starts_at_the_first_time_past_the_bound():
+    # E = 1/2 for this qubit; t is the least double with |t| E eps > 1e-12,
+    # found with the bound's own expression, and the warning comes last
+    batch = evaluate(bloch_x(0.6), 0.0)
+    energy, eps = batch.energy, np.finfo(float).eps
+    assert energy == 0.5
+    t = 1e-12 / (energy * eps)
+    while abs(t) * energy * eps > 1e-12:
+        t = np.nextafter(t, 0.0)
+    while not abs(t) * energy * eps > 1e-12:
+        t = np.nextafter(t, np.inf)
+    before = np.nextafter(t, 0.0)
+    rows = evaluate(bloch_x(0.6), [before, t, -t, -before]).warnings()
+    assert rows[0] == rows[3] == []
+    for row in rows[1:3]:
+        assert row[-1] == (f"resolution bound |t| E eps = {abs(t) * energy * eps:.3e} exceeds "
+                           "the overlap tolerance 1.0e-12 (E = 5.000e-01, the largest energy): "
+                           "the phases carry roundoff of that size")

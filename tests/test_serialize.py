@@ -370,7 +370,8 @@ def test_report_dict_keys_and_null_for_undefined():
                                        "uhlmann_vs_holonomy", "sjoqvist_vs_holonomy"})):
         data = json.loads(compare_to_json(batch, holonomy, 256))
         assert list(data) == ["t", "gamma_total", "uhlmann", "sjoqvist", "holonomy",
-                              "holonomy_steps", "overlap_magnitude", "pairwise_distances"]
+                              "holonomy_steps", "overlap_magnitude", "pairwise_distances",
+                              "warnings"]
         assert (data["t"], data["holonomy_steps"]) == (1.0, 256)
         assert {key for key, value in chain(data.items(), data["pairwise_distances"].items())
                 if value is None} == want
@@ -385,6 +386,28 @@ def test_the_sjoqvist_nodal_warning_quotes_the_interferometric_sum():
     quoted = re.fullmatch(r"sjoqvist undefined at a nodal point \(overlap magnitude (.+)\)",
                           warning)
     assert float(quoted[1]) <= DEFAULT_TOL.overlap
+
+
+@pytest.mark.parametrize("make, t, code", [(degenerate_qubit, 1.0, 0),
+                                           (lambda: bloch_x(0.6), 5 * np.pi, 3),
+                                           (lambda: bloch_x(0.6), 1e4, 0)],
+                         ids=["degenerate", "nodal", "past-resolution"])
+def test_compare_prints_the_batchs_warnings(tmp_path, make, t, code):
+    # compare's warnings are the batch's, after pairwise_distances, in
+    # json.dumps(indent=2) layout, in process and from the command line
+    problem = make()
+    batch = evaluate(problem, t)
+    [warnings] = batch.warnings()
+    assert warnings
+    text = compare_to_json(batch, 0.5, 256)
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2) + "\n"
+    assert list(data)[-2:] == ["pairwise_distances", "warnings"]
+    assert data["warnings"] == warnings
+    path = problem_file(tmp_path, problem, "problem.json")
+    data = json.loads(run(["compare", "--input", path, "-t", repr(t),
+                           "--holonomy-steps", "256"], code))
+    assert data["warnings"] == warnings
 
 
 def test_degenerate_spectrum_warning_surfaces():

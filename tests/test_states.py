@@ -373,6 +373,30 @@ def test_problem_keeps_a_private_copy_of_the_hamiltonian(tmp_path):
     assert evaluate(load_problem(path), 2.0).gamma_total.tobytes() == gamma.tobytes()
 
 
+def test_the_records_arrays_are_read_only():
+    """Every array validate_density, Problem and its frame make is read-only:
+    a write into one, or into a report's q (at full rank the frame's own),
+    raises and leaves every later evaluate on the kept frame unchanged.
+    The arrays a caller passes in stay writable."""
+    rho, h = np.diag([0.5, 0.3, 0.2]), random_instance(3, 3, 0).hamiltonian_lab.copy()
+    problem = Problem(validate_density(rho), h)
+    assert rho.flags.writeable and h.flags.writeable
+    before = evaluate(problem, 1.0)
+    frame = problem.frame
+    assert before.q is frame.q
+    arrays = {"rho0.mat": problem.rho0.mat, "rho0.lambdas": problem.rho0.lambdas,
+              "rho0.basis_e": problem.rho0.basis_e, "report q": before.q,
+              **{name: getattr(problem, name) for name in (
+                  "hamiltonian_lab", "lambdas", "amps", "h_eigvals", "h_eigvecs", "h_prime")},
+              **{f"frame.{name}": getattr(frame, name) for name in ("k", "z", "kappas", "q")}}
+    for name, array in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] += 1e-3
+    after = evaluate(problem, 1.0)
+    for column in ("gamma_total", "uhlmann", "sjoqvist", "q", "gamma", "dyn_phase"):
+        assert getattr(after, column).tobytes() == getattr(before, column).tobytes(), column
+
+
 @pytest.mark.parametrize("h", [
     np.diag([1e308, -1e308]),
     np.diag([1.7e308, -1.7e308]),
