@@ -25,10 +25,10 @@ benchmark's scipy reference (solve_sylvester for K, expm for U and V).
 
 One pipeline call: evaluate(problem, times) reads every phase off the
 problem's ancilla frame (Problem.frame); PhaseBatch is the only result
-type, and a single t is row 0 of evaluate(problem, t). At a nodal
-point evaluate stores nan, and the literal per-t definitions it is
-checked against (tests/literal.py) and the oracles return nan there
-too: one convention, angles.angle_or_nan, and nothing raises.
+type, and a single t is row 0 of evaluate(problem, t), bit for bit its
+row in any batch. At a nodal point evaluate stores nan, as do the
+literal per-t definitions it is checked against (tests/literal.py) and
+the oracles: one convention, angles.angle_or_nan, and nothing raises.
 """
 
 from __future__ import annotations
@@ -51,17 +51,17 @@ _PHASES = ("gamma_total", "uhlmann", "sjoqvist")  # in the order every report wr
 class PhaseBatch:
     """Every phase of one instance on a grid of times.
 
-    Arrays are real and indexed [time] or [time, component], except q,
-    which is time-invariant and indexed [component]. The per-component
-    arrays are the report's columns; the complex m_j(t) they are read
-    from is not kept. A headline phase at a nodal point (the modulus of
-    its sum at or below the overlap tolerance) is nan, with that modulus
-    still recorded: overlap_magnitude for gamma_total and uhlmann,
-    sjoqvist_magnitude for sjoqvist. Negligible components, those of the
-    state's kernel (q = 0) among them, carry the sentinels visibility =
-    gamma = total_phase = 0. energy is the largest |eps_a| or |kappa_j|:
-    |t| times it is the largest phase argument, and resolution, |t| energy
-    eps (eps the machine epsilon), bounds each row's roundoff in the phases.
+    Arrays are real and indexed [time] or [time, component], except q, which is
+    time-invariant and indexed [component]; t is the batch's own read-only copy
+    of the times. The per-component arrays are the report's columns; the complex
+    m_j(t) they are read from is not kept. A headline phase at a nodal point
+    (the modulus of its sum at or below the overlap tolerance) is nan, with that
+    modulus still recorded: overlap_magnitude for gamma_total and uhlmann,
+    sjoqvist_magnitude for sjoqvist. Negligible components, those of the state's
+    kernel (q = 0) among them, carry the sentinels visibility = gamma =
+    total_phase = 0. energy is the largest |eps_a| or |kappa_j|: |t| times it is
+    the largest phase argument, and resolution, |t| energy eps (eps the machine
+    epsilon), bounds each row's roundoff in the phases.
     """
 
     t: np.ndarray
@@ -103,23 +103,10 @@ def prepare_problem(problem: Problem) -> AncillaFrame:
     return problem.frame
 
 
-def _setup(amps, h_eigvals, h_eigvecs, z, kappas, times):
-    """What evaluate does before Phi's sum: the checked times, the
-    energy, the table e^{-i eps_a t} and the frame's kernel P."""
-    t = np.atleast_1d(np.asarray(times, dtype=float))
-    if t.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-D sequence, got shape {t.shape}")
-    if not np.isfinite(t).all():
-        raise ValueError(f"times must be finite, got {times}")
-    energy = float(max(np.abs(h_eigvals).max(), np.abs(kappas).max()))
-    late = t[np.abs(t) > MAX_PHASE / energy] if energy else t[:0]
-    if late.size:
-        raise past_resolvable_range(float(late[0]), energy)
-    # P_aj = |<eps_a| C z^T |e_j>|^2, n x r. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
-    # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
-    p = np.abs(dagger(h_eigvecs) @ (z * amps).T) ** 2
-    e = np.exp(-1j * (t[:, None] * h_eigvals))  # e^{-i eps_a t}, [time, a]
-    return t, energy, e, p
+def _batched(table, kernel):
+    """table @ kernel, a one-row [time, ...] table stacked on itself: numpy sends a one-row
+    operand to matrix-vector code, which rounds otherwise, so a row is the same in any batch."""
+    return (np.concatenate((table, table)) @ kernel)[:1] if len(table) == 1 else table @ kernel
 
 
 def _phi(t, e, p, kappas):
@@ -127,7 +114,7 @@ def _phi(t, e, p, kappas):
     and energies kappas: e^{-i kappa_j t}, m_j = (e @ p)_j, m_j e^{-i kappa_j t}
     and its sum over j, each [time, j] (the sum [time])."""
     d = np.exp(-1j * (t[:, None] * kappas))  # e^{-i kappa_j t}, [time, j]
-    overlaps = e @ p
+    overlaps = _batched(e, p)
     rotated = overlaps * d
     return d, overlaps, rotated, rotated.sum(axis=-1)
 
@@ -138,20 +125,33 @@ def evaluate(problem: Problem, times) -> PhaseBatch:
 
     Costs problem.frame's first read (the ancilla solve and K's r x r
     eigendecomposition), then exponential tables of T x n and T x r and
-    three products with the n x r kernel; nothing of size T x n x n is
-    formed, and the complex tables, m_j(t) among them, are released on
-    return. Raises ValueError for times of two or more dimensions, and past
-    |t| E = 2**52, E the largest |eps_a| or |kappa_j| (the batch's energy),
-    where doubles at the phase arguments t E are 1 rad or more apart. Here
-    alone the n components are restored from the support's r, and the
-    degeneracy flag set, when a block of the support's or K's spectrum
-    holds two eigenvalues.
+    three products with the n x r kernel, a lone t's stacked to two rows
+    (_batched); nothing of size T x n x n is formed, and the complex
+    tables, m_j(t) among them, are released on return. Raises ValueError
+    for times of two or more dimensions, and past |t| E = 2**52, E the
+    largest |eps_a| or |kappa_j| (the batch's energy), where doubles at the
+    phase arguments t E are 1 rad or more apart. Here alone the n components
+    are restored from the support's r, and the degeneracy flag set, when a
+    block of the support's or K's spectrum holds two eigenvalues.
     """
-    frame = problem.frame
-    t, energy, e, p = _setup(problem.amps, problem.h_eigvals, problem.h_eigvecs, frame.z,
-                             frame.kappas, times)
+    frame, eps = problem.frame, problem.h_eigvals
+    t = np.array(times, dtype=float, ndmin=1)  # a copy: the batch's own, read-only
+    if t.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D sequence, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError(f"times must be finite, got {times}")
+    t.setflags(write=False)
+    # both spectra ascend, so |.| peaks at their ends (0.0 first, so that no spectrum gives -0.0)
+    energy = float(max(0.0, -eps[0], eps[-1], -frame.kappas[0], frame.kappas[-1]))
+    late = t[np.abs(t) > MAX_PHASE / energy] if energy else t[:0]
+    if late.size:
+        raise past_resolvable_range(float(late[0]), energy)
+    # P_aj = |<eps_a| C z^T |e_j>|^2, n x r. The Uhlmann kernel |(Q^T C z^dag)_ab|^2
+    # is the same matrix, as (Q^T C z^dag)_ab is the conjugate of (Q^dag C z^T)_ab.
+    p = np.abs(dagger(problem.h_eigvecs) @ (frame.z * problem.amps).T) ** 2
+    e = np.exp(-1j * (t[:, None] * eps))  # e^{-i eps_a t}, [time, a]
     d, overlaps, rotated, total = _phi(t, e, p, frame.kappas)
-    trace = np.einsum("ta,ta->t", e, d @ p.T)  # contracted K-side first
+    trace = np.einsum("ta,ta->t", e, _batched(d, p.T))  # contracted K-side first
     # z = I: kernel |Q^dag C|^2 and kappa_j(I) = -h'_jj
     p_i = (np.abs(problem.h_eigvecs) ** 2).T * problem.lambdas
     interferometric = _phi(t, e, p_i, -np.diag(problem.h_prime).real)[-1]

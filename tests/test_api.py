@@ -1,6 +1,7 @@
 """The public surface: the pipeline in mixedphase; the literal references
 live with the tests, in tests/literal.py, and not in the package."""
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -11,7 +12,7 @@ import re
 import types
 
 import mixedphase
-from mixedphase import cli, linalg, states, transport
+from mixedphase import cli, linalg, phases, states, transport
 from mixedphase.transport import AncillaFrame
 
 import literal
@@ -109,6 +110,27 @@ def test_problem_alone_solves_its_frame():
     imported = re.search(r"from \.phases import (.*)", sources["cli"])[1]
     assert imported == "evaluate"
     assert not hasattr(cli, "prepare_problem")
+
+
+def test_every_product_with_a_time_table_is_batched():
+    # numpy sends a one-row left operand of @ to its matrix-vector code,
+    # which rounds otherwise: phases._batched is the one place where a
+    # [time, ...] table meets a kernel through @, so a single t is bit for
+    # bit its row in any batch. evaluate's own @ builds the kernel P from
+    # time-invariant arrays, and evaluate holds what _setup did
+    assert not hasattr(phases, "_setup")
+    products = {}
+    for func in ast.walk(ast.parse(inspect.getsource(phases))):
+        if isinstance(func, ast.FunctionDef):
+            products[func.name] = [node for node in ast.walk(func) if isinstance(node, ast.BinOp)
+                                   and isinstance(node.op, ast.MatMult)]
+    assert {name for name, found in products.items() if found} == {"_batched", "evaluate"}
+    [kernel] = products["evaluate"]
+    assert {node.id for node in ast.walk(kernel) if isinstance(node, ast.Name)} == {
+        "dagger", "problem", "frame"}
+    assert [ast.unparse(node.right) for node in products["_batched"]] == ["kernel", "kernel"]
+    source = inspect.getsource(phases)
+    assert source.count("_batched(e, p)") == source.count("_batched(d, p.T)") == 1
 
 
 def test_the_batch_alone_writes_the_warnings():

@@ -1,6 +1,7 @@
 """CLI contract tests: subcommands, file handling, and exit codes
 (0 success, 1 verification failure, 2 input error, 3 undefined phase)."""
 
+import copy
 import gc
 import itertools
 import json
@@ -108,6 +109,18 @@ def test_sweep_json_format(mixed_file, tmp_path):
     assert rows[0]["t"] == 0.0 and rows[-1]["t"] == 1.0
 
 
+@pytest.mark.parametrize("rank", [16, 3])
+def test_compute_prints_the_row_sweep_prints_at_its_time(tmp_path, rank):
+    """compute -t 1.3 is a batch of one and sweep's middle time of
+    [0, 2.6] is 1.3: the two reports are equal JSON objects, on a
+    full-rank state and on one with a kernel."""
+    path = problem_file(tmp_path, random_instance(16, rank, 3), "problem.json")
+    alone = json.loads(run(["compute", "--input", path, "-t", "1.3"], 0))
+    rows = json.loads(run(["sweep", "--input", path, "--t-start", "0", "--t-end", "2.6",
+                           "--steps", "3", "--format", "json"], 0))
+    assert rows[1]["t"] == 1.3 and alone == rows[1]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_never_holds_its_report_text(tmp_path, fmt):
     """The writers write each row as it is formatted, so a warm sweep
@@ -187,7 +200,7 @@ def test_verify_failure_counts_the_instances_that_passed(monkeypatch):
 
 
 SOLVE, FRAME = states.solve_ancilla_hamiltonian, states.diagonalizing_frame
-SETUP, PHI = phases._setup, phases._phi
+EVALUATE, PHI = cli.evaluate, phases._phi
 ANCILLA, HOLONOMY = "ancilla-equation residual", "total phase vs holonomy"
 PARALLEL = "parallel-transport residual"
 
@@ -198,16 +211,30 @@ def weights_from_c(k, amps):
     return replace(frame, q=np.abs(frame.z) ** 2 @ amps)
 
 
+def kernel_from(name, mutate):
+    """evaluate on a copy of the problem in which one array that the kernel
+    P = |Q^dag C z^T|^2 is built from (amps, h_eigvecs, or the frame's z)
+    is mutated; verify's residuals still read the problem as it is."""
+    def mutant(problem, times):
+        seen, frame = copy.copy(problem), problem.frame
+        if name == "z":
+            vars(seen)["frame"] = replace(frame, z=mutate(frame.z))
+        else:
+            object.__setattr__(seen, name, mutate(getattr(problem, name)))
+        return EVALUATE(seen, times)
+    return mutant
+
+
 @pytest.mark.parametrize("site, mutant, check", [
     ("states.solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h).T, ANCILLA),
     ("states.solve_ancilla_hamiltonian", lambda a, h: -SOLVE(a, h), ANCILLA),
     ("states.solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.conj()), ANCILLA),
     ("states.solve_ancilla_hamiltonian", lambda a, h: SOLVE(a, h.T), ANCILLA),
-    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.conj(), k, t), HOLONOMY),
-    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q, z.T, k, t), HOLONOMY),
-    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q.conj(), z, k, t), HOLONOMY),
-    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a, w, q.T, z, k, t), HOLONOMY),
-    ("phases._setup", lambda a, w, q, z, k, t: SETUP(a**2, w, q, z, k, t), HOLONOMY),
+    ("cli.evaluate", kernel_from("z", np.conj), HOLONOMY),
+    ("cli.evaluate", kernel_from("z", np.transpose), HOLONOMY),
+    ("cli.evaluate", kernel_from("h_eigvecs", np.conj), HOLONOMY),
+    ("cli.evaluate", kernel_from("h_eigvecs", np.transpose), HOLONOMY),
+    ("cli.evaluate", kernel_from("amps", np.square), HOLONOMY),
     ("phases._phi", lambda t, e, p, k: PHI(t, e, p, -k), HOLONOMY),
     ("states.diagonalizing_frame", weights_from_c, PARALLEL),
 ], ids=["K-transposed", "K-negated", "h'-conjugated", "h'-transposed", "z-conjugated",

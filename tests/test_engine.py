@@ -294,3 +294,56 @@ def test_kernel_components_are_exact_zeros_in_every_report(dim, rank, seed):
             c = report["components"][j]
             assert (c["q"], c["visibility"], c["gamma"], c["total_phase"]) == (0, 0, 0, 0)
             assert math.copysign(1.0, c["dyn_phase"]) == math.copysign(1.0, t)
+
+
+def assert_row_of(lone, batch, i):
+    """Every column of the batch of one time, lone, equals row i of batch
+    bit for bit (nan in the same places); q and the scalars are per batch."""
+    for f in dataclasses.fields(lone):
+        got, want = getattr(lone, f.name), getattr(batch, f.name)
+        if isinstance(got, np.ndarray) and f.name != "q":
+            got, want = got[0], want[i]
+        assert np.array_equal(got, want, equal_nan=True), (f.name, i)
+
+
+AS_ONE_TIME = [float, np.asarray, lambda t: [t]]  # a float, a 0-d array, a one-element list
+
+
+def assert_lone_rows(problem, grid):
+    """Each time of the grid, evaluated alone in each form, is its row in
+    the grid and in a batch of two, bit for bit."""
+    batch = evaluate(problem, grid)
+    for i, t in enumerate(grid):
+        pair = evaluate(problem, [grid[i - 1], t])
+        assert_row_of(evaluate(problem, grid[i - 1]), pair, 0)
+        for form in AS_ONE_TIME:
+            lone = evaluate(problem, form(t))
+            assert_row_of(lone, batch, i)
+            assert_row_of(lone, pair, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 16), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       grid=st.lists(st.floats(-50.0, 50.0), min_size=11, max_size=11))
+def test_a_single_time_is_its_row_in_any_batch(n, data, seed, grid):
+    """A one-row product would run numpy's matrix-vector code, which rounds
+    otherwise: evaluate runs every product as of two or more rows, so a
+    lone t, given in any form, is bit for bit its row in any batch."""
+    rank = data.draw(st.sampled_from(sorted({1, max(1, n // 2), n})))
+    assert_lone_rows(random_instance(n, rank, seed), grid)
+
+
+@pytest.mark.parametrize("dim, rank", [(64, 64), (64, 8)])
+def test_a_single_time_is_its_row_in_any_batch_at_n_64(dim, rank):
+    assert_lone_rows(random_instance(dim, rank, 0), np.linspace(-50.0, 50.0, 11))
+
+
+def test_the_batch_owns_its_times():
+    """evaluate keeps a read-only copy of the times: a later write to the
+    caller's array moves no row's time, and the batch's own refuses one."""
+    times = np.linspace(0, 1, 3)
+    batch = evaluate(random_instance(3, 3, 0), times)
+    times[1] = 99
+    assert batch.t.tolist() == [0.0, 0.5, 1.0]
+    with pytest.raises(ValueError):
+        batch.t[0] = 1.0
